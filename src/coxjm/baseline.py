@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, MeasurementGrid, SieveHazard, Subject, covariate_at, last_index
-from .exceptions import DegenerateRiskSetError, InsufficientDataError, ValidationError
-from .posterior import EXP_CLIP
+from .exceptions import DegenerateRiskSetError, ValidationError
+from .fit import _exp_powers, _interval_sums, _Workspace
 
 
 @dataclass(frozen=True)
@@ -49,59 +49,35 @@ def next_value(subject: Subject, u: float, grid: MeasurementGrid) -> float:
     return v
 
 
-def _value_matrix(dataset: Dataset, value_fn) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """V[j, k] = covariate value of subject j at event time x_k where at risk."""
-    subs = dataset.subjects
-    n = len(subs)
-    xe = np.array(sorted(s.x for s in subs if s.delta == 1))
-    if xe.size == 0:
-        raise InsufficientDataError("no uncensored subjects")
-    if np.any(np.diff(xe) <= 0):
-        raise ValidationError("tied uncensored event times")
-    x = np.array([s.x for s in subs])
-    risk = xe[None, :] <= x[:, None]
-    ev_row = np.empty(xe.size, dtype=int)
-    pos = {s.x: i for i, s in enumerate(subs) if s.delta == 1}
-    for k, t in enumerate(xe):
-        ev_row[k] = pos[t]
-    if value_fn in (lvcf_value, next_value):
-        grid = dataset.grid
-        a_e = np.array([last_index(t, grid) for t in xe], dtype=int)
-        last = np.array([len(s.measurements) - 1 for s in subs], dtype=int)
-        lmax = int(last.max()) + 1
-        Z = np.zeros((n, lmax))
-        for i, s in enumerate(subs):
-            Z[i, : len(s.measurements)] = s.measurements
-        if value_fn is lvcf_value:
-            a_x = np.array([last_index(s.x, grid) for s in subs], dtype=int)
-            idx = np.minimum(a_e[None, :], a_x[:, None])
-        else:
-            idx = np.broadcast_to((a_e + 1)[None, :], (n, xe.size))
-            short = risk & (idx > last[:, None])
-            if np.any(short):
-                j = int(np.argmax(np.any(short, axis=1)))
-                raise ValidationError(
-                    f"subject {subs[j].id!r} has a latent value at risk; "
-                    "next_value needs fully observed data")
-            idx = np.minimum(idx, lmax - 1)
-        V = np.take_along_axis(Z, idx, axis=1)
-    else:
-        V = np.zeros((n, xe.size))
-        for j, s in enumerate(subs):
-            for k, t in enumerate(xe):
-                if risk[j, k]:
-                    V[j, k] = value_fn(s, float(t), dataset.grid)
-    return xe, np.where(risk, V, 0.0), risk, ev_row
+def _imputed(dataset: Dataset, value_fn):
+    """The risk-set workspace and the imputed values before each subject's terminal
+    interval (n x J) and in it (n): `lvcf_value` takes column min(j, a_x) of the
+    measurements, `next_value` the value due at the interval's end, fully observed."""
+    ws = _Workspace(dataset)
+    if value_fn is lvcf_value:
+        return ws, np.where(ws.inner, ws.Z[:, : ws.J], 0.0), ws.z_pred
+    if value_fn is not next_value:
+        raise ValidationError("value_fn must be lvcf_value or next_value")
+    short = ~ws.has_extra & (ws.masses(np.ones(ws.K))[1] > 0)
+    if np.any(short):
+        raise ValidationError(
+            f"subject {dataset.subjects[int(np.argmax(short))].id!r} has a latent value at risk; "
+            "next_value needs fully observed data")
+    return ws, ws.U, ws.z_extra
 
 
-def _pl_parts(V, risk, ev_row, beta):
-    E = np.exp(np.minimum(beta * V, EXP_CLIP)) * risk
-    S0 = np.sum(E, axis=0)
-    if np.any(S0 <= 0):
-        raise DegenerateRiskSetError(float(np.argmax(S0 <= 0)))
-    S1 = np.sum(V * E, axis=0)
-    S2 = np.sum(V * V * E, axis=0)
-    v_event = V[ev_row, np.arange(V.shape[1])]
+def _risk_sums(ws, V, z, beta):
+    """S0, S1, S2: sums of v^m e^{beta v} over each event's risk set."""
+    S = ws.cols(_interval_sums(V, ws.inner, beta)[1], np.column_stack(_exp_powers(z, beta))).T
+    bad = ~(S[0] > 0)
+    if np.any(bad):
+        raise DegenerateRiskSetError(float(ws.xe[int(np.argmax(bad))]))
+    return S
+
+
+def _pl_parts(ws, V, z, beta):
+    S0, S1, S2 = _risk_sums(ws, V, z, beta)
+    v_event = z[ws.ev_row]
     loglik = float(np.sum(beta * v_event - np.log(S0)))
     mean = S1 / S0
     score = float(np.sum(v_event - mean))
@@ -122,10 +98,10 @@ def partial_lik_fit(
     returns beta = 0 with a "flat-likelihood" flag; a monotone likelihood is
     clipped at the box boundary and flagged non-converged.
     """
-    xe, V, risk, ev_row = _value_matrix(dataset, value_fn)
+    parts = _imputed(dataset, value_fn)
     beta = 0.0
     flags: list[str] = []
-    loglik, score, info = _pl_parts(V, risk, ev_row, beta)
+    loglik, score, info = _pl_parts(*parts, beta)
     if info <= 1e-300:
         hz = breslow(dataset, 0.0, value_fn=value_fn)
         return BaselineFit(0.0, hz, 0, True, ("flat-likelihood",), loglik, score, info)
@@ -136,11 +112,11 @@ def partial_lik_fit(
             raise ValidationError("log partial likelihood is not concave at an iterate")
         step = score / info
         new = float(np.clip(beta + step, -beta_box, beta_box))
-        ll_new, sc_new, info_new = _pl_parts(V, risk, ev_row, new)
+        ll_new, sc_new, info_new = _pl_parts(*parts, new)
         halved = 0
         while ll_new < loglik - 1e-12 and halved < 60:
             new = beta + (new - beta) * 0.5
-            ll_new, sc_new, info_new = _pl_parts(V, risk, ev_row, new)
+            ll_new, sc_new, info_new = _pl_parts(*parts, new)
             halved += 1
         moved = abs(new - beta)
         beta, loglik, score, info = new, ll_new, sc_new, info_new
@@ -160,12 +136,8 @@ def breslow(dataset: Dataset, beta: float, value_fn=lvcf_value) -> SieveHazard:
     """Breslow estimator: jump 1 / sum_{at risk} e^{beta z_j(x_k)} at each event."""
     if not np.isfinite(beta):
         raise ValidationError("beta must be finite")
-    xe, V, risk, _ = _value_matrix(dataset, value_fn)
-    S0 = np.sum(np.exp(np.minimum(beta * V, EXP_CLIP)) * risk, axis=0)
-    bad = ~(S0 > 0)
-    if np.any(bad):
-        raise DegenerateRiskSetError(float(xe[int(np.argmax(bad))]))
-    return SieveHazard(tuple(xe), tuple(1.0 / S0))
+    ws, V, z = _imputed(dataset, value_fn)
+    return SieveHazard(tuple(ws.xe), tuple(1.0 / _risk_sums(ws, V, z, beta)[0]))
 
 
 def nelson_aalen(dataset: Dataset) -> SieveHazard:

@@ -33,7 +33,6 @@ from .transition import (
     AlphaBox,
     TransitionParams,
     _solve_gaussian_mle,
-    observed_transition_mle,
 )
 
 ASCENT_TOL = 1e-8
@@ -99,12 +98,28 @@ class FitResult:
         return self.loglik_trace[-1]
 
 
-class _Workspace:
-    """Vectorized per-dataset arrays used by every fitting kernel.
+def _exp_powers(v: np.ndarray, beta: float, mask=True):
+    """e^{beta v}, v e^{beta v} and v^2 e^{beta v}, zero where mask is False."""
+    e = np.exp(np.minimum(beta * v, EXP_CLIP)) * mask
+    ve = v * e
+    return e, ve, v * ve
 
-    Matrices are indexed [subject i, event time k].  obs_mask marks risked
-    event times whose covariate value is observed (value in V); lat_mask marks
-    risked times falling in the subject's latent terminal window.
+
+def _interval_sums(V: np.ndarray, mask: np.ndarray, beta: float):
+    """e^{beta V} masked (n x J), and its column sums of V^m e^{beta V}, m = 0, 1, 2 (J x 3)."""
+    E = _exp_powers(V, beta, mask)
+    return E[0], np.stack([F.sum(axis=0) for F in E], axis=1)
+
+
+class _Workspace:
+    """Per-dataset arrays behind every risk-set sum, in O(n J + K) memory.
+
+    The covariate path is a step function on the grid, so risk-set sums
+    collapse onto the J grid intervals (t_j, t_{j+1}] (the last one ends at
+    tau).  Subject i is at risk at every event of an interval j < a_x(i)
+    (`inner`), with the observed value U[i, j] = z_{j+1}; in its terminal
+    interval a_x(i) only at events <= x_i, with the value z_extra when the
+    dataset stores it (full-information form) and the latent value otherwise.
     """
 
     def __init__(self, dataset: Dataset):
@@ -123,34 +138,35 @@ class _Workspace:
             raise InsufficientDataError("no uncensored subjects")
         if np.any(np.diff(self.xe) <= 0):
             raise ValidationError("tied uncensored event times")
+        self.J = J = len(grid)
         self.a_e = np.array([last_index(t, grid) for t in self.xe], dtype=int)
         self.a_x = np.array([last_index(s.x, grid) for s in subs], dtype=int)
-        self.last_idx = np.array([len(s.measurements) - 1 for s in subs], dtype=int)
-        self.has_extra = self.last_idx == self.a_x + 1
-        lmax = int(self.last_idx.max()) + 1
-        Z = np.zeros((n, lmax))
+        self.has_extra = np.array([len(s.measurements) for s in subs]) == self.a_x + 2
+        Z = np.zeros((n, J + 1))
         for i, s in enumerate(subs):
             Z[i, : len(s.measurements)] = s.measurements
         self.Z = Z
         rows = np.arange(n)
         self.z0 = Z[:, 0]
         self.z_pred = Z[rows, self.a_x]
-        self.z_extra = np.where(self.has_extra, Z[rows, np.minimum(self.a_x + 1, lmax - 1)], np.nan)
-        self.risk = self.xe[None, :] <= self.x[:, None]
-        nxt = np.minimum(self.a_e + 1, lmax - 1)
-        self.obs_mask = self.risk & ((self.a_e + 1)[None, :] <= self.last_idx[:, None])
-        self.lat_mask = self.risk & ~self.obs_mask
-        self.V = np.where(self.obs_mask, Z[:, nxt], 0.0)
-        # observed history transitions (z_0..z_{a_x} only; the terminal step is
-        # always carried by the atoms, degenerate or not)
-        prev, nxt_v = [], []
-        for i, s in enumerate(subs):
-            h = np.asarray(s.measurements[: self.a_x[i] + 1])
-            if h.size > 1:
-                prev.append(h[:-1])
-                nxt_v.append(h[1:])
-        self.t_prev = np.concatenate(prev) if prev else np.zeros(0)
-        self.t_next = np.concatenate(nxt_v) if nxt_v else np.zeros(0)
+        self.z_extra = Z[rows, self.a_x + 1]  # 0 where not stored
+        self.inner = np.arange(J)[None, :] < self.a_x[:, None]
+        self.U = np.where(self.inner, Z[:, 1:], 0.0)
+        self._obs_beta = None
+        # Events, then subjects, in one time order (an event before a subject
+        # leaving at its time, who is at risk there) in a zero-padded array with
+        # one row per grid interval: running sums along a row stay within the
+        # interval, so a late small sum is never a difference of large totals.
+        order = np.lexsort((np.arange(self.K + n) >= self.K, np.concatenate([self.xe, self.x])))
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        row = np.concatenate([self.a_e, self.a_x])
+        counts = np.bincount(row, minlength=J)
+        self._cell = (row, pos - (np.cumsum(counts) - counts)[row])
+        self._rows = (J, int(counts.max()))
+        # observed history transitions z_j -> z_{j+1}, j < a_x (the terminal
+        # step is always carried by the atoms, degenerate or not)
+        self.t_prev, self.t_next = Z[:, :J][self.inner], self.U[self.inner]
         self.obs_stats = {
             "S_p": float(np.sum(self.t_prev)),
             "S_n": float(np.sum(self.t_next)),
@@ -160,18 +176,57 @@ class _Workspace:
             "count": float(self.t_prev.size),
         }
 
-    def risk_mats(self, beta: float):
-        """exp(beta*V), V*exp(beta*V) and V^2*exp(beta*V), masked to observed risk."""
-        eV = np.exp(np.minimum(beta * self.V, EXP_CLIP)) * self.obs_mask
-        VeV = self.V * eV
-        V2eV = self.V * VeV
-        return eV, VeV, V2eV
+    def obs_mats(self, beta: float):
+        """`_interval_sums` of U, kept for the last beta (an EM iteration asks
+        for one beta from the E-step, the M-step and the certificate)."""
+        if beta != self._obs_beta:
+            self._obs_beta, self._obs = beta, _interval_sums(self.U, self.inner, beta)
+        return self._obs
+
+    def _running(self, v: np.ndarray, reverse: bool = False) -> np.ndarray:
+        """Per item (events, then subjects): the sum of v over its interval's items up to it
+        (from it on, if reverse)."""
+        pad = np.zeros(self._rows + v.shape[1:])
+        pad[self._cell] = v
+        if reverse:
+            return np.cumsum(pad[:, ::-1], axis=1)[:, ::-1][self._cell]
+        return np.cumsum(pad, axis=1)[self._cell]
+
+    def masses(self, dL: np.ndarray):
+        """Hazard mass of each grid interval (J) and of each subject's terminal window (n)."""
+        return (np.bincount(self.a_e, weights=dL, minlength=self.J),
+                self._running(np.concatenate([dL, np.zeros(self.n)]))[self.K:])
+
+    def splits(self, beta: float, dL: np.ndarray):
+        """Per subject: hazard mass times e^{beta z} where z is observed (a_obs), latent mass (a_lat)."""
+        H, P = self.masses(dL)
+        e_extra = np.exp(np.minimum(beta * self.z_extra, EXP_CLIP))
+        return self.obs_mats(beta)[0] @ H + self.has_extra * e_extra * P, ~self.has_extra * P
+
+    def moments(self, est: "_EStep", beta: float) -> np.ndarray:
+        """E_i[Z^m e^{beta Z}], m = 0, 1, 2, of each terminal value (n x 3), or of its stored value."""
+        m = np.column_stack(est.exp_moments(beta))
+        m[self.has_extra] = np.column_stack(_exp_powers(self.z_extra[self.has_extra], beta))
+        return m
+
+    def cols(self, S, g) -> np.ndarray:
+        """Per event time, the sum over its risk set of each subject's value there: S (J,
+        optional trailing axes; None for zero) sums per interval the values of the
+        subjects at risk past it, g (n, same trailing axes) holds their terminal values."""
+        out = self._running(np.concatenate([np.zeros((self.K,) + g.shape[1:]), g]), reverse=True)[: self.K]
+        return out if S is None else out + S[self.a_e]
+
+    def totals(self, est: "_EStep", beta: float, dL: np.ndarray) -> np.ndarray:
+        """sum_i of the dL-integral of Z^m e^{beta Z} over subject i's risk period, m = 0, 1, 2."""
+        H, P = self.masses(dL)
+        return self.obs_mats(beta)[1].T @ H + self.moments(est, beta).T @ P
 
 
 class _EStep:
     """Posterior atoms for all subjects plus the per-subject hazard splits."""
 
-    __slots__ = ("nodes", "weights", "log_norm", "a_obs", "a_lat", "E1", "E2", "mode", "sd")
+    __slots__ = ("nodes", "weights", "log_norm", "a_obs", "a_lat", "E1", "E2", "mode", "sd",
+                 "_moments_beta", "_moments")
 
     def __init__(self, nodes, weights, log_norm, a_obs, a_lat, mode=None, sd=None):
         self.nodes = nodes
@@ -183,20 +238,21 @@ class _EStep:
         self.sd = sd
         self.E1 = np.sum(weights * nodes, axis=1)
         self.E2 = np.sum(weights * nodes * nodes, axis=1)
+        self._moments_beta = None
 
     def exp_moments(self, beta: float):
-        """E[e^{bZ}], E[Z e^{bZ}], E[Z^2 e^{bZ}] at the current beta."""
-        t = self.weights * np.exp(np.minimum(beta * self.nodes, EXP_CLIP))
-        m0 = np.sum(t, axis=1)
-        m1 = np.sum(t * self.nodes, axis=1)
-        m2 = np.sum(t * self.nodes * self.nodes, axis=1)
-        return m0, m1, m2
+        """E[e^{bZ}], E[Z e^{bZ}], E[Z^2 e^{bZ}] at the current beta (kept for the last beta)."""
+        if beta != self._moments_beta:
+            t = self.weights * np.exp(np.minimum(beta * self.nodes, EXP_CLIP))
+            m0 = np.sum(t, axis=1)
+            m1 = np.sum(t * self.nodes, axis=1)
+            m2 = np.sum(t * self.nodes * self.nodes, axis=1)
+            self._moments_beta, self._moments = beta, (m0, m1, m2)
+        return self._moments
 
 
 def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray, Q: int) -> _EStep:
-    eV, _, _ = ws.risk_mats(beta)
-    a_obs = eV @ dL
-    a_lat = ws.lat_mask @ dL
+    a_obs, a_lat = ws.splits(beta, dL)
     mean = alpha.a + alpha.b * ws.z_pred
     n = ws.n
     nodes = np.empty((n, Q))
@@ -270,12 +326,8 @@ def _loglik(ws: _Workspace, alpha: TransitionParams, dL: np.ndarray, est: _EStep
     return out
 
 
-def _wn_vec(ws: _Workspace, est: _EStep, beta: float, eV: np.ndarray | None = None) -> np.ndarray:
-    if eV is None:
-        eV, _, _ = ws.risk_mats(beta)
-    m0, _, _ = est.exp_moments(beta)
-    wn = (np.sum(eV, axis=0) + ws.lat_mask.T @ m0) / ws.n
-    return wn
+def _wn_vec(ws: _Workspace, est: _EStep, beta: float) -> np.ndarray:
+    return ws.cols(ws.obs_mats(beta)[1][:, 0], ws.moments(est, beta)[:, 0]) / ws.n
 
 
 def _check_wn(ws: _Workspace, wn: np.ndarray) -> None:
@@ -284,21 +336,14 @@ def _check_wn(ws: _Workspace, wn: np.ndarray) -> None:
         raise DegenerateRiskSetError(float(ws.xe[int(np.argmax(bad))]))
 
 
-def _score_info_beta(ws, est, beta, dL, mats=None):
-    eV, VeV, V2eV = mats if mats is not None else ws.risk_mats(beta)
-    m0, m1, m2 = est.exp_moments(beta)
-    a_lat = ws.lat_mask @ dL
-    score = (float(np.sum(ws.delta * est.E1)) - float(np.sum(VeV @ dL)) - float(np.sum(a_lat * m1))) / ws.n
-    info = (float(np.sum(V2eV @ dL)) + float(np.sum(a_lat * m2))) / ws.n
-    return score, info
+def _score_info_beta(ws, est, beta, dL):
+    _, t1, t2 = ws.totals(est, beta, dL)
+    return (float(np.sum(ws.delta * est.E1)) - float(t1)) / ws.n, float(t2) / ws.n
 
 
-def _q_beta(ws, est, beta, dL, mats=None):
+def _q_beta(ws, est, beta, dL):
     """EM objective terms that depend on beta, at fixed atoms and hazard."""
-    eV, _, _ = mats if mats is not None else ws.risk_mats(beta)
-    m0, _, _ = est.exp_moments(beta)
-    a_lat = ws.lat_mask @ dL
-    return (beta * float(np.sum(ws.delta * est.E1)) - float(np.sum(eV @ dL)) - float(np.sum(a_lat * m0))) / ws.n
+    return (beta * float(np.sum(ws.delta * est.E1)) - float(ws.totals(est, beta, dL)[0])) / ws.n
 
 
 def _alpha_score_mean(ws: _Workspace, est: _EStep, alpha: TransitionParams) -> np.ndarray:
@@ -368,25 +413,23 @@ def _mstep(ws, est, alpha, beta, dL, cfg: FitConfig, warn: list):
         if not ok:
             alpha_new = alpha
 
-    mats = ws.risk_mats(beta)
     for _ in range(cfg.inner_cycles):
-        wn = _wn_vec(ws, est, beta, eV=mats[0])
+        wn = _wn_vec(ws, est, beta)
         _check_wn(ws, wn)
         dL = 1.0 / (ws.n * wn)
-        score, info = _score_info_beta(ws, est, beta, dL, mats=mats)
+        score, info = _score_info_beta(ws, est, beta, dL)
         if info <= 0 or abs(score) < 0.05 * cfg.tol_score:
             continue
-        q0 = _q_beta(ws, est, beta, dL, mats=mats)
+        q0 = _q_beta(ws, est, beta, dL)
         step = score / info
         for j in range(cfg.step_halving_max + 1):
             cand = float(np.clip(beta + step * 0.5**j, -cfg.beta_box, cfg.beta_box))
             if cand == beta:
                 break
-            mats_c = ws.risk_mats(cand)
-            if _q_beta(ws, est, cand, dL, mats=mats_c) >= q0 - 1e-13 * (1 + abs(q0)):
-                beta, mats = cand, mats_c
+            if _q_beta(ws, est, cand, dL) >= q0 - 1e-13 * (1 + abs(q0)):
+                beta = cand
                 break
-    wn = _wn_vec(ws, est, beta, eV=mats[0])
+    wn = _wn_vec(ws, est, beta)
     _check_wn(ws, wn)
     dL = 1.0 / (ws.n * wn)
     return alpha_new, beta, dL
@@ -394,9 +437,20 @@ def _mstep(ws, est, alpha, beta, dL, cfg: FitConfig, warn: list):
 
 def _init_theta(ws: _Workspace, init: Theta | None, cfg: FitConfig):
     if init is None:
-        alpha = observed_transition_mle(ws.dataset, box=cfg.alpha_box, var_floor=cfg.var_floor)
+        # Gaussian MLE from the observed transitions only
+        if ws.n < 2:
+            raise InsufficientDataError("need at least 2 subjects")
+        if ws.obs_stats["count"] < 1:
+            # no observed transitions at all: fall back to the entry distribution
+            mu0 = float(np.mean(ws.z0))
+            s0sq = max(float(np.mean((ws.z0 - mu0) ** 2)), cfg.var_floor)
+            vec = cfg.alpha_box.project(np.array([mu0, s0sq, mu0, 0.0, s0sq]))
+            vec[[1, 4]] = np.maximum(vec[[1, 4]], cfg.var_floor)
+            alpha = TransitionParams.from_array(vec)
+        else:
+            alpha = _solve_gaussian_mle({"z0": ws.z0, **ws.obs_stats}, cfg.alpha_box, cfg.var_floor)
         beta = 0.0
-        dL = 1.0 / np.sum(ws.risk, axis=0)  # Nelson-Aalen jumps
+        dL = 1.0 / ws.cols(ws.inner.sum(axis=0), np.ones(ws.n))  # Nelson-Aalen jumps
         return alpha, beta, dL
     alpha = TransitionParams.from_array(cfg.alpha_box.project(init.alpha.as_array()))
     beta = float(np.clip(init.beta, -cfg.beta_box, cfg.beta_box))
@@ -411,7 +465,10 @@ def _boundedness_check(ws, est, dL, cfg, warn: list):
     at_tau = int(np.sum(ws.x >= ws.dataset.tau))
     if at_tau == 0:
         return
-    zmax = max(float(np.max(np.abs(ws.V))) if ws.V.size else 0.0,
+    # the observed values at risk at some event (U and z_extra are 0 elsewhere), and the atoms
+    z_obs = np.append(ws.U[:, np.bincount(ws.a_e, minlength=ws.J) > 0],
+                      ws.z_extra * (ws.masses(np.ones(ws.K))[1] > 0))
+    zmax = max(float(np.max(np.abs(z_obs))),
                float(np.max(np.abs(est.nodes))) if est.nodes.size else 0.0)
     m = math.exp(-cfg.beta_box * zmax) if cfg.beta_box * zmax < EXP_CLIP else 0.0
     if m <= 0:
@@ -508,9 +565,7 @@ def _atoms_to_estep(ws: _Workspace, atoms, beta: float, dL: np.ndarray) -> _ESte
         nodes[i, nd.size:] = nd[-1] if nd.size else 0.0
         weights[i, : wt.size] = wt
         log_norm[i] = a.log_norm
-    eV, _, _ = ws.risk_mats(beta)
-    a_obs = eV @ dL
-    a_lat = ws.lat_mask @ dL
+    a_obs, a_lat = ws.splits(beta, dL)
     return _EStep(nodes, weights, log_norm, a_obs, a_lat)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 from .data import Dataset, MeasurementGrid, SieveHazard, Subject, Theta
@@ -63,6 +64,11 @@ def save_dataset_csv(dataset: Dataset, subjects_path, measurements_path) -> None
                 w.writerow([s.id, j, repr(z)])
 
 
+def _csv_id(s: str) -> int | str:
+    """A CSV id field as written: an int when it is an int's own decimal form."""
+    return int(s) if re.fullmatch(r"0|-?[1-9][0-9]*", s) else s
+
+
 def load_dataset_csv(subjects_path, measurements_path, grid_times, tau) -> Dataset:
     """Load the CSV pair; the grid and tau are not stored there and must be given."""
     meas: dict[str, dict[int, float]] = {}
@@ -76,7 +82,7 @@ def load_dataset_csv(subjects_path, measurements_path, grid_times, tau) -> Datas
             values = tuple(mm[j] for j in sorted(mm))
             if len(values) != len(mm) or sorted(mm) != list(range(len(mm))):
                 raise ValidationError(f"subject {row['id']!r}: measurement indices not contiguous")
-            subjects.append(Subject(id=row["id"], x=float(row["x"]),
+            subjects.append(Subject(id=_csv_id(row["id"]), x=float(row["x"]),
                                     delta=int(row["delta"]), measurements=values))
     return Dataset(grid=MeasurementGrid(tuple(grid_times)), subjects=tuple(subjects), tau=float(tau))
 
@@ -94,7 +100,7 @@ def load_truths_csv(path) -> tuple[SimTruth, ...]:
     out = []
     with open(path, newline="") as f:
         for row in csv.DictReader(f):
-            out.append(SimTruth(subject_id=row["id"], latent_z=float(row["latent_z"]),
+            out.append(SimTruth(subject_id=_csv_id(row["id"]), latent_z=float(row["latent_z"]),
                                 event_time=float(row["T"]), censor_time=float(row["C"])))
     return tuple(out)
 

@@ -242,50 +242,6 @@ def weighted_mle_alpha(
     return _solve_gaussian_mle(_transition_stats(dataset, atoms), box, var_floor)
 
 
-def observed_transition_mle(
-    dataset: Dataset,
-    box: AlphaBox | None = None,
-    var_floor: float = VAR_FLOOR,
-) -> TransitionParams:
-    """MLE using only observed transitions; the fitter's starting value."""
-    if dataset.n < 2:
-        raise InsufficientDataError("need at least 2 subjects")
-    box = box or AlphaBox()
-    z0 = []
-    S_p = S_n = S_pp = S_pn = S_nn = 0.0
-    count = 0.0
-    for subject in dataset.subjects:
-        hist = np.asarray(observed_history(subject, dataset.grid))
-        z0.append(hist[0])
-        if hist.size > 1:
-            prev, nxt = hist[:-1], hist[1:]
-            S_p += float(np.sum(prev))
-            S_n += float(np.sum(nxt))
-            S_pp += float(np.sum(prev * prev))
-            S_pn += float(np.sum(prev * nxt))
-            S_nn += float(np.sum(nxt * nxt))
-            count += prev.size
-    if count < 1:
-        # no observed transitions at all: fall back to the entry distribution
-        z0a = np.asarray(z0)
-        mu0 = float(np.mean(z0a))
-        s0sq = max(float(np.mean((z0a - mu0) ** 2)), var_floor)
-        vec = box.project(np.array([mu0, s0sq, mu0, 0.0, s0sq]))
-        vec[1] = max(vec[1], var_floor)
-        vec[4] = max(vec[4], var_floor)
-        return TransitionParams.from_array(vec)
-    stats = {
-        "z0": np.asarray(z0),
-        "S_p": S_p,
-        "S_n": S_n,
-        "S_pp": S_pp,
-        "S_pn": S_pn,
-        "S_nn": S_nn,
-        "count": count,
-    }
-    return _solve_gaussian_mle(stats, box, var_floor)
-
-
 def draw_initial(rng, alpha: TransitionParams, truncate_at: float | None = None) -> float:
     """Draw the entry value z_0; optional resampling truncation at +-truncate_at."""
     return _draw_truncated(rng, alpha.mu0, math.sqrt(alpha.s0sq), truncate_at)

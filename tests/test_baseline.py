@@ -5,10 +5,13 @@ import pytest
 
 from coxjm import (
     Dataset,
+    DegenerateRiskSetError,
     MeasurementGrid,
     Subject,
     TransitionParams,
+    ValidationError,
     breslow,
+    covariate_at,
     lvcf_value,
     nelson_aalen,
     partial_lik_fit,
@@ -135,3 +138,27 @@ def test_partial_lik_boundary_flag():
     assert not fit.converged
     assert "boundary" in fit.flags
     assert abs(fit.beta_pl) == pytest.approx(5.0)
+
+
+def test_partial_lik_degenerate_risk_set_names_event_time():
+    # the first Newton step jumps to beta = 10, where the last event's risk set
+    # (its own subject, at z = -100) sums to e^{-1000} = 0 in floating point
+    grid = MeasurementGrid((0.0, 1.0))
+    subs = (Subject(id="a", x=0.5, delta=1, measurements=(0.001,)),
+            *(Subject(id=f"c{j}", x=1.2, delta=0, measurements=(0.0, 0.0)) for j in range(4)),
+            Subject(id="b", x=1.5, delta=1, measurements=(0.0, -100.0)))
+    ds = Dataset(grid=grid, subjects=subs, tau=3.0)
+    with pytest.raises(DegenerateRiskSetError) as exc:
+        partial_lik_fit(ds)
+    assert exc.value.time == 1.5
+    with pytest.raises(DegenerateRiskSetError) as exc:
+        breslow(ds, 10.0)
+    assert exc.value.time == 1.5
+
+
+def test_value_fn_must_be_lvcf_or_next():
+    ds = Dataset(grid=GRID0, subjects=(Subject(id=1, x=0.5, delta=1, measurements=(0.3,)),), tau=3.0)
+    with pytest.raises(ValidationError):
+        partial_lik_fit(ds, value_fn=lambda s, u, grid: 0.0)
+    with pytest.raises(ValidationError):
+        breslow(ds, 0.0, value_fn=covariate_at)

@@ -1,14 +1,15 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coxjm import FitConfig, TransitionParams, em_fit, observed_loglik
+from coxjm import Dataset, FitConfig, TransitionParams, em_fit, observed_loglik
 from coxjm import io as cio
 from coxjm.cli import main
-from coxjm.simulate import SimConfig, gen_dataset
+from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
 
@@ -49,6 +50,13 @@ def test_dataset_csv_round_trip(dataset, tmp_path):
     back = cio.load_dataset_csv(sp, mp, dataset.grid.times, dataset.tau)
     assert [s.x for s in back.subjects] == [s.x for s in dataset.subjects]
     assert [s.measurements for s in back.subjects] == [s.measurements for s in dataset.subjects]
+    # ids come back as the type they were written with
+    assert back == dataset
+    named = Dataset(grid=dataset.grid, tau=dataset.tau, subjects=tuple(
+        replace(s, id=sid) for s, sid in zip(dataset.subjects[:4], ("a7", "007", "-0", -3))))
+    cio.save_dataset_csv(named, sp, mp)
+    assert [s.id for s in cio.load_dataset_csv(sp, mp, named.grid.times, named.tau).subjects] == [
+        "a7", "007", "-0", -3]
 
 
 def test_truths_csv_round_trip(tmp_path):
@@ -56,9 +64,22 @@ def test_truths_csv_round_trip(tmp_path):
     p = tmp_path / "truths.csv"
     cio.save_truths_csv(truths, p)
     back = cio.load_truths_csv(p)
+    assert [t.subject_id for t in back] == [t.subject_id for t in truths]
     for a, b in zip(back, truths):
         assert a.latent_z == b.latent_z
         assert a.event_time == b.event_time or (math.isinf(a.event_time) and math.isinf(b.event_time))
+
+
+def test_json_dataset_with_csv_truths(tmp_path):
+    # the files `coxjm simulate` writes work together: the JSON dataset and the
+    # CSV truths give the full-information dataset, which fits
+    ds, truths = gen_dataset(SimConfig.from_dict(_sim_cfg_dict(seed=4)))
+    cio.save_dataset_json(ds, tmp_path / "dataset.json")
+    cio.save_truths_csv(truths, tmp_path / "truths.csv")
+    full = fullinfo_dataset(cio.load_dataset_json(tmp_path / "dataset.json"),
+                            cio.load_truths_csv(tmp_path / "truths.csv"))
+    assert full == fullinfo_dataset(ds, truths)
+    assert em_fit(full).converged
 
 
 def test_fit_json_round_trip_loglik(dataset, tmp_path):

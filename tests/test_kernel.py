@@ -1,0 +1,210 @@
+"""The grid-collapsed risk-set kernel against the dense n x K oracle, and its scaling."""
+
+import math
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import DenseRisk, latent_moments, lvcf_risk_sums
+
+from coxjm import (
+    Dataset,
+    FitConfig,
+    MeasurementGrid,
+    SieveHazard,
+    Subject,
+    Theta,
+    TransitionParams,
+    ValidationError,
+    em_fit,
+    last_index,
+    lvcf_value,
+    next_value,
+)
+from coxjm.baseline import _imputed, _risk_sums
+from coxjm.fit import (
+    _atoms_to_estep,
+    _boundedness_check,
+    _init_theta,
+    _q_beta,
+    _score_info_beta,
+    _wn_vec,
+    _Workspace,
+)
+from coxjm.posterior import PosteriorAtoms
+from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
+from coxjm.variance import _info_parts, _latent_covariances
+
+TAU = 3.0
+ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
+RTOL = 1e-12
+
+
+def _sim(n, grid_step, seed):
+    return gen_dataset(SimConfig(n=n, grid_step=grid_step, tau=TAU, alpha0=ALPHA0, beta0=1.0,
+                                 lambda0=0.3, censor_rate=0.2, seed=seed))
+
+
+def _close(got, want, scale):
+    """|got - want| <= RTOL * scale, scale being the summands' magnitudes summed."""
+    got, want, scale = np.asarray(got), np.asarray(want), np.asarray(scale)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= RTOL * scale), (got, want)
+
+
+def _atoms(rng, n, Q=3):
+    out = []
+    for _ in range(n):
+        w = rng.uniform(0.05, 1.0, Q)
+        out.append(PosteriorAtoms(nodes=rng.uniform(-2.5, 2.5, Q), weights=w / w.sum(),
+                                  mode=0.0, curvature_sd=0.0, log_norm=0.0))
+    return out
+
+
+def check_against_oracle(ds, beta, rng):
+    """Every kernel sum on `ds` equals the dense oracle's, within RTOL of its magnitude."""
+    ws, D, n = _Workspace(ds), DenseRisk(ds), ds.n
+    dL = rng.uniform(1e-3, 0.5, D.xe.size)
+    atoms = _atoms(rng, n)
+
+    # row sums: each subject's observed and latent hazard mass
+    est = _atoms_to_estep(ws, atoms, beta, dL)
+    a_obs, a_lat = D.splits(beta, dL)
+    _close(est.a_obs, a_obs, a_obs)
+    _close(est.a_lat, a_lat, a_lat)
+
+    # column sums W_n, C_n, D_n, and the beta score, curvature and objective
+    m = latent_moments(est.nodes, est.weights, beta)
+    cols, mag = D.cols(beta, m), D.cols(beta, m, absolute=True)
+    _close(_wn_vec(ws, est, beta), cols[:, 0] / n, mag[:, 0] / n)
+    tot, tmag = D.totals(beta, m, dL), D.totals(beta, m, dL, absolute=True)
+    E1 = np.sum(est.weights * est.nodes, axis=1)
+    dE, dmag = float(D.delta @ E1), float(D.delta @ np.abs(E1))
+    score, info = _score_info_beta(ws, est, beta, dL)
+    _close(score, (dE - tot[1]) / n, (dmag + tmag[1]) / n)
+    _close(info, tot[2] / n, tmag[2] / n)
+    _close(_q_beta(ws, est, beta, dL), (beta * dE - tot[0]) / n, (abs(beta) * dmag + tmag[0]) / n)
+
+    # the variance module's columns, and its sums over the latent windows holding x_k
+    theta = Theta(alpha=ALPHA0, beta=beta, hazard=SieveHazard(tuple(D.xe), tuple(dL)))
+    parts = _info_parts(ds, theta, atoms)
+    _close(np.column_stack([parts.w, parts.c, parts.d]), cols / n, mag / n)
+    cov = _latent_covariances(ws, est, ALPHA0, beta)
+    lat_cols = np.column_stack([cov[:, :4, 4], cov[:, 4, 4]])
+    lat, lat_mag = D.lat_mask.T @ lat_cols / n, D.lat_mask.T @ np.abs(lat_cols) / n
+    _close(parts.cross, lat[:, :4].T, lat_mag[:, :4].T)
+    _close(parts.var_e, lat[:, 4], lat_mag[:, 4])
+
+    # the fit's Nelson-Aalen start: exact risk-set counts
+    assert np.array_equal(_init_theta(ws, None, FitConfig())[2], 1.0 / D.risk.sum(axis=0))
+
+    # boundedness warning: its bound uses the largest observed value at risk
+    at_tau = int(np.sum(D.x >= TAU))
+    if at_tau:
+        cfg = FitConfig()
+        zmax = max(D.zmax(), float(np.max(np.abs(est.nodes))))
+        bound = (D.xe.size / n) / (np.exp(-cfg.beta_box * zmax) * at_tau / n)
+        for f, warned in ((1 + 1e-6, True), (1 - 1e-6, False)):
+            warn = []
+            _boundedness_check(ws, est, dL * (bound * f / dL.sum()), cfg, warn)
+            assert bool(warn) == warned
+
+    # the LVCF comparator's S0, S1, S2, and next_value where the values at risk are observed
+    _close(_risk_sums(*_imputed(ds, lvcf_value), beta), lvcf_risk_sums(ds, lvcf_value, beta),
+           lvcf_risk_sums(ds, lvcf_value, beta, absolute=True))
+    if D.lat_mask.any():
+        with pytest.raises(ValidationError, match="latent value at risk"):
+            _imputed(ds, next_value)
+    else:
+        _close(_risk_sums(*_imputed(ds, next_value), beta), lvcf_risk_sums(ds, next_value, beta),
+               lvcf_risk_sums(ds, next_value, beta, absolute=True))
+
+
+@st.composite
+def risk_cases(draw):
+    """Small datasets with follow-up times on grid points, at tau, equal to an
+    event time, or anywhere; each subject's terminal value stored or latent."""
+    step = draw(st.sampled_from([0.02, 0.25, 0.7, 3.0]))
+    grid = MeasurementGrid(tuple(k * step for k in range(int(np.ceil(TAU / step - 1e-9)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    all_extra = draw(st.booleans())
+    subs, events = [], set()
+    for i in range(draw(st.integers(2, 12))):
+        kind = draw(st.sampled_from(["grid", "event", "tau", "free"]))
+        if kind == "grid" and len(grid) > 1:
+            x = grid.times[draw(st.integers(1, len(grid) - 1))]
+        elif kind == "event" and events:
+            x = draw(st.sampled_from(sorted(events)))
+        elif kind == "tau":
+            x = TAU
+        else:
+            x = draw(st.integers(1, 299)) / 100
+        delta = int(x < TAU and x not in events and draw(st.booleans()))
+        if delta:
+            events.add(x)
+        extra = all_extra or draw(st.booleans())
+        subs.append(Subject(id=i, x=x, delta=delta,
+                            measurements=tuple(rng.uniform(-2.5, 2.5, last_index(x, grid) + 1 + extra))))
+    if not events:
+        x = 1.234
+        subs.append(Subject(id=len(subs), x=x, delta=1,
+                            measurements=tuple(rng.uniform(-2.5, 2.5, last_index(x, grid) + 1 + all_extra))))
+    return Dataset(grid=grid, subjects=tuple(subs), tau=TAU), draw(st.floats(-2.0, 2.0)), rng
+
+
+@pytest.mark.filterwarnings("ignore:transition-model residual variance floored")
+@settings(max_examples=60, deadline=None)
+@given(risk_cases())
+def test_kernel_matches_dense_oracle(case):
+    check_against_oracle(*case)
+
+
+def _hand_built():
+    # events at 0.4, 1.0 (a grid point) and 2.5; none in the interval (1, 2];
+    # subject 3 is censored at the event time 2.5, subject 4 at tau
+    grid = MeasurementGrid((0.0, 1.0, 2.0))
+    rows = [(0.4, 1, 2), (1.0, 1, 1), (2.0, 0, 3), (2.5, 1, 3), (2.5, 0, 4), (3.0, 0, 3)]
+    return Dataset(grid=grid, tau=TAU, subjects=tuple(
+        Subject(id=i, x=x, delta=d, measurements=tuple(math.sin(1.7 * j + i) for j in range(m)))
+        for i, (x, d, m) in enumerate(rows)))
+
+
+def _mixed(grid_step, every):
+    # a simulated dataset whose terminal value is stored for every `every`-th subject
+    ds, truths = _sim(40, grid_step, seed=13)
+    full = fullinfo_dataset(ds, truths)
+    return replace(ds, subjects=tuple(f if i % every == 0 else s
+                                      for i, (s, f) in enumerate(zip(ds.subjects, full.subjects))))
+
+
+@pytest.mark.parametrize("make", [_hand_built, lambda: _mixed(0.02, 2), lambda: _mixed(0.25, 1)],
+                         ids=["hand-built", "fine-grid-mixed", "fully-observed"])
+@pytest.mark.parametrize("beta", [-1.3, 0.0, 0.8])
+def test_kernel_matches_dense_oracle_fixed(make, beta):
+    check_against_oracle(make(), beta, np.random.default_rng(5))
+
+
+def test_em_fit_invariant_under_subject_permutation():
+    ds, _ = _sim(200, 0.25, seed=3)
+    perm = np.random.default_rng(0).permutation(ds.n)
+    shuffled = replace(ds, subjects=tuple(ds.subjects[i] for i in perm))
+    a, b = em_fit(ds), em_fit(shuffled)
+    assert a.converged and b.iterations == a.iterations
+    assert abs(b.theta_hat.beta - a.theta_hat.beta) <= 1e-10
+    assert b.theta_hat.hazard.times == a.theta_hat.hazard.times
+    np.testing.assert_allclose(b.theta_hat.hazard.jumps, a.theta_hat.hazard.jumps, rtol=1e-10, atol=0)
+
+
+def test_em_fit_memory_is_linear_in_n():
+    # K is about 10400 here: one n x K float array alone would take about 1.5 GiB
+    ds, _ = _sim(20000, 0.25, seed=0)
+    tracemalloc.start()
+    try:
+        em_fit(ds, config=FitConfig(max_iter=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
