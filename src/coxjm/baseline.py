@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset, MeasurementGrid, SieveHazard, Subject, covariate_at, last_index
 from .exceptions import DegenerateRiskSetError, ValidationError
-from .fit import _exp_powers, _interval_sums, _Workspace
+from .fit import _exp_powers, _Workspace
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,12 @@ def next_value(subject: Subject, u: float, grid: MeasurementGrid) -> float:
 
 
 def _imputed(dataset: Dataset, value_fn):
-    """The risk-set workspace and the imputed values before each subject's terminal
-    interval (n x J) and in it (n): `lvcf_value` takes column min(j, a_x) of the
-    measurements, `next_value` the value due at the interval's end, fully observed."""
+    """The risk-set workspace and the imputed values on the observed entries (subject i,
+    interval j < a_x(i)) and in each terminal interval (n): `lvcf_value` takes
+    measurement min(j, a_x), `next_value` the value due at the interval's end, fully observed."""
     ws = _Workspace(dataset)
     if value_fn is lvcf_value:
-        return ws, np.where(ws.inner, ws.Z[:, : ws.J], 0.0), ws.z_pred
+        return ws, ws.t_prev, ws.z_pred
     if value_fn is not next_value:
         raise ValidationError("value_fn must be lvcf_value or next_value")
     short = ~ws.has_extra & (ws.masses(np.ones(ws.K))[1] > 0)
@@ -63,20 +63,20 @@ def _imputed(dataset: Dataset, value_fn):
         raise ValidationError(
             f"subject {dataset.subjects[int(np.argmax(short))].id!r} has a latent value at risk; "
             "next_value needs fully observed data")
-    return ws, ws.U, ws.z_extra
+    return ws, ws.t_next, ws.z_extra
 
 
-def _risk_sums(ws, V, z, beta):
+def _risk_sums(ws, v, z, beta):
     """S0, S1, S2: sums of v^m e^{beta v} over each event's risk set."""
-    S = ws.cols(_interval_sums(V, ws.inner, beta)[1], np.column_stack(_exp_powers(z, beta))).T
+    S = ws.cols(ws.interval_sums(v, beta)[1], np.column_stack(_exp_powers(z, beta))).T
     bad = ~(S[0] > 0)
     if np.any(bad):
         raise DegenerateRiskSetError(float(ws.xe[int(np.argmax(bad))]))
     return S
 
 
-def _pl_parts(ws, V, z, beta):
-    S0, S1, S2 = _risk_sums(ws, V, z, beta)
+def _pl_parts(ws, v, z, beta):
+    S0, S1, S2 = _risk_sums(ws, v, z, beta)
     v_event = z[ws.ev_row]
     loglik = float(np.sum(beta * v_event - np.log(S0)))
     mean = S1 / S0
@@ -103,8 +103,7 @@ def partial_lik_fit(
     flags: list[str] = []
     loglik, score, info = _pl_parts(*parts, beta)
     if info <= 1e-300:
-        hz = breslow(dataset, 0.0, value_fn=value_fn)
-        return BaselineFit(0.0, hz, 0, True, ("flat-likelihood",), loglik, score, info)
+        return BaselineFit(0.0, _breslow(parts, 0.0), 0, True, ("flat-likelihood",), loglik, score, info)
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
@@ -128,16 +127,18 @@ def partial_lik_fit(
     if abs(beta) >= beta_box and abs(score) > tol:
         flags.append("boundary")
         converged = False
-    hz = breslow(dataset, beta, value_fn=value_fn)
-    return BaselineFit(beta, hz, it, converged, tuple(flags), loglik, score, info)
+    return BaselineFit(beta, _breslow(parts, beta), it, converged, tuple(flags), loglik, score, info)
 
 
 def breslow(dataset: Dataset, beta: float, value_fn=lvcf_value) -> SieveHazard:
     """Breslow estimator: jump 1 / sum_{at risk} e^{beta z_j(x_k)} at each event."""
     if not np.isfinite(beta):
         raise ValidationError("beta must be finite")
-    ws, V, z = _imputed(dataset, value_fn)
-    return SieveHazard(tuple(ws.xe), tuple(1.0 / _risk_sums(ws, V, z, beta)[0]))
+    return _breslow(_imputed(dataset, value_fn), beta)
+
+
+def _breslow(parts, beta: float) -> SieveHazard:
+    return SieveHazard(tuple(parts[0].xe), tuple(1.0 / _risk_sums(*parts, beta)[0]))
 
 
 def nelson_aalen(dataset: Dataset) -> SieveHazard:

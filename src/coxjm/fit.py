@@ -29,6 +29,7 @@ from .exceptions import (
 )
 from .posterior import EXP_CLIP, PosteriorAtoms, batch_posterior, gauss_logpdf
 from .transition import (
+    FLOOR_MESSAGE,
     VAR_FLOOR,
     AlphaBox,
     TransitionParams,
@@ -98,17 +99,11 @@ class FitResult:
         return self.loglik_trace[-1]
 
 
-def _exp_powers(v: np.ndarray, beta: float, mask=True):
-    """e^{beta v}, v e^{beta v} and v^2 e^{beta v}, zero where mask is False."""
-    e = np.exp(np.minimum(beta * v, EXP_CLIP)) * mask
+def _exp_powers(v: np.ndarray, beta: float):
+    """e^{beta v}, v e^{beta v} and v^2 e^{beta v}."""
+    e = np.exp(np.minimum(beta * v, EXP_CLIP))
     ve = v * e
     return e, ve, v * ve
-
-
-def _interval_sums(V: np.ndarray, mask: np.ndarray, beta: float):
-    """e^{beta V} masked (n x J), and its column sums of V^m e^{beta V}, m = 0, 1, 2 (J x 3)."""
-    E = _exp_powers(V, beta, mask)
-    return E[0], np.stack([F.sum(axis=0) for F in E], axis=1)
 
 
 class _Workspace:
@@ -116,10 +111,10 @@ class _Workspace:
 
     The covariate path is a step function on the grid, so risk-set sums
     collapse onto the J grid intervals (t_j, t_{j+1}] (the last one ends at
-    tau).  Subject i is at risk at every event of an interval j < a_x(i)
-    (`inner`), with the observed value U[i, j] = z_{j+1}; in its terminal
-    interval a_x(i) only at events <= x_i, with the value z_extra when the
-    dataset stores it (full-information form) and the latent value otherwise.
+    tau).  Subject i is at risk at every event of an interval j < a_x(i), an
+    observed entry (`t_sub`, `t_int`) with the value `t_next` = z_{j+1}; in its
+    terminal interval a_x(i) only at events <= x_i, with the value z_extra when
+    the dataset stores it (full-information form) and the latent value otherwise.
     """
 
     def __init__(self, dataset: Dataset):
@@ -128,6 +123,7 @@ class _Workspace:
         subs = dataset.subjects
         n = len(subs)
         self.n = n
+        self.ids = [s.id for s in subs]
         self.x = np.array([s.x for s in subs])
         self.delta = np.array([s.delta for s in subs], dtype=float)
         ev = sorted((s.x, i) for i, s in enumerate(subs) if s.delta == 1)
@@ -142,16 +138,18 @@ class _Workspace:
         self.a_e = np.array([last_index(t, grid) for t in self.xe], dtype=int)
         self.a_x = np.array([last_index(s.x, grid) for s in subs], dtype=int)
         self.has_extra = np.array([len(s.measurements) for s in subs]) == self.a_x + 2
+        self.extra_rows = np.flatnonzero(self.has_extra)
         Z = np.zeros((n, J + 1))
         for i, s in enumerate(subs):
             Z[i, : len(s.measurements)] = s.measurements
-        self.Z = Z
         rows = np.arange(n)
-        self.z0 = Z[:, 0]
+        self.z0 = Z[:, 0].copy()
         self.z_pred = Z[rows, self.a_x]
         self.z_extra = Z[rows, self.a_x + 1]  # 0 where not stored
-        self.inner = np.arange(J)[None, :] < self.a_x[:, None]
-        self.U = np.where(self.inner, Z[:, 1:], 0.0)
+        # the observed entries are also the observed history transitions
+        # z_j -> z_{j+1} (the terminal step is always carried by the atoms)
+        self.t_sub, self.t_int = np.nonzero(np.arange(J)[None, :] < self.a_x[:, None])
+        self.t_prev, self.t_next = Z[self.t_sub, self.t_int], Z[self.t_sub, self.t_int + 1]
         self._obs_beta = None
         # Events, then subjects, in one time order (an event before a subject
         # leaving at its time, who is at risk there) in a zero-padded array with
@@ -164,9 +162,6 @@ class _Workspace:
         counts = np.bincount(row, minlength=J)
         self._cell = (row, pos - (np.cumsum(counts) - counts)[row])
         self._rows = (J, int(counts.max()))
-        # observed history transitions z_j -> z_{j+1}, j < a_x (the terminal
-        # step is always carried by the atoms, degenerate or not)
-        self.t_prev, self.t_next = Z[:, :J][self.inner], self.U[self.inner]
         self.obs_stats = {
             "S_p": float(np.sum(self.t_prev)),
             "S_n": float(np.sum(self.t_next)),
@@ -176,11 +171,17 @@ class _Workspace:
             "count": float(self.t_prev.size),
         }
 
+    def interval_sums(self, v: np.ndarray, beta: float):
+        """e^{beta v} of values v on the observed entries, and per grid interval
+        the sums of v^m e^{beta v}, m = 0, 1, 2 (J x 3)."""
+        E = _exp_powers(v, beta)
+        return E[0], np.stack([np.bincount(self.t_int, F, self.J) for F in E], axis=1)
+
     def obs_mats(self, beta: float):
-        """`_interval_sums` of U, kept for the last beta (an EM iteration asks
-        for one beta from the E-step, the M-step and the certificate)."""
+        """`interval_sums` of the observed values, kept for the last beta (an EM
+        iteration asks for one beta from the E-step, the M-step and the certificate)."""
         if beta != self._obs_beta:
-            self._obs_beta, self._obs = beta, _interval_sums(self.U, self.inner, beta)
+            self._obs_beta, self._obs = beta, self.interval_sums(self.t_next, beta)
         return self._obs
 
     def _running(self, v: np.ndarray, reverse: bool = False) -> np.ndarray:
@@ -200,13 +201,18 @@ class _Workspace:
     def splits(self, beta: float, dL: np.ndarray):
         """Per subject: hazard mass times e^{beta z} where z is observed (a_obs), latent mass (a_lat)."""
         H, P = self.masses(dL)
-        e_extra = np.exp(np.minimum(beta * self.z_extra, EXP_CLIP))
-        return self.obs_mats(beta)[0] @ H + self.has_extra * e_extra * P, ~self.has_extra * P
+        # (astype: bincount returns integers when there is no observed entry)
+        a_obs = np.bincount(self.t_sub, self.obs_mats(beta)[0] * H[self.t_int], self.n).astype(float, copy=False)
+        x = self.extra_rows
+        a_obs[x] += np.exp(np.minimum(beta * self.z_extra[x], EXP_CLIP)) * P[x]
+        return a_obs, ~self.has_extra * P
 
     def moments(self, est: "_EStep", beta: float) -> np.ndarray:
-        """E_i[Z^m e^{beta Z}], m = 0, 1, 2, of each terminal value (n x 3), or of its stored value."""
-        m = np.column_stack(est.exp_moments(beta))
-        m[self.has_extra] = np.column_stack(_exp_powers(self.z_extra[self.has_extra], beta))
+        """E_i[Z^m e^{beta Z}], m = 0, 1, 2, of each terminal value (n x 3), or of its stored
+        value, written into `est`'s block for this beta (the same write each time)."""
+        m = est.exp_moments(beta)
+        if self.extra_rows.size:
+            m[self.extra_rows] = np.column_stack(_exp_powers(self.z_extra[self.extra_rows], beta))
         return m
 
     def cols(self, S, g) -> np.ndarray:
@@ -223,7 +229,8 @@ class _Workspace:
 
 
 class _EStep:
-    """Posterior atoms for all subjects plus the per-subject hazard splits."""
+    """Posterior atoms for all subjects plus the per-subject hazard splits; `nodes` and
+    `weights` are n x Q, and sums over nodes run along the subjects of their transposes."""
 
     __slots__ = ("nodes", "weights", "log_norm", "a_obs", "a_lat", "E1", "E2", "mode", "sd",
                  "_moments_beta", "_moments")
@@ -236,47 +243,39 @@ class _EStep:
         self.a_lat = a_lat
         self.mode = mode
         self.sd = sd
-        self.E1 = np.sum(weights * nodes, axis=1)
-        self.E2 = np.sum(weights * nodes * nodes, axis=1)
+        wz = weights.T * nodes.T
+        self.E1 = np.sum(wz, axis=0)
+        self.E2 = np.sum(np.multiply(wz, nodes.T, out=wz), axis=0)
         self._moments_beta = None
 
-    def exp_moments(self, beta: float):
-        """E[e^{bZ}], E[Z e^{bZ}], E[Z^2 e^{bZ}] at the current beta (kept for the last beta)."""
+    def exp_moments(self, beta: float) -> np.ndarray:
+        """E[Z^m e^{bZ}], m = 0, 1, 2 (n x 3) at the current beta (kept for the last beta)."""
         if beta != self._moments_beta:
-            t = self.weights * np.exp(np.minimum(beta * self.nodes, EXP_CLIP))
-            m0 = np.sum(t, axis=1)
-            m1 = np.sum(t * self.nodes, axis=1)
-            m2 = np.sum(t * self.nodes * self.nodes, axis=1)
-            self._moments_beta, self._moments = beta, (m0, m1, m2)
+            z = self.nodes.T
+            t = self.weights.T * np.exp(np.minimum(beta * z, EXP_CLIP))
+            m = np.empty((z.shape[1], 3))
+            for j in range(3):
+                m[:, j] = np.sum(t, axis=0)
+                t *= z
+            self._moments_beta, self._moments = beta, m
         return self._moments
 
 
 def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray, Q: int) -> _EStep:
     a_obs, a_lat = ws.splits(beta, dL)
     mean = alpha.a + alpha.b * ws.z_pred
-    n = ws.n
-    nodes = np.empty((n, Q))
-    weights = np.zeros((n, Q))
-    log_norm = np.empty(n)
-    mode = np.empty(n)
-    sd = np.zeros(n)
-    part = ~ws.has_extra
-    if np.any(part):
-        ids = [ws.dataset.subjects[i].id for i in np.flatnonzero(part)]
-        nd, wt, md, cs, ln = batch_posterior(
-            ws.delta[part], a_lat[part], mean[part], alpha.ssq, beta, Q, ids=ids)
-        nodes[part] = nd
-        weights[part] = wt
-        log_norm[part] = ln
-        mode[part] = md
-        sd[part] = cs
-    if np.any(ws.has_extra):
-        full = ws.has_extra
+    full, n = ws.extra_rows, ws.n
+    if full.size < n:
+        nodes, weights, mode, sd, log_norm = batch_posterior(
+            ws.delta, a_lat, mean, alpha.ssq, beta, Q, ids=ws.ids)
+    else:  # every terminal value is stored: no quadrature
+        nodes, weights, mode, sd, log_norm = np.empty((Q, n)).T, np.empty((Q, n)).T, *np.empty((3, n))
+    if full.size:
+        # a stored terminal value is one atom (with no latent mass, the
+        # quadrature above made no mode search for it)
         zf = ws.z_extra[full]
-        nodes[full] = zf[:, None]
-        weights[full, 0] = 1.0
+        nodes[full], weights[full], weights[full, 0], mode[full], sd[full] = zf[:, None], 0.0, 1.0, zf, 0.0
         log_norm[full] = ws.delta[full] * beta * zf + gauss_logpdf(zf, mean[full], alpha.ssq)
-        mode[full] = zf
     return _EStep(nodes, weights, log_norm, a_obs, a_lat, mode, sd)
 
 
@@ -321,7 +320,7 @@ def _loglik(ws: _Workspace, alpha: TransitionParams, dL: np.ndarray, est: _EStep
     out += _hist_loglik(ws, alpha)
     if not math.isfinite(out):
         bad = np.flatnonzero(~np.isfinite(-est.a_obs + est.log_norm))
-        sid = ws.dataset.subjects[bad[0]].id if bad.size else "?"
+        sid = ws.ids[bad[0]] if bad.size else "?"
         raise ValidationError(f"non-finite log likelihood (subject {sid!r})")
     return out
 
@@ -394,13 +393,9 @@ def _certificate(ws, est, alpha, beta, dL, cfg: FitConfig):
 def _mstep(ws, est, alpha, beta, dL, cfg: FitConfig, warn: list):
     # conditional maximization in alpha (closed form, ascent-safeguarded)
     stats = _alpha_stats(ws, est)
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        alpha_new = _solve_gaussian_mle(stats, cfg.alpha_box, cfg.var_floor)
-    for c in caught:
-        msg = str(c.message)
-        if msg not in warn:
-            warn.append(msg)
+    alpha_new, floored = _solve_gaussian_mle(stats, cfg.alpha_box, cfg.var_floor)
+    if floored and FLOOR_MESSAGE not in warn:
+        warn.append(FLOOR_MESSAGE)
     if _alpha_objective(stats, alpha_new) < _alpha_objective(stats, alpha) - 1e-12:
         # projection onto the box can break ascent; backtrack toward the old value
         ok = False
@@ -448,16 +443,15 @@ def _init_theta(ws: _Workspace, init: Theta | None, cfg: FitConfig):
             vec[[1, 4]] = np.maximum(vec[[1, 4]], cfg.var_floor)
             alpha = TransitionParams.from_array(vec)
         else:
-            alpha = _solve_gaussian_mle({"z0": ws.z0, **ws.obs_stats}, cfg.alpha_box, cfg.var_floor)
+            alpha, floored = _solve_gaussian_mle({"z0": ws.z0, **ws.obs_stats}, cfg.alpha_box, cfg.var_floor)
+            if floored:
+                _warnings.warn(FLOOR_MESSAGE, RuntimeWarning)
         beta = 0.0
-        dL = 1.0 / ws.cols(ws.inner.sum(axis=0), np.ones(ws.n))  # Nelson-Aalen jumps
+        dL = 1.0 / ws.cols(np.bincount(ws.t_int, minlength=ws.J), np.ones(ws.n))  # Nelson-Aalen jumps
         return alpha, beta, dL
     alpha = TransitionParams.from_array(cfg.alpha_box.project(init.alpha.as_array()))
     beta = float(np.clip(init.beta, -cfg.beta_box, cfg.beta_box))
-    ht = np.asarray(init.hazard.times)
-    if ht.size != ws.K or not np.allclose(ht, ws.xe, rtol=0.0, atol=1e-12):
-        raise ValidationError("initial hazard must jump exactly at the dataset event times")
-    dL = np.maximum(np.asarray(init.hazard.jumps, dtype=float), 1e-300)
+    dL = np.maximum(_hazard_jumps(ws, init.hazard), 1e-300)
     return alpha, beta, dL
 
 
@@ -465,11 +459,10 @@ def _boundedness_check(ws, est, dL, cfg, warn: list):
     at_tau = int(np.sum(ws.x >= ws.dataset.tau))
     if at_tau == 0:
         return
-    # the observed values at risk at some event (U and z_extra are 0 elsewhere), and the atoms
-    z_obs = np.append(ws.U[:, np.bincount(ws.a_e, minlength=ws.J) > 0],
-                      ws.z_extra * (ws.masses(np.ones(ws.K))[1] > 0))
-    zmax = max(float(np.max(np.abs(z_obs))),
-               float(np.max(np.abs(est.nodes))) if est.nodes.size else 0.0)
+    # the observed values at risk at some event (z_extra is 0 where not stored), and the atoms
+    zmax = float(np.max(np.abs(np.concatenate([
+        ws.t_next[np.bincount(ws.a_e, minlength=ws.J)[ws.t_int] > 0],
+        ws.z_extra * (ws.masses(np.ones(ws.K))[1] > 0), est.nodes.ravel()]))))
     m = math.exp(-cfg.beta_box * zmax) if cfg.beta_box * zmax < EXP_CLIP else 0.0
     if m <= 0:
         return

@@ -168,30 +168,26 @@ def batch_posterior(delta, a_lat, mean, var, beta, order, ids=None):
 
     Returns (nodes, weights, mode, curvature_sd, log_norm) with shapes
     (n, order) for nodes/weights and (n,) for the rest; log_norm is the log of
-    int exp(delta*beta*z - a_lat*exp(beta*z)) N(z; mean, var) dz.
+    int exp(delta*beta*z - a_lat*exp(beta*z)) N(z; mean, var) dz.  The arrays
+    are built node-major (order x n), so passes and reductions run along the
+    subjects; nodes and weights are their transposed views.
     """
     if order < 2:
         raise ValidationError("quadrature order must be >= 2")
+    delta, a_lat, mean, var = (np.asarray(v, dtype=float) for v in (delta, a_lat, mean, var))
     mode, sd = _batch_modes(delta, a_lat, mean, var, beta, ids=ids)
     xg, wg = _gh(order)
-    nodes = mode[:, None] + SQRT2 * sd[:, None] * xg[None, :]
+    nodes = mode + SQRT2 * sd * xg[:, None]
     bz = beta * nodes
-    var_col = np.asarray(var, dtype=float)
-    if var_col.ndim:
-        var_col = var_col[:, None]
-    logint = (
-        np.asarray(delta, dtype=float)[:, None] * bz
-        - np.asarray(a_lat, dtype=float)[:, None] * np.exp(np.minimum(bz, EXP_CLIP))
-        + gauss_logpdf(nodes, np.asarray(mean, dtype=float)[:, None], var_col)
-    )
+    logint = delta * bz - a_lat * np.exp(np.minimum(bz, EXP_CLIP)) + gauss_logpdf(nodes, mean, var)
     logint = np.where(bz > EXP_CLIP, -np.inf, logint)
-    logw = np.log(wg)[None, :] + xg[None, :] ** 2 + logint
-    top = np.max(logw, axis=1)
-    w = np.exp(logw - top[:, None])
-    total = np.sum(w, axis=1)
-    weights = w / total[:, None]
+    logw = (np.log(wg) + xg**2)[:, None] + logint
+    top = np.max(logw, axis=0)
+    w = np.exp(logw - top)
+    total = np.sum(w, axis=0)
+    w /= total
     log_norm = top + np.log(total) + np.log(SQRT2 * sd)
-    return nodes, weights, mode, sd, log_norm
+    return nodes.T, w.T, mode, sd, log_norm
 
 
 def degenerate_atoms(value: float, delta: int, beta: float, mean: float, var: float) -> PosteriorAtoms:

@@ -12,6 +12,7 @@ order-independent and bitwise reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -81,9 +82,10 @@ class SimTruth:
     censor_time: float
 
 
+@functools.lru_cache(maxsize=16)
 def make_grid(config: SimConfig) -> MeasurementGrid:
-    m = config.n_intervals
-    return MeasurementGrid(tuple(k * config.grid_step for k in range(m)))
+    """Grid times 0, step, ..., tau - step (kept per config: each subject asks for it)."""
+    return MeasurementGrid(tuple(k * config.grid_step for k in range(config.n_intervals)))
 
 
 def subject_stream(seed: int, index: int) -> np.random.Generator:
@@ -110,12 +112,19 @@ def piecewise_exp_time(e: float, rates, step: float, tau: float) -> float:
 
 def gen_subject(rng: np.random.Generator, config: SimConfig,
                 subject_id: int | str = 0) -> tuple[Subject, SimTruth]:
-    """One subject: covariate chain, event time, censoring, recorded data."""
-    m = config.n_intervals
-    z = np.empty(m + 1)
-    z[0] = draw_initial(rng, config.alpha0, config.truncate_at)
-    for j in range(1, m + 1):
-        z[j] = draw_next(rng, z[j - 1], config.alpha0, config.truncate_at)
+    """One subject: covariate chain, event time, censoring, recorded data.  An untruncated
+    chain takes its m+1 normals in one call and combines them as `rng.normal(mean, sd)` does."""
+    m, al = config.n_intervals, config.alpha0
+    if config.truncate_at is None:
+        eps = rng.standard_normal(m + 1).tolist()
+        z = [al.mu0 + math.sqrt(al.s0sq) * eps[0]]
+        for d in eps[1:]:
+            z.append((al.a + al.b * z[-1]) + math.sqrt(al.ssq) * d)
+    else:  # rejection makes the number of draws per value random
+        z = [draw_initial(rng, al, config.truncate_at)]
+        for _ in range(m):
+            z.append(draw_next(rng, z[-1], al, config.truncate_at))
+    z = np.array(z)
     rates = config.lambda0 * np.exp(config.beta0 * z[1:])
     e = float(rng.exponential(1.0))
     t_event = piecewise_exp_time(e, rates, config.grid_step, config.tau)
@@ -125,8 +134,7 @@ def gen_subject(rng: np.random.Generator, config: SimConfig,
         c = config.tau
     x = min(t_event, c)
     delta = 1 if t_event <= c else 0
-    grid = make_grid(config)
-    a_x = last_index(x, grid)
+    a_x = last_index(x, make_grid(config))
     subject = Subject(id=subject_id, x=x, delta=delta, measurements=tuple(z[: a_x + 1]))
     truth = SimTruth(subject_id=subject_id, latent_z=float(z[a_x + 1]),
                      event_time=t_event, censor_time=c)

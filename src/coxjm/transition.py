@@ -19,6 +19,7 @@ from .data import Dataset, subject_last_grid_index
 from .exceptions import InsufficientDataError, ValidationError
 
 VAR_FLOOR = 1e-8
+FLOOR_MESSAGE = "transition-model residual variance floored"
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -194,7 +195,8 @@ def _transition_stats(dataset: Dataset, atoms) -> dict:
     }
 
 
-def _solve_gaussian_mle(stats: dict, box: AlphaBox, var_floor: float) -> TransitionParams:
+def _solve_gaussian_mle(stats: dict, box: AlphaBox, var_floor: float) -> tuple[TransitionParams, bool]:
+    """The box-projected Gaussian MLE, and whether a variance was below the floor."""
     z0 = stats["z0"]
     mu0 = float(np.mean(z0))
     s0sq = float(np.mean((z0 - mu0) ** 2))
@@ -214,12 +216,10 @@ def _solve_gaussian_mle(stats: dict, box: AlphaBox, var_floor: float) -> Transit
         + 2.0 * a * b * stats["S_p"]
         + b * b * stats["S_pp"]
     ) / N
-    if s0sq < var_floor or ssq < var_floor:
-        warnings.warn("transition-model residual variance floored", RuntimeWarning)
     vec = box.project(np.array([mu0, s0sq, a, b, ssq]))
     vec[1] = max(vec[1], var_floor)
     vec[4] = max(vec[4], var_floor)
-    return TransitionParams.from_array(vec)
+    return TransitionParams.from_array(vec), s0sq < var_floor or ssq < var_floor
 
 
 def weighted_mle_alpha(
@@ -238,8 +238,10 @@ def weighted_mle_alpha(
         raise InsufficientDataError("weighted MLE needs at least 2 subjects")
     if len(atoms) != dataset.n:
         raise ValidationError("atoms must align with dataset.subjects")
-    box = box or AlphaBox()
-    return _solve_gaussian_mle(_transition_stats(dataset, atoms), box, var_floor)
+    alpha, floored = _solve_gaussian_mle(_transition_stats(dataset, atoms), box or AlphaBox(), var_floor)
+    if floored:
+        warnings.warn(FLOOR_MESSAGE, RuntimeWarning)
+    return alpha
 
 
 def draw_initial(rng, alpha: TransitionParams, truncate_at: float | None = None) -> float:

@@ -5,15 +5,19 @@ collapsed onto grid intervals: one [subject i, event time k] matrix each for
 the risk indicator, its observed and latent parts, and the observed covariate
 value.  It takes O(n K) memory, so it serves small test datasets only.
 `lvcf_risk_sums` evaluates the comparator's imputation one (subject, event
-time) pair at a time through the scalar value functions.
+time) pair at a time through the scalar value functions.  `scalar_gen_dataset`
+is the simulator drawn one `rng.normal` call per chain value.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from coxjm.data import last_index
+from coxjm.data import Dataset, Subject, last_index, validate_dataset
 from coxjm.posterior import EXP_CLIP
+from coxjm.simulate import SimTruth, make_grid, piecewise_exp_time, subject_stream
 
 
 def _powers(v, beta, mask):
@@ -87,3 +91,32 @@ def lvcf_risk_sums(dataset, value_fn, beta, absolute=False):
                 e = np.exp(min(beta * v, EXP_CLIP))
                 S[:, k] += (e, (abs(v) if absolute else v) * e, v * v * e)
     return S
+
+
+def _normal(rng, mean, sd, bound):
+    """One rng.normal(mean, sd) draw, redrawn until |value| <= bound when bound is set."""
+    while True:
+        v = float(rng.normal(mean, sd))
+        if bound is None or abs(v) <= bound:
+            return v
+
+
+def scalar_gen_dataset(config):
+    """gen_dataset with one rng.normal call per chain value, subject by subject."""
+    subjects, truths = [], []
+    al = config.alpha0
+    for i in range(config.n):
+        rng = subject_stream(config.seed, i)
+        z = np.empty(config.n_intervals + 1)
+        z[0] = _normal(rng, al.mu0, math.sqrt(al.s0sq), config.truncate_at)
+        for j in range(1, z.size):
+            z[j] = _normal(rng, al.a + al.b * z[j - 1], math.sqrt(al.ssq), config.truncate_at)
+        t = piecewise_exp_time(float(rng.exponential(1.0)), config.lambda0 * np.exp(config.beta0 * z[1:]),
+                               config.grid_step, config.tau)
+        c = min(config.tau, float(rng.exponential(1.0 / config.censor_rate))) if config.censor_rate > 0 else config.tau
+        x = min(t, c)
+        a_x = last_index(x, make_grid(config))
+        subjects.append(Subject(id=i, x=x, delta=int(t <= c), measurements=tuple(z[: a_x + 1])))
+        truths.append(SimTruth(subject_id=i, latent_z=float(z[a_x + 1]), event_time=t, censor_time=c))
+    ds = Dataset(grid=make_grid(config), subjects=tuple(subjects), tau=config.tau)
+    return validate_dataset(ds, jitter_ties=True), tuple(truths)

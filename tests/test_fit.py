@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxjm import (
     Dataset,
@@ -320,3 +323,24 @@ def test_em_ascent_randomized_small_fits():
         fit = em_fit(ds, config=FitConfig(max_iter=200))
         tr = np.array(fit.loglik_trace)
         assert np.all(np.diff(tr) >= -1e-8), f"trial {trial}"
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), c=st.floats(-2.0, 2.0))
+def test_em_fit_covariate_shift_invariance(seed, c):
+    # z -> z + c is a reparametrization: beta, b and the variances stay, mu0 and a
+    # shift, and the hazard absorbs e^{beta c}.  The two EM paths differ (the beta
+    # Newton step uses the uncentred curvature), so both fits run to tight tolerances.
+    ds, _ = _sim(100, seed=seed)
+    shifted = replace(ds, subjects=tuple(replace(s, measurements=tuple(v + c for v in s.measurements))
+                                         for s in ds.subjects))
+    cfg = FitConfig(tol_param=1e-10, tol_score=1e-10, max_iter=2000)
+    fit, fit_c = em_fit(ds, config=cfg), em_fit(shifted, config=cfg)
+    assert fit.converged and fit_c.converged
+    al, th_c = fit.theta_hat.alpha, fit_c.theta_hat
+    want = TransitionParams(al.mu0 + c, al.s0sq, al.a + c * (1 - al.b), al.b, al.ssq)
+    assert FitConfig().alpha_box.contains(want)
+    np.testing.assert_allclose(th_c.alpha.as_array(), want.as_array(), rtol=1e-6, atol=1e-9)
+    assert th_c.beta == pytest.approx(fit.theta_hat.beta, rel=1e-6)
+    np.testing.assert_allclose(th_c.hazard.jumps, np.array(fit.theta_hat.hazard.jumps)
+                               * math.exp(-fit.theta_hat.beta * c), rtol=1e-6)

@@ -1,4 +1,5 @@
-"""The grid-collapsed risk-set kernel against the dense n x K oracle, and its scaling."""
+"""The grid-collapsed risk-set kernel against the dense n x K oracle, the node-major
+E-step against per-subject atoms, and the kernel's scaling."""
 
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from coxjm import (
     Dataset,
     FitConfig,
     MeasurementGrid,
+    ModeSearchError,
     SieveHazard,
     Subject,
     Theta,
@@ -22,19 +24,24 @@ from coxjm import (
     em_fit,
     last_index,
     lvcf_value,
+    nelson_aalen,
     next_value,
 )
+from coxjm import posterior as posterior_mod
 from coxjm.baseline import _imputed, _risk_sums
 from coxjm.fit import (
     _atoms_to_estep,
     _boundedness_check,
+    _estep,
     _init_theta,
     _q_beta,
     _score_info_beta,
     _wn_vec,
     _Workspace,
+    estep_atoms,
 )
-from coxjm.posterior import PosteriorAtoms
+from coxjm.data import is_fully_observed
+from coxjm.posterior import PosteriorAtoms, exponent_split, posterior_atoms
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.variance import _info_parts, _latent_covariances
 
@@ -185,6 +192,47 @@ def _mixed(grid_step, every):
 @pytest.mark.parametrize("beta", [-1.3, 0.0, 0.8])
 def test_kernel_matches_dense_oracle_fixed(make, beta):
     check_against_oracle(make(), beta, np.random.default_rng(5))
+
+
+def _mixed_named():
+    # the fine-grid mixed dataset (subject 0 stored) with ids that are not positions
+    ds = _mixed(0.02, 2)
+    return replace(ds, subjects=tuple(replace(s, id=f"s{i:02d}") for i, s in enumerate(ds.subjects)))
+
+
+@pytest.mark.parametrize("beta", [-1.3, 0.8])
+def test_estep_matches_per_subject_atoms(beta):
+    ds = _mixed_named()
+    theta = Theta(alpha=ALPHA0, beta=beta, hazard=nelson_aalen(ds))
+    atoms = estep_atoms(ds, theta)
+    stored = [is_fully_observed(s, ds.grid) for s in ds.subjects]
+    assert any(stored) and not all(stored)  # both branches of _estep
+    for s, got in zip(ds.subjects, atoms):
+        want = posterior_atoms(s, theta, 40, ds.grid)
+        for f in ("nodes", "weights"):
+            np.testing.assert_allclose(getattr(got, f), getattr(want, f), rtol=RTOL, atol=RTOL)
+        for f in ("mode", "curvature_sd", "log_norm"):
+            assert getattr(got, f) == pytest.approx(getattr(want, f), rel=RTOL, abs=RTOL)
+
+    # the E-step's posterior moments, at two betas and back, against the atoms
+    est = _estep(_Workspace(ds), ALPHA0, beta, np.asarray(theta.hazard.jumps), 40)
+    def oracle(b):
+        return np.concatenate([latent_moments(a.nodes[None], a.weights[None], b) for a in atoms])
+    np.testing.assert_allclose(np.column_stack([est.E1, est.E2]), oracle(0.0)[:, 1:], rtol=RTOL, atol=RTOL)
+    for b in (beta, 0.3, beta):
+        np.testing.assert_allclose(est.exp_moments(b), oracle(b), rtol=RTOL, atol=RTOL)
+
+
+def test_estep_mode_search_error_names_subject(monkeypatch):
+    ds = _mixed_named()
+    theta = Theta(alpha=ALPHA0, beta=0.8, hazard=nelson_aalen(ds))
+    searched = [s.id for s in ds.subjects if not is_fully_observed(s, ds.grid)
+                and exponent_split(s, theta.hazard, theta.beta, ds.grid).a_lat > 0]
+    # with no Newton iteration allowed, every subject that needs a search fails
+    monkeypatch.setattr(posterior_mod._batch_modes, "__defaults__", (0, None))
+    with pytest.raises(ModeSearchError) as err:
+        estep_atoms(ds, theta)
+    assert err.value.subject_id == searched[0] != ds.subjects[0].id
 
 
 def test_em_fit_invariant_under_subject_permutation():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import scalar_gen_dataset
 
 from coxjm import (
     MeasurementGrid,
@@ -190,3 +191,15 @@ def test_truncation_bound_applied():
     for s, t in zip(ds.subjects, truths):
         assert all(abs(z) <= 1.0 for z in s.measurements)
         assert abs(t.latent_z) <= 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("grid_step", [0.25, 0.02])
+@pytest.mark.parametrize("censor_rate", [0.0, 0.3])
+@pytest.mark.parametrize("truncate_at", [None, 1.2])
+def test_gen_dataset_matches_scalar_draws(seed, grid_step, censor_rate, truncate_at):
+    # nonzero intercepts, so that a change in how a draw is combined with its mean shows
+    cfg = _cfg(n=25, seed=seed, grid_step=grid_step, censor_rate=censor_rate, truncate_at=truncate_at,
+               alpha0=TransitionParams(0.3, 1.2, 0.17, 0.7, 0.25))
+    got, want = gen_dataset(cfg), scalar_gen_dataset(cfg)
+    assert repr(got) == repr(want)
