@@ -1,15 +1,20 @@
-"""EM/ECM maximizer of the joint pseudo likelihood over the step-hazard sieve.
+"""EM maximizer of the joint pseudo likelihood over the step-hazard sieve.
 
-Outer iteration: (E) posterior atoms for every subject at the current theta;
-(M) closed-form transition-parameter update, then `inner_cycles` rounds of
-closed-form hazard update followed by a step-halved Newton move in beta, and
-one final hazard update at the accepted beta.  Every conditional update
-increases the EM objective, so the observed log likelihood is nondecreasing;
-a global step-halving fallback guards the floor/box corner cases.
+One EM map: (E) posterior atoms for every subject at the current theta;
+(M) closed-form transition-parameter update, then at most `inner_cycles`
+step-halved Newton steps in beta on the EM objective profiled over the hazard
+(whose maximizing hazard is the closed form dL_k = (1/n) / W_n(x_k), taken at
+the accepted beta).  Every update increases the EM objective, so the observed
+log likelihood is nondecreasing; a global step-halving fallback guards the
+floor/box corner cases.
 
-Convergence requires parameter stability, a small score over the canonical
-probe directions, and the hazard fixed-point identity
-dL_k * W_n(x_k) = 1/n holding at freshly computed atoms.
+The maps are accelerated by SQUAREM: after two maps the parameters are
+extrapolated along their differences, and the extrapolated point is kept (and
+followed by one more map) only if its log likelihood has not dropped.
+
+Convergence requires one map to move the parameters less than `tol_param`, a
+small score over the canonical probe directions, and the hazard fixed-point
+identity dL_k * W_n(x_k) = 1/n holding at freshly computed atoms.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .exceptions import (
     AscentError,
     DegenerateRiskSetError,
     InsufficientDataError,
+    ModeSearchError,
     ValidationError,
 )
 from .posterior import EXP_CLIP, PosteriorAtoms, batch_posterior, gauss_logpdf
@@ -41,7 +47,10 @@ ASCENT_TOL = 1e-8
 
 @dataclass
 class FitConfig:
-    """Knobs of the EM fitter; all runs with the same config are deterministic."""
+    """Knobs of the EM fitter; all runs with the same config are deterministic.
+
+    `max_iter` caps the EM maps; `inner_cycles` caps the M-step's Newton steps in beta.
+    """
 
     Q: int = 40
     max_iter: int = 500
@@ -340,11 +349,6 @@ def _score_info_beta(ws, est, beta, dL):
     return (float(np.sum(ws.delta * est.E1)) - float(t1)) / ws.n, float(t2) / ws.n
 
 
-def _q_beta(ws, est, beta, dL):
-    """EM objective terms that depend on beta, at fixed atoms and hazard."""
-    return (beta * float(np.sum(ws.delta * est.E1)) - float(ws.totals(est, beta, dL)[0])) / ws.n
-
-
 def _alpha_score_mean(ws: _Workspace, est: _EStep, alpha: TransitionParams) -> np.ndarray:
     """(1/n) sum_i E_i[d/dalpha log f], the alpha block of the empirical score."""
     stats = _alpha_stats(ws, est)
@@ -390,7 +394,12 @@ def _certificate(ws, est, alpha, beta, dL, cfg: FitConfig):
     return id_resid, score_norm
 
 
-def _mstep(ws, est, alpha, beta, dL, cfg: FitConfig, warn: list):
+def _risk_cols(ws, est, beta):
+    """Per event time, the risk-set sums W, C, D of E[Z^m e^{beta Z}], m = 0, 1, 2 (K x 3)."""
+    return ws.cols(ws.obs_mats(beta)[1], ws.moments(est, beta))
+
+
+def _mstep(ws, est, alpha, beta, cfg: FitConfig, warn: list):
     # conditional maximization in alpha (closed form, ascent-safeguarded)
     stats = _alpha_stats(ws, est)
     alpha_new, floored = _solve_gaussian_mle(stats, cfg.alpha_box, cfg.var_floor)
@@ -408,26 +417,34 @@ def _mstep(ws, est, alpha, beta, dL, cfg: FitConfig, warn: list):
         if not ok:
             alpha_new = alpha
 
+    # (beta, hazard): step-halved Newton ascent on the EM objective profiled over the
+    # hazard, l_p(beta) = (beta sum_i delta_i E_i[Z] - sum_k log W_k(beta)) / n, whose
+    # maximizing hazard is dL_k = 1 / W_k; its curvature is centred on each risk set
+    dE = float(np.sum(ws.delta * est.E1))
+    R = _risk_cols(ws, est, beta)
+    _check_wn(ws, R[:, 0])
+    lp = (beta * dE - float(np.sum(np.log(R[:, 0])))) / ws.n
     for _ in range(cfg.inner_cycles):
-        wn = _wn_vec(ws, est, beta)
-        _check_wn(ws, wn)
-        dL = 1.0 / (ws.n * wn)
-        score, info = _score_info_beta(ws, est, beta, dL)
+        m1 = R[:, 1] / R[:, 0]
+        score = (dE - float(np.sum(m1))) / ws.n
+        info = float(np.sum(R[:, 2] / R[:, 0] - m1 * m1)) / ws.n
         if info <= 0 or abs(score) < 0.05 * cfg.tol_score:
-            continue
-        q0 = _q_beta(ws, est, beta, dL)
-        step = score / info
+            break
         for j in range(cfg.step_halving_max + 1):
-            cand = float(np.clip(beta + step * 0.5**j, -cfg.beta_box, cfg.beta_box))
+            cand = float(np.clip(beta + score / info * 0.5**j, -cfg.beta_box, cfg.beta_box))
             if cand == beta:
                 break
-            if _q_beta(ws, est, cand, dL) >= q0 - 1e-13 * (1 + abs(q0)):
-                beta = cand
+            R_c = _risk_cols(ws, est, cand)
+            lp_c = (cand * dE - float(np.sum(np.log(R_c[:, 0])))) / ws.n
+            if lp_c >= lp - 1e-13 * (1 + abs(lp)):
                 break
-    wn = _wn_vec(ws, est, beta)
-    _check_wn(ws, wn)
-    dL = 1.0 / (ws.n * wn)
-    return alpha_new, beta, dL
+        else:
+            break  # no halving ascends
+        if cand == beta:
+            break  # pinned at the box, or the step no longer moves beta
+        beta, R, lp = cand, R_c, lp_c
+    _check_wn(ws, R[:, 0])
+    return alpha_new, beta, 1.0 / R[:, 0]
 
 
 def _init_theta(ws: _Workspace, init: Theta | None, cfg: FitConfig):
@@ -471,8 +488,79 @@ def _boundedness_check(ws, est, dL, cfg, warn: list):
         warn.append(f"hazard mass {float(np.sum(dL)):.6g} exceeds the boundedness bound {bound:.6g}")
 
 
+def _em_map(ws, state, cfg: FitConfig, warn: list, it: int):
+    """One EM map (M-step, then the E-step at its result) from state = (alpha, beta, dL,
+    E-step, loglik), halved back toward the state until the loglik does not drop; returns
+    the new state and the largest parameter move."""
+    alpha, beta, dL, est, ll = state
+    a_new, b_new, dL_new = _mstep(ws, est, alpha, beta, cfg, warn)
+    est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
+    ll_new = _loglik(ws, a_new, dL_new, est_new)
+    if ll_new < ll - ASCENT_TOL:
+        accepted = False
+        va, vn = alpha.as_array(), a_new.as_array()
+        for j in range(1, cfg.step_halving_max + 1):
+            t = 0.5**j
+            a_try = TransitionParams.from_array(va + (vn - va) * t)
+            b_try = beta + (b_new - beta) * t
+            dL_try = dL + (dL_new - dL) * t
+            est_try = _estep(ws, a_try, b_try, dL_try, cfg.Q)
+            ll_try = _loglik(ws, a_try, dL_try, est_try)
+            if ll_try >= ll - ASCENT_TOL:
+                a_new, b_new, dL_new, est_new, ll_new = a_try, b_try, dL_try, est_try, ll_try
+                accepted = True
+                break
+        if not accepted:
+            raise AscentError(
+                f"observed log likelihood decreased ({ll:.10g} -> {ll_new:.10g}) "
+                f"and {cfg.step_halving_max} halvings did not restore ascent at iteration {it}")
+    change = max(
+        float(np.max(np.abs(a_new.as_array() - alpha.as_array()))),
+        abs(b_new - beta),
+        float(np.max(np.abs(dL_new - dL))),
+    )
+    return (a_new, b_new, dL_new, est_new, ll_new), change
+
+
+def _coords(state) -> np.ndarray:
+    """(mu0, log s0sq, a, b, log ssq, beta, log dL) of a state: variances and jumps stay
+    positive along any line in these coordinates."""
+    v = state[0].as_array()
+    v[[1, 4]] = np.log(v[[1, 4]])
+    return np.concatenate([v, [state[1]], np.log(state[2])])
+
+
+def _extrapolate(ws, cycle, ll: float, cfg: FitConfig):
+    """SQUAREM step SqS3 (Varadhan & Roland 2008, Scand. J. Stat. 35:335) from the
+    coordinates of a state and of its next two EM maps, the last with loglik ll, projected
+    onto the boxes and the variance floor.  Returns the extrapolated state, or None when
+    the step length is -1 (the last map itself), the E-step fails there, or its loglik
+    falls below ll by more than ASCENT_TOL."""
+    x0, x1, x2 = cycle
+    r, v = x1 - x0, x2 - 2 * x1 + x0
+    nv = float(np.linalg.norm(v))
+    step = -float(np.linalg.norm(r)) / nv if nv > 0 else -1.0
+    if not step < -1.0:
+        return None
+    x = x0 - 2 * step * r + step * step * v
+    vec = x[:5].copy()
+    vec[[1, 4]] = np.exp(vec[[1, 4]])
+    vec = cfg.alpha_box.project(vec)
+    vec[[1, 4]] = np.maximum(vec[[1, 4]], cfg.var_floor)
+    alpha = TransitionParams.from_array(vec)
+    beta = float(np.clip(x[5], -cfg.beta_box, cfg.beta_box))
+    dL = np.exp(x[6:])
+    try:
+        est = _estep(ws, alpha, beta, dL, cfg.Q)
+        ll_x = _loglik(ws, alpha, dL, est)
+    except (ModeSearchError, ValidationError):  # a failed mode search, a non-finite loglik
+        return None
+    return (alpha, beta, dL, est, ll_x) if ll_x >= ll - ASCENT_TOL else None
+
+
 def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None = None) -> FitResult:
-    """Maximize the joint pseudo likelihood by ECM with ascent safeguards."""
+    """Maximize the joint pseudo likelihood by SQUAREM-accelerated EM with ascent safeguards;
+    `iterations` counts the EM maps."""
     cfg = config or FitConfig()
     dataset = validate_dataset(dataset)
     if dataset.n_events < 1:
@@ -484,47 +572,26 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
 
     alpha, beta, dL = _init_theta(ws, init, cfg)
     est = _estep(ws, alpha, beta, dL, cfg.Q)
-    ll = _loglik(ws, alpha, dL, est)
-    trace = [ll]
+    state = (alpha, beta, dL, est, _loglik(ws, alpha, dL, est))
+    trace = [state[4]]
     converged = False
     score_norm = math.inf
     iterations = 0
+    cycle = [_coords(state)]  # coordinates of the states since the last extrapolation
 
-    for it in range(1, cfg.max_iter + 1):
-        iterations = it
-        a_new, b_new, dL_new = _mstep(ws, est, alpha, beta, dL, cfg, warn)
-        est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
-        ll_new = _loglik(ws, a_new, dL_new, est_new)
-        if ll_new < ll - ASCENT_TOL:
-            accepted = False
-            va, vn = alpha.as_array(), a_new.as_array()
-            for j in range(1, cfg.step_halving_max + 1):
-                t = 0.5**j
-                a_try = TransitionParams.from_array(va + (vn - va) * t)
-                b_try = beta + (b_new - beta) * t
-                dL_try = dL + (dL_new - dL) * t
-                est_try = _estep(ws, a_try, b_try, dL_try, cfg.Q)
-                ll_try = _loglik(ws, a_try, dL_try, est_try)
-                if ll_try >= ll - ASCENT_TOL:
-                    a_new, b_new, dL_new, est_new, ll_new = a_try, b_try, dL_try, est_try, ll_try
-                    accepted = True
-                    break
-            if not accepted:
-                raise AscentError(
-                    f"observed log likelihood decreased ({ll:.10g} -> {ll_new:.10g}) "
-                    f"and {cfg.step_halving_max} halvings did not restore ascent at iteration {it}")
-        change = max(
-            float(np.max(np.abs(a_new.as_array() - alpha.as_array()))),
-            abs(b_new - beta),
-            float(np.max(np.abs(dL_new - dL))),
-        )
-        alpha, beta, dL, est, ll = a_new, b_new, dL_new, est_new, ll_new
-        trace.append(ll)
-        id_resid, score_norm = _certificate(ws, est, alpha, beta, dL, cfg)
-        if change < cfg.tol_param and score_norm <= cfg.tol_score and id_resid <= cfg.id_tol:
-            converged = True
-            break
+    while not converged and iterations < cfg.max_iter:
+        iterations += 1
+        state, change = _em_map(ws, state, cfg, warn, iterations)
+        trace.append(state[4])
+        id_resid, score_norm = _certificate(ws, state[3], *state[:3], cfg)
+        converged = change < cfg.tol_param and score_norm <= cfg.tol_score and id_resid <= cfg.id_tol
+        cycle.append(_coords(state))
+        if len(cycle) == 3 and not converged and iterations < cfg.max_iter:
+            ext = _extrapolate(ws, cycle, state[4], cfg)
+            # an accepted point is stabilised by the next map, whose result starts a cycle
+            state, cycle = (state, cycle[2:]) if ext is None else (ext, [])
 
+    alpha, beta, dL, est = state[:4]
     _boundedness_check(ws, est, dL, cfg, warn)
     if abs(beta) >= cfg.beta_box and cfg.beta_box > 0:
         warn.append("beta at the box boundary")
@@ -597,7 +664,9 @@ def score_beta(dataset: Dataset, atoms, beta: float, hazard: SieveHazard) -> flo
 
 
 def info_beta(dataset: Dataset, atoms, beta: float, hazard: SieveHazard) -> float:
-    """Curvature (1/n) sum_i E_i[int Z^2 e^{bZ} dL] used by the Newton step."""
+    """Uncentred curvature (1/n) sum_i E_i[int Z^2 e^{bZ} dL] of the EM objective in beta
+    at a fixed hazard (the M-step's Newton steps use the risk-set-centred curvature of
+    the objective profiled over the hazard instead)."""
     ws = _Workspace(dataset)
     dL = _hazard_jumps(ws, hazard)
     est = _atoms_to_estep(ws, atoms, beta, dL)

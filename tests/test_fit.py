@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from coxjm import (
     FitConfig,
     InsufficientDataError,
     MeasurementGrid,
+    ModeSearchError,
     SieveHazard,
     Subject,
     Theta,
@@ -134,12 +136,12 @@ def test_score_beta_matches_fd_of_em_objective():
 
     def q_beta(b):
         # beta-dependent part of the EM objective at frozen atoms
-        from coxjm.fit import _Workspace, _atoms_to_estep, _q_beta
+        from coxjm.fit import _Workspace, _atoms_to_estep
 
         ws = _Workspace(ds)
         dL = np.asarray(hz.jumps)
         est = _atoms_to_estep(ws, atoms, b, dL)
-        return _q_beta(ws, est, b, dL)
+        return (b * float(np.sum(ws.delta * est.E1)) - float(ws.totals(est, b, dL)[0])) / ws.n
 
     h = 1e-6
     for b in (0.0, 0.4, 1.0):
@@ -325,17 +327,22 @@ def test_em_ascent_randomized_small_fits():
         assert np.all(np.diff(tr) >= -1e-8), f"trial {trial}"
 
 
+def _shifted(ds, c):
+    """`ds` with c added to every covariate measurement."""
+    return replace(ds, subjects=tuple(replace(s, measurements=tuple(v + c for v in s.measurements))
+                                      for s in ds.subjects))
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**31 - 1), c=st.floats(-2.0, 2.0))
 def test_em_fit_covariate_shift_invariance(seed, c):
     # z -> z + c is a reparametrization: beta, b and the variances stay, mu0 and a
-    # shift, and the hazard absorbs e^{beta c}.  The two EM paths differ (the beta
-    # Newton step uses the uncentred curvature), so both fits run to tight tolerances.
+    # shift, and the hazard absorbs e^{beta c}.  The EM map follows it, but the stopping
+    # rule does not (the jumps it compares scale by e^{-beta c}), so the two fits stop
+    # at different points near the maximizer; both run to tight tolerances.
     ds, _ = _sim(100, seed=seed)
-    shifted = replace(ds, subjects=tuple(replace(s, measurements=tuple(v + c for v in s.measurements))
-                                         for s in ds.subjects))
     cfg = FitConfig(tol_param=1e-10, tol_score=1e-10, max_iter=2000)
-    fit, fit_c = em_fit(ds, config=cfg), em_fit(shifted, config=cfg)
+    fit, fit_c = em_fit(ds, config=cfg), em_fit(_shifted(ds, c), config=cfg)
     assert fit.converged and fit_c.converged
     al, th_c = fit.theta_hat.alpha, fit_c.theta_hat
     want = TransitionParams(al.mu0 + c, al.s0sq, al.a + c * (1 - al.b), al.b, al.ssq)
@@ -344,3 +351,74 @@ def test_em_fit_covariate_shift_invariance(seed, c):
     assert th_c.beta == pytest.approx(fit.theta_hat.beta, rel=1e-6)
     np.testing.assert_allclose(th_c.hazard.jumps, np.array(fit.theta_hat.hazard.jumps)
                                * math.exp(-fit.theta_hat.beta * c), rtol=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_em_fit_iterations_do_not_depend_on_covariate_centring(seed):
+    # the profiled beta step uses the risk-set-centred curvature, so moving the covariate
+    # away from 0 does not slow EM down; a Newton step with the uncentred curvature at a
+    # fixed hazard does (about 5x the maps at seed 0, c = 2)
+    ds, _ = _sim(100, seed=seed)
+    base = em_fit(ds).iterations
+    for c in (-2.0, 2.0):
+        assert em_fit(_shifted(ds, c)).iterations <= 1.5 * base + 2, c
+
+
+@pytest.mark.parametrize("error", [ModeSearchError(7), ValidationError("non-finite log likelihood")])
+def test_em_fit_survives_failed_extrapolation(monkeypatch, error):
+    # every extrapolated E-step fails: each cycle keeps its second map and EM carries on
+    from coxjm import fit as fit_mod
+
+    estep, failed = fit_mod._estep, []
+
+    def marked(*args):
+        if sys._getframe(1).f_code.co_name == "_extrapolate":
+            failed.append(True)
+            raise error
+        return estep(*args)
+
+    monkeypatch.setattr(fit_mod, "_estep", marked)
+    ds, _ = _sim(100, seed=0)
+    fit = em_fit(ds)
+    assert failed and fit.converged and fit.score_norm <= 1e-6
+    assert np.all(np.diff(fit.loglik_trace) >= -1e-8)
+    th = fit.theta_hat
+    atoms = estep_atoms(ds, th)
+    for t, dl in zip(th.hazard.times, th.hazard.jumps):
+        assert dl * w_n(t, ds, atoms, th.beta) == pytest.approx(1.0 / ds.n, abs=1e-11)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_em_fit_matches_tight_fit(seed):
+    # the extrapolated path stops within 1e-6 in beta of a fit run far past the tolerances
+    ds, _ = _sim(200, seed=seed)
+    fit = em_fit(ds)
+    tight = em_fit(ds, config=FitConfig(tol_param=1e-11, tol_score=1e-11))
+    assert fit.converged and tight.converged
+    assert abs(fit.theta_hat.beta - tight.theta_hat.beta) <= 1e-6
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(20, 40), beta=st.floats(-1.0, 1.5))
+def test_mstep_reaches_profiled_maximizer(seed, n, beta):
+    # at fixed atoms the M-step maximizes the EM objective jointly over (beta, hazard):
+    # the beta score vanishes at the returned beta with the hazard dL = 1/(n W_n) there
+    # (its Newton steps stop once the score is below 0.05 tol_score)
+    from coxjm.fit import (_alpha_objective, _alpha_stats, _estep, _mstep, _score_info_beta,
+                           _wn_vec, _Workspace)
+
+    ds, _ = _sim(n, seed=seed)
+    ws = _Workspace(ds)
+    dL = np.asarray(nelson_aalen(ds).jumps)
+    est = _estep(ws, ALPHA0, beta, dL, 40)
+    cfg = FitConfig(inner_cycles=20, tol_score=1e-9)
+    alpha_new, beta_new, dL_new = _mstep(ws, est, ALPHA0, beta, cfg, [])
+
+    def objective(alpha, b, jumps):
+        cox = np.sum(np.log(jumps)) + b * np.sum(ws.delta * est.E1) - ws.totals(est, b, jumps)[0]
+        return _alpha_objective(_alpha_stats(ws, est), alpha) + float(cox)
+
+    assert abs(_score_info_beta(ws, est, beta_new, dL_new)[0]) <= 1e-8
+    np.testing.assert_allclose(dL_new, 1.0 / (ws.n * _wn_vec(ws, est, beta_new)), rtol=1e-12)
+    old, new = objective(ALPHA0, beta, dL), objective(alpha_new, beta_new, dL_new)
+    assert new >= old - 1e-10 * (1 + abs(old))

@@ -34,7 +34,6 @@ from coxjm.fit import (
     _boundedness_check,
     _estep,
     _init_theta,
-    _q_beta,
     _score_info_beta,
     _wn_vec,
     _Workspace,
@@ -93,7 +92,7 @@ def check_against_oracle(ds, beta, rng):
     score, info = _score_info_beta(ws, est, beta, dL)
     _close(score, (dE - tot[1]) / n, (dmag + tmag[1]) / n)
     _close(info, tot[2] / n, tmag[2] / n)
-    _close(_q_beta(ws, est, beta, dL), (beta * dE - tot[0]) / n, (abs(beta) * dmag + tmag[0]) / n)
+    _close(ws.totals(est, beta, dL), tot, tmag)
 
     # the variance module's columns, and its sums over the latent windows holding x_k
     theta = Theta(alpha=ALPHA0, beta=beta, hazard=SieveHazard(tuple(D.xe), tuple(dL)))
