@@ -57,9 +57,6 @@ from .transition import (
     AlphaBox,
     TransitionParams,
     cond_latent_params,
-    hessian_alpha,
-    log_joint_density,
-    score_alpha,
     weighted_mle_alpha,
 )
 from .variance import (

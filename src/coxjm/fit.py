@@ -39,7 +39,8 @@ from .transition import (
     VAR_FLOOR,
     AlphaBox,
     TransitionParams,
-    _solve_gaussian_mle,
+    TransitionStats,
+    history_arrays,
 )
 
 ASCENT_TOL = 1e-8
@@ -145,20 +146,16 @@ class _Workspace:
             raise ValidationError("tied uncensored event times")
         self.J = J = len(grid)
         self.a_e = np.array([last_index(t, grid) for t in self.xe], dtype=int)
-        self.a_x = np.array([last_index(s.x, grid) for s in subs], dtype=int)
-        self.has_extra = np.array([len(s.measurements) for s in subs]) == self.a_x + 2
+        # the observed entries are also the observed history transitions
+        # z_j -> z_{j+1} (the terminal step is always carried by the atoms)
+        Z, self.a_x, self.has_extra, self.t_sub, self.t_int = history_arrays(dataset)
         self.extra_rows = np.flatnonzero(self.has_extra)
-        Z = np.zeros((n, J + 1))
-        for i, s in enumerate(subs):
-            Z[i, : len(s.measurements)] = s.measurements
         rows = np.arange(n)
         self.z0 = Z[:, 0].copy()
         self.z_pred = Z[rows, self.a_x]
         self.z_extra = Z[rows, self.a_x + 1]  # 0 where not stored
-        # the observed entries are also the observed history transitions
-        # z_j -> z_{j+1} (the terminal step is always carried by the atoms)
-        self.t_sub, self.t_int = np.nonzero(np.arange(J)[None, :] < self.a_x[:, None])
         self.t_prev, self.t_next = Z[self.t_sub, self.t_int], Z[self.t_sub, self.t_int + 1]
+        self.obs = TransitionStats.of(self.z0, self.t_prev, self.t_next)
         self._obs_beta = None
         # Events, then subjects, in one time order (an event before a subject
         # leaving at its time, who is at risk there) in a zero-padded array with
@@ -171,14 +168,11 @@ class _Workspace:
         counts = np.bincount(row, minlength=J)
         self._cell = (row, pos - (np.cumsum(counts) - counts)[row])
         self._rows = (J, int(counts.max()))
-        self.obs_stats = {
-            "S_p": float(np.sum(self.t_prev)),
-            "S_n": float(np.sum(self.t_next)),
-            "S_pp": float(np.sum(self.t_prev**2)),
-            "S_pn": float(np.sum(self.t_prev * self.t_next)),
-            "S_nn": float(np.sum(self.t_next**2)),
-            "count": float(self.t_prev.size),
-        }
+
+    def transition_stats(self, est: "_EStep") -> TransitionStats:
+        """The observed histories' statistics merged with the terminal transitions
+        z_pred -> latent value, integrated over `est`'s atoms."""
+        return self.obs.merge(TransitionStats.of((), self.z_pred, est.E1, est.V))
 
     def interval_sums(self, v: np.ndarray, beta: float):
         """e^{beta v} of values v on the observed entries, and per grid interval
@@ -241,7 +235,7 @@ class _EStep:
     """Posterior atoms for all subjects plus the per-subject hazard splits; `nodes` and
     `weights` are n x Q, and sums over nodes run along the subjects of their transposes."""
 
-    __slots__ = ("nodes", "weights", "log_norm", "a_obs", "a_lat", "E1", "E2", "mode", "sd",
+    __slots__ = ("nodes", "weights", "log_norm", "a_obs", "a_lat", "E1", "V", "mode", "sd",
                  "_moments_beta", "_moments")
 
     def __init__(self, nodes, weights, log_norm, a_obs, a_lat, mode=None, sd=None):
@@ -254,7 +248,8 @@ class _EStep:
         self.sd = sd
         wz = weights.T * nodes.T
         self.E1 = np.sum(wz, axis=0)
-        self.E2 = np.sum(np.multiply(wz, nodes.T, out=wz), axis=0)
+        # posterior variance E[Z^2] - E[Z]^2: the cancellation stays within one subject's term
+        self.V = np.sum(np.multiply(wz, nodes.T, out=wz), axis=0) - self.E1**2
         self._moments_beta = None
 
     def exp_moments(self, beta: float) -> np.ndarray:
@@ -288,45 +283,10 @@ def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray,
     return _EStep(nodes, weights, log_norm, a_obs, a_lat, mode, sd)
 
 
-def _alpha_stats(ws: _Workspace, est: _EStep) -> dict:
-    s = ws.obs_stats
-    return {
-        "z0": ws.z0,
-        "S_p": s["S_p"] + float(np.sum(ws.z_pred)),
-        "S_n": s["S_n"] + float(np.sum(est.E1)),
-        "S_pp": s["S_pp"] + float(np.sum(ws.z_pred**2)),
-        "S_pn": s["S_pn"] + float(np.sum(ws.z_pred * est.E1)),
-        "S_nn": s["S_nn"] + float(np.sum(est.E2)),
-        "count": s["count"] + ws.n,
-    }
-
-
-def _alpha_objective(stats: dict, alpha: TransitionParams) -> float:
-    """EM objective restricted to alpha (expected complete-data Gaussian loglik)."""
-    z0 = stats["z0"]
-    n0 = z0.size
-    out = -0.5 * n0 * (math.log(2 * math.pi) + math.log(alpha.s0sq))
-    out -= float(np.sum((z0 - alpha.mu0) ** 2)) / (2 * alpha.s0sq)
-    N = stats["count"]
-    sse = (
-        stats["S_nn"] - 2 * alpha.a * stats["S_n"] - 2 * alpha.b * stats["S_pn"]
-        + N * alpha.a**2 + 2 * alpha.a * alpha.b * stats["S_p"] + alpha.b**2 * stats["S_pp"]
-    )
-    out += -0.5 * N * (math.log(2 * math.pi) + math.log(alpha.ssq)) - sse / (2 * alpha.ssq)
-    return out
-
-
-def _hist_loglik(ws: _Workspace, alpha: TransitionParams) -> float:
-    out = float(np.sum(gauss_logpdf(ws.z0, alpha.mu0, alpha.s0sq)))
-    if ws.t_prev.size:
-        out += float(np.sum(gauss_logpdf(ws.t_next, alpha.a + alpha.b * ws.t_prev, alpha.ssq)))
-    return out
-
-
 def _loglik(ws: _Workspace, alpha: TransitionParams, dL: np.ndarray, est: _EStep) -> float:
     out = float(np.sum(np.log(dL)))
     out += float(np.sum(-est.a_obs + est.log_norm))
-    out += _hist_loglik(ws, alpha)
+    out += ws.obs.objective(alpha)
     if not math.isfinite(out):
         bad = np.flatnonzero(~np.isfinite(-est.a_obs + est.log_norm))
         sid = ws.ids[bad[0]] if bad.size else "?"
@@ -349,25 +309,6 @@ def _score_info_beta(ws, est, beta, dL):
     return (float(np.sum(ws.delta * est.E1)) - float(t1)) / ws.n, float(t2) / ws.n
 
 
-def _alpha_score_mean(ws: _Workspace, est: _EStep, alpha: TransitionParams) -> np.ndarray:
-    """(1/n) sum_i E_i[d/dalpha log f], the alpha block of the empirical score."""
-    stats = _alpha_stats(ws, est)
-    n = ws.n
-    N = stats["count"]
-    d0 = ws.z0 - alpha.mu0
-    g = np.empty(5)
-    g[0] = float(np.sum(d0)) / alpha.s0sq / n
-    g[1] = float(np.sum(-0.5 / alpha.s0sq + d0 * d0 / (2 * alpha.s0sq**2))) / n
-    g[2] = (stats["S_n"] - N * alpha.a - alpha.b * stats["S_p"]) / alpha.ssq / n
-    g[3] = (stats["S_pn"] - alpha.a * stats["S_p"] - alpha.b * stats["S_pp"]) / alpha.ssq / n
-    sse = (
-        stats["S_nn"] - 2 * alpha.a * stats["S_n"] - 2 * alpha.b * stats["S_pn"]
-        + N * alpha.a**2 + 2 * alpha.a * alpha.b * stats["S_p"] + alpha.b**2 * stats["S_pp"]
-    )
-    g[4] = (-0.5 * N / alpha.ssq + sse / (2 * alpha.ssq**2)) / n
-    return g
-
-
 def _free_directions(cfg: FitConfig):
     """Probe directions along which the constrained maximizer must be stationary.
 
@@ -386,7 +327,7 @@ def _certificate(ws, est, alpha, beta, dL, cfg: FitConfig):
     score_norm = float(np.max(np.abs(s3)))
     alpha_free, beta_free = _free_directions(cfg)
     if np.any(alpha_free):
-        s1 = _alpha_score_mean(ws, est, alpha)
+        s1 = ws.transition_stats(est).score(alpha) / ws.n
         score_norm = max(score_norm, float(np.max(np.abs(s1[alpha_free]))))
     if beta_free:
         s2, _ = _score_info_beta(ws, est, beta, dL)
@@ -401,17 +342,19 @@ def _risk_cols(ws, est, beta):
 
 def _mstep(ws, est, alpha, beta, cfg: FitConfig, warn: list):
     # conditional maximization in alpha (closed form, ascent-safeguarded)
-    stats = _alpha_stats(ws, est)
-    alpha_new, floored = _solve_gaussian_mle(stats, cfg.alpha_box, cfg.var_floor)
+    stats = ws.transition_stats(est)
+    alpha_new, floored = stats.mle(cfg.alpha_box, cfg.var_floor)
     if floored and FLOOR_MESSAGE not in warn:
         warn.append(FLOOR_MESSAGE)
-    if _alpha_objective(stats, alpha_new) < _alpha_objective(stats, alpha) - 1e-12:
+    q = stats.objective(alpha)
+    q_min = q - 1e-13 * (1 + abs(q))  # rounding in q grows with its magnitude
+    if stats.objective(alpha_new) < q_min:
         # projection onto the box can break ascent; backtrack toward the old value
         ok = False
         va, vn = alpha.as_array(), alpha_new.as_array()
         for j in range(1, cfg.step_halving_max + 1):
             cand = TransitionParams.from_array(va + (vn - va) * 0.5**j)
-            if _alpha_objective(stats, cand) >= _alpha_objective(stats, alpha) - 1e-12:
+            if stats.objective(cand) >= q_min:
                 alpha_new, ok = cand, True
                 break
         if not ok:
@@ -452,15 +395,15 @@ def _init_theta(ws: _Workspace, init: Theta | None, cfg: FitConfig):
         # Gaussian MLE from the observed transitions only
         if ws.n < 2:
             raise InsufficientDataError("need at least 2 subjects")
-        if ws.obs_stats["count"] < 1:
+        if ws.obs.N < 1:
             # no observed transitions at all: fall back to the entry distribution
-            mu0 = float(np.mean(ws.z0))
-            s0sq = max(float(np.mean((ws.z0 - mu0) ** 2)), cfg.var_floor)
+            mu0 = ws.obs.z0bar
+            s0sq = max(ws.obs.M2_0 / ws.obs.n0, cfg.var_floor)
             vec = cfg.alpha_box.project(np.array([mu0, s0sq, mu0, 0.0, s0sq]))
             vec[[1, 4]] = np.maximum(vec[[1, 4]], cfg.var_floor)
             alpha = TransitionParams.from_array(vec)
         else:
-            alpha, floored = _solve_gaussian_mle({"z0": ws.z0, **ws.obs_stats}, cfg.alpha_box, cfg.var_floor)
+            alpha, floored = ws.obs.mle(cfg.alpha_box, cfg.var_floor)
             if floored:
                 _warnings.warn(FLOOR_MESSAGE, RuntimeWarning)
         beta = 0.0
@@ -712,7 +655,7 @@ def score_full(dataset: Dataset, theta: Theta, h, Q: int = 40, atoms=None) -> fl
         est = _atoms_to_estep(ws, atoms, theta.beta, dL)
     h1 = np.zeros(5) if h1 is None else np.asarray(h1, dtype=float)
     h3 = np.zeros(ws.K) if h3 is None else np.asarray(h3, dtype=float) * np.ones(ws.K)
-    s1 = _alpha_score_mean(ws, est, theta.alpha)
+    s1 = ws.transition_stats(est).score(theta.alpha) / ws.n
     s2, _ = _score_info_beta(ws, est, theta.beta, dL)
     wn = _wn_vec(ws, est, theta.beta)
     s3 = float(np.sum(h3 * (1.0 / ws.n - dL * wn)))

@@ -5,6 +5,12 @@ N(z_0; mu0, s0sq) * prod_j N(z_j; a + b*z_{j-1}, ssq), and the value due on a
 subject's terminal window is one more transition step from the last observed
 measurement.  The five parameters alpha = (mu0, s0sq, a, b, ssq) live in a
 configurable compact box; variances are floored at VAR_FLOOR.
+
+The model's log density, its score, Hessian and closed-form MLE over many
+subjects depend on the data only through `TransitionStats`: the entry values'
+and the transitions' means and centred cross-products, merged pairwise when
+the observed histories and the latent terminal steps combine.  The fitter,
+the convergence certificate and the variance operator all read them there.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, subject_last_grid_index
+from .data import Dataset, last_index, subject_last_grid_index
 from .exceptions import InsufficientDataError, ValidationError
 
 VAR_FLOOR = 1e-8
@@ -88,62 +94,11 @@ def gauss_logpdf(x, mean, var):
     return -0.5 * (LOG_2PI + np.log(var)) - (x - mean) ** 2 / (2.0 * var)
 
 
-def log_joint_density(values, alpha: TransitionParams) -> float:
-    """Log joint density of a measurement sequence z_0 .. z_m under alpha."""
-    z = np.asarray(values, dtype=float)
-    if z.ndim != 1 or z.size == 0:
-        raise ValidationError("values must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(z)):
-        raise ValidationError("values must be finite")
-    out = float(gauss_logpdf(z[0], alpha.mu0, alpha.s0sq))
-    if z.size > 1:
-        out += float(np.sum(gauss_logpdf(z[1:], alpha.a + alpha.b * z[:-1], alpha.ssq)))
-    return out
-
-
 def cond_latent_params(history, alpha: TransitionParams) -> tuple[float, float]:
     """Mean and variance of the next transition step given the history."""
     if len(history) == 0:
         raise ValidationError("history must be nonempty")
     return alpha.a + alpha.b * float(history[-1]), alpha.ssq
-
-
-def score_alpha(values, alpha: TransitionParams) -> np.ndarray:
-    """Gradient of log_joint_density with respect to (mu0, s0sq, a, b, ssq)."""
-    z = np.asarray(values, dtype=float)
-    g = np.zeros(5)
-    d0 = z[0] - alpha.mu0
-    g[0] = d0 / alpha.s0sq
-    g[1] = -0.5 / alpha.s0sq + d0 * d0 / (2.0 * alpha.s0sq**2)
-    if z.size > 1:
-        prev = z[:-1]
-        r = z[1:] - alpha.a - alpha.b * prev
-        g[2] = np.sum(r) / alpha.ssq
-        g[3] = np.sum(r * prev) / alpha.ssq
-        g[4] = np.sum(-0.5 / alpha.ssq + r * r / (2.0 * alpha.ssq**2))
-    return g
-
-
-def hessian_alpha(values, alpha: TransitionParams) -> np.ndarray:
-    """Hessian of log_joint_density with respect to alpha (symmetric 5x5)."""
-    z = np.asarray(values, dtype=float)
-    H = np.zeros((5, 5))
-    s0, s = alpha.s0sq, alpha.ssq
-    d0 = z[0] - alpha.mu0
-    H[0, 0] = -1.0 / s0
-    H[0, 1] = H[1, 0] = -d0 / s0**2
-    H[1, 1] = 0.5 / s0**2 - d0 * d0 / s0**3
-    if z.size > 1:
-        prev = z[:-1]
-        r = z[1:] - alpha.a - alpha.b * prev
-        m = prev.size
-        H[2, 2] = -m / s
-        H[2, 3] = H[3, 2] = -np.sum(prev) / s
-        H[3, 3] = -np.sum(prev * prev) / s
-        H[2, 4] = H[4, 2] = -np.sum(r) / s**2
-        H[3, 4] = H[4, 3] = -np.sum(r * prev) / s**2
-        H[4, 4] = np.sum(0.5 / s**2 - r * r / s**3)
-    return H
 
 
 def observed_history(subject, grid) -> tuple[float, ...]:
@@ -152,74 +107,129 @@ def observed_history(subject, grid) -> tuple[float, ...]:
     return subject.measurements[: a_x + 1]
 
 
-def _transition_stats(dataset: Dataset, atoms) -> dict:
-    """Sufficient statistics of all transitions: observed pairs plus, per
-    subject, the terminal transition with its value integrated over the atoms.
+def history_arrays(dataset: Dataset):
+    """The measurement histories of all subjects as arrays.
 
-    Accumulation runs in dataset subject order for bitwise reproducibility.
+    Returns the zero-padded measurement matrix Z (n x (J+1)), each subject's
+    last grid index a_x, whether it stores its terminal value z_{a_x+1}, and
+    the observed transitions z_j -> z_{j+1}, j < a_x, as (subject, j) index
+    arrays in subject order.
     """
-    z0 = []
-    S_p = S_n = S_pp = S_pn = S_nn = 0.0
-    count = 0.0
-    for subject, at in zip(dataset.subjects, atoms):
-        hist = observed_history(subject, dataset.grid)
-        z0.append(hist[0])
-        h = np.asarray(hist)
-        if h.size > 1:
-            prev, nxt = h[:-1], h[1:]
-            S_p += float(np.sum(prev))
-            S_n += float(np.sum(nxt))
-            S_pp += float(np.sum(prev * prev))
-            S_pn += float(np.sum(prev * nxt))
-            S_nn += float(np.sum(nxt * nxt))
-            count += prev.size
-        p = float(h[-1])
-        w = np.asarray(at.weights, dtype=float)
-        nodes = np.asarray(at.nodes, dtype=float)
-        e1 = float(np.dot(w, nodes))
-        e2 = float(np.dot(w, nodes * nodes))
-        S_p += p
-        S_n += e1
-        S_pp += p * p
-        S_pn += p * e1
-        S_nn += e2
-        count += 1.0
-    return {
-        "z0": np.asarray(z0),
-        "S_p": S_p,
-        "S_n": S_n,
-        "S_pp": S_pp,
-        "S_pn": S_pn,
-        "S_nn": S_nn,
-        "count": count,
-    }
+    grid, subs = dataset.grid, dataset.subjects
+    J = len(grid)
+    a_x = np.array([last_index(s.x, grid) for s in subs], dtype=int)
+    Z = np.zeros((len(subs), J + 1))
+    count = np.empty(len(subs), dtype=int)
+    for i, s in enumerate(subs):
+        count[i] = len(s.measurements)
+        Z[i, : count[i]] = s.measurements
+    t_sub, t_int = np.nonzero(np.arange(J)[None, :] < a_x[:, None])
+    return Z, a_x, count == a_x + 2, t_sub, t_int
 
 
-def _solve_gaussian_mle(stats: dict, box: AlphaBox, var_floor: float) -> tuple[TransitionParams, bool]:
-    """The box-projected Gaussian MLE, and whether a variance was below the floor."""
-    z0 = stats["z0"]
-    mu0 = float(np.mean(z0))
-    s0sq = float(np.mean((z0 - mu0) ** 2))
-    N = stats["count"]
-    den = stats["S_pp"] - stats["S_p"] ** 2 / N
-    if den > 1e-12 * max(1.0, stats["S_pp"]):
-        b = (stats["S_pn"] - stats["S_p"] * stats["S_n"] / N) / den
-    else:
-        # all predecessors (numerically) equal: slope is unidentified, take 0
-        b = 0.0
-    a = (stats["S_n"] - b * stats["S_p"]) / N
-    ssq = (
-        stats["S_nn"]
-        - 2.0 * a * stats["S_n"]
-        - 2.0 * b * stats["S_pn"]
-        + N * a * a
-        + 2.0 * a * b * stats["S_p"]
-        + b * b * stats["S_pp"]
-    ) / N
-    vec = box.project(np.array([mu0, s0sq, a, b, ssq]))
-    vec[1] = max(vec[1], var_floor)
-    vec[4] = max(vec[4], var_floor)
-    return TransitionParams.from_array(vec), s0sq < var_floor or ssq < var_floor
+def _mean(v: np.ndarray) -> float:
+    return float(np.mean(v)) if v.size else 0.0
+
+
+@dataclass(frozen=True)
+class TransitionStats:
+    """Sufficient statistics of the Gaussian transition model in centred form.
+
+    The n0 entry values enter by their mean z0bar and centred sum of squares
+    M2_0; the N transitions prev -> next by the means pbar, nbar and the
+    centred cross-products Cpp, Cpn, Cnn.  A latent successor enters by its
+    posterior mean, with its posterior variance added to Cnn, so the
+    complete-data formulas below give the expected complete-data ones.  This
+    is the only implementation of the model's objective, score, Hessian and MLE.
+    """
+
+    n0: float
+    z0bar: float
+    M2_0: float
+    N: float
+    pbar: float
+    nbar: float
+    Cpp: float
+    Cpn: float
+    Cnn: float
+
+    @staticmethod
+    def of(z0, prev, nxt, nxt_var=0.0) -> "TransitionStats":
+        """Statistics of the entry values z0 and the transitions prev -> nxt, where a
+        successor known only in law has mean nxt and variance nxt_var."""
+        z0, prev, nxt = (np.asarray(v, dtype=float) for v in (z0, prev, nxt))
+        z0bar, pbar, nbar = _mean(z0), _mean(prev), _mean(nxt)
+        dz, dp, dn = z0 - z0bar, prev - pbar, nxt - nbar
+        return TransitionStats(float(z0.size), z0bar, float(dz @ dz), float(prev.size), pbar, nbar,
+                               float(dp @ dp), float(dp @ dn), float(dn @ dn) + float(np.sum(nxt_var)))
+
+    def merge(self, o: "TransitionStats") -> "TransitionStats":
+        """The statistics of both samples, by the pairwise update of Chan, Golub &
+        LeVeque (1983, Am. Stat. 37:242)."""
+        n0, N = self.n0 + o.n0, self.N + o.N
+        f0, f = (o.n0 / n0 if n0 else 0.0), (o.N / N if N else 0.0)
+        d0, dp, dn = o.z0bar - self.z0bar, o.pbar - self.pbar, o.nbar - self.nbar
+        g = self.N * f  # N_self N_o / N
+        return TransitionStats(
+            n0, self.z0bar + f0 * d0, self.M2_0 + o.M2_0 + self.n0 * f0 * d0 * d0,
+            N, self.pbar + f * dp, self.nbar + f * dn, self.Cpp + o.Cpp + g * dp * dp,
+            self.Cpn + o.Cpn + g * dp * dn, self.Cnn + o.Cnn + g * dn * dn)
+
+    def _entry_ss(self, mu0: float) -> float:
+        """sum (z0 - mu0)^2 over the entry values."""
+        return self.M2_0 + self.n0 * (self.z0bar - mu0) ** 2
+
+    def _sse(self, a: float, b: float) -> float:
+        """sum r^2 of the residuals r = next - a - b prev."""
+        r = self.nbar - a - b * self.pbar
+        return self.Cnn - 2.0 * b * self.Cpn + b * b * self.Cpp + self.N * r * r
+
+    def objective(self, alpha: TransitionParams) -> float:
+        """The (expected complete-data) log density of all entries and transitions."""
+        return (-0.5 * self.n0 * (LOG_2PI + math.log(alpha.s0sq)) - self._entry_ss(alpha.mu0) / (2 * alpha.s0sq)
+                - 0.5 * self.N * (LOG_2PI + math.log(alpha.ssq)) - self._sse(alpha.a, alpha.b) / (2 * alpha.ssq))
+
+    def score(self, alpha: TransitionParams) -> np.ndarray:
+        """Gradient of `objective` in (mu0, s0sq, a, b, ssq)."""
+        s0, s = alpha.s0sq, alpha.ssq
+        rbar = self.nbar - alpha.a - alpha.b * self.pbar
+        return np.array([
+            self.n0 * (self.z0bar - alpha.mu0) / s0,
+            (self._entry_ss(alpha.mu0) / s0 - self.n0) / (2 * s0),
+            self.N * rbar / s,
+            (self.Cpn - alpha.b * self.Cpp + self.N * self.pbar * rbar) / s,
+            (self._sse(alpha.a, alpha.b) / s - self.N) / (2 * s),
+        ])
+
+    def hessian(self, alpha: TransitionParams) -> np.ndarray:
+        """Hessian of `objective` in alpha (symmetric 5x5)."""
+        s0, s = alpha.s0sq, alpha.ssq
+        g = self.score(alpha)
+        H = np.zeros((5, 5))
+        H[0, 0] = -self.n0 / s0
+        H[0, 1] = H[1, 0] = -g[0] / s0
+        H[1, 1] = (0.5 * self.n0 - self._entry_ss(alpha.mu0) / s0) / s0**2
+        H[2, 2] = -self.N / s
+        H[2, 3] = H[3, 2] = -self.N * self.pbar / s
+        H[3, 3] = -(self.Cpp + self.N * self.pbar**2) / s
+        H[2, 4] = H[4, 2] = -g[2] / s
+        H[3, 4] = H[4, 3] = -g[3] / s
+        H[4, 4] = (0.5 * self.N - self._sse(alpha.a, alpha.b) / s) / s**2
+        return H
+
+    def mle(self, box: AlphaBox, var_floor: float) -> tuple[TransitionParams, bool]:
+        """The box-projected maximizer of `objective` with variances floored at
+        var_floor, and whether a variance was below the floor."""
+        if self.Cpp > 1e-12 * max(1.0, self.Cpp + self.N * self.pbar**2):
+            b = self.Cpn / self.Cpp
+        else:
+            # all predecessors (numerically) equal: slope is unidentified, take 0
+            b = 0.0
+        a = self.nbar - b * self.pbar
+        s0sq, ssq = self.M2_0 / self.n0, self._sse(a, b) / self.N
+        vec = box.project(np.array([self.z0bar, s0sq, a, b, ssq]))
+        vec[[1, 4]] = np.maximum(vec[[1, 4]], var_floor)
+        return TransitionParams.from_array(vec), s0sq < var_floor or ssq < var_floor
 
 
 def weighted_mle_alpha(
@@ -238,11 +248,19 @@ def weighted_mle_alpha(
         raise InsufficientDataError("weighted MLE needs at least 2 subjects")
     if len(atoms) != dataset.n:
         raise ValidationError("atoms must align with dataset.subjects")
-    alpha, floored = _solve_gaussian_mle(_transition_stats(dataset, atoms), box or AlphaBox(), var_floor)
+    Z, a_x, _, t_sub, t_int = history_arrays(dataset)
+    nodes = [np.atleast_1d(np.asarray(at.nodes, dtype=float)) for at in atoms]
+    sub = np.repeat(np.arange(dataset.n), [v.size for v in nodes])
+    z = np.concatenate(nodes)
+    w = np.concatenate([np.atleast_1d(np.asarray(at.weights, dtype=float)) for at in atoms])
+    E1 = np.bincount(sub, w * z, dataset.n)
+    terminal = TransitionStats.of((), Z[np.arange(dataset.n), a_x], E1,
+                                  np.bincount(sub, w * (z - E1[sub]) ** 2, dataset.n))
+    stats = TransitionStats.of(Z[:, 0], Z[t_sub, t_int], Z[t_sub, t_int + 1]).merge(terminal)
+    alpha, floored = stats.mle(box or AlphaBox(), var_floor)
     if floored:
         warnings.warn(FLOOR_MESSAGE, RuntimeWarning)
     return alpha
-
 
 def draw_initial(rng, alpha: TransitionParams, truncate_at: float | None = None) -> float:
     """Draw the entry value z_0; optional resampling truncation at +-truncate_at."""

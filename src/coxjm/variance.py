@@ -124,35 +124,6 @@ def beta_probe(K: int) -> Probe:
     return Probe(np.zeros(5), 1.0, np.zeros(K))
 
 
-def _expected_hessian_mean(ws, est, alpha) -> np.ndarray:
-    """(1/n) sum_i E_i[d^2/dalpha^2 log f] assembled from sufficient statistics."""
-    n = ws.n
-    s0, s = alpha.s0sq, alpha.ssq
-    d0 = ws.z0 - alpha.mu0
-    H = np.zeros((5, 5))
-    H[0, 0] = -n / s0
-    H[0, 1] = H[1, 0] = -float(np.sum(d0)) / s0**2
-    H[1, 1] = 0.5 * n / s0**2 - float(np.sum(d0 * d0)) / s0**3
-    obs = ws.obs_stats
-    S_p = obs["S_p"] + float(np.sum(ws.z_pred))
-    S_pp = obs["S_pp"] + float(np.sum(ws.z_pred**2))
-    S_n = obs["S_n"] + float(np.sum(est.E1))
-    S_pn = obs["S_pn"] + float(np.sum(ws.z_pred * est.E1))
-    S_nn = obs["S_nn"] + float(np.sum(est.E2))
-    N = obs["count"] + n
-    sum_r = S_n - N * alpha.a - alpha.b * S_p
-    sum_rp = S_pn - alpha.a * S_p - alpha.b * S_pp
-    sum_rr = (S_nn - 2 * alpha.a * S_n - 2 * alpha.b * S_pn
-              + N * alpha.a**2 + 2 * alpha.a * alpha.b * S_p + alpha.b**2 * S_pp)
-    H[2, 2] = -N / s
-    H[2, 3] = H[3, 2] = -S_p / s
-    H[3, 3] = -S_pp / s
-    H[2, 4] = H[4, 2] = -sum_r / s**2
-    H[3, 4] = H[4, 3] = -sum_rp / s**2
-    H[4, 4] = 0.5 * N / s**2 - sum_rr / s**3
-    return H / n
-
-
 @dataclass(frozen=True)
 class _InfoParts:
     """Complete-information columns and missing-information pieces at a fit."""
@@ -208,7 +179,7 @@ def build_sigma_hat(dataset: Dataset, theta_hat: Theta, atoms) -> DiscretizedOpe
 
 def _operator(p: _InfoParts, alpha) -> DiscretizedOperator:
     ws, dL, K = p.ws, p.dL, p.ws.K
-    A = -_expected_hessian_mean(ws, p.est, alpha)
+    A = -ws.transition_stats(p.est).hessian(alpha) / ws.n
     A[2:, 2:] -= p.miss[:3, :3]
 
     B = np.zeros((1 + K, 1 + K))

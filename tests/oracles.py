@@ -7,6 +7,10 @@ value.  It takes O(n K) memory, so it serves small test datasets only.
 `lvcf_risk_sums` evaluates the comparator's imputation one (subject, event
 time) pair at a time through the scalar value functions.  `scalar_gen_dataset`
 is the simulator drawn one `rng.normal` call per chain value.
+`log_joint_density`, `score_alpha` and `hessian_alpha` are the transition
+model's log density and its derivatives for one measurement sequence, written
+out residual by residual.  `batch_loglik` is the observed-data log likelihood
+at many (beta, hazard) points at once, from the dense risk matrices.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ import math
 import numpy as np
 
 from coxjm.data import Dataset, Subject, last_index, validate_dataset
-from coxjm.posterior import EXP_CLIP
+from coxjm.exceptions import ValidationError
+from coxjm.posterior import EXP_CLIP, batch_posterior
+from coxjm.transition import gauss_logpdf, observed_history
 from coxjm.simulate import SimTruth, make_grid, piecewise_exp_time, subject_stream
 
 
@@ -52,6 +58,8 @@ class DenseRisk:
         self.obs_mask = self.risk & ((a_e + 1)[None, :] <= last_idx[:, None])
         self.lat_mask = self.risk & ~self.obs_mask
         self.V = np.where(self.obs_mask, Z[:, nxt], 0.0)
+        self.hist = [observed_history(s, grid) for s in subs]
+        self.stored = last_idx > np.array([len(h) for h in self.hist]) - 1
 
     def splits(self, beta, dL):
         """a_obs = sum_k dL_k e^{beta V_ik} over observed risk, a_lat = latent hazard mass."""
@@ -71,6 +79,24 @@ class DenseRisk:
     def totals(self, beta, m, dL, absolute=False):
         """sum_i sum_k dL_k (V^p e^{beta V} or m[:, p] where latent), p = 0, 1, 2."""
         return self.cols(beta, m, absolute).T @ dL
+
+    def loglik(self, alpha, beta, jumps, Q=40):
+        """Observed-data log likelihood at P points sharing alpha and beta, with the
+        hazard jumps in the columns of the K x P matrix `jumps`.
+
+        `splits` is linear in dL, so one product gives every point's hazard
+        masses, and one `batch_posterior` call integrates every subject at
+        every point; the history density is the same at all of them.
+        """
+        if np.any(self.stored):
+            raise ValidationError("stored terminal values are not supported")
+        a_obs, a_lat = self.splits(beta, jumps)
+        n, P = a_obs.shape
+        mean = alpha.a + alpha.b * np.array([h[-1] for h in self.hist])
+        log_norm = batch_posterior(np.repeat(self.delta, P), a_lat.ravel(), np.repeat(mean, P),
+                                   alpha.ssq, beta, Q)[4].reshape(n, P)
+        hist = sum(log_joint_density(h, alpha) for h in self.hist)
+        return np.sum(np.log(jumps), axis=0) + np.sum(log_norm - a_obs, axis=0) + hist
 
     def zmax(self):
         """Largest observed covariate magnitude at risk at some event time."""
@@ -120,3 +146,54 @@ def scalar_gen_dataset(config):
         truths.append(SimTruth(subject_id=i, latent_z=float(z[a_x + 1]), event_time=t, censor_time=c))
     ds = Dataset(grid=make_grid(config), subjects=tuple(subjects), tau=config.tau)
     return validate_dataset(ds, jitter_ties=True), tuple(truths)
+
+
+def log_joint_density(values, alpha) -> float:
+    """Log joint density of a measurement sequence z_0 .. z_m under alpha."""
+    z = np.asarray(values, dtype=float)
+    if z.ndim != 1 or z.size == 0:
+        raise ValidationError("values must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(z)):
+        raise ValidationError("values must be finite")
+    out = float(gauss_logpdf(z[0], alpha.mu0, alpha.s0sq))
+    if z.size > 1:
+        out += float(np.sum(gauss_logpdf(z[1:], alpha.a + alpha.b * z[:-1], alpha.ssq)))
+    return out
+
+
+def score_alpha(values, alpha) -> np.ndarray:
+    """Gradient of log_joint_density with respect to (mu0, s0sq, a, b, ssq)."""
+    z = np.asarray(values, dtype=float)
+    g = np.zeros(5)
+    d0 = z[0] - alpha.mu0
+    g[0] = d0 / alpha.s0sq
+    g[1] = -0.5 / alpha.s0sq + d0 * d0 / (2.0 * alpha.s0sq**2)
+    if z.size > 1:
+        prev = z[:-1]
+        r = z[1:] - alpha.a - alpha.b * prev
+        g[2] = np.sum(r) / alpha.ssq
+        g[3] = np.sum(r * prev) / alpha.ssq
+        g[4] = np.sum(-0.5 / alpha.ssq + r * r / (2.0 * alpha.ssq**2))
+    return g
+
+
+def hessian_alpha(values, alpha) -> np.ndarray:
+    """Hessian of log_joint_density with respect to alpha (symmetric 5x5)."""
+    z = np.asarray(values, dtype=float)
+    H = np.zeros((5, 5))
+    s0, s = alpha.s0sq, alpha.ssq
+    d0 = z[0] - alpha.mu0
+    H[0, 0] = -1.0 / s0
+    H[0, 1] = H[1, 0] = -d0 / s0**2
+    H[1, 1] = 0.5 / s0**2 - d0 * d0 / s0**3
+    if z.size > 1:
+        prev = z[:-1]
+        r = z[1:] - alpha.a - alpha.b * prev
+        m = prev.size
+        H[2, 2] = -m / s
+        H[2, 3] = H[3, 2] = -np.sum(prev) / s
+        H[3, 3] = -np.sum(prev * prev) / s
+        H[2, 4] = H[4, 2] = -np.sum(r) / s**2
+        H[3, 4] = H[4, 3] = -np.sum(r * prev) / s**2
+        H[4, 4] = np.sum(0.5 / s**2 - r * r / s**3)
+    return H

@@ -7,12 +7,14 @@ observed-data information (complete-data curvature minus the conditional
 covariance of the complete-data score, Louis 1982).
 """
 
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 import scipy.optimize
+from oracles import DenseRisk
 
 from coxjm import (
     AlphaBox,
@@ -153,38 +155,31 @@ def test_criterion_5_oracle_global_maximum():
     em_point = np.array([fit.theta_hat.beta, *fit.theta_hat.hazard.jumps])
     em_ll = observed_loglik(ds, fit.theta_hat)
 
-    from coxjm.fit import _Workspace, _estep, _loglik
+    dense = DenseRisk(ds)
 
-    ws = _Workspace(ds)
+    def ll_points(points):
+        """Log likelihood at each row (beta, dL_1, dL_2, dL_3), one oracle call per beta."""
+        out = np.full(len(points), -np.inf)
+        ok = np.all(points[:, 1:] > 0, axis=1)
+        for b in np.unique(points[ok, 0]):
+            rows = ok & (points[:, 0] == b)
+            out[rows] = dense.loglik(ALPHA0, float(b), points[rows, 1:].T)
+        return out
 
     def ll_vec(v):
-        beta, jumps = float(v[0]), np.asarray(v[1:], dtype=float)
-        if np.any(jumps <= 0):
-            return -np.inf
-        est = _estep(ws, ALPHA0, beta, jumps, 40)
-        return _loglik(ws, ALPHA0, jumps, est)
+        return float(ll_points(np.asarray([v], dtype=float))[0])
 
     # coarse global grid, then a 1e-2 local grid, then simplex polish
-    best, best_val = None, -np.inf
     bg = np.arange(-3.0, 3.01, 0.25)
     jg = np.geomspace(0.02, 2.0, 14)
-    for b in bg:
-        for d1 in jg:
-            for d2 in jg:
-                for d3 in jg:
-                    v = ll_vec([b, d1, d2, d3])
-                    if v > best_val:
-                        best, best_val = np.array([b, d1, d2, d3]), v
+    coarse = np.array(list(itertools.product(bg, jg, jg, jg)))
+    vals = ll_points(coarse)
+    best, best_val = coarse[np.argmax(vals)], float(np.max(vals))
     offs = np.arange(-0.05, 0.0501, 0.01)
-    center = best.copy()
-    for db in offs:
-        for o1 in offs:
-            for o2 in offs:
-                for o3 in offs:
-                    cand = center + np.array([db, o1, o2, o3])
-                    v = ll_vec(cand)
-                    if v > best_val:
-                        best, best_val = cand, v
+    local = best + np.array(list(itertools.product(offs, offs, offs, offs)))
+    vals = ll_points(local)
+    if np.max(vals) > best_val:
+        best, best_val = local[np.argmax(vals)], float(np.max(vals))
     res = scipy.optimize.minimize(
         lambda u: -ll_vec([u[0], *np.exp(u[1:])]),
         np.array([best[0], *np.log(best[1:])]),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import log_joint_density
 
 from coxjm import (
     Dataset,
@@ -41,8 +42,8 @@ def _point(z):
                           mode=float(z), curvature_sd=0.0, log_norm=0.0)
 
 
-def _sim(n=40, seed=0, censor_rate=0.2, beta0=1.0):
-    cfg = SimConfig(n=n, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=beta0,
+def _sim(n=40, seed=0, censor_rate=0.2, beta0=1.0, grid_step=0.25):
+    cfg = SimConfig(n=n, grid_step=grid_step, tau=3.0, alpha0=ALPHA0, beta0=beta0,
                     lambda0=0.3, censor_rate=censor_rate, seed=seed)
     return gen_dataset(cfg)
 
@@ -182,7 +183,6 @@ def test_observed_loglik_censored_marginal():
 def test_observed_loglik_beta_zero_reduction():
     ds, _ = _sim(12, seed=6)
     th = _theta_for(ds, beta=0.0)
-    from coxjm.transition import log_joint_density
 
     want = 0.0
     jumps = dict(zip(th.hazard.times, th.hazard.jumps))
@@ -197,7 +197,6 @@ def test_observed_loglik_matches_trapezoid_oracle():
     ds, _ = _sim(10, seed=7)
     th = _theta_for(ds, beta=0.8)
     from coxjm.posterior import exponent_split, log_unnormalized_posterior, oracle_moments
-    from coxjm.transition import log_joint_density
     from coxjm.fit import _Workspace, _estep
 
     # brute-force per-subject likelihood: trapezoid over the latent value
@@ -398,14 +397,22 @@ def test_em_fit_matches_tight_fit(seed):
     assert abs(fit.theta_hat.beta - tight.theta_hat.beta) <= 1e-6
 
 
+def test_em_fit_tight_tolerances_converge_on_long_histories():
+    # about 75 observed transitions per subject put the alpha objective near -5e4, where its
+    # rounding (~1e-11) exceeds any absolute ascent margin small enough to be one: an M-step
+    # guard with such a margin rejects the exact closed-form update and the map stands still
+    ds, _ = _sim(1000, seed=1, grid_step=0.02)
+    fit = em_fit(ds, config=FitConfig(tol_param=1e-11, tol_score=1e-11, max_iter=100))
+    assert fit.converged
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(20, 40), beta=st.floats(-1.0, 1.5))
 def test_mstep_reaches_profiled_maximizer(seed, n, beta):
     # at fixed atoms the M-step maximizes the EM objective jointly over (beta, hazard):
     # the beta score vanishes at the returned beta with the hazard dL = 1/(n W_n) there
     # (its Newton steps stop once the score is below 0.05 tol_score)
-    from coxjm.fit import (_alpha_objective, _alpha_stats, _estep, _mstep, _score_info_beta,
-                           _wn_vec, _Workspace)
+    from coxjm.fit import _estep, _mstep, _score_info_beta, _wn_vec, _Workspace
 
     ds, _ = _sim(n, seed=seed)
     ws = _Workspace(ds)
@@ -416,7 +423,7 @@ def test_mstep_reaches_profiled_maximizer(seed, n, beta):
 
     def objective(alpha, b, jumps):
         cox = np.sum(np.log(jumps)) + b * np.sum(ws.delta * est.E1) - ws.totals(est, b, jumps)[0]
-        return _alpha_objective(_alpha_stats(ws, est), alpha) + float(cox)
+        return ws.transition_stats(est).objective(alpha) + float(cox)
 
     assert abs(_score_info_beta(ws, est, beta_new, dL_new)[0]) <= 1e-8
     np.testing.assert_allclose(dL_new, 1.0 / (ws.n * _wn_vec(ws, est, beta_new)), rtol=1e-12)

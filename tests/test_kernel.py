@@ -217,7 +217,9 @@ def test_estep_matches_per_subject_atoms(beta):
     est = _estep(_Workspace(ds), ALPHA0, beta, np.asarray(theta.hazard.jumps), 40)
     def oracle(b):
         return np.concatenate([latent_moments(a.nodes[None], a.weights[None], b) for a in atoms])
-    np.testing.assert_allclose(np.column_stack([est.E1, est.E2]), oracle(0.0)[:, 1:], rtol=RTOL, atol=RTOL)
+    m = oracle(0.0)
+    np.testing.assert_allclose(np.column_stack([est.E1, est.V]), np.column_stack([m[:, 1], m[:, 2] - m[:, 1]**2]),
+                               rtol=RTOL, atol=RTOL)
     for b in (beta, 0.3, beta):
         np.testing.assert_allclose(est.exp_moments(b), oracle(b), rtol=RTOL, atol=RTOL)
 

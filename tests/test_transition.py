@@ -1,9 +1,13 @@
 import math
 import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import hessian_alpha, log_joint_density, score_alpha
 
 from coxjm import (
     AlphaBox,
@@ -11,15 +15,18 @@ from coxjm import (
     InsufficientDataError,
     MeasurementGrid,
     Subject,
+    Theta,
     TransitionParams,
     ValidationError,
     cond_latent_params,
-    hessian_alpha,
-    log_joint_density,
-    score_alpha,
+    estep_atoms,
+    nelson_aalen,
     weighted_mle_alpha,
 )
+from coxjm.fit import _estep, _Workspace
 from coxjm.posterior import PosteriorAtoms
+from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
+from coxjm.transition import VAR_FLOOR, TransitionStats, observed_history
 
 LN_NORM_0 = -0.5 * math.log(2 * math.pi)  # ln N(0; 0, 1)
 
@@ -250,6 +257,68 @@ def test_mean_information_positive_definite():
     a = weighted_mle_alpha(ds, atoms)
     info = -sum(hessian_alpha(s + [z], a) for s, z in zip(seqs, latents)) / n
     assert np.min(np.linalg.eigvalsh(info)) > 0
+
+
+ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
+
+
+def _mixed_named():
+    # every other subject stores its terminal value; ids are strings, not positions
+    ds, truths = gen_dataset(SimConfig(n=30, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
+                                       lambda0=0.3, censor_rate=0.2, seed=13))
+    full = fullinfo_dataset(ds, truths)
+    return replace(ds, subjects=tuple(replace(f if i % 2 == 0 else s, id=f"s{i:02d}")
+                                      for i, (s, f) in enumerate(zip(ds.subjects, full.subjects))))
+
+
+def test_transition_stats_match_per_subject_oracles():
+    ds = _mixed_named()
+    beta = 0.8
+    theta = Theta(alpha=ALPHA0, beta=beta, hazard=nelson_aalen(ds))
+    ws = _Workspace(ds)
+    est = _estep(ws, ALPHA0, beta, np.asarray(theta.hazard.jumps), 40)
+    stats = ws.transition_stats(est)
+    alpha = TransitionParams(0.3, 0.8, -0.2, 0.5, 0.4)  # away from the maximizer
+    obj, g, H = 0.0, np.zeros(5), np.zeros((5, 5))
+    for i, s in enumerate(ds.subjects):
+        hist = list(observed_history(s, ds.grid))
+        for z, w in zip(est.nodes[i], est.weights[i]):
+            obj += w * log_joint_density(hist + [z], alpha)
+            g += w * score_alpha(hist + [z], alpha)
+            H += w * hessian_alpha(hist + [z], alpha)
+    assert stats.objective(alpha) == pytest.approx(obj, rel=1e-12)
+    np.testing.assert_allclose(stats.score(alpha), g, rtol=1e-12)
+    np.testing.assert_allclose(stats.hessian(alpha), H, rtol=1e-12)
+    # the workspace-free path reads the same histories and atoms
+    got = weighted_mle_alpha(ds, estep_atoms(ds, theta))
+    np.testing.assert_allclose(got.as_array(), stats.mle(AlphaBox(), VAR_FLOOR)[0].as_array(), rtol=1e-12)
+
+
+def test_transition_stats_score_vanishes_at_interior_mle():
+    ds = _mixed_named()
+    ws = _Workspace(ds)
+    est = _estep(ws, ALPHA0, 0.8, np.asarray(nelson_aalen(ds).jumps), 40)
+    stats = ws.transition_stats(est)
+    alpha, floored = stats.mle(AlphaBox(), VAR_FLOOR)
+    assert not floored and AlphaBox().contains(alpha, margin=1e-3)
+    assert np.max(np.abs(stats.score(alpha))) <= 1e-12 * (stats.n0 + stats.N)
+    assert np.max(np.linalg.eigvalsh(stats.hessian(alpha))) < 0
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), n0=st.integers(0, 20), N=st.integers(0, 40),
+       cut=st.floats(0.0, 1.0), offset=st.floats(-1e3, 1e3))
+def test_transition_stats_merge_equals_whole(seed, n0, N, cut, offset):
+    rng = np.random.default_rng(seed)
+    z0 = offset + rng.normal(size=n0)
+    prev = offset + rng.normal(size=N)
+    nxt = 0.5 * prev + rng.normal(size=N)
+    var = rng.uniform(0.0, 1.0, size=N)
+    c0, c = int(cut * n0), int(cut * N)
+    whole = np.array(astuple(TransitionStats.of(z0, prev, nxt, var)))
+    merged = np.array(astuple(TransitionStats.of(z0[:c0], prev[:c], nxt[:c], var[:c]).merge(
+        TransitionStats.of(z0[c0:], prev[c:], nxt[c:], var[c:]))))
+    np.testing.assert_allclose(merged, whole, rtol=1e-12, atol=1e-12 * np.max(np.abs(whole)))
 
 
 def test_alpha_box_projection():
