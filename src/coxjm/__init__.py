@@ -34,31 +34,17 @@ from .exceptions import (
 from .fit import (
     FitConfig,
     FitResult,
+    Posterior,
     em_fit,
     estep_atoms,
-    info_beta,
     lambda_update,
     observed_loglik,
-    score_beta,
     score_full,
     w_n,
-)
-from .posterior import (
-    ExponentSplit,
-    PosteriorAtoms,
-    cond_exp,
-    exponent_split,
-    log_unnormalized_posterior,
-    oracle_moments,
-    posterior_atoms,
-)
-from .simulate import SimConfig, SimTruth, fullinfo_dataset, gen_dataset, gen_subject
-from .transition import (
-    AlphaBox,
-    TransitionParams,
-    cond_latent_params,
     weighted_mle_alpha,
 )
+from .simulate import SimConfig, SimTruth, fullinfo_dataset, gen_dataset, gen_subject
+from .transition import AlphaBox, TransitionParams, cond_latent_params
 from .variance import (
     DiscretizedOperator,
     Probe,

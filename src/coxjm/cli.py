@@ -15,9 +15,8 @@ from pathlib import Path
 
 from . import io as cio
 from .baseline import partial_lik_fit
-from .data import Theta
 from .exceptions import CoxjmError, NonConvergenceError, ValidationError
-from .fit import FitConfig, FitResult, em_fit, estep_atoms
+from .fit import FitConfig, em_fit
 from .simulate import SimConfig, gen_dataset
 from .study import StudyConfig, config_hash, load_report_csv, run_study, write_report_csv, write_report_json
 from .variance import variance_report
@@ -61,25 +60,22 @@ def cmd_fit(args) -> int:
         if fit_cfg.beta_box == 0:
             raise ValidationError("beta frozen at 0 (beta_box=0) is not supported with method=lvcf")
         bl = partial_lik_fit(dataset, beta_box=fit_cfg.beta_box)
-        fit = FitResult(
-            theta_hat=Theta(alpha=None, beta=bl.beta_pl, hazard=bl.breslow),
-            loglik_trace=[bl.loglik], iterations=bl.iterations, converged=bl.converged,
-            score_norm=abs(bl.score), warnings=list(bl.flags), n_subjects=dataset.n)
-        cio.save_fit_json(fit, out / "fit.json", method="lvcf-cox")
+        cio.save_fit_json(cio.baseline_fit_to_dict(bl, dataset.n), out / "fit.json")
         if not bl.converged:
             raise NonConvergenceError("partial-likelihood fit did not converge")
         return EXIT_OK
     fit = em_fit(dataset, config=fit_cfg)
     cio.save_fit_json(fit, out / "fit.json", method="npml")
-    atoms = estep_atoms(dataset, fit.theta_hat, fit_cfg.Q)
-    report = variance_report(dataset, fit.theta_hat, atoms, fit)
+    post = fit.posterior
+    report = variance_report(dataset, fit.theta_hat, post, fit)
     cio.save_json(report, out / "variance.json")
     if args.dump_atoms:
         with open(out / "atoms.csv", "w") as f:
             f.write("id,node,weight\n")
-            for subject, at in zip(dataset.subjects, atoms):
-                for node, weight in zip(at.nodes, at.weights):
-                    f.write(f"{subject.id},{float(node)!r},{float(weight)!r}\n")
+            for i, sid in enumerate(post.ws.ids):
+                q = 1 if post.ws.has_extra[i] else post.nodes.shape[1]  # a stored value is one atom
+                for node, weight in zip(post.nodes[i, :q], post.weights[i, :q]):
+                    f.write(f"{sid},{float(node)!r},{float(weight)!r}\n")
     if not fit.converged:
         raise NonConvergenceError(
             f"EM did not converge in {fit.iterations} iterations (score_norm={fit.score_norm:.3e})")

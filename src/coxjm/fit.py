@@ -33,7 +33,7 @@ from .exceptions import (
     ModeSearchError,
     ValidationError,
 )
-from .posterior import EXP_CLIP, PosteriorAtoms, batch_posterior, gauss_logpdf
+from .posterior import EXP_CLIP, batch_posterior, gauss_logpdf
 from .transition import (
     FLOOR_MESSAGE,
     VAR_FLOOR,
@@ -96,6 +96,8 @@ class FitConfig:
 
 @dataclass
 class FitResult:
+    """`posterior` is the final E-step, the posterior at theta_hat on the fit's workspace."""
+
     theta_hat: Theta
     loglik_trace: list[float]
     iterations: int
@@ -103,6 +105,7 @@ class FitResult:
     score_norm: float
     warnings: list[str]
     n_subjects: int
+    posterior: Posterior = field(repr=False, compare=False)
 
     @property
     def loglik(self) -> float:
@@ -169,7 +172,7 @@ class _Workspace:
         self._cell = (row, pos - (np.cumsum(counts) - counts)[row])
         self._rows = (J, int(counts.max()))
 
-    def transition_stats(self, est: "_EStep") -> TransitionStats:
+    def transition_stats(self, est: "Posterior") -> TransitionStats:
         """The observed histories' statistics merged with the terminal transitions
         z_pred -> latent value, integrated over `est`'s atoms."""
         return self.obs.merge(TransitionStats.of((), self.z_pred, est.E1, est.V))
@@ -210,7 +213,7 @@ class _Workspace:
         a_obs[x] += np.exp(np.minimum(beta * self.z_extra[x], EXP_CLIP)) * P[x]
         return a_obs, ~self.has_extra * P
 
-    def moments(self, est: "_EStep", beta: float) -> np.ndarray:
+    def moments(self, est: "Posterior", beta: float) -> np.ndarray:
         """E_i[Z^m e^{beta Z}], m = 0, 1, 2, of each terminal value (n x 3), or of its stored
         value, written into `est`'s block for this beta (the same write each time)."""
         m = est.exp_moments(beta)
@@ -225,20 +228,28 @@ class _Workspace:
         out = self._running(np.concatenate([np.zeros((self.K,) + g.shape[1:]), g]), reverse=True)[: self.K]
         return out if S is None else out + S[self.a_e]
 
-    def totals(self, est: "_EStep", beta: float, dL: np.ndarray) -> np.ndarray:
+    def totals(self, est: "Posterior", beta: float, dL: np.ndarray) -> np.ndarray:
         """sum_i of the dL-integral of Z^m e^{beta Z} over subject i's risk period, m = 0, 1, 2."""
         H, P = self.masses(dL)
         return self.obs_mats(beta)[1].T @ H + self.moments(est, beta).T @ P
 
 
-class _EStep:
-    """Posterior atoms for all subjects plus the per-subject hazard splits; `nodes` and
-    `weights` are n x Q, and sums over nodes run along the subjects of their transposes."""
+class Posterior:
+    """The posterior of every subject's terminal value at one parameter, on the workspace
+    `ws` of the dataset it was computed on, which the calls that take it read.
 
-    __slots__ = ("nodes", "weights", "log_norm", "a_obs", "a_lat", "E1", "V", "mode", "sd",
+    `nodes` and `weights` (n x Q) are the atoms: mode-recentred Gauss-Hermite nodes, or a
+    stored terminal value repeated with weight one on the first.  `log_norm` is the log of
+    each subject's integral factor, `a_obs` and `a_lat` its hazard mass on observed and
+    latent values, `E1` and `V` the posterior mean and variance.  Sums over nodes run along
+    the subjects of the transposes.
+    """
+
+    __slots__ = ("ws", "nodes", "weights", "log_norm", "a_obs", "a_lat", "E1", "V", "mode", "sd",
                  "_moments_beta", "_moments")
 
-    def __init__(self, nodes, weights, log_norm, a_obs, a_lat, mode=None, sd=None):
+    def __init__(self, ws, nodes, weights, log_norm, a_obs, a_lat, mode=None, sd=None):
+        self.ws = ws
         self.nodes = nodes
         self.weights = weights
         self.log_norm = log_norm
@@ -265,7 +276,7 @@ class _EStep:
         return self._moments
 
 
-def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray, Q: int) -> _EStep:
+def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray, Q: int) -> Posterior:
     a_obs, a_lat = ws.splits(beta, dL)
     mean = alpha.a + alpha.b * ws.z_pred
     full, n = ws.extra_rows, ws.n
@@ -280,10 +291,10 @@ def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray,
         zf = ws.z_extra[full]
         nodes[full], weights[full], weights[full, 0], mode[full], sd[full] = zf[:, None], 0.0, 1.0, zf, 0.0
         log_norm[full] = ws.delta[full] * beta * zf + gauss_logpdf(zf, mean[full], alpha.ssq)
-    return _EStep(nodes, weights, log_norm, a_obs, a_lat, mode, sd)
+    return Posterior(ws, nodes, weights, log_norm, a_obs, a_lat, mode, sd)
 
 
-def _loglik(ws: _Workspace, alpha: TransitionParams, dL: np.ndarray, est: _EStep) -> float:
+def _loglik(ws: _Workspace, alpha: TransitionParams, dL: np.ndarray, est: Posterior) -> float:
     out = float(np.sum(np.log(dL)))
     out += float(np.sum(-est.a_obs + est.log_norm))
     out += ws.obs.objective(alpha)
@@ -294,7 +305,7 @@ def _loglik(ws: _Workspace, alpha: TransitionParams, dL: np.ndarray, est: _EStep
     return out
 
 
-def _wn_vec(ws: _Workspace, est: _EStep, beta: float) -> np.ndarray:
+def _wn_vec(ws: _Workspace, est: Posterior, beta: float) -> np.ndarray:
     return ws.cols(ws.obs_mats(beta)[1][:, 0], ws.moments(est, beta)[:, 0]) / ws.n
 
 
@@ -304,9 +315,9 @@ def _check_wn(ws: _Workspace, wn: np.ndarray) -> None:
         raise DegenerateRiskSetError(float(ws.xe[int(np.argmax(bad))]))
 
 
-def _score_info_beta(ws, est, beta, dL):
-    _, t1, t2 = ws.totals(est, beta, dL)
-    return (float(np.sum(ws.delta * est.E1)) - float(t1)) / ws.n, float(t2) / ws.n
+def _score_beta(ws, est, beta, dL) -> float:
+    """(1/n) sum_i E_i[delta_i Z - int Z e^{beta Z} dL], the beta score at a fixed hazard."""
+    return (float(np.sum(ws.delta * est.E1)) - float(ws.totals(est, beta, dL)[1])) / ws.n
 
 
 def _free_directions(cfg: FitConfig):
@@ -330,8 +341,7 @@ def _certificate(ws, est, alpha, beta, dL, cfg: FitConfig):
         s1 = ws.transition_stats(est).score(alpha) / ws.n
         score_norm = max(score_norm, float(np.max(np.abs(s1[alpha_free]))))
     if beta_free:
-        s2, _ = _score_info_beta(ws, est, beta, dL)
-        score_norm = max(score_norm, abs(s2))
+        score_norm = max(score_norm, abs(_score_beta(ws, est, beta, dL)))
     return id_resid, score_norm
 
 
@@ -505,12 +515,9 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
     """Maximize the joint pseudo likelihood by SQUAREM-accelerated EM with ascent safeguards;
     `iterations` counts the EM maps."""
     cfg = config or FitConfig()
-    dataset = validate_dataset(dataset)
-    if dataset.n_events < 1:
-        raise InsufficientDataError("at least one uncensored subject is required")
-    ws = _Workspace(dataset)
+    ws = _Workspace(validate_dataset(dataset))
     warn: list[str] = []
-    if max(len(s.measurements) for s in dataset.subjects) < 2:
+    if max(len(s.measurements) for s in ws.dataset.subjects) < 2:
         warn.append("identifiability: no subject has two or more measurements")
 
     alpha, beta, dL = _init_theta(ws, init, cfg)
@@ -547,30 +554,14 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
         score_norm=float(score_norm),
         warnings=warn,
         n_subjects=ws.n,
+        posterior=est,
     )
 
 
 # ---------------------------------------------------------------------------
-# Public single-shot operations (thin wrappers over the vectorized kernels)
+# Public single-shot operations (thin wrappers over the vectorized kernels); those
+# that take a posterior read its workspace
 # ---------------------------------------------------------------------------
-
-def _atoms_to_estep(ws: _Workspace, atoms, beta: float, dL: np.ndarray) -> _EStep:
-    if len(atoms) != ws.n:
-        raise ValidationError("atoms must align with dataset.subjects")
-    qmax = max(len(np.atleast_1d(a.nodes)) for a in atoms)
-    nodes = np.zeros((ws.n, qmax))
-    weights = np.zeros((ws.n, qmax))
-    log_norm = np.zeros(ws.n)
-    for i, a in enumerate(atoms):
-        nd = np.atleast_1d(np.asarray(a.nodes, dtype=float))
-        wt = np.atleast_1d(np.asarray(a.weights, dtype=float))
-        nodes[i, : nd.size] = nd
-        nodes[i, nd.size:] = nd[-1] if nd.size else 0.0
-        weights[i, : wt.size] = wt
-        log_norm[i] = a.log_norm
-    a_obs, a_lat = ws.splits(beta, dL)
-    return _EStep(nodes, weights, log_norm, a_obs, a_lat)
-
 
 def _hazard_jumps(ws: _Workspace, hazard: SieveHazard) -> np.ndarray:
     ht = np.asarray(hazard.times)
@@ -579,67 +570,58 @@ def _hazard_jumps(ws: _Workspace, hazard: SieveHazard) -> np.ndarray:
     return np.asarray(hazard.jumps, dtype=float)
 
 
-def w_n(u: float, dataset: Dataset, atoms, beta: float) -> float:
+def _workspace_of(dataset: Dataset, atoms: Posterior) -> _Workspace:
+    """The workspace `atoms` was computed on, refused unless it belongs to `dataset`."""
+    if not isinstance(atoms, Posterior):
+        raise ValidationError("atoms must be a Posterior (estep_atoms or FitResult.posterior)")
+    if atoms.ws.dataset is not dataset and atoms.ws.dataset != dataset:
+        raise ValidationError("the posterior was computed on a different dataset")
+    return atoms.ws
+
+
+def w_n(u: float, dataset: Dataset, atoms: Posterior, beta: float) -> float:
     """W_n(u) = (1/n) sum_i E[e^{beta Z(u)} 1{u <= X_i} | y_i] at an event time u."""
-    ws = _Workspace(dataset)
+    ws = _workspace_of(dataset, atoms)
     k = int(np.argmin(np.abs(ws.xe - u)))
     if abs(ws.xe[k] - u) > 1e-12:
         raise ValidationError(f"u={u!r} is not an event time of the dataset")
-    est = _atoms_to_estep(ws, atoms, beta, np.zeros(ws.K))
-    return float(_wn_vec(ws, est, beta)[k])
+    return float(_wn_vec(ws, atoms, beta)[k])
 
 
-def lambda_update(dataset: Dataset, atoms, beta: float) -> SieveHazard:
+def lambda_update(dataset: Dataset, atoms: Posterior, beta: float) -> SieveHazard:
     """Closed-form hazard update: dL_k = (1/n) / W_n(x_k)."""
-    ws = _Workspace(dataset)
-    est = _atoms_to_estep(ws, atoms, beta, np.zeros(ws.K))
-    wn = _wn_vec(ws, est, beta)
+    ws = _workspace_of(dataset, atoms)
+    wn = _wn_vec(ws, atoms, beta)
     _check_wn(ws, wn)
     return SieveHazard(tuple(ws.xe), tuple(1.0 / (ws.n * wn)))
 
 
-def score_beta(dataset: Dataset, atoms, beta: float, hazard: SieveHazard) -> float:
-    """Empirical beta-score (1/n) sum_i E_i[dZ - int Z e^{bZ} dL]."""
-    ws = _Workspace(dataset)
-    dL = _hazard_jumps(ws, hazard)
-    est = _atoms_to_estep(ws, atoms, beta, dL)
-    return _score_info_beta(ws, est, beta, dL)[0]
+def weighted_mle_alpha(dataset: Dataset, atoms: Posterior, box: AlphaBox | None = None,
+                       var_floor: float = VAR_FLOOR) -> TransitionParams:
+    """Expected complete-data Gaussian MLE of alpha under `atoms` (the M-step's alpha
+    update, before its ascent guard); raises InsufficientDataError for fewer than two subjects."""
+    ws = _workspace_of(dataset, atoms)
+    if ws.n < 2:
+        raise InsufficientDataError("weighted MLE needs at least 2 subjects")
+    alpha, floored = ws.transition_stats(atoms).mle(box or AlphaBox(), var_floor)
+    if floored:
+        _warnings.warn(FLOOR_MESSAGE, RuntimeWarning)
+    return alpha
 
 
-def info_beta(dataset: Dataset, atoms, beta: float, hazard: SieveHazard) -> float:
-    """Uncentred curvature (1/n) sum_i E_i[int Z^2 e^{bZ} dL] of the EM objective in beta
-    at a fixed hazard (the M-step's Newton steps use the risk-set-centred curvature of
-    the objective profiled over the hazard instead)."""
+def estep_atoms(dataset: Dataset, theta: Theta, Q: int = 40) -> Posterior:
+    """The posterior of every subject's terminal value at theta, on a new workspace."""
     ws = _Workspace(dataset)
-    dL = _hazard_jumps(ws, hazard)
-    est = _atoms_to_estep(ws, atoms, beta, dL)
-    return _score_info_beta(ws, est, beta, dL)[1]
+    return _estep(ws, theta.alpha, theta.beta, _hazard_jumps(ws, theta.hazard), Q)
 
 
 def observed_loglik(dataset: Dataset, theta: Theta, Q: int = 40) -> float:
     """Observed-data log likelihood of theta, by mode-recentered quadrature."""
-    ws = _Workspace(dataset)
-    dL = _hazard_jumps(ws, theta.hazard)
-    est = _estep(ws, theta.alpha, theta.beta, dL, Q)
-    return _loglik(ws, theta.alpha, dL, est)
+    post = estep_atoms(dataset, theta, Q)
+    return _loglik(post.ws, theta.alpha, np.asarray(theta.hazard.jumps, dtype=float), post)
 
 
-def estep_atoms(dataset: Dataset, theta: Theta, Q: int = 40) -> list[PosteriorAtoms]:
-    """Posterior atoms for all subjects at theta, in subject order."""
-    ws = _Workspace(dataset)
-    dL = _hazard_jumps(ws, theta.hazard)
-    est = _estep(ws, theta.alpha, theta.beta, dL, Q)
-    out = []
-    for i in range(ws.n):
-        take = 1 if ws.has_extra[i] else est.nodes.shape[1]
-        out.append(PosteriorAtoms(
-            nodes=est.nodes[i, :take].copy(), weights=est.weights[i, :take].copy(),
-            mode=float(est.mode[i]), curvature_sd=float(est.sd[i]),
-            log_norm=float(est.log_norm[i])))
-    return out
-
-
-def score_full(dataset: Dataset, theta: Theta, h, Q: int = 40, atoms=None) -> float:
+def score_full(dataset: Dataset, theta: Theta, h, Q: int = 40, atoms: Posterior | None = None) -> float:
     """Empirical score along the probe h = (h1, h2, h3-at-event-times).
 
     With `atoms` given, expectations are frozen at the atoms' parameter
@@ -647,16 +629,11 @@ def score_full(dataset: Dataset, theta: Theta, h, Q: int = 40, atoms=None) -> fl
     recomputed at theta itself.
     """
     h1, h2, h3 = h
-    ws = _Workspace(dataset)
+    est = estep_atoms(dataset, theta, Q) if atoms is None else atoms
+    ws = _workspace_of(dataset, est)
     dL = _hazard_jumps(ws, theta.hazard)
-    if atoms is None:
-        est = _estep(ws, theta.alpha, theta.beta, dL, Q)
-    else:
-        est = _atoms_to_estep(ws, atoms, theta.beta, dL)
     h1 = np.zeros(5) if h1 is None else np.asarray(h1, dtype=float)
     h3 = np.zeros(ws.K) if h3 is None else np.asarray(h3, dtype=float) * np.ones(ws.K)
     s1 = ws.transition_stats(est).score(theta.alpha) / ws.n
-    s2, _ = _score_info_beta(ws, est, theta.beta, dL)
-    wn = _wn_vec(ws, est, theta.beta)
-    s3 = float(np.sum(h3 * (1.0 / ws.n - dL * wn)))
-    return float(h1 @ s1) + float(h2) * s2 + s3
+    s3 = float(np.sum(h3 * (1.0 / ws.n - dL * _wn_vec(ws, est, theta.beta))))
+    return float(h1 @ s1) + float(h2) * _score_beta(ws, est, theta.beta, dL) + s3

@@ -11,6 +11,7 @@ import json
 import re
 from pathlib import Path
 
+from .baseline import BaselineFit
 from .data import Dataset, MeasurementGrid, SieveHazard, Subject, Theta
 from .exceptions import ValidationError
 from .fit import FitResult
@@ -107,26 +108,42 @@ def load_truths_csv(path) -> tuple[SimTruth, ...]:
 
 def fit_to_dict(fit: FitResult, method: str = "npml") -> dict:
     th = fit.theta_hat
+    return _fit_doc(method, th.alpha.to_dict(), th.beta, th.hazard, fit.loglik_trace, fit.converged,
+                    fit.score_norm, fit.iterations, fit.n_subjects, fit.warnings)
+
+
+def baseline_fit_to_dict(bl: BaselineFit, n_subjects: int) -> dict:
+    """An LVCF partial-likelihood fit in the same layout, with no transition parameters."""
+    return _fit_doc("lvcf-cox", None, bl.beta_pl, bl.breslow, [bl.loglik], bl.converged,
+                    abs(bl.score), bl.iterations, n_subjects, bl.flags)
+
+
+def _fit_doc(method, alpha, beta, hazard, trace, converged, score_norm, iterations, n_subjects,
+             warnings) -> dict:
     return {
         "method": method,
-        "alpha": th.alpha.to_dict() if th.alpha is not None else None,
-        "beta": th.beta,
-        "hazard": {"times": list(th.hazard.times), "jumps": list(th.hazard.jumps)},
-        "loglik_trace": list(fit.loglik_trace),
-        "loglik": fit.loglik,
-        "converged": fit.converged,
-        "score_norm": fit.score_norm,
-        "iterations": fit.iterations,
-        "n_subjects": fit.n_subjects,
-        "warnings": list(fit.warnings),
+        "alpha": alpha,
+        "beta": beta,
+        "hazard": {"times": list(hazard.times), "jumps": list(hazard.jumps)},
+        "loglik_trace": list(trace),
+        "loglik": trace[-1],
+        "converged": converged,
+        "score_norm": score_norm,
+        "iterations": iterations,
+        "n_subjects": n_subjects,
+        "warnings": list(warnings),
     }
 
 
-def save_fit_json(fit: FitResult, path, method: str = "npml") -> None:
-    Path(path).write_text(json.dumps(fit_to_dict(fit, method), indent=1) + "\n")
+def save_fit_json(fit: FitResult | dict, path, method: str = "npml") -> None:
+    """Write a fit, or a document from `baseline_fit_to_dict`."""
+    doc = fit if isinstance(fit, dict) else fit_to_dict(fit, method)
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def theta_from_fit_dict(d: dict) -> Theta:
+    if d.get("alpha", {}) is None:
+        raise ValidationError(f"a {d.get('method')!r} fit has no transition parameters, so no theta")
     try:
         alpha = TransitionParams.from_dict(d["alpha"])
         hz = SieveHazard(tuple(d["hazard"]["times"]), tuple(d["hazard"]["jumps"]))

@@ -17,13 +17,11 @@ converges fast; a brute-force trapezoid oracle certifies it in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MeasurementGrid, SieveHazard, Subject, Theta, covariate_at, is_fully_observed
 from .exceptions import ModeSearchError, ValidationError
-from .transition import cond_latent_params, gauss_logpdf, observed_history
+from .transition import gauss_logpdf
 
 SQRT2 = math.sqrt(2.0)
 EXP_CLIP = 700.0  # IEEE double overflow guard for beta*z
@@ -35,69 +33,6 @@ def _gh(order: int) -> tuple[np.ndarray, np.ndarray]:
     if order not in _gh_cache:
         _gh_cache[order] = np.polynomial.hermite.hermgauss(order)
     return _gh_cache[order]
-
-
-@dataclass(frozen=True)
-class ExponentSplit:
-    """Hazard mass on [0, x] split by covariate observability at the jump times."""
-
-    a_obs: float  # sum of dL_k * exp(beta * observed value)
-    a_lat: float  # sum of dL_k over jumps in the latent window
-    own_jump: float  # dL at the subject's own event time (0 if censored)
-
-
-@dataclass(frozen=True, eq=False)
-class PosteriorAtoms:
-    """Weighted nodes for the conditional law of the latent value.
-
-    log_norm is the log of the subject's integral factor
-    int exp(delta*beta*z - A_lat*exp(beta*z)) N(z; m, s^2) dz,
-    which the observed-data likelihood needs.  A single-node instance with
-    weight one encodes a known (fully observed) terminal value.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    mode: float
-    curvature_sd: float
-    log_norm: float
-
-
-def exponent_split(subject: Subject, hazard: SieveHazard, beta: float, grid: MeasurementGrid) -> ExponentSplit:
-    """Partition the subject's integrated hazard term by covariate observability."""
-    a_obs = 0.0
-    a_lat = 0.0
-    own = 0.0
-    for t, dl in zip(hazard.times, hazard.jumps):
-        if t > subject.x:
-            break
-        v = covariate_at(subject, t, grid)
-        if v is None:
-            a_lat += dl
-        else:
-            a_obs += dl * math.exp(min(beta * v, EXP_CLIP))
-        if subject.delta == 1 and t == subject.x:
-            own = dl
-    return ExponentSplit(a_obs=a_obs, a_lat=a_lat, own_jump=own)
-
-
-def log_unnormalized_posterior(z, subject: Subject, split: ExponentSplit, theta: Theta,
-                               grid: MeasurementGrid | None = None):
-    """Log of the unnormalized posterior density at z (vectorized over z).
-
-    Constants in z (A_obs, the subject's own log-jump, the history marginal)
-    are dropped.  Values with beta*z beyond the overflow guard map to -inf.
-    """
-    history = observed_history(subject, grid) if grid is not None else subject.measurements
-    m, s2 = cond_latent_params(history, theta.alpha)
-    z = np.asarray(z, dtype=float)
-    bz = theta.beta * z
-    out = np.where(
-        bz > EXP_CLIP,
-        -np.inf,
-        subject.delta * bz - split.a_lat * np.exp(np.minimum(bz, EXP_CLIP)) + gauss_logpdf(z, m, s2),
-    )
-    return float(out) if out.ndim == 0 else out
 
 
 def _batch_modes(delta, a_lat, mean, var, beta, max_iter=100, ids=None):
@@ -188,65 +123,3 @@ def batch_posterior(delta, a_lat, mean, var, beta, order, ids=None):
     w /= total
     log_norm = top + np.log(total) + np.log(SQRT2 * sd)
     return nodes.T, w.T, mode, sd, log_norm
-
-
-def degenerate_atoms(value: float, delta: int, beta: float, mean: float, var: float) -> PosteriorAtoms:
-    """Point mass at a known terminal value (full-information reduction)."""
-    log_norm = delta * beta * value + float(gauss_logpdf(value, mean, var))
-    return PosteriorAtoms(
-        nodes=np.array([value]),
-        weights=np.array([1.0]),
-        mode=float(value),
-        curvature_sd=0.0,
-        log_norm=log_norm,
-    )
-
-
-def posterior_atoms(subject: Subject, theta: Theta, order: int, grid: MeasurementGrid) -> PosteriorAtoms:
-    """Atoms for one subject at theta; order is the quadrature order."""
-    split = exponent_split(subject, theta.hazard, theta.beta, grid)
-    history = observed_history(subject, grid)
-    m, s2 = cond_latent_params(history, theta.alpha)
-    if is_fully_observed(subject, grid):
-        return degenerate_atoms(subject.measurements[-1], subject.delta, theta.beta, m, s2)
-    nodes, weights, mode, sd, log_norm = batch_posterior(
-        np.array([subject.delta]), np.array([split.a_lat]), np.array([m]), s2,
-        theta.beta, order, ids=[subject.id],
-    )
-    return PosteriorAtoms(
-        nodes=nodes[0], weights=weights[0],
-        mode=float(mode[0]), curvature_sd=float(sd[0]), log_norm=float(log_norm[0]),
-    )
-
-
-def cond_exp(atoms: PosteriorAtoms, g) -> float:
-    """E[g(Z) | y] as the atom-weighted sum; g must be finite at every node."""
-    vals = np.asarray(g(atoms.nodes), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValidationError("g is not finite at a posterior node")
-    return float(np.dot(atoms.weights, vals))
-
-
-def oracle_moments(subject: Subject, theta: Theta, g, resolution: int,
-                   grid: MeasurementGrid) -> float:
-    """Brute-force posterior expectation of g via trapezoid integration.
-
-    Integrates g * exp(log unnormalized posterior) over mode +- 12 curvature
-    sd and normalizes; independent of the quadrature path it certifies.
-    """
-    if resolution < 10**4:
-        raise ValidationError("oracle resolution must be >= 1e4")
-    split = exponent_split(subject, theta.hazard, theta.beta, grid)
-    history = observed_history(subject, grid)
-    m, s2 = cond_latent_params(history, theta.alpha)
-    mode, sd = _batch_modes(
-        np.array([float(subject.delta)]), np.array([split.a_lat]), np.array([m]), s2,
-        theta.beta, ids=[subject.id],
-    )
-    zs = np.linspace(mode[0] - 12.0 * sd[0], mode[0] + 12.0 * sd[0], int(resolution))
-    logp = log_unnormalized_posterior(zs, subject, split, theta, grid=grid)
-    logp = logp - np.max(logp)
-    dens = np.exp(logp)
-    num = np.trapezoid(np.asarray(g(zs), dtype=float) * dens, zs)
-    den = np.trapezoid(dens, zs)
-    return float(num / den)

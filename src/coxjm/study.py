@@ -21,9 +21,9 @@ import numpy as np
 
 from .baseline import partial_lik_fit
 from .exceptions import CoxjmError, SingularOperatorError, ValidationError
-from .fit import FitConfig, em_fit, estep_atoms
+from .fit import FitConfig, em_fit
 from .simulate import SimConfig, gen_dataset
-from .variance import beta_probe, build_sigma_hat, ci, var_beta_simple, var_estimate
+from .variance import _beta_simple, _info_parts, _operator, beta_probe, var_estimate, z_quantile
 
 log = logging.getLogger(__name__)
 
@@ -103,6 +103,12 @@ def _run_one(config: StudyConfig, rep: int) -> list[dict]:
     sim_cfg = replace(config.sim, seed=seed)
     dataset, _ = gen_dataset(sim_cfg)
     beta0 = sim_cfg.beta0
+    q = z_quantile(config.ci_level)
+
+    def covers(beta_hat: float, se: float) -> int | None:
+        """Whether the Wald interval beta_hat +- q se holds beta0; None for a non-finite se."""
+        return int(beta_hat - q * se <= beta0 <= beta_hat + q * se) if math.isfinite(se) else None
+
     rows = []
     for estimator in config.estimators:
         row = {"estimator": estimator, "rep": rep, "seed": seed, "error": None}
@@ -110,51 +116,33 @@ def _run_one(config: StudyConfig, rep: int) -> list[dict]:
             if estimator == "npml":
                 fit = em_fit(dataset, config=config.fit)
                 th = fit.theta_hat
-                atoms = estep_atoms(dataset, th, config.fit.Q)
-                vs = var_beta_simple(dataset, th, atoms)
-                row["beta_hat"] = th.beta
-                row["se_simple"] = math.sqrt(vs / dataset.n)
-                lo, hi = ci(fit, vs, config.ci_level)
-                row["cover_simple"] = int(lo <= beta0 <= hi)
+                # one set of information parts, at the fit's own posterior, gives both variances
+                parts = _info_parts(dataset, th, fit.posterior)
+                se = math.sqrt(_beta_simple(parts) / dataset.n)
+                row["beta_hat"], row["se_simple"] = th.beta, se
                 try:
-                    op = build_sigma_hat(dataset, th, atoms)
+                    op = _operator(parts, th.alpha)
                     vf = var_estimate(op, th.hazard, beta_probe(op.K))
                     row["se_full"] = math.sqrt(vf / dataset.n) if vf > 0 else float("nan")
-                    if vf > 0:
-                        lo, hi = ci(fit, vf, config.ci_level)
-                        row["cover_full"] = int(lo <= beta0 <= hi)
-                    else:
-                        row["cover_full"] = None
                 except SingularOperatorError:
                     row["se_full"] = float("nan")
-                    row["cover_full"] = None
                 row["converged"] = int(fit.converged)
-                row["sup_lambda_err"] = _sup_lambda_err(th.hazard, sim_cfg.lambda0, sim_cfg.tau)
+                hazard = th.hazard
             else:
                 bl = partial_lik_fit(dataset, beta_box=config.fit.beta_box)
                 row["beta_hat"] = bl.beta_pl
-                se = math.sqrt(1.0 / bl.information) if bl.information > 0 else float("nan")
-                row["se_simple"] = se
+                row["se_simple"] = math.sqrt(1.0 / bl.information) if bl.information > 0 else float("nan")
                 row["se_full"] = float("nan")
-                if math.isfinite(se):
-                    q_hw = se * _z_quantile(config.ci_level)
-                    row["cover_simple"] = int(bl.beta_pl - q_hw <= beta0 <= bl.beta_pl + q_hw)
-                else:
-                    row["cover_simple"] = None
-                row["cover_full"] = None
                 row["converged"] = int(bl.converged)
-                row["sup_lambda_err"] = _sup_lambda_err(bl.breslow, sim_cfg.lambda0, sim_cfg.tau)
+                hazard = bl.breslow
+            row["cover_simple"] = covers(row["beta_hat"], row["se_simple"])
+            row["cover_full"] = covers(row["beta_hat"], row["se_full"])
+            row["sup_lambda_err"] = _sup_lambda_err(hazard, sim_cfg.lambda0, sim_cfg.tau)
         except CoxjmError as exc:
             log.warning("replication %d estimator %s failed: %s", rep, estimator, exc)
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows
-
-
-def _z_quantile(level: float) -> float:
-    from scipy.special import ndtri
-
-    return float(ndtri(0.5 * (1 + level)))
 
 
 @dataclass

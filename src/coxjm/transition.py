@@ -16,13 +16,12 @@ the convergence certificate and the variance operator all read them there.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, last_index, subject_last_grid_index
-from .exceptions import InsufficientDataError, ValidationError
+from .exceptions import ValidationError
 
 VAR_FLOOR = 1e-8
 FLOOR_MESSAGE = "transition-model residual variance floored"
@@ -231,36 +230,6 @@ class TransitionStats:
         vec[[1, 4]] = np.maximum(vec[[1, 4]], var_floor)
         return TransitionParams.from_array(vec), s0sq < var_floor or ssq < var_floor
 
-
-def weighted_mle_alpha(
-    dataset: Dataset,
-    atoms,
-    box: AlphaBox | None = None,
-    var_floor: float = VAR_FLOOR,
-) -> TransitionParams:
-    """Weighted complete-data Gaussian MLE for alpha.
-
-    `atoms` is a per-subject sequence (aligned with dataset.subjects) giving
-    nodes/weights for the terminal-window value; a single-atom entry encodes a
-    known value.  Raises InsufficientDataError for fewer than two subjects.
-    """
-    if dataset.n < 2:
-        raise InsufficientDataError("weighted MLE needs at least 2 subjects")
-    if len(atoms) != dataset.n:
-        raise ValidationError("atoms must align with dataset.subjects")
-    Z, a_x, _, t_sub, t_int = history_arrays(dataset)
-    nodes = [np.atleast_1d(np.asarray(at.nodes, dtype=float)) for at in atoms]
-    sub = np.repeat(np.arange(dataset.n), [v.size for v in nodes])
-    z = np.concatenate(nodes)
-    w = np.concatenate([np.atleast_1d(np.asarray(at.weights, dtype=float)) for at in atoms])
-    E1 = np.bincount(sub, w * z, dataset.n)
-    terminal = TransitionStats.of((), Z[np.arange(dataset.n), a_x], E1,
-                                  np.bincount(sub, w * (z - E1[sub]) ** 2, dataset.n))
-    stats = TransitionStats.of(Z[:, 0], Z[t_sub, t_int], Z[t_sub, t_int + 1]).merge(terminal)
-    alpha, floored = stats.mle(box or AlphaBox(), var_floor)
-    if floored:
-        warnings.warn(FLOOR_MESSAGE, RuntimeWarning)
-    return alpha
 
 def draw_initial(rng, alpha: TransitionParams, truncate_at: float | None = None) -> float:
     """Draw the entry value z_0; optional resampling truncation at +-truncate_at."""

@@ -37,7 +37,7 @@ from scipy.special import ndtri
 
 from .data import Dataset, SieveHazard, Theta
 from .exceptions import SingularOperatorError, ValidationError
-from .fit import FitResult, _atoms_to_estep, _hazard_jumps, _Workspace
+from .fit import FitResult, Posterior, _hazard_jumps, _workspace_of
 from .posterior import EXP_CLIP
 
 COND_LIMIT = 1e12
@@ -128,9 +128,8 @@ def beta_probe(K: int) -> Probe:
 class _InfoParts:
     """Complete-information columns and missing-information pieces at a fit."""
 
-    ws: _Workspace
+    post: Posterior
     dL: np.ndarray
-    est: object
     w: np.ndarray        # W_n(x_k) = (1/n) sum_i E_i[e^{bZ(x_k)} 1{x_k <= X_i}]
     c: np.ndarray        # (1/n) sum_i E_i[Z e^{bZ} ...], same support
     d: np.ndarray        # (1/n) sum_i E_i[Z^2 e^{bZ} ...]
@@ -157,29 +156,29 @@ def _latent_covariances(ws, est, alpha, beta: float) -> np.ndarray:
     return (F * w[:, None, :]) @ F.transpose(0, 2, 1)
 
 
-def _info_parts(dataset: Dataset, theta_hat: Theta, atoms) -> _InfoParts:
-    ws = _Workspace(dataset)
+def _info_parts(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> _InfoParts:
+    ws = _workspace_of(dataset, atoms)
     dL = _hazard_jumps(ws, theta_hat.hazard)
     beta = theta_hat.beta
-    est = _atoms_to_estep(ws, atoms, beta, dL)
-    cov = _latent_covariances(ws, est, theta_hat.alpha, beta)
+    cov = _latent_covariances(ws, atoms, theta_hat.alpha, beta)
     n = ws.n
-    w, c, d = ws.cols(ws.obs_mats(beta)[1], ws.moments(est, beta)).T / n
+    w, c, d = ws.cols(ws.obs_mats(beta)[1], ws.moments(atoms, beta)).T / n
     # sums over the subjects whose latent window holds x_k, one column each
     lat = ws.cols(None, np.where(ws.has_extra[:, None], 0.0,
                                  np.column_stack([cov[:, :4, 4], cov[:, 4, 4]]))) / n
     miss = np.sum(cov[:, :4, :4], axis=0) / n
-    return _InfoParts(ws, dL, est, w, c, d, 0.5 * (miss + miss.T), lat[:, :4].T, lat[:, 4])
+    return _InfoParts(atoms, dL, w, c, d, 0.5 * (miss + miss.T), lat[:, :4].T, lat[:, 4])
 
 
-def build_sigma_hat(dataset: Dataset, theta_hat: Theta, atoms) -> DiscretizedOperator:
+def build_sigma_hat(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> DiscretizedOperator:
     """Assemble the observed information operator at a converged fit with its atoms."""
     return _operator(_info_parts(dataset, theta_hat, atoms), theta_hat.alpha)
 
 
 def _operator(p: _InfoParts, alpha) -> DiscretizedOperator:
-    ws, dL, K = p.ws, p.dL, p.ws.K
-    A = -ws.transition_stats(p.est).hessian(alpha) / ws.n
+    ws, dL = p.post.ws, p.dL
+    K = ws.K
+    A = -ws.transition_stats(p.post).hessian(alpha) / ws.n
     A[2:, 2:] -= p.miss[:3, :3]
 
     B = np.zeros((1 + K, 1 + K))
@@ -242,7 +241,7 @@ def var_estimate(op: DiscretizedOperator, hazard: SieveHazard, g: Probe) -> floa
     return out
 
 
-def var_beta_simple(dataset: Dataset, theta_hat: Theta, atoms) -> float:
+def var_beta_simple(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> float:
     """Closed-form beta variance, refused when the curvature below is not positive:
 
         1 / ( sum_k dL_k (D_k - C_k^2 / W_k) - (1/n) sum_i Var_i[delta_i Z - Z e^{bZ} A_i] )
@@ -264,13 +263,18 @@ def _beta_simple(p: _InfoParts) -> float:
 
 def ci(fit: FitResult, var_est: float, level: float) -> tuple[float, float]:
     """Wald interval for beta from a variance estimate of sqrt(n)(beta-hat - beta0)."""
-    if not 0 < level < 1:
-        raise ValidationError("level must be in (0, 1)")
+    q = z_quantile(level)
     if var_est <= 0:
         raise ValidationError("variance estimate must be > 0")
-    q = float(ndtri(0.5 * (1.0 + level)))
     hw = q * math.sqrt(var_est / fit.n_subjects)
     return fit.theta_hat.beta - hw, fit.theta_hat.beta + hw
+
+
+def z_quantile(level: float) -> float:
+    """The standard normal quantile bounding a two-sided interval of coverage `level`."""
+    if not 0 < level < 1:
+        raise ValidationError("level must be in (0, 1)")
+    return float(ndtri(0.5 * (1.0 + level)))
 
 
 def lambda_band(op: DiscretizedOperator, hazard: SieveHazard, t_grid) -> list[tuple[float, float]]:
@@ -282,7 +286,7 @@ def lambda_band(op: DiscretizedOperator, hazard: SieveHazard, t_grid) -> list[tu
     return [(float(t), float(np.dot(g3[:, j] * sol[6:, j], dL))) for j, t in enumerate(ts)]
 
 
-def variance_report(dataset: Dataset, theta_hat: Theta, atoms, fit: FitResult,
+def variance_report(dataset: Dataset, theta_hat: Theta, atoms: Posterior, fit: FitResult,
                     t_grid=None) -> dict:
     """Side-by-side variance summary used by the CLI and the study harness.
 

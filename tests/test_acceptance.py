@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 import scipy.optimize
-from oracles import DenseRisk
+from oracles import DenseRisk, cond_exp, oracle_moments, posterior_atoms
 
 from coxjm import (
     AlphaBox,
@@ -25,15 +25,12 @@ from coxjm import (
     Subject,
     Theta,
     TransitionParams,
-    cond_exp,
     em_fit,
     estep_atoms,
     invert_apply,
     lambda_update,
     nelson_aalen,
     observed_loglik,
-    oracle_moments,
-    posterior_atoms,
     score_full,
     w_n,
 )

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import stack_atoms
 
 from coxjm import (
     Dataset,
@@ -17,7 +18,6 @@ from coxjm import (
     partial_lik_fit,
 )
 from coxjm.fit import lambda_update
-from coxjm.posterior import PosteriorAtoms
 from coxjm.simulate import SimConfig, gen_dataset
 
 GRID = MeasurementGrid((0.0, 1.0, 2.0))
@@ -117,11 +117,8 @@ def test_breslow_matches_lambda_update_with_degenerate_atoms():
     ds, _ = gen_dataset(cfg)
     assert len(ds.grid.times) == 1
     beta = 0.7
-    atoms = [
-        PosteriorAtoms(nodes=np.array([lvcf_value(s, s.x, ds.grid)]),
-                       weights=np.array([1.0]), mode=0.0, curvature_sd=0.0, log_norm=0.0)
-        for s in ds.subjects
-    ]
+    atoms = stack_atoms(ds, np.array([[lvcf_value(s, s.x, ds.grid)] for s in ds.subjects]),
+                        np.ones((ds.n, 1)))
     hz_em = lambda_update(ds, atoms, beta)
     hz_bl = breslow(ds, beta)
     assert np.allclose(hz_em.jumps, hz_bl.jumps, rtol=0, atol=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import log_joint_density
+from oracles import exponent_split, log_joint_density, stack_atoms
 
 from coxjm import (
     Dataset,
@@ -21,15 +21,12 @@ from coxjm import (
     ValidationError,
     em_fit,
     estep_atoms,
-    info_beta,
     lambda_update,
     nelson_aalen,
     observed_loglik,
-    score_beta,
     score_full,
     w_n,
 )
-from coxjm.posterior import PosteriorAtoms
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 
 GRID0 = MeasurementGrid((0.0,))
@@ -37,9 +34,14 @@ STD = TransitionParams(0.0, 1.0, 0.0, 0.0, 1.0)
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
 
 
-def _point(z):
-    return PosteriorAtoms(nodes=np.array([float(z)]), weights=np.array([1.0]),
-                          mode=float(z), curvature_sd=0.0, log_norm=0.0)
+def _points(ds, zs):
+    """One atom per subject, at zs[i] with weight one."""
+    return stack_atoms(ds, np.asarray(zs, dtype=float)[:, None], np.ones((ds.n, 1)))
+
+
+def _score_beta(ds, atoms, beta, hazard):
+    """The beta score at frozen atoms: score_full along the probe (0, 1, 0)."""
+    return score_full(ds, Theta(alpha=STD, beta=beta, hazard=hazard), (None, 1.0, None), atoms=atoms)
 
 
 def _sim(n=40, seed=0, censor_rate=0.2, beta0=1.0, grid_step=0.25):
@@ -50,7 +52,7 @@ def _sim(n=40, seed=0, censor_rate=0.2, beta0=1.0, grid_step=0.25):
 
 def test_wn_at_risk_fraction_at_beta_zero():
     ds, _ = _sim(30, seed=1)
-    atoms = [_point(0.0)] * ds.n
+    atoms = _points(ds, [0.0] * ds.n)
     for t in ds.event_times()[:5]:
         frac = sum(1 for s in ds.subjects if s.x >= t) / ds.n
         assert w_n(t, ds, atoms, 0.0) == pytest.approx(frac, abs=1e-12)
@@ -58,7 +60,7 @@ def test_wn_at_risk_fraction_at_beta_zero():
 
 def test_wn_single_subject():
     ds = Dataset(grid=GRID0, subjects=(Subject(id=1, x=0.8, delta=1, measurements=(0.4,)),), tau=3.0)
-    atoms = [_point(1.1)]
+    atoms = _points(ds, [1.1])
     assert w_n(0.8, ds, atoms, 0.7) == pytest.approx(math.exp(0.7 * 1.1), abs=1e-12)
     with pytest.raises(ValidationError):
         w_n(0.5, ds, atoms, 0.7)
@@ -88,19 +90,19 @@ def test_lambda_update_nelson_aalen_cases():
     subs = (Subject(id=1, x=0.5, delta=1, measurements=(0.0,)),
             Subject(id=2, x=1.0, delta=1, measurements=(0.0,)))
     ds = Dataset(grid=g, subjects=subs, tau=3.0)
-    atoms = [_point(0.0)] * 2
+    atoms = _points(ds, [0.0] * 2)
     hz = lambda_update(ds, atoms, 0.0)
     assert hz.jumps == (0.5, 1.0)
 
     one = Dataset(grid=g, subjects=(Subject(id=1, x=0.8, delta=1, measurements=(0.0,)),), tau=3.0)
-    hz1 = lambda_update(one, [_point(1.3)], 0.9)
+    hz1 = lambda_update(one, _points(one, [1.3]), 0.9)
     assert hz1.jumps[0] == pytest.approx(1.0 / math.exp(0.9 * 1.3), rel=1e-14)
 
 
 def test_lambda_update_fixed_point_identity():
     ds, _ = _sim(5, seed=3, censor_rate=0.0)
     rng = np.random.default_rng(0)
-    atoms = [_point(rng.normal()) for _ in range(ds.n)]
+    atoms = _points(ds, [rng.normal() for _ in range(ds.n)])
     beta = 0.6
     hz = lambda_update(ds, atoms, beta)
     for t, dl in zip(hz.times, hz.jumps):
@@ -109,10 +111,10 @@ def test_lambda_update_fixed_point_identity():
 
 def test_score_beta_one_subject_degenerate():
     ds = Dataset(grid=GRID0, subjects=(Subject(id=1, x=0.8, delta=1, measurements=(0.0,)),), tau=3.0)
-    atoms = [_point(1.7)]
+    atoms = _points(ds, [1.7])
     for beta in (-0.5, 0.0, 0.8, 2.0):
         hz = lambda_update(ds, atoms, beta)
-        assert score_beta(ds, atoms, beta, hz) == pytest.approx(0.0, abs=1e-12)
+        assert _score_beta(ds, atoms, beta, hz) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_score_beta_constant_covariate():
@@ -120,10 +122,10 @@ def test_score_beta_constant_covariate():
     subs = tuple(Subject(id=i, x=x, delta=d, measurements=(c,))
                  for i, (x, d) in enumerate([(0.4, 1), (0.9, 1), (1.4, 0), (2.0, 1)]))
     ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
-    atoms = [_point(c)] * 4
+    atoms = _points(ds, [c] * 4)
     beta = 0.3
     hz = SieveHazard((0.4, 0.9, 2.0), (0.2, 0.3, 0.4))
-    got = score_beta(ds, atoms, beta, hz)
+    got = _score_beta(ds, atoms, beta, hz)
     want = np.mean([s.delta * c - c * math.exp(beta * c) * hz.evaluate(s.x) for s in subs])
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -137,35 +139,13 @@ def test_score_beta_matches_fd_of_em_objective():
 
     def q_beta(b):
         # beta-dependent part of the EM objective at frozen atoms
-        from coxjm.fit import _Workspace, _atoms_to_estep
-
-        ws = _Workspace(ds)
-        dL = np.asarray(hz.jumps)
-        est = _atoms_to_estep(ws, atoms, b, dL)
-        return (b * float(np.sum(ws.delta * est.E1)) - float(ws.totals(est, b, dL)[0])) / ws.n
+        ws = atoms.ws
+        return (b * float(np.sum(ws.delta * atoms.E1)) - float(ws.totals(atoms, b, np.asarray(hz.jumps))[0])) / ws.n
 
     h = 1e-6
     for b in (0.0, 0.4, 1.0):
         fd = (q_beta(b + h) - q_beta(b - h)) / (2 * h)
-        assert score_beta(ds, atoms, b, hz) == pytest.approx(fd, abs=1e-6)
-
-
-def test_info_beta_cases():
-    c = 1.1
-    subs = tuple(Subject(id=i, x=x, delta=d, measurements=(c,))
-                 for i, (x, d) in enumerate([(0.4, 1), (1.0, 1), (1.5, 0)]))
-    ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
-    atoms = [_point(c)] * 3
-    hz = SieveHazard((0.4, 1.0), (0.3, 0.2))
-    got = info_beta(ds, atoms, 0.0, hz)
-    want = c * c * np.mean([hz.evaluate(s.x) for s in subs])
-    assert got == pytest.approx(want, rel=1e-12)
-    zero = SieveHazard((0.4, 1.0), (0.0, 0.0))
-    assert info_beta(ds, atoms, 0.0, zero) == 0.0
-    ds2, _ = _sim(15, seed=5)
-    th = _theta_for(ds2, beta=0.5)
-    atoms2 = estep_atoms(ds2, th)
-    assert info_beta(ds2, atoms2, 0.5, th.hazard) > 0
+        assert _score_beta(ds, atoms, b, hz) == pytest.approx(fd, abs=1e-6)
 
 
 def test_observed_loglik_censored_marginal():
@@ -196,9 +176,6 @@ def test_observed_loglik_beta_zero_reduction():
 def test_observed_loglik_matches_trapezoid_oracle():
     ds, _ = _sim(10, seed=7)
     th = _theta_for(ds, beta=0.8)
-    from coxjm.posterior import exponent_split, log_unnormalized_posterior, oracle_moments
-    from coxjm.fit import _Workspace, _estep
-
     # brute-force per-subject likelihood: trapezoid over the latent value
     total = 0.0
     jumps = dict(zip(th.hazard.times, th.hazard.jumps))
@@ -282,9 +259,9 @@ def test_score_full_probe_decomposition():
     fit = em_fit(ds)
     th = fit.theta_hat
     K = len(th.hazard.times)
-    # h = (0, 1, 0) recovers score_beta
+    # h = (0, 1, 0) at fresh atoms recovers the beta score at frozen atoms
     atoms = estep_atoms(ds, th)
-    s2 = score_beta(ds, atoms, th.beta, th.hazard)
+    s2 = _score_beta(ds, atoms, th.beta, th.hazard)
     got = score_full(ds, th, (np.zeros(5), 1.0, np.zeros(K)))
     assert got == pytest.approx(s2, abs=1e-9)
     # h3 = 1 at the Nelson-Aalen/beta=0 fixed point gives zero
@@ -412,7 +389,7 @@ def test_mstep_reaches_profiled_maximizer(seed, n, beta):
     # at fixed atoms the M-step maximizes the EM objective jointly over (beta, hazard):
     # the beta score vanishes at the returned beta with the hazard dL = 1/(n W_n) there
     # (its Newton steps stop once the score is below 0.05 tol_score)
-    from coxjm.fit import _estep, _mstep, _score_info_beta, _wn_vec, _Workspace
+    from coxjm.fit import _estep, _mstep, _score_beta, _wn_vec, _Workspace
 
     ds, _ = _sim(n, seed=seed)
     ws = _Workspace(ds)
@@ -425,7 +402,7 @@ def test_mstep_reaches_profiled_maximizer(seed, n, beta):
         cox = np.sum(np.log(jumps)) + b * np.sum(ws.delta * est.E1) - ws.totals(est, b, jumps)[0]
         return ws.transition_stats(est).objective(alpha) + float(cox)
 
-    assert abs(_score_info_beta(ws, est, beta_new, dL_new)[0]) <= 1e-8
+    assert abs(_score_beta(ws, est, beta_new, dL_new)) <= 1e-8
     np.testing.assert_allclose(dL_new, 1.0 / (ws.n * _wn_vec(ws, est, beta_new)), rtol=1e-12)
     old, new = objective(ALPHA0, beta, dL), objective(alpha_new, beta_new, dL_new)
     assert new >= old - 1e-10 * (1 + abs(old))

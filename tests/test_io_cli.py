@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coxjm import Dataset, FitConfig, TransitionParams, em_fit, observed_loglik
+from coxjm import Dataset, FitConfig, TransitionParams, ValidationError, em_fit, observed_loglik, partial_lik_fit
 from coxjm import io as cio
 from coxjm.cli import main
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
@@ -91,6 +91,28 @@ def test_fit_json_round_trip_loglik(dataset, tmp_path):
     assert observed_loglik(dataset, theta) == pytest.approx(doc["loglik"], abs=1e-10)
     assert doc["method"] == "npml"
     assert doc["converged"] is True
+
+
+def test_cli_lvcf_fit_document(dataset, tmp_path):
+    # the LVCF fit is written from the partial-likelihood fit itself, in the npml layout
+    # with alpha null, and a theta cannot be read back from it
+    cio.save_dataset_json(dataset, tmp_path / "d.json")
+    assert main(["fit", "--data", str(tmp_path / "d.json"), "--method", "lvcf",
+                 "--out", str(tmp_path / "lv")]) == 0
+    text = (tmp_path / "lv" / "fit.json").read_text()
+    doc = json.loads(text)
+    bl = partial_lik_fit(dataset)
+    assert doc == {
+        "method": "lvcf-cox", "alpha": None, "beta": bl.beta_pl,
+        "hazard": {"times": list(bl.breslow.times), "jumps": list(bl.breslow.jumps)},
+        "loglik_trace": [bl.loglik], "loglik": bl.loglik, "converged": True,
+        "score_norm": abs(bl.score), "iterations": bl.iterations, "n_subjects": dataset.n,
+        "warnings": [],
+    }
+    assert list(doc) == list(cio.fit_to_dict(em_fit(dataset)))
+    assert text == json.dumps(doc, indent=1) + "\n"
+    with pytest.raises(ValidationError, match="lvcf-cox"):
+        cio.theta_from_fit_dict(doc)
 
 
 def test_cli_simulate_fit_round_trip(tmp_path):

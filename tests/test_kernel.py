@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import DenseRisk, latent_moments, lvcf_risk_sums
+from oracles import DenseRisk, exponent_split, latent_moments, lvcf_risk_sums, posterior_atoms, stack_atoms
 
 from coxjm import (
     Dataset,
@@ -29,18 +29,8 @@ from coxjm import (
 )
 from coxjm import posterior as posterior_mod
 from coxjm.baseline import _imputed, _risk_sums
-from coxjm.fit import (
-    _atoms_to_estep,
-    _boundedness_check,
-    _estep,
-    _init_theta,
-    _score_info_beta,
-    _wn_vec,
-    _Workspace,
-    estep_atoms,
-)
+from coxjm.fit import _boundedness_check, _init_theta, _score_beta, _wn_vec, estep_atoms
 from coxjm.data import is_fully_observed
-from coxjm.posterior import PosteriorAtoms, exponent_split, posterior_atoms
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.variance import _info_parts, _latent_covariances
 
@@ -61,42 +51,40 @@ def _close(got, want, scale):
     assert np.all(np.abs(got - want) <= RTOL * scale), (got, want)
 
 
-def _atoms(rng, n, Q=3):
-    out = []
-    for _ in range(n):
+def _atoms(rng, ds, beta, dL, Q=3):
+    """Random atoms, one row of Q per subject, with the hazard splits at (beta, dL)."""
+    nodes, weights = np.empty((ds.n, Q)), np.empty((ds.n, Q))
+    for i in range(ds.n):
         w = rng.uniform(0.05, 1.0, Q)
-        out.append(PosteriorAtoms(nodes=rng.uniform(-2.5, 2.5, Q), weights=w / w.sum(),
-                                  mode=0.0, curvature_sd=0.0, log_norm=0.0))
-    return out
+        weights[i], nodes[i] = w / w.sum(), rng.uniform(-2.5, 2.5, Q)
+    return stack_atoms(ds, nodes, weights, beta, dL)
 
 
 def check_against_oracle(ds, beta, rng):
     """Every kernel sum on `ds` equals the dense oracle's, within RTOL of its magnitude."""
-    ws, D, n = _Workspace(ds), DenseRisk(ds), ds.n
+    D, n = DenseRisk(ds), ds.n
     dL = rng.uniform(1e-3, 0.5, D.xe.size)
-    atoms = _atoms(rng, n)
+    est = _atoms(rng, ds, beta, dL)
+    ws = est.ws
 
     # row sums: each subject's observed and latent hazard mass
-    est = _atoms_to_estep(ws, atoms, beta, dL)
     a_obs, a_lat = D.splits(beta, dL)
     _close(est.a_obs, a_obs, a_obs)
     _close(est.a_lat, a_lat, a_lat)
 
-    # column sums W_n, C_n, D_n, and the beta score, curvature and objective
+    # column sums W_n, C_n, D_n, and the beta score and objective terms
     m = latent_moments(est.nodes, est.weights, beta)
     cols, mag = D.cols(beta, m), D.cols(beta, m, absolute=True)
     _close(_wn_vec(ws, est, beta), cols[:, 0] / n, mag[:, 0] / n)
     tot, tmag = D.totals(beta, m, dL), D.totals(beta, m, dL, absolute=True)
     E1 = np.sum(est.weights * est.nodes, axis=1)
     dE, dmag = float(D.delta @ E1), float(D.delta @ np.abs(E1))
-    score, info = _score_info_beta(ws, est, beta, dL)
-    _close(score, (dE - tot[1]) / n, (dmag + tmag[1]) / n)
-    _close(info, tot[2] / n, tmag[2] / n)
+    _close(_score_beta(ws, est, beta, dL), (dE - tot[1]) / n, (dmag + tmag[1]) / n)
     _close(ws.totals(est, beta, dL), tot, tmag)
 
     # the variance module's columns, and its sums over the latent windows holding x_k
     theta = Theta(alpha=ALPHA0, beta=beta, hazard=SieveHazard(tuple(D.xe), tuple(dL)))
-    parts = _info_parts(ds, theta, atoms)
+    parts = _info_parts(ds, theta, est)
     _close(np.column_stack([parts.w, parts.c, parts.d]), cols / n, mag / n)
     cov = _latent_covariances(ws, est, ALPHA0, beta)
     lat_cols = np.column_stack([cov[:, :4, 4], cov[:, 4, 4]])
@@ -203,18 +191,19 @@ def _mixed_named():
 def test_estep_matches_per_subject_atoms(beta):
     ds = _mixed_named()
     theta = Theta(alpha=ALPHA0, beta=beta, hazard=nelson_aalen(ds))
-    atoms = estep_atoms(ds, theta)
+    est = estep_atoms(ds, theta)
     stored = [is_fully_observed(s, ds.grid) for s in ds.subjects]
     assert any(stored) and not all(stored)  # both branches of _estep
-    for s, got in zip(ds.subjects, atoms):
-        want = posterior_atoms(s, theta, 40, ds.grid)
-        for f in ("nodes", "weights"):
-            np.testing.assert_allclose(getattr(got, f), getattr(want, f), rtol=RTOL, atol=RTOL)
-        for f in ("mode", "curvature_sd", "log_norm"):
-            assert getattr(got, f) == pytest.approx(getattr(want, f), rel=RTOL, abs=RTOL)
+    atoms = [posterior_atoms(s, theta, 40, ds.grid) for s in ds.subjects]
+    for i, want in enumerate(atoms):
+        q = want.nodes.size  # a stored value is one atom, repeated with weight zero in `est`
+        np.testing.assert_allclose(est.nodes[i, :q], want.nodes, rtol=RTOL, atol=RTOL)
+        np.testing.assert_allclose(est.weights[i, :q], want.weights, rtol=RTOL, atol=RTOL)
+        assert np.all(est.nodes[i, q:] == want.nodes[0]) and not np.any(est.weights[i, q:])
+        for got, w in ((est.mode, want.mode), (est.sd, want.curvature_sd), (est.log_norm, want.log_norm)):
+            assert got[i] == pytest.approx(w, rel=RTOL, abs=RTOL)
 
-    # the E-step's posterior moments, at two betas and back, against the atoms
-    est = _estep(_Workspace(ds), ALPHA0, beta, np.asarray(theta.hazard.jumps), 40)
+    # the E-step's posterior moments, at two betas and back, against the per-subject atoms
     def oracle(b):
         return np.concatenate([latent_moments(a.nodes[None], a.weights[None], b) for a in atoms])
     m = oracle(0.0)

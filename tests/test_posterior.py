@@ -2,6 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from oracles import (
+    PosteriorAtoms,
+    cond_exp,
+    exponent_split,
+    log_unnormalized_posterior,
+    oracle_moments,
+    posterior_atoms,
+)
 
 from coxjm import (
     MeasurementGrid,
@@ -11,11 +19,6 @@ from coxjm import (
     Theta,
     TransitionParams,
     ValidationError,
-    cond_exp,
-    exponent_split,
-    log_unnormalized_posterior,
-    oracle_moments,
-    posterior_atoms,
 )
 
 GRID0 = MeasurementGrid((0.0,))
@@ -186,8 +189,6 @@ def test_cond_exp_examples_and_errors():
     subj = Subject(id=1, x=0.8, delta=0, measurements=(0.0,))
     at = posterior_atoms(subj, _theta(), 20, GRID0)
     assert cond_exp(at, lambda z: np.ones_like(z)) == pytest.approx(1.0, abs=1e-14)
-    from coxjm.posterior import PosteriorAtoms
-
     single = PosteriorAtoms(nodes=np.array([2.0]), weights=np.array([1.0]),
                             mode=2.0, curvature_sd=0.0, log_norm=0.0)
     assert cond_exp(single, lambda z: z) == 2.0

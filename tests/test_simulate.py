@@ -169,12 +169,12 @@ def test_fullinfo_dataset_appends_latent():
     # idempotent
     again = fullinfo_dataset(full, truths)
     assert again == full
-    # degenerate atoms downstream
+    # degenerate atoms downstream: each stored value is one atom of weight one
     th = Theta(alpha=ALPHA0, beta=0.5, hazard=nelson_aalen(full))
     atoms = estep_atoms(full, th)
-    for at, t in zip(atoms, truths):
-        assert at.nodes.tolist() == [t.latent_z]
-        assert at.weights.tolist() == [1.0]
+    latent = np.array([t.latent_z for t in truths])
+    assert np.array_equal(atoms.nodes, np.repeat(latent[:, None], atoms.nodes.shape[1], axis=1))
+    assert np.array_equal(atoms.weights[:, 0], np.ones(full.n)) and not np.any(atoms.weights[:, 1:])
 
 
 def test_fullinfo_misalignment_error():

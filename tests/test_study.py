@@ -1,14 +1,33 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from coxjm import FitConfig, TransitionParams, ValidationError, em_fit
+from coxjm import (
+    FitConfig,
+    TransitionParams,
+    ValidationError,
+    build_sigma_hat,
+    em_fit,
+    estep_atoms,
+    lambda_update,
+    score_full,
+    var_beta_simple,
+    var_estimate,
+    variance_report,
+    w_n,
+    weighted_mle_alpha,
+)
+from coxjm import fit as fit_mod
+from coxjm import io as cio
+from coxjm import variance as variance_mod
 from coxjm.cli import main
 from coxjm.simulate import SimConfig, gen_dataset
 from coxjm.study import (
     StudyConfig,
+    _run_one,
     config_hash,
     derive_rep_seed,
     load_report_csv,
@@ -16,6 +35,7 @@ from coxjm.study import (
     write_report_csv,
     write_report_json,
 )
+from coxjm.variance import beta_probe
 
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
 
@@ -43,8 +63,6 @@ def test_single_replication_equals_single_fit():
     cfg = _study(reps=1, estimators=("npml",))
     report = run_study(cfg)
     seed = derive_rep_seed(cfg.sim.seed, 0)
-    from dataclasses import replace
-
     ds, _ = gen_dataset(replace(cfg.sim, seed=seed))
     fit = em_fit(ds, config=cfg.fit)
     row = report.rows[0]
@@ -106,3 +124,61 @@ def test_cli_mc_study_and_compare(tmp_path, capsys):
                  str(out / "study_report.csv")]) == 0
     text = capsys.readouterr().out
     assert "npml" in text and "lvcf" in text
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_study_rows_equal_public_calls(seed):
+    # a replication takes both standard errors from the fit's own posterior; they are the
+    # public calls' values on a fresh posterior at theta-hat, bit for bit
+    cfg = _study(n=200, reps=1, seed=seed, estimators=("npml",))
+    row = run_study(cfg).replication_rows[0]
+    ds, _ = gen_dataset(replace(cfg.sim, seed=derive_rep_seed(seed, 0)))
+    th = em_fit(ds, config=cfg.fit).theta_hat
+    atoms = estep_atoms(ds, th, cfg.fit.Q)
+    op = build_sigma_hat(ds, th, atoms)
+    assert (row["error"], row["beta_hat"]) == (None, th.beta)
+    assert row["se_simple"] == math.sqrt(var_beta_simple(ds, th, atoms) / ds.n)
+    assert row["se_full"] == math.sqrt(var_estimate(op, th.hazard, beta_probe(op.K)) / ds.n)
+
+
+def test_replication_builds_two_workspaces_and_one_information(monkeypatch):
+    # one workspace for the NPML fit, whose posterior carries it to both variances
+    # through one set of information parts, and one for the LVCF comparator
+    counts = {"workspace": 0, "info_parts": 0}
+
+    def counted(key, init):
+        def init_and_count(self, *args, **kwargs):
+            counts[key] += 1
+            init(self, *args, **kwargs)
+        return init_and_count
+
+    monkeypatch.setattr(fit_mod._Workspace, "__init__", counted("workspace", fit_mod._Workspace.__init__))
+    monkeypatch.setattr(variance_mod._InfoParts, "__init__",
+                        counted("info_parts", variance_mod._InfoParts.__init__))
+    rows = _run_one(_study(n=200, reps=1), 0)
+    assert [(r["estimator"], r["error"]) for r in rows] == [("npml", None), ("lvcf", None)]
+    assert counts == {"workspace": 2, "info_parts": 1}
+
+
+def test_posterior_of_another_dataset_refused(tmp_path):
+    # a dataset with the same subjects, events and sizes but one measurement changed
+    ds, _ = gen_dataset(_study(n=40).sim)
+    fit = em_fit(ds)
+    th, post = fit.theta_hat, fit.posterior
+    s0 = ds.subjects[0]
+    other = replace(ds, subjects=(replace(s0, measurements=(s0.measurements[0] + 1.0,) + s0.measurements[1:]),)
+                    + ds.subjects[1:])
+    calls = [lambda d: lambda_update(d, post, th.beta), lambda d: w_n(th.hazard.times[0], d, post, th.beta),
+             lambda d: score_full(d, th, (None, 1.0, None), atoms=post), lambda d: weighted_mle_alpha(d, post),
+             lambda d: var_beta_simple(d, th, post), lambda d: build_sigma_hat(d, th, post),
+             lambda d: variance_report(d, th, post, fit)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="different dataset"):
+            call(other)
+    # an equal dataset (here read back from JSON) is the same dataset
+    cio.save_dataset_json(ds, tmp_path / "d.json")
+    same = cio.load_dataset_json(tmp_path / "d.json")
+    for call in calls:
+        call(same)
+    with pytest.raises(ValidationError, match="Posterior"):
+        lambda_update(ds, [post], th.beta)

@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import hessian_alpha, log_joint_density, score_alpha
+from oracles import hessian_alpha, log_joint_density, score_alpha, stack_atoms
 
 from coxjm import (
     AlphaBox,
@@ -24,18 +24,16 @@ from coxjm import (
     weighted_mle_alpha,
 )
 from coxjm.fit import _estep, _Workspace
-from coxjm.posterior import PosteriorAtoms
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
-from coxjm.transition import VAR_FLOOR, TransitionStats, observed_history
+from coxjm.transition import VAR_FLOOR, TransitionStats, gauss_logpdf, observed_history
 
 LN_NORM_0 = -0.5 * math.log(2 * math.pi)  # ln N(0; 0, 1)
 
 
-def _atoms(nodes, weights):
-    nodes = np.asarray(nodes, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    return PosteriorAtoms(nodes=nodes, weights=weights, mode=float(nodes[0]),
-                          curvature_sd=0.0, log_norm=0.0)
+def _atoms(ds, nodes, weights=None):
+    """Atoms with one row of nodes and weights per subject (weight one on a single node)."""
+    nodes = np.asarray(nodes, dtype=float).reshape(ds.n, -1)
+    return stack_atoms(ds, nodes, np.ones_like(nodes) if weights is None else weights)
 
 
 def test_log_joint_density_examples():
@@ -56,6 +54,9 @@ def test_log_joint_density_errors():
 
 
 def test_density_normalizes_over_last_coordinate():
+    # the joint density of hist + [z] is the history's times the last transition's,
+    # which integrates to one over z; the history term is a constant, and the last
+    # transition's density is evaluated at every trapezoid point in one call
     rng = np.random.default_rng(1)
     for _ in range(10):
         a = TransitionParams(rng.normal(), rng.uniform(0.2, 2.0), rng.normal(),
@@ -64,8 +65,11 @@ def test_density_normalizes_over_last_coordinate():
         mean, var = cond_latent_params(hist, a)
         sd = math.sqrt(var)
         zs = np.linspace(mean - 10 * sd, mean + 10 * sd, 40001)
-        vals = np.exp([log_joint_density(hist + [z], a) for z in zs])
-        total = np.trapezoid(vals, zs) / math.exp(log_joint_density(hist, a))
+        head, last = log_joint_density(hist, a), gauss_logpdf(zs, mean, var)
+        for j in (0, 12345, 20000, 40000):
+            assert head + last[j] == pytest.approx(log_joint_density(hist + [zs[j]], a), rel=1e-12)
+        vals = np.exp(head + last)
+        total = np.trapezoid(vals, zs) / math.exp(head)
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -139,8 +143,10 @@ GRID1 = MeasurementGrid((0.0, 1.0))
 
 
 def _dataset_with(measurements_list, xs=None, deltas=None):
+    # one uncensored subject gives the risk-set workspace an event time; delta
+    # does not enter the transition model
     xs = xs or [1.5] * len(measurements_list)
-    deltas = deltas or [0] * len(measurements_list)
+    deltas = deltas or [1] + [0] * (len(measurements_list) - 1)
     subs = []
     for i, (m, x, d) in enumerate(zip(measurements_list, xs, deltas)):
         subs.append(Subject(id=i, x=x, delta=d, measurements=tuple(m)))
@@ -150,7 +156,7 @@ def _dataset_with(measurements_list, xs=None, deltas=None):
 def test_weighted_mle_two_point_example():
     # observed transitions (0 -> 1) and (1 -> 1): slope 0, intercept 1, ssq floored
     ds = _dataset_with([(0.0, 1.0), (1.0, 1.0)])
-    atoms = [_atoms([1.0], [1.0]), _atoms([1.0], [1.0])]  # latent transitions also land on 1
+    atoms = _atoms(ds, [1.0, 1.0])  # latent transitions also land on 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         a = weighted_mle_alpha(ds, atoms)
@@ -161,7 +167,7 @@ def test_weighted_mle_two_point_example():
 
 def test_weighted_mle_floor_warns():
     ds = _dataset_with([(0.0, 1.0), (1.0, 1.0)])
-    atoms = [_atoms([1.0], [1.0]), _atoms([1.0], [1.0])]
+    atoms = _atoms(ds, [1.0, 1.0])
     with pytest.warns(RuntimeWarning):
         weighted_mle_alpha(ds, atoms)
 
@@ -169,7 +175,7 @@ def test_weighted_mle_floor_warns():
 def test_weighted_mle_insufficient_data():
     ds = _dataset_with([(0.0, 1.0)])
     with pytest.raises(InsufficientDataError):
-        weighted_mle_alpha(ds, [_atoms([0.0], [1.0])])
+        weighted_mle_alpha(ds, _atoms(ds, [0.0]))
 
 
 def test_weighted_mle_degenerate_equals_complete_mle():
@@ -179,7 +185,7 @@ def test_weighted_mle_degenerate_equals_complete_mle():
     seqs = [list(rng.normal(size=2)) for _ in range(n)]
     latents = [float(rng.normal()) for _ in range(n)]
     ds = _dataset_with(seqs)
-    atoms = [_atoms([z], [1.0]) for z in latents]
+    atoms = _atoms(ds, latents)
     got = weighted_mle_alpha(ds, atoms)
     full = np.array([s + [z] for s, z in zip(seqs, latents)])
     z0 = full[:, 0]
@@ -198,12 +204,11 @@ def test_weighted_mle_degenerate_equals_complete_mle():
 def _weighted_objective(ds, atoms, vec):
     a = TransitionParams.from_array(vec)
     out = 0.0
-    for s, at in zip(ds.subjects, atoms):
+    for s, nodes, weights in zip(ds.subjects, atoms.nodes, atoms.weights):
         hist = list(s.measurements)
         out += log_joint_density(hist, a)
         mean, var = cond_latent_params(hist, a)
-        out += float(np.dot(at.weights,
-                            -0.5 * np.log(2 * np.pi * var) - (at.nodes - mean) ** 2 / (2 * var)))
+        out += float(np.dot(weights, -0.5 * np.log(2 * np.pi * var) - (nodes - mean) ** 2 / (2 * var)))
     return out
 
 
@@ -212,11 +217,12 @@ def test_weighted_mle_matches_numerical_optimizer():
     n = 10
     seqs = [list(rng.normal(size=2)) for _ in range(n)]
     ds = _dataset_with(seqs)
-    atoms = []
-    for _ in range(n):
-        nodes = rng.normal(size=5)
+    nodes, weights = np.empty((n, 5)), np.empty((n, 5))
+    for i in range(n):
+        nodes[i] = rng.normal(size=5)
         w = rng.uniform(0.2, 1.0, size=5)
-        atoms.append(_atoms(nodes, w / w.sum()))
+        weights[i] = w / w.sum()
+    atoms = _atoms(ds, nodes, weights)
     got = weighted_mle_alpha(ds, atoms)
     res = scipy.optimize.minimize(
         lambda v: -_weighted_objective(ds, atoms, v),
@@ -228,8 +234,8 @@ def test_weighted_mle_matches_numerical_optimizer():
     assert np.allclose(got.as_array(), res.x, atol=1e-6)
     # stationarity: atom-weighted score sums to ~0 at the interior solution
     total = np.zeros(5)
-    for s, at in zip(ds.subjects, atoms):
-        for z, w in zip(at.nodes, at.weights):
+    for s, nodes, weights in zip(ds.subjects, atoms.nodes, atoms.weights):
+        for z, w in zip(nodes, weights):
             total += w * score_alpha(list(s.measurements) + [float(z)], got)
     assert np.max(np.abs(total)) < 1e-6 * n
 
@@ -240,8 +246,7 @@ def test_hessian_negative_semidefinite_at_mle():
     seqs = [list(rng.normal(size=2)) for _ in range(n)]
     latents = [float(rng.normal()) for _ in range(n)]
     ds = _dataset_with(seqs)
-    atoms = [_atoms([z], [1.0]) for z in latents]
-    a = weighted_mle_alpha(ds, atoms)
+    a = weighted_mle_alpha(ds, _atoms(ds, latents))
     H = sum(hessian_alpha(s + [z], a) for s, z in zip(seqs, latents))
     assert np.max(np.linalg.eigvalsh(H)) <= 1e-8
 
@@ -253,8 +258,7 @@ def test_mean_information_positive_definite():
     seqs = [list(rng.normal(size=2)) for _ in range(n)]
     latents = [float(rng.normal()) for _ in range(n)]
     ds = _dataset_with(seqs)
-    atoms = [_atoms([z], [1.0]) for z in latents]
-    a = weighted_mle_alpha(ds, atoms)
+    a = weighted_mle_alpha(ds, _atoms(ds, latents))
     info = -sum(hessian_alpha(s + [z], a) for s, z in zip(seqs, latents)) / n
     assert np.min(np.linalg.eigvalsh(info)) > 0
 
@@ -289,7 +293,7 @@ def test_transition_stats_match_per_subject_oracles():
     assert stats.objective(alpha) == pytest.approx(obj, rel=1e-12)
     np.testing.assert_allclose(stats.score(alpha), g, rtol=1e-12)
     np.testing.assert_allclose(stats.hessian(alpha), H, rtol=1e-12)
-    # the workspace-free path reads the same histories and atoms
+    # the public call on a fresh posterior gives the same statistics' MLE
     got = weighted_mle_alpha(ds, estep_atoms(ds, theta))
     np.testing.assert_allclose(got.as_array(), stats.mle(AlphaBox(), VAR_FLOOR)[0].as_array(), rtol=1e-12)
 

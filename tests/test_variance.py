@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import stack_atoms
 
 from coxjm import (
     Dataset,
@@ -58,11 +59,10 @@ def test_sigma3_at_risk_fraction_constant_covariate():
                  for i, (x, d) in enumerate([(0.5, 1), (1.0, 1), (1.8, 0), (2.2, 1)]))
     ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
     from coxjm.baseline import nelson_aalen
-    from coxjm.posterior import PosteriorAtoms
 
     th = Theta(alpha=ALPHA0, beta=0.0, hazard=nelson_aalen(ds))
-    atoms = [PosteriorAtoms(nodes=np.array([c]), weights=np.array([1.0]),
-                            mode=c, curvature_sd=0.0, log_norm=0.0) for _ in subs]
+    atoms = stack_atoms(ds, np.full((len(subs), 1), c), np.ones((len(subs), 1)),
+                        th.beta, th.hazard.jumps)
     op = build_sigma_hat(ds, th, atoms)
     for k, t in enumerate(th.hazard.times):
         frac = sum(1 for s in subs if s.x >= t) / len(subs)
@@ -222,11 +222,10 @@ def test_var_beta_simple_constant_covariate():
                  for i, (x, d) in enumerate([(0.5, 1), (1.1, 1), (2.0, 0)]))
     ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
     from coxjm.baseline import nelson_aalen
-    from coxjm.posterior import PosteriorAtoms
 
     th = Theta(alpha=ALPHA0, beta=0.0, hazard=nelson_aalen(ds))
-    atoms = [PosteriorAtoms(nodes=np.array([c]), weights=np.array([1.0]),
-                            mode=c, curvature_sd=0.0, log_norm=0.0) for _ in subs]
+    atoms = stack_atoms(ds, np.full((len(subs), 1), c), np.ones((len(subs), 1)),
+                        th.beta, th.hazard.jumps)
     with pytest.raises(ValidationError):
         var_beta_simple(ds, th, atoms)
 
