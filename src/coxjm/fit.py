@@ -421,7 +421,7 @@ def _init_theta(ws: _Workspace, init: Theta | None, cfg: FitConfig):
         return alpha, beta, dL
     alpha = TransitionParams.from_array(cfg.alpha_box.project(init.alpha.as_array()))
     beta = float(np.clip(init.beta, -cfg.beta_box, cfg.beta_box))
-    dL = np.maximum(_hazard_jumps(ws, init.hazard), 1e-300)
+    dL = np.maximum(_hazard_jumps(ws.xe, init.hazard), 1e-300)
     return alpha, beta, dL
 
 
@@ -563,9 +563,9 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
 # that take a posterior read its workspace
 # ---------------------------------------------------------------------------
 
-def _hazard_jumps(ws: _Workspace, hazard: SieveHazard) -> np.ndarray:
+def _hazard_jumps(times: np.ndarray, hazard: SieveHazard) -> np.ndarray:
     ht = np.asarray(hazard.times)
-    if ht.size != ws.K or not np.allclose(ht, ws.xe, rtol=0.0, atol=1e-12):
+    if ht.size != times.size or not np.all(np.abs(ht - times) <= 1e-12):
         raise ValidationError("hazard must jump exactly at the dataset event times")
     return np.asarray(hazard.jumps, dtype=float)
 
@@ -612,7 +612,7 @@ def weighted_mle_alpha(dataset: Dataset, atoms: Posterior, box: AlphaBox | None 
 def estep_atoms(dataset: Dataset, theta: Theta, Q: int = 40) -> Posterior:
     """The posterior of every subject's terminal value at theta, on a new workspace."""
     ws = _Workspace(dataset)
-    return _estep(ws, theta.alpha, theta.beta, _hazard_jumps(ws, theta.hazard), Q)
+    return _estep(ws, theta.alpha, theta.beta, _hazard_jumps(ws.xe, theta.hazard), Q)
 
 
 def observed_loglik(dataset: Dataset, theta: Theta, Q: int = 40) -> float:
@@ -631,7 +631,7 @@ def score_full(dataset: Dataset, theta: Theta, h, Q: int = 40, atoms: Posterior 
     h1, h2, h3 = h
     est = estep_atoms(dataset, theta, Q) if atoms is None else atoms
     ws = _workspace_of(dataset, est)
-    dL = _hazard_jumps(ws, theta.hazard)
+    dL = _hazard_jumps(ws.xe, theta.hazard)
     h1 = np.zeros(5) if h1 is None else np.asarray(h1, dtype=float)
     h3 = np.zeros(ws.K) if h3 is None else np.asarray(h3, dtype=float) * np.ones(ws.K)
     s1 = ws.transition_stats(est).score(theta.alpha) / ws.n

@@ -8,15 +8,18 @@ Louis's identity (Louis 1982, JRSS-B 44:226) that is the conditional expected
 complete-data curvature minus (1/n) sum_i Cov_i[complete-data score | y_i].
 The latent terminal value Z enters the alpha, beta and hazard scores alike,
 so the missing-information term couples all three: the operator is one joint
-matrix on (h1, h2, h3(x_1), ..., h3(x_K)) with a 5x5 alpha block A, a
-(1+K)x(1+K) block B on (h2, h3) and a cross block C.  Rows carrying h3(x_k)
-are scaled by 1/dL_k.  The variance of the estimator paired with a probe g is
+matrix M on (h1, h2, h3(x_1), ..., h3(x_K)).  Rows carrying h3(x_k) are
+scaled by 1/dL_k.  The variance of the estimator paired with a probe g is
 the quadratic form
 
     sum_k g3(x_k) h3(x_k) dL_k + g2 h2 + g1' h1,    where sigma-hat(h) = g.
 
 Each subject's latent window lies inside one grid interval, so the
-hazard-hazard part of the missing information is block diagonal by interval.
+hazard-hazard part of the missing information is block diagonal by interval,
+and each block is a diagonal plus a semiseparable matrix (Vandebril, Van Barel
+& Mastronardi 2008, Matrix Computations and Semiseparable Matrices).
+`DiscretizedOperator` keeps M by these parts, never as a (6+K)x(6+K) array:
+its solves, products, 1-norm and condition estimate take O(K) time and memory.
 
 A closed-form estimate for the beta variance is reported next to the full
 inversion: the beta curvature centred on each risk set, minus the beta
@@ -28,11 +31,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 from scipy.special import ndtri
 
 from .data import Dataset, SieveHazard, Theta
@@ -66,58 +69,181 @@ class Probe:
 class DiscretizedOperator:
     """Finite representation of the estimated information operator.
 
-    `matrix` is the joint (6+K)x(6+K) matrix on (h1, h2, h3 at event times).
-    A, B and C are views of its alpha block, its (h2, h3) block and its
-    alpha-row cross block; the (h2, h3)-row cross block is C transposed with
-    the h3 rows scaled by 1/dL.  Omitting C leaves alpha decoupled.
+    The joint matrix on (h1, h2, h3 at event times) is
+
+        M = [[E, F],
+             [G, H]],    H = diag(w) - V diag(dL),
+
+    with E the 6x6 border on (h1, h2), F its 6xK columns on h3 and G the Kx6
+    h3 rows; V_kl = v[max(k, l)] when x_k and x_l lie in one grid interval
+    and 0 otherwise.  M is never formed.  On one interval V = U diag(delta) U'
+    with U the upper-triangular matrix of ones and delta_m = v_m - v_{m+1}
+    (v past the interval's last event counts as 0).  With omega = w / dL,
+
+        H x = r    <=>   T z = U^{-1} r,          z = U' (dL x),
+        H' x = r   <=>   T z = U^{-1} (r / dL),   z = U' x,
+
+    where T = U^{-1} diag(omega) U^{-T} - diag(delta) is symmetric tridiagonal
+    (diagonal omega_k + omega_{k+1} - delta_k, off-diagonal -omega_{k+1}, both
+    omega_{k+1} terms zero where the interval ends).  One LU of T and the 6x6
+    Schur complement E - F H^{-1} G solve M and M' in O(K) per right-hand side.
     """
 
-    A: np.ndarray          # 5x5 alpha block
-    B: np.ndarray          # (1+K)x(1+K) block on (h2, h3 at event times)
+    E: np.ndarray          # 6x6 border on (h1, h2)
+    F: np.ndarray          # 6xK border rows, h3 columns
+    G: np.ndarray          # Kx6 h3 rows, border columns
+    w: np.ndarray          # diagonal of H before the V term
+    v: np.ndarray          # generator of V: V_kl = v[max(k, l)] within an interval
     dL: np.ndarray         # hazard jumps used as integration weights
     times: np.ndarray      # event times carrying h3
-    C: np.ndarray | None = None        # 5x(1+K) alpha rows, (h2, h3) columns
-    matrix: np.ndarray = field(init=False, repr=False)
+    interval: np.ndarray   # grid interval of each event time, nondecreasing
 
     def __post_init__(self):
-        dL = np.asarray(self.dL, dtype=float)
-        K = dL.size
-        if np.shape(self.A) != (5, 5) or np.shape(self.B) != (1 + K, 1 + K):
-            raise ValidationError("operator blocks do not match the hazard support")
-        m = np.zeros((6 + K, 6 + K))
-        m[:5, :5] = self.A
-        m[5:, 5:] = self.B
-        if self.C is not None:
-            m[:5, 5:] = self.C
-            m[5:, :5] = np.asarray(self.C, dtype=float).T / np.concatenate([[1.0], dL])[:, None]
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "A", m[:5, :5])
-        object.__setattr__(self, "B", m[5:, 5:])
-        object.__setattr__(self, "C", m[:5, 5:])
+        for name in ("E", "F", "G", "w", "v", "dL", "times"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "interval", np.asarray(self.interval, dtype=int))
+        K = self.dL.size
+        if (self.E.shape != (6, 6) or self.F.shape != (6, K) or self.G.shape != (K, 6)
+                or any(a.shape != (K,) for a in (self.w, self.v, self.times, self.interval))):
+            raise ValidationError("operator parts do not match the hazard support")
+        if np.any(np.diff(self.interval) < 0):
+            raise ValidationError("event grid intervals must be nondecreasing")
 
     @property
     def K(self) -> int:
         return self.dL.size
 
+    @property
+    def A(self) -> np.ndarray:
+        """The 5x5 alpha block."""
+        return self.E[:5, :5]
+
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each event's interval as event indices [lo, hi), and the (K-1)x1 column
+        holding 1.0 where event k+1 lies in the interval of event k, else 0.0."""
+        lo = np.searchsorted(self.interval, self.interval, "left")
+        hi = np.searchsorted(self.interval, self.interval, "right")
+        return lo, hi, (hi[:-1] > np.arange(1, self.K)).astype(float)[:, None]
+
+    @cached_property
+    def _factors(self):
+        """LU of T, H^{-1} G, H'^{-1} F' and the LU of the Schur complement; None if singular."""
+        same = self._bounds[2][:, 0]
+        omega = self.w / self.dL
+        nxt = np.append(omega[1:] * same, 0.0)   # omega_{k+1}, 0 where the interval ends
+        diag = omega + nxt - self.v + np.append(self.v[1:] * same, 0.0)
+        # two decoupled unit rows: scipy's dgttrf wrapper refuses systems of order < 3
+        off = np.append(-nxt, 0.0)
+        *tri, info = lapack.dgttrf(off, np.append(diag, [1.0, 1.0]), off)
+        if info != 0 or not np.isfinite(np.concatenate(tri[:4])).all():
+            return None
+        dL = self.dL[:, None]
+        z = self._tsolve(tri, np.concatenate([self.G, self.F.T / dL], axis=1))
+        HiG, HitF = z[:, :6] / dL, z[:, 6:]
+        lu, piv, info = lapack.dgetrf(self.E - self.F @ HiG)
+        if info != 0 or not np.isfinite(lu).all():
+            return None
+        return tri, HiG, HitF, lu, piv
+
+    def _tsolve(self, tri, r: np.ndarray) -> np.ndarray:
+        """U^{-T} T^{-1} U^{-1} r for a K x m matrix r.
+
+        H^{-1} r is this of r, divided by dL; H'^{-1} r is this of r / dL.
+        """
+        same = self._bounds[2]
+        u = np.zeros((r.shape[0] + 2, r.shape[1]))
+        u[:-2] = r
+        u[:-3] -= r[1:] * same
+        z = lapack.dgttrs(*tri, u)[0][:-2]
+        z[1:] -= z[:-1] * same
+        return z
+
+    def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
+        """M^{-1} rhs, or M'^{-1} rhs when trans, for a vector or the columns of a matrix."""
+        f = self._factors
+        if f is None:
+            raise SingularOperatorError(math.inf)
+        tri, HiG, HitF, lu, piv = f
+        r = rhs.reshape(rhs.shape[0], -1)
+        dL = self.dL[:, None]
+        if trans:
+            t = self._tsolve(tri, r[6:] / dL)
+            xb = lapack.dgetrs(lu, piv, r[:6] - self.G.T @ t, trans=1)[0]
+            xh = t - HitF @ xb
+        else:
+            t = self._tsolve(tri, r[6:]) / dL
+            xb = lapack.dgetrs(lu, piv, r[:6] - self.F @ t)[0]
+            xh = t - HiG @ xb
+        return np.concatenate([xb, xh]).reshape(rhs.shape)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """M x for a vector or the columns of a matrix."""
+        xs = x.reshape(x.shape[0], -1)
+        xb, xh = xs[:6], xs[6:]
+        lo, hi, _ = self._bounds
+        m = xh.shape[1]
+        # (V y)_k = v_k sum_{lo_k <= l <= k} y_l + sum_{k < l < hi_k} v_l y_l with y = dL x,
+        # from the running sums of y and of v y, each led by a zero row
+        y = self.dL[:, None] * xh
+        v = self.v[:, None]
+        c = np.zeros((self.K + 1, 2 * m))
+        np.cumsum(np.concatenate([y, v * y], axis=1), axis=0, out=c[1:])
+        vy = v * (c[1:, :m] - c[lo, :m]) + c[hi, m:] - c[1:, m:]
+        return np.concatenate([self.E @ xb + self.F @ xh,
+                               self.G @ xb + self.w[:, None] * xh - vy]).reshape(x.shape)
+
+    @cached_property
+    def norm1(self) -> float:
+        """The 1-norm of M, its largest absolute column sum."""
+        lo, hi, _ = self._bounds
+        av = np.abs(self.v)
+        cum = np.concatenate([[0.0], np.cumsum(av)])
+        # column l of H: w_l - v_l dL_l on the diagonal, v_l dL_l above it and v_k dL_l below
+        hz = np.abs(self.w - self.v * self.dL) + np.abs(self.dL) * (
+            (np.arange(self.K) - lo) * av + cum[hi] - cum[1:])
+        return float(max(np.max(np.abs(self.E).sum(0) + np.abs(self.G).sum(0)),
+                         np.max(np.abs(self.F).sum(0) + hz)))
+
     @cached_property
     def cond(self) -> float:
-        """1-norm condition number estimate of the joint matrix (LAPACK gecon on its LU).
+        """1-norm condition number estimate of M: ||M||_1 times an estimate of ||M^{-1}||_1.
 
-        It lies within a factor 6+K of the 2-norm condition number; inf when
-        the LU factorization meets an exact zero pivot.  gecon's last bits
-        depend on where its work arrays sit in memory, so the estimate is
-        rounded to 6 significant digits, which keeps it reproducible.
+        The inverse's norm is Hager's estimate (Hager 1984, SIAM J. Sci.
+        Stat. Comput. 5:311) in Higham's form, LAPACK dlacn2 (Higham 1988,
+        ACM TOMS 14:381), the iteration LAPACK gecon runs, here over the
+        structured solves of M and M'.  The result lies within a factor 6+K
+        of the 2-norm condition number; inf when T or the Schur complement
+        meets an exact zero pivot.  Its last bits can move with where BLAS
+        finds the arrays in memory, so it is rounded to 6 significant
+        digits, which keeps it reproducible.
         """
-        lu, _, info = self._lu
-        if info != 0 or not np.all(np.isfinite(lu)):
+        if self._factors is None:
             return math.inf
-        rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(self.matrix, 1), norm="1")
-        return float(f"{1.0 / rcond:.6g}") if rcond > 0 else math.inf
+        c = self.norm1 * _inverse_norm1(self.solve, lambda x: self.solve(x, trans=True), 6 + self.K)
+        return float(f"{c:.6g}") if 0 < c < math.inf else math.inf
 
-    @cached_property
-    def _lu(self):
-        """LU factors, pivots and LAPACK info of the joint matrix, computed once."""
-        return scipy.linalg.lapack.dgetrf(self.matrix)
+
+def _inverse_norm1(solve, solve_t, n: int) -> float:
+    """Hager's lower estimate of ||M^{-1}||_1 from solves with M and M', step by step as dlacn2."""
+    x = solve(np.full(n, 1.0 / n))
+    est = float(np.abs(x).sum())
+    sign = np.where(x >= 0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(solve_t(sign))))
+    for _ in range(4):  # dlacn2's iteration counter runs from 2 to ITMAX = 5
+        x = solve(np.eye(1, n, j)[0])
+        est_old, est = est, float(np.abs(x).sum())
+        s = np.where(x >= 0, 1.0, -1.0)
+        if np.array_equal(s, sign) or est <= est_old:
+            break
+        sign = s
+        xt = solve_t(sign)
+        j_last, j = j, int(np.argmax(np.abs(xt)))
+        if xt[j_last] == abs(xt[j]):
+            break
+    alt = 1.0 + np.arange(n) / (n - 1)
+    alt[1::2] *= -1.0
+    return max(est, 2.0 * float(np.abs(solve(alt)).sum()) / (3 * n))
 
 
 def beta_probe(K: int) -> Probe:
@@ -158,7 +284,7 @@ def _latent_covariances(ws, est, alpha, beta: float) -> np.ndarray:
 
 def _info_parts(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> _InfoParts:
     ws = _workspace_of(dataset, atoms)
-    dL = _hazard_jumps(ws, theta_hat.hazard)
+    dL = _hazard_jumps(ws.xe, theta_hat.hazard)
     beta = theta_hat.beta
     cov = _latent_covariances(ws, atoms, theta_hat.alpha, beta)
     n = ws.n
@@ -177,47 +303,58 @@ def build_sigma_hat(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> Dis
 
 def _operator(p: _InfoParts, alpha) -> DiscretizedOperator:
     ws, dL = p.post.ws, p.dL
-    K = ws.K
-    A = -ws.transition_stats(p.post).hessian(alpha) / ws.n
-    A[2:, 2:] -= p.miss[:3, :3]
-
-    B = np.zeros((1 + K, 1 + K))
-    B[0, 0] = float(np.dot(p.d, dL)) - p.miss[3, 3]
-    B[0, 1:] = (p.c + p.cross[3]) * dL
-    B[1:, 0] = p.c + p.cross[3]
-    B[np.arange(1, 1 + K), np.arange(1, 1 + K)] = p.w
-    # hazard-hazard: dL_l (1/n) sum over windows holding x_k and x_l of Var_i(e^{bZ}).
-    # A latent window lies inside one grid interval, so this is nonzero only
-    # within an interval, where the windows holding both are those holding the later
-    starts = np.flatnonzero(np.diff(ws.a_e, prepend=-1))
-    for lo, hi in zip(starts, np.append(starts[1:], K)):
-        later = np.maximum.outer(np.arange(lo, hi), np.arange(lo, hi))
-        B[1 + lo:1 + hi, 1 + lo:1 + hi] -= p.var_e[later] * dL[lo:hi]
-
-    C = np.zeros((5, 1 + K))
-    C[2:, 0] = -p.miss[:3, 3]
-    C[2:, 1:] = p.cross[:3] * dL
-    return DiscretizedOperator(A=A, B=B, dL=dL.copy(), times=ws.xe.copy(), C=C)
+    E = np.zeros((6, 6))
+    E[:5, :5] = -ws.transition_stats(p.post).hessian(alpha) / ws.n
+    E[2:5, 2:5] -= p.miss[:3, :3]
+    E[2:5, 5] = E[5, 2:5] = -p.miss[:3, 3]
+    E[5, 5] = float(np.dot(p.d, dL)) - p.miss[3, 3]
+    # h3 rows: the (a, b, ssq) and beta scores against the hazard score -e^{bZ} dL_k
+    G = np.zeros((ws.K, 6))
+    G[:, 2:5] = p.cross[:3].T
+    G[:, 5] = p.c + p.cross[3]
+    # V diag(dL) is the hazard-hazard missing information: dL_l (1/n) sum over the
+    # windows holding x_k and x_l of Var_i(e^{bZ}).  A latent window lies inside one
+    # grid interval, so within an interval the windows holding both are those
+    # holding the later, and var_e at the later time is V's generator
+    return DiscretizedOperator(E=E, F=G.T * dL, G=G, w=p.w, v=p.var_e,
+                               dL=dL.copy(), times=ws.xe.copy(), interval=ws.a_e)
 
 
 def _solve(op: DiscretizedOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve the joint system for one or more right-hand sides (columns)."""
     if not math.isfinite(op.cond) or op.cond > COND_LIMIT:
         raise SingularOperatorError(op.cond)
-    sol = scipy.linalg.lu_solve(op._lu[:2], rhs)
-    res = np.linalg.norm(op.matrix @ sol - rhs, axis=0) / np.maximum(1.0, np.linalg.norm(rhs, axis=0))
+    sol = op.solve(rhs)
+    res = np.linalg.norm(op.matvec(sol) - rhs, axis=0) / np.maximum(1.0, np.linalg.norm(rhs, axis=0))
     if np.max(res) > 1e-8:
         raise SingularOperatorError(op.cond, f"linear solve residual too large ({np.max(res):.2e})")
     return sol
 
 
+def _h3(op: DiscretizedOperator, h: Probe) -> np.ndarray:
+    """The probe's h3 at the K event times; a single value stands for a constant h3."""
+    if h.h3.size == op.K:
+        return h.h3
+    if h.h3.size != 1:
+        raise ValidationError(f"probe h3 has length {h.h3.size}; the operator needs 1 or K = {op.K}")
+    return np.full(op.K, h.h3[0])
+
+
 def _stack(op: DiscretizedOperator, h: Probe) -> np.ndarray:
-    return np.concatenate([h.h1, [h.h2], np.asarray(h.h3, dtype=float) * np.ones(op.K)])
+    return np.concatenate([h.h1, [h.h2], _h3(op, h)])
+
+
+def _own_jumps(op: DiscretizedOperator, hazard: SieveHazard) -> np.ndarray:
+    """The hazard's jumps, refused unless the hazard is the one the operator was built at."""
+    dL = _hazard_jumps(op.times, hazard)
+    if not np.array_equal(dL, op.dL):
+        raise ValidationError("hazard jumps differ from those the operator was built at")
+    return dL
 
 
 def apply_operator(op: DiscretizedOperator, h: Probe) -> Probe:
     """sigma-hat applied to a probe (g1, g2, g3-at-event-times)."""
-    out = op.matrix @ _stack(op, h)
+    out = op.matvec(_stack(op, h))
     return Probe(out[:5], float(out[5]), out[6:])
 
 
@@ -228,13 +365,14 @@ def invert_apply(op: DiscretizedOperator, g: Probe) -> Probe:
 
 
 def var_estimate(op: DiscretizedOperator, hazard: SieveHazard, g: Probe) -> float:
-    """Quadratic-form variance of the estimator paired with the probe g."""
-    dL = np.asarray(hazard.jumps, dtype=float)
-    if dL.size != op.K:
-        raise ValidationError("hazard does not match the operator support")
+    """Quadratic-form variance of the estimator paired with the probe g.
+
+    `hazard` must be the one the operator was built at (its jumps weight the
+    h3 part of the form).
+    """
+    dL = _own_jumps(op, hazard)
     h = invert_apply(op, g)
-    g3 = np.asarray(g.h3, dtype=float) * np.ones(op.K)
-    out = float(np.dot(g3 * h.h3, dL)) + h.h2 * g.h2 + float(h.h1 @ g.h1)
+    out = float(np.dot(_h3(op, g) * h.h3, dL)) + h.h2 * g.h2 + float(h.h1 @ g.h1)
     if out < 0:
         warnings.warn(f"negative variance estimate {out:.6g} (finite-sample pathology)",
                       RuntimeWarning)
@@ -278,26 +416,32 @@ def z_quantile(level: float) -> float:
 
 
 def lambda_band(op: DiscretizedOperator, hazard: SieveHazard, t_grid) -> list[tuple[float, float]]:
-    """Variance of sqrt(n)(Lambda-hat(t) - Lambda0(t)) at each t in t_grid."""
-    dL = np.asarray(hazard.jumps, dtype=float)
+    """Variance of sqrt(n)(Lambda-hat(t) - Lambda0(t)) at each t in the 1-D grid t_grid."""
+    dL = _own_jumps(op, hazard)
     ts = np.asarray(t_grid, dtype=float)
+    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
+        raise ValidationError(f"t_grid must be a 1-D array of finite times, got shape {ts.shape}")
+    if ts.size == 0:
+        return []
     g3 = (op.times[:, None] <= ts[None, :]).astype(float)
     sol = _solve(op, np.concatenate([np.zeros((6, ts.size)), g3]))
-    return [(float(t), float(np.dot(g3[:, j] * sol[6:, j], dL))) for j, t in enumerate(ts)]
+    return [(float(t), float(v)) for t, v in zip(ts, dL @ (g3 * sol[6:]))]
 
 
 def variance_report(dataset: Dataset, theta_hat: Theta, atoms: Posterior, fit: FitResult,
                     t_grid=None) -> dict:
     """Side-by-side variance summary used by the CLI and the study harness.
 
-    `cond_B` is the 1-norm condition number estimate of the joint operator
-    matrix (LAPACK gecon on its LU factors).  It agrees with the 2-norm
-    condition number within a factor 6+K; the 1/dL scaling of the hazard rows
-    makes it the larger of the two in practice (1.36e6 against 4.36e3 on a
-    simulated fit with n=2000).  A variance that is undefined at this fit is
-    reported as None: `var_beta_simple` when beta is not identified, and
-    `var_beta_full`, every `var_alpha` entry and `lambda_band` when the
-    operator is numerically singular.
+    `cond_B` is `DiscretizedOperator.cond`, the 1-norm condition number
+    estimate of the joint operator matrix (Hager's estimate of the inverse's
+    norm over structured solves, as LAPACK gecon computes it on a dense LU).
+    It agrees with the 2-norm condition number within a factor 6+K; the 1/dL
+    scaling of the hazard rows makes it the larger of the two in practice
+    (1.36e6 against 4.36e3 on a simulated fit with n=2000).  A variance that
+    is undefined at this fit is reported as None: `var_beta_simple` when beta
+    is not identified, and `var_beta_full`, every `var_alpha` entry and
+    `lambda_band` when the operator is numerically singular.  An empty
+    `t_grid` gives an empty `lambda_band`.
     """
     p = _info_parts(dataset, theta_hat, atoms)
     op = _operator(p, theta_hat.alpha)

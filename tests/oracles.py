@@ -347,3 +347,22 @@ def stack_atoms(dataset, nodes, weights, beta=0.0, dL=None) -> Posterior:
     dL = np.zeros(ws.K) if dL is None else np.asarray(dL, dtype=float)
     nodes, weights = (np.asarray(v, dtype=float) for v in (nodes, weights))
     return Posterior(ws, nodes, weights, np.zeros(ws.n), *ws.splits(beta, dL))
+
+
+def dense_operator(op) -> np.ndarray:
+    """The joint (6+K)x(6+K) matrix of a `DiscretizedOperator`, assembled densely.
+
+    The hazard block is diag(w) minus, within each grid interval,
+    v[max(k, l)] dL_l, one interval block at a time.
+    """
+    K = op.K
+    m = np.zeros((6 + K, 6 + K))
+    m[:6, :6] = op.E
+    m[:6, 6:] = op.F
+    m[6:, :6] = op.G
+    m[np.arange(6, 6 + K), np.arange(6, 6 + K)] = op.w
+    starts = np.flatnonzero(np.diff(op.interval, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], K)):
+        later = np.maximum.outer(np.arange(lo, hi), np.arange(lo, hi))
+        m[6 + lo:6 + hi, 6 + lo:6 + hi] -= op.v[later] * op.dL[lo:hi]
+    return m

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import stack_atoms
+import scipy.linalg
+from oracles import dense_operator, stack_atoms
 
 from coxjm import (
     Dataset,
     DiscretizedOperator,
+    FitConfig,
     MeasurementGrid,
     Probe,
     SingularOperatorError,
@@ -24,7 +27,7 @@ from coxjm import (
     var_estimate,
     variance_report,
 )
-from coxjm.data import last_index
+from coxjm.data import SieveHazard, last_index
 from coxjm.simulate import SimConfig, gen_dataset
 from coxjm.variance import apply_operator, beta_probe, lambda_band
 
@@ -47,7 +50,8 @@ def test_operator_block_shapes(fitted):
     ds, fit, atoms, op = fitted
     K = len(fit.theta_hat.hazard.times)
     assert op.A.shape == (5, 5)
-    assert op.B.shape == (1 + K, 1 + K)
+    assert (op.E.shape, op.F.shape, op.G.shape) == ((6, 6), (6, K), (K, 6))
+    assert dense_operator(op).shape == (6 + K, 6 + K)
     assert np.array_equal(op.A, op.A.T)
     assert np.min(np.linalg.eigvalsh(op.A)) > 0
 
@@ -63,11 +67,11 @@ def test_sigma3_at_risk_fraction_constant_covariate():
     th = Theta(alpha=ALPHA0, beta=0.0, hazard=nelson_aalen(ds))
     atoms = stack_atoms(ds, np.full((len(subs), 1), c), np.ones((len(subs), 1)),
                         th.beta, th.hazard.jumps)
-    op = build_sigma_hat(ds, th, atoms)
+    M = dense_operator(build_sigma_hat(ds, th, atoms))
     for k, t in enumerate(th.hazard.times):
         frac = sum(1 for s in subs if s.x >= t) / len(subs)
-        assert op.B[1 + k, 1 + k] == pytest.approx(frac, abs=1e-12)
-        assert op.B[1 + k, 0] == pytest.approx(c * frac, abs=1e-12)
+        assert M[6 + k, 6 + k] == pytest.approx(frac, abs=1e-12)
+        assert M[6 + k, 5] == pytest.approx(c * frac, abs=1e-12)
 
 
 def test_operator_matches_score_finite_differences(fitted):
@@ -76,6 +80,7 @@ def test_operator_matches_score_finite_differences(fitted):
     ds, fit, atoms, op = fitted
     th = fit.theta_hat
     K = op.K
+    M = dense_operator(op)
     dL = np.asarray(th.hazard.jumps)
     h = 1e-6
 
@@ -99,28 +104,28 @@ def test_operator_matches_score_finite_differences(fitted):
         return -fd
 
     A_, BETA, HZ = 2, 5, 6  # indices of `a`, beta and the first hazard direction
-    assert minus_d(BETA, BETA) == pytest.approx(op.B[0, 0], abs=1e-5)
+    assert minus_d(BETA, BETA) == pytest.approx(M[BETA, BETA], abs=1e-5)
     for k in [0, K // 2, K - 1]:
         # the beta score along the hazard direction e_k, and the h3 = e_k score along beta
-        assert minus_d(HZ + k, BETA) == pytest.approx(op.B[0, 1 + k], abs=1e-5)
-        assert minus_d(BETA, HZ + k) == pytest.approx(dL[k] * op.B[1 + k, 0], abs=1e-5)
+        assert minus_d(HZ + k, BETA) == pytest.approx(M[BETA, HZ + k], abs=1e-5)
+        assert minus_d(BETA, HZ + k) == pytest.approx(dL[k] * M[HZ + k, BETA], abs=1e-5)
         # the same pair for the `a` score, whose entries are all missing information
-        assert minus_d(HZ + k, A_) == pytest.approx(op.C[2, 1 + k], rel=1e-4)
-        assert minus_d(A_, HZ + k) == pytest.approx(dL[k] * op.matrix[HZ + k, A_], rel=1e-4)
+        assert minus_d(HZ + k, A_) == pytest.approx(M[A_, HZ + k], rel=1e-4)
+        assert minus_d(A_, HZ + k) == pytest.approx(dL[k] * M[HZ + k, A_], rel=1e-4)
     # hazard-hazard off the diagonal: two event times in one grid interval share
     # the latent windows of the subjects exiting after both
     ivl = [last_index(t, ds.grid) for t in op.times]
     k = next(k for k in range(K - 1) if ivl[k] == ivl[k + 1])
-    want = dL[k] * op.B[1 + k, 2 + k]
+    want = dL[k] * M[HZ + k, HZ + k + 1]
     assert want != 0.0
     assert minus_d(HZ + k + 1, HZ + k) == pytest.approx(want, rel=1e-4)
     # alpha block against the mu0 and `a` directions
     assert minus_d(0, 0) == pytest.approx(op.A[0, 0], abs=1e-5)
     assert minus_d(A_, A_) == pytest.approx(op.A[2, 2], abs=1e-5)
     # alpha-beta cross entry: the `a` score along beta, and the beta score along `a`
-    assert abs(op.C[2, 0]) > 1e-2
-    assert minus_d(BETA, A_) == pytest.approx(op.C[2, 0], abs=1e-5)
-    assert minus_d(A_, BETA) == pytest.approx(op.C[2, 0], abs=1e-5)
+    assert abs(M[A_, BETA]) > 1e-2
+    assert minus_d(BETA, A_) == pytest.approx(M[A_, BETA], abs=1e-5)
+    assert minus_d(A_, BETA) == pytest.approx(M[A_, BETA], abs=1e-5)
 
 
 def test_invert_apply_round_trip(fitted):
@@ -155,7 +160,7 @@ def test_var_estimate_alpha_block_decoupling(fitted):
     # z_0 is always observed, so (mu0, s0sq) decouple from the rest of the
     # operator; the latent terminal value couples (a, b, ssq) to (beta, Lambda)
     ds, fit, atoms, op = fitted
-    joint = np.linalg.inv(op.matrix)
+    joint = np.linalg.inv(dense_operator(op))
     for j in range(5):
         g1 = np.zeros(5)
         g1[j] = 1.0
@@ -173,15 +178,13 @@ def test_single_subject_toy_variances():
     subj = Subject(id=1, x=0.8, delta=1, measurements=(0.0, 2.0))
     ds = Dataset(grid=GRID0, subjects=(subj,), tau=3.0)
     beta = 0.4
-    from coxjm.data import SieveHazard
-
     th = Theta(alpha=ALPHA0, beta=beta,
                hazard=SieveHazard((0.8,), (math.exp(-beta * 2.0),)))
     atoms = estep_atoms(ds, th)
     with pytest.raises(ValidationError):
         var_beta_simple(ds, th, atoms)
     op = build_sigma_hat(ds, th, atoms)
-    assert np.linalg.det(op.B) == pytest.approx(0.0, abs=1e-12)
+    assert np.linalg.det(dense_operator(op)[5:, 5:]) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(SingularOperatorError):
         invert_apply(op, beta_probe(op.K))
 
@@ -207,8 +210,6 @@ def test_var_beta_simple_latent_toy():
             Subject(id=1, x=1.0, delta=1, measurements=(0.0, 1.0)),
             Subject(id=2, x=2.0, delta=0, measurements=(0.0, -1.0)))
     ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
-    from coxjm.data import SieveHazard
-
     th = Theta(alpha=ALPHA0, beta=0.0, hazard=SieveHazard((0.5, 1.0), (1 / 3, 1 / 2)))
     atoms = estep_atoms(ds, th)
     assert var_beta_simple(ds, th, atoms) == pytest.approx(1 / (7 / 12 - 1 / 27), rel=1e-10)
@@ -232,13 +233,10 @@ def test_var_beta_simple_constant_covariate():
 
 def test_var_estimate_negative_warns():
     # a negative quadratic form is reported, not masked: force one by flipping
-    # the operator sign on a synthetic operator
-    from coxjm.variance import DiscretizedOperator
-
-    op = DiscretizedOperator(A=np.eye(5), B=-np.eye(3), dL=np.array([0.1, 0.2]),
-                             times=np.array([0.5, 1.0]))
-    from coxjm.data import SieveHazard
-
+    # the operator sign on the (h2, h3) block of a synthetic operator
+    op = DiscretizedOperator(E=np.diag([1.0] * 5 + [-1.0]), F=np.zeros((6, 2)), G=np.zeros((2, 6)),
+                             w=-np.ones(2), v=np.zeros(2), dL=np.array([0.1, 0.2]),
+                             times=np.array([0.5, 1.0]), interval=np.array([0, 1]))
     hz = SieveHazard((0.5, 1.0), (0.1, 0.2))
     with pytest.warns(RuntimeWarning):
         out = var_estimate(op, hz, Probe(np.zeros(5), 1.0, np.zeros(2)))
@@ -273,7 +271,7 @@ def test_lambda_band_and_report(fitted):
 
 def test_variance_report_matches_single_calls(fitted, monkeypatch):
     # the report's beta variances are the single calls' values bit for bit,
-    # and the condition number comes from the LU factors, without an SVD
+    # and the condition number comes from structured solves, without an SVD
     ds, fit, atoms, op = fitted
     th = fit.theta_hat
     calls = []
@@ -283,27 +281,31 @@ def test_variance_report_matches_single_calls(fitted, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     # 1-norm and 2-norm condition numbers agree within the dimension
-    c2 = np.linalg.cond(op.matrix)
+    M = dense_operator(op)
+    c2 = np.linalg.cond(M)
     assert c2 / (6 + op.K) <= op.cond <= c2 * (6 + op.K)
     assert rep["cond_B"] == op.cond
     assert rep["var_beta_simple"] == var_beta_simple(ds, th, atoms)
     assert rep["var_beta_full"] == var_estimate(op, th.hazard, beta_probe(op.K))
-    assert rep["var_alpha"] == pytest.approx(np.diag(np.linalg.inv(op.matrix))[:5], rel=1e-10)
+    assert rep["var_alpha"] == pytest.approx(np.diag(np.linalg.inv(M))[:5], rel=1e-10)
 
 
 def test_operator_cond_reproducible():
-    # the same matrix in fresh operators, with the heap shifted in between
-    # (gecon's raw estimate moves in its last bits with its work arrays)
+    # the same parts in fresh operators, with the heap shifted in between
+    # (the raw estimate can move in its last bits with where its arrays sit)
     rng = np.random.default_rng(0)
     K = 300
-    M = rng.standard_normal((6 + K, 6 + K)) + math.sqrt(K) * np.eye(6 + K)
+    parts = dict(E=rng.standard_normal((6, 6)) + math.sqrt(K) * np.eye(6),
+                 F=rng.standard_normal((6, K)), G=rng.standard_normal((K, 6)),
+                 w=math.sqrt(K) + rng.standard_normal(K), v=rng.uniform(0.0, 0.5, K),
+                 dL=rng.uniform(0.5, 1.5, K), times=np.arange(1.0, K + 1),
+                 interval=np.repeat(np.arange(10), 30))
     keep, conds = [], set()
     for r in range(20):
         keep += [bytearray(int(s)) for s in np.random.default_rng(r).integers(1, 3000, 50)]
-        op = DiscretizedOperator(A=M[:5, :5], B=M[5:, 5:], dL=np.ones(K), times=np.arange(1.0, K + 1),
-                                 C=M[:5, 5:])
-        conds.add(op.cond)
+        conds.add(DiscretizedOperator(**{k: np.array(a) for k, a in parts.items()}).cond)
     assert len(conds) == 1
+    assert math.isfinite(conds.pop())
 
 
 def test_variance_report_degenerate_data(tmp_path):
@@ -321,3 +323,127 @@ def test_variance_report_degenerate_data(tmp_path):
     assert rep["var_alpha"] == [None] * 5
     assert rep["lambda_band"] is None
     save_json(rep, tmp_path / "variance.json")
+
+
+def test_probe_length_validated(fitted):
+    # h3 holds one value per event time, or one value for a constant h3
+    ds, fit, atoms, op = fitted
+    bad = Probe(np.zeros(5), 1.0, np.zeros(op.K + 1))
+    for call in (lambda: apply_operator(op, bad), lambda: invert_apply(op, bad),
+                 lambda: var_estimate(op, fit.theta_hat.hazard, bad)):
+        with pytest.raises(ValidationError, match=rf"length {op.K + 1}\b.*K = {op.K}\b"):
+            call()
+    one = apply_operator(op, Probe(np.zeros(5), 0.0, [2.0]))
+    full = apply_operator(op, Probe(np.zeros(5), 0.0, np.full(op.K, 2.0)))
+    assert np.array_equal(one.h3, full.h3)
+
+
+def test_time_grid_validated(fitted):
+    ds, fit, atoms, op = fitted
+    hz = fit.theta_hat.hazard
+    for grid in ([1.0, math.nan], [[1.0, 2.0]], [math.inf]):
+        with pytest.raises(ValidationError):
+            lambda_band(op, hz, grid)
+        with pytest.raises(ValidationError):
+            variance_report(ds, fit.theta_hat, atoms, fit, t_grid=grid)
+    assert lambda_band(op, hz, []) == []
+    assert variance_report(ds, fit.theta_hat, atoms, fit, t_grid=[])["lambda_band"] == []
+
+
+def test_var_estimate_refuses_foreign_hazard(fitted):
+    # the hazard weights the h3 part of the quadratic form, so only the
+    # operator's own (same times, same jumps) is accepted
+    ds, fit, atoms, op = fitted
+    hz = fit.theta_hat.hazard
+    g = Probe(np.zeros(5), 0.0, (op.times <= 1.5).astype(float))
+    assert var_estimate(op, hz, g) > 0
+    doubled = SieveHazard(hz.times, tuple(2.0 * j for j in hz.jumps))
+    shifted = SieveHazard(tuple(t + 1e-6 for t in hz.times), hz.jumps)
+    for other in (doubled, shifted):
+        with pytest.raises(ValidationError):
+            var_estimate(op, other, g)
+        with pytest.raises(ValidationError):
+            lambda_band(op, other, [1.0])
+
+
+def _dense_report(op, hazard, t_grid):
+    """variance_report's operator values from dense LAPACK on the oracle matrix."""
+    M = dense_operator(op)
+    lu = scipy.linalg.lapack.dgetrf(M)[0]
+    rcond = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(M, 1), norm="1")[0]
+    dL = np.asarray(hazard.jumps)
+    K = op.K
+    g3 = (op.times[:, None] <= np.asarray(t_grid)[None, :]).astype(float)
+    rhs = np.concatenate([np.eye(6 + K, 6), np.concatenate([np.zeros((6, g3.shape[1])), g3])], axis=1)
+    sol = np.linalg.solve(M, rhs)
+    return {"cond_B": float(f"{1.0 / rcond:.6g}"), "var_beta_full": sol[5, 5],
+            "var_alpha": list(np.diag(sol[:5, :5])),
+            "lambda_band": [float(np.dot(g3[:, j] * sol[6:, 6 + j], dL)) for j in range(g3.shape[1])]}
+
+
+@pytest.mark.parametrize("n, step, seed", [(200, 0.25, s) for s in range(8)] + [
+    pytest.param(n, step, s, marks=pytest.mark.slow)
+    for n, step in [(2000, 0.25), (1000, 0.02)] for s in range(3)])
+def test_structured_operator_matches_dense_oracle(n, step, seed):
+    ds, _ = gen_dataset(SimConfig(n=n, grid_step=step, tau=3.0, alpha0=ALPHA0, beta0=1.0,
+                                  lambda0=0.3, censor_rate=0.2, seed=seed))
+    fit = em_fit(ds)
+    th = fit.theta_hat
+    op = build_sigma_hat(ds, th, fit.posterior)
+    M = dense_operator(op)
+    x = np.random.default_rng(seed).standard_normal((6 + op.K, 3))
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    close(op.solve(x), np.linalg.solve(M, x))
+    close(op.solve(x, trans=True), np.linalg.solve(M.T, x))
+    close(op.matvec(x), M @ x)
+    assert op.norm1 == pytest.approx(np.linalg.norm(M, 1), rel=1e-14)
+
+    t_grid = np.linspace(0.0, ds.tau, 11)[1:]
+    rep = variance_report(ds, th, fit.posterior, fit, t_grid=t_grid)
+    want = _dense_report(op, th.hazard, t_grid)
+    assert rep["cond_B"] == want["cond_B"]
+    assert rep["var_beta_full"] == pytest.approx(want["var_beta_full"], rel=1e-10)
+    assert rep["var_alpha"] == pytest.approx(want["var_alpha"], rel=1e-10)
+    assert [t for t, _ in rep["lambda_band"]] == list(t_grid)
+    assert [v for _, v in rep["lambda_band"]] == pytest.approx(want["lambda_band"], rel=1e-10)
+
+
+@pytest.mark.parametrize("K, n_intervals", [(1, 1), (2, 1), (2, 2), (3, 3), (40, 1), (40, 7), (300, 25)])
+def test_structured_operator_matches_dense_oracle_random(K, n_intervals):
+    # random parts whose hazard columns carry the 1-norm, and systems of order
+    # 1 and 2, which LAPACK's tridiagonal wrapper does not take unpadded
+    rng = np.random.default_rng(K * 100 + n_intervals)
+    op = DiscretizedOperator(E=0.5 * rng.standard_normal((6, 6)) + 2 * np.eye(6),
+                             F=rng.standard_normal((6, K)) / K, G=rng.standard_normal((K, 6)) / K,
+                             w=10.0 + rng.random(K), v=rng.uniform(-1.0, 2.0, K),
+                             dL=rng.uniform(0.1, 1.0, K), times=np.arange(1.0, K + 1),
+                             interval=np.sort(rng.integers(0, n_intervals, K)))
+    M = dense_operator(op)
+    x = rng.standard_normal((6 + K, 2))
+    np.testing.assert_allclose(op.solve(x), np.linalg.solve(M, x), rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(op.solve(x, trans=True), np.linalg.solve(M.T, x), rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(op.matvec(x), M @ x, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(op.solve(x[:, 0]), np.linalg.solve(M, x[:, 0]), rtol=1e-10, atol=1e-12)
+    assert op.norm1 == pytest.approx(np.linalg.norm(M, 1), rel=1e-14)
+    assert np.max(np.abs(M[:, 6:]).sum(0)) == np.linalg.norm(M, 1)
+    lu = scipy.linalg.lapack.dgetrf(M)[0]
+    rcond = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(M, 1), norm="1")[0]
+    assert op.cond == float(f"{1.0 / rcond:.6g}")
+
+
+def test_variance_report_memory_is_linear_in_n():
+    # K is about 10400 here: the dense (6+K)^2 operator alone would take about 860 MB
+    ds, _ = gen_dataset(SimConfig(n=20000, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
+                                  lambda0=0.3, censor_rate=0.2, seed=0))
+    fit = em_fit(ds, config=FitConfig(max_iter=2))
+    tracemalloc.start()
+    try:
+        rep = variance_report(ds, fit.theta_hat, fit.posterior, fit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(rep["cond_B"])
+    assert peak < 128 * 2**20
