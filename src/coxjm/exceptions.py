@@ -26,11 +26,12 @@ class DegenerateRiskSetError(CoxjmError):
 
 
 class ModeSearchError(CoxjmError):
-    """Posterior mode search failed for a subject."""
+    """A subject's posterior mode is not finite (an infinite or NaN hazard mass or
+    transition mean, or an overflow at extreme parameters)."""
 
     def __init__(self, subject_id, message: str | None = None):
         self.subject_id = subject_id
-        super().__init__(message or f"posterior mode search failed for subject {subject_id!r}")
+        super().__init__(message or f"posterior mode not finite for subject {subject_id!r}")
 
 
 class AscentError(CoxjmError):

@@ -279,15 +279,10 @@ class Posterior:
 def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray, Q: int) -> Posterior:
     a_obs, a_lat = ws.splits(beta, dL)
     mean = alpha.a + alpha.b * ws.z_pred
-    full, n = ws.extra_rows, ws.n
-    if full.size < n:
-        nodes, weights, mode, sd, log_norm = batch_posterior(
-            ws.delta, a_lat, mean, alpha.ssq, beta, Q, ids=ws.ids)
-    else:  # every terminal value is stored: no quadrature
-        nodes, weights, mode, sd, log_norm = np.empty((Q, n)).T, np.empty((Q, n)).T, *np.empty((3, n))
+    nodes, weights, mode, sd, log_norm = batch_posterior(ws.delta, a_lat, mean, alpha.ssq, beta, Q, ids=ws.ids)
+    full = ws.extra_rows
     if full.size:
-        # a stored terminal value is one atom (with no latent mass, the
-        # quadrature above made no mode search for it)
+        # a stored terminal value is one atom, written over its quadrature row
         zf = ws.z_extra[full]
         nodes[full], weights[full], weights[full, 0], mode[full], sd[full] = zf[:, None], 0.0, 1.0, zf, 0.0
         log_norm[full] = ws.delta[full] * beta * zf + gauss_logpdf(zf, mean[full], alpha.ssq)
@@ -409,9 +404,7 @@ def _init_theta(ws: _Workspace, init: Theta | None, cfg: FitConfig):
             # no observed transitions at all: fall back to the entry distribution
             mu0 = ws.obs.z0bar
             s0sq = max(ws.obs.M2_0 / ws.obs.n0, cfg.var_floor)
-            vec = cfg.alpha_box.project(np.array([mu0, s0sq, mu0, 0.0, s0sq]))
-            vec[[1, 4]] = np.maximum(vec[[1, 4]], cfg.var_floor)
-            alpha = TransitionParams.from_array(vec)
+            alpha = cfg.alpha_box.clamp(np.array([mu0, s0sq, mu0, 0.0, s0sq]), cfg.var_floor)
         else:
             alpha, floored = ws.obs.mle(cfg.alpha_box, cfg.var_floor)
             if floored:
@@ -498,15 +491,13 @@ def _extrapolate(ws, cycle, ll: float, cfg: FitConfig):
     x = x0 - 2 * step * r + step * step * v
     vec = x[:5].copy()
     vec[[1, 4]] = np.exp(vec[[1, 4]])
-    vec = cfg.alpha_box.project(vec)
-    vec[[1, 4]] = np.maximum(vec[[1, 4]], cfg.var_floor)
-    alpha = TransitionParams.from_array(vec)
+    alpha = cfg.alpha_box.clamp(vec, cfg.var_floor)
     beta = float(np.clip(x[5], -cfg.beta_box, cfg.beta_box))
     dL = np.exp(x[6:])
     try:
         est = _estep(ws, alpha, beta, dL, cfg.Q)
         ll_x = _loglik(ws, alpha, dL, est)
-    except (ModeSearchError, ValidationError):  # a failed mode search, a non-finite loglik
+    except (ModeSearchError, ValidationError):  # a non-finite mode or loglik
         return None
     return (alpha, beta, dL, est, ll_x) if ll_x >= ll - ASCENT_TOL else None
 

@@ -10,8 +10,10 @@ the observed history, and A_lat is the hazard mass whose covariate value is
 the latent z (the subject's terminal window).  Hazard mass sitting on times
 with an observed covariate value, A_obs, is constant in z and drops out.
 
-The integrand is log-concave, so a mode-recentered Gauss-Hermite rule
-converges fast; a brute-force trapezoid oracle certifies it in the tests.
+The integrand is log-concave, and its mode has a closed form (a Wright omega
+root), so a Gauss-Hermite rule recentred there and scaled by the curvature
+converges fast; a brute-force trapezoid oracle certifies the quadrature in the
+tests.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import wrightomega
 
 from .exceptions import ModeSearchError, ValidationError
 from .transition import gauss_logpdf
@@ -35,67 +38,34 @@ def _gh(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _gh_cache[order]
 
 
-def _batch_modes(delta, a_lat, mean, var, beta, max_iter=100, ids=None):
-    """Vectorized safeguarded Newton for the posterior mode and curvature sd.
+def _batch_modes(delta, a_lat, mean, var, beta, ids=None):
+    """The posterior mode and curvature sd of a batch of subjects, in closed form.
 
-    g(z) = delta*beta*z - a_lat*exp(beta*z) - (z - mean)^2 / (2 var);
-    g is strictly concave, so g' has a unique root which we bracket first.
+    g(z) = delta*beta*z - a_lat*exp(beta*z) - (z - mean)^2 / (2 var) is strictly
+    concave.  With c = mean + delta*beta*var, g'(z) = 0 reads
+
+        beta(c - z) e^{beta(c - z)} = var*a_lat*beta^2 e^{beta c},
+
+    so omega = beta(c - z) is the Lambert W of the right-hand side (Corless et al.
+    1996, Adv. Comput. Math. 5:329), taken without overflow as the Wright omega
+    function of its log (Lawrence, Corless & Jeffrey 2012, ACM TOMS 38:20).  The
+    mode is c - omega/beta, and -g'' there is (1 + omega)/var.  With beta = 0 or
+    a_lat = 0 the mode is c and the sd sqrt(var).  A non-finite mode raises
+    ModeSearchError naming the subject.
     """
-    delta = np.asarray(delta, dtype=float)
-    a_lat = np.asarray(a_lat, dtype=float)
     mean = np.asarray(mean, dtype=float)
-    sd = np.sqrt(var) * np.ones_like(mean)
     var = np.asarray(var, dtype=float) * np.ones_like(mean)
-
-    trivial = (a_lat <= 0.0) | (beta == 0.0)
-    mode = mean + np.where(trivial, delta * beta * var, 0.0)
-    curv_sd = sd.copy()
-    active = ~trivial
-    if not np.any(active):
-        return mode, curv_sd
-
-    def gprime(z):
-        bz = np.minimum(beta * z, EXP_CLIP)
-        return delta * beta - a_lat * beta * np.exp(bz) - (z - mean) / var
-
-    lo = mean - 8.0 * sd
-    hi = mean + 8.0 * sd
-    for _ in range(200):
-        bad = active & (gprime(lo) <= 0.0)
-        if not np.any(bad):
-            break
-        lo = np.where(bad, mean - 2.0 * (mean - lo), lo)
-    for _ in range(200):
-        bad = active & (gprime(hi) >= 0.0)
-        if not np.any(bad):
-            break
-        hi = np.where(bad, mean + 2.0 * (hi - mean), hi)
-
-    z = 0.5 * (lo + hi)
-    done = ~active
-    for _ in range(max_iter):
-        bz = np.minimum(beta * z, EXP_CLIP)
-        expbz = np.exp(bz)
-        gp = delta * beta - a_lat * beta * expbz - (z - mean) / var
-        gpp = -a_lat * beta * beta * expbz - 1.0 / var
-        lo = np.where(~done & (gp > 0), z, lo)
-        hi = np.where(~done & (gp < 0), z, hi)
-        done = done | (np.abs(gp) * np.sqrt(var) <= 1e-11) | (hi - lo <= 1e-13 * np.maximum(1.0, np.abs(z)))
-        if np.all(done):
-            break
-        step = np.where(done, 0.0, -gp / gpp)
-        z_new = z + step
-        outside = ~done & ((z_new <= lo) | (z_new >= hi) | ~np.isfinite(z_new))
-        z_new = np.where(outside, 0.5 * (lo + hi), z_new)
-        z = np.where(done, z, z_new)
-    if not np.all(done):
-        bad = int(np.argmax(~done))
-        raise ModeSearchError(ids[bad] if ids is not None else bad)
-    mode = np.where(active, z, mode)
-    bz = np.minimum(beta * mode, EXP_CLIP)
-    curv = a_lat * beta * beta * np.exp(bz) + 1.0 / var
-    curv_sd = np.where(active, 1.0 / np.sqrt(curv), curv_sd)
-    return mode, curv_sd
+    c = mean + delta * beta * var
+    if beta == 0.0:
+        return c, np.sqrt(var)
+    with np.errstate(divide="ignore"):  # a_lat = 0 gives log 0 = -inf and omega = 0
+        omega = wrightomega(np.log(var * a_lat * beta * beta) + beta * c)
+    mode = c - omega / beta
+    bad = ~np.isfinite(mode)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ModeSearchError(ids[k] if ids is not None else k)
+    return mode, np.sqrt(var / (1.0 + omega))
 
 
 def batch_posterior(delta, a_lat, mean, var, beta, order, ids=None):

@@ -48,6 +48,12 @@ class AlphaBox:
         lo, hi = self.bounds().T
         return np.clip(np.asarray(vec, dtype=float), lo, hi)
 
+    def clamp(self, vec: np.ndarray, var_floor: float) -> "TransitionParams":
+        """The parameters `vec` projected onto the box, with the variances floored at var_floor."""
+        vec = self.project(vec)
+        vec[[1, 4]] = np.maximum(vec[[1, 4]], var_floor)
+        return TransitionParams.from_array(vec)
+
     def contains(self, params: "TransitionParams", margin: float = 0.0) -> bool:
         vec = params.as_array()
         lo, hi = self.bounds().T
@@ -226,9 +232,8 @@ class TransitionStats:
             b = 0.0
         a = self.nbar - b * self.pbar
         s0sq, ssq = self.M2_0 / self.n0, self._sse(a, b) / self.N
-        vec = box.project(np.array([self.z0bar, s0sq, a, b, ssq]))
-        vec[[1, 4]] = np.maximum(vec[[1, 4]], var_floor)
-        return TransitionParams.from_array(vec), s0sq < var_floor or ssq < var_floor
+        alpha = box.clamp(np.array([self.z0bar, s0sq, a, b, ssq]), var_floor)
+        return alpha, s0sq < var_floor or ssq < var_floor
 
 
 def draw_initial(rng, alpha: TransitionParams, truncate_at: float | None = None) -> float:

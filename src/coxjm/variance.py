@@ -40,7 +40,7 @@ from scipy.special import ndtri
 
 from .data import Dataset, SieveHazard, Theta
 from .exceptions import SingularOperatorError, ValidationError
-from .fit import FitResult, Posterior, _hazard_jumps, _workspace_of
+from .fit import FitResult, Posterior, _hazard_jumps, _risk_cols, _workspace_of
 from .posterior import EXP_CLIP
 
 COND_LIMIT = 1e12
@@ -279,7 +279,8 @@ def _latent_covariances(ws, est, alpha, beta: float) -> np.ndarray:
                   r * r / (2 * alpha.ssq**2),
                   (ws.delta[:, None] - est.a_lat[:, None] * e) * Z, e], axis=1)
     F -= np.einsum("iq,ifq->if", w, F)[:, :, None]
-    return (F * w[:, None, :]) @ F.transpose(0, 2, 1)
+    F *= np.sqrt(w)[:, None, :]  # w >= 0, so sum_q w_q f_q f_q' is G G' with G = F sqrt(w)
+    return F @ F.transpose(0, 2, 1)
 
 
 def _info_parts(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> _InfoParts:
@@ -288,7 +289,7 @@ def _info_parts(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> _InfoPa
     beta = theta_hat.beta
     cov = _latent_covariances(ws, atoms, theta_hat.alpha, beta)
     n = ws.n
-    w, c, d = ws.cols(ws.obs_mats(beta)[1], ws.moments(atoms, beta)).T / n
+    w, c, d = _risk_cols(ws, atoms, beta).T / n
     # sums over the subjects whose latent window holds x_k, one column each
     lat = ws.cols(None, np.where(ws.has_extra[:, None], 0.0,
                                  np.column_stack([cov[:, :4, 4], cov[:, 4, 4]]))) / n

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import DenseRisk, exponent_split, latent_moments, lvcf_risk_sums, posterior_atoms, stack_atoms
+from oracles import DenseRisk, latent_moments, lvcf_risk_sums, posterior_atoms, stack_atoms
 
 from coxjm import (
     Dataset,
@@ -27,10 +27,9 @@ from coxjm import (
     nelson_aalen,
     next_value,
 )
-from coxjm import posterior as posterior_mod
 from coxjm.baseline import _imputed, _risk_sums
-from coxjm.fit import _boundedness_check, _init_theta, _score_beta, _wn_vec, estep_atoms
-from coxjm.data import is_fully_observed
+from coxjm.fit import _Workspace, _boundedness_check, _estep, _init_theta, _score_beta, _wn_vec, estep_atoms
+from coxjm.data import covariate_at, is_fully_observed
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.variance import _info_parts, _latent_covariances
 
@@ -213,16 +212,20 @@ def test_estep_matches_per_subject_atoms(beta):
         np.testing.assert_allclose(est.exp_moments(b), oracle(b), rtol=RTOL, atol=RTOL)
 
 
-def test_estep_mode_search_error_names_subject(monkeypatch):
+def test_estep_mode_search_error_names_subject():
     ds = _mixed_named()
-    theta = Theta(alpha=ALPHA0, beta=0.8, hazard=nelson_aalen(ds))
-    searched = [s.id for s in ds.subjects if not is_fully_observed(s, ds.grid)
-                and exponent_split(s, theta.hazard, theta.beta, ds.grid).a_lat > 0]
-    # with no Newton iteration allowed, every subject that needs a search fails
-    monkeypatch.setattr(posterior_mod._batch_modes, "__defaults__", (0, None))
-    with pytest.raises(ModeSearchError) as err:
-        estep_atoms(ds, theta)
-    assert err.value.subject_id == searched[0] != ds.subjects[0].id
+    ws = _Workspace(ds)
+    jumps = np.asarray(nelson_aalen(ds).jumps)
+    for k in (0, ws.K // 2, ws.K - 1):
+        # an infinite jump gives every subject whose latent window holds it an infinite
+        # latent mass, and so a non-finite mode; the error names the first of them
+        t = ws.xe[k]
+        latent = [s.id for s in ds.subjects if t <= s.x and covariate_at(s, t, ds.grid) is None]
+        dL = jumps.copy()
+        dL[k] = np.inf
+        with pytest.raises(ModeSearchError) as err:
+            _estep(ws, ALPHA0, 0.8, dL, 40)
+        assert err.value.subject_id == latent[0] != ds.subjects[0].id
 
 
 def test_em_fit_invariant_under_subject_permutation():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     PosteriorAtoms,
     cond_exp,
@@ -10,6 +12,7 @@ from oracles import (
     oracle_moments,
     posterior_atoms,
 )
+from scipy.optimize import brentq
 
 from coxjm import (
     MeasurementGrid,
@@ -20,6 +23,7 @@ from coxjm import (
     TransitionParams,
     ValidationError,
 )
+from coxjm.posterior import EXP_CLIP, _batch_modes
 
 GRID0 = MeasurementGrid((0.0,))
 GRID2 = MeasurementGrid((0.0, 0.5))
@@ -211,3 +215,39 @@ def test_posterior_atoms_order_validation():
     subj = Subject(id=1, x=0.8, delta=0, measurements=(0.0,))
     with pytest.raises(ValidationError):
         posterior_atoms(subj, _theta(), 1, GRID0)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(beta=st.one_of(st.floats(-10, 10), st.floats(-1e-6, 1e-6)), v=_log_uniform(1e-8, 100),
+       a=st.one_of(st.just(0.0), _log_uniform(1e-8, 1e4)), m=st.floats(-20, 20),
+       delta=st.sampled_from([0, 1]))
+def test_mode_matches_bracketed_root(beta, v, a, m, delta):
+    # the closed-form mode against a Brent root of g'(z) = delta*beta - a*beta*e^{beta z} - (z - m)/v,
+    # bracketed by doubling steps away from c = m + delta*beta*v (g' is strictly decreasing)
+    mode, sd = _batch_modes(np.array([float(delta)]), np.array([a]), np.array([m]), v, beta)
+
+    def gp(z):
+        return delta * beta - a * beta * math.exp(min(beta * z, EXP_CLIP)) - (z - m) / v
+
+    def bound(sign):
+        step = math.sqrt(v)
+        while sign * gp(c + sign * step) >= 0:
+            step *= 2
+        return c + sign * step
+
+    c = m + delta * beta * v
+    scale = abs(m) + abs(beta) * v + math.sqrt(v)
+    root = brentq(gp, bound(-1), bound(1), xtol=1e-16 * scale)
+    assert abs(mode[0] - root) <= 1e-14 * (scale + abs(root))
+    want_sd = (a * beta * beta * math.exp(min(beta * root, EXP_CLIP)) + 1 / v) ** -0.5
+    assert sd[0] == pytest.approx(want_sd, rel=1e-12)
+
+
+def test_mode_far_from_the_prior_mean():
+    # beta*c = 900 and omega is about 893; the value is an mpmath root
+    mode, _ = _batch_modes(np.array([1.0]), np.array([1e-3]), np.array([0.0]), 100.0, 3.0)
+    assert mode[0] == pytest.approx(2.3000196687595344, rel=1e-14)
