@@ -211,15 +211,7 @@ class _Workspace:
         a_obs = np.bincount(self.t_sub, self.obs_mats(beta)[0] * H[self.t_int], self.n).astype(float, copy=False)
         x = self.extra_rows
         a_obs[x] += np.exp(np.minimum(beta * self.z_extra[x], EXP_CLIP)) * P[x]
-        return a_obs, ~self.has_extra * P
-
-    def moments(self, est: "Posterior", beta: float) -> np.ndarray:
-        """E_i[Z^m e^{beta Z}], m = 0, 1, 2, of each terminal value (n x 3), or of its stored
-        value, written into `est`'s block for this beta (the same write each time)."""
-        m = est.exp_moments(beta)
-        if self.extra_rows.size:
-            m[self.extra_rows] = np.column_stack(_exp_powers(self.z_extra[self.extra_rows], beta))
-        return m
+        return a_obs, np.where(self.has_extra, 0.0, P)
 
     def cols(self, S, g) -> np.ndarray:
         """Per event time, the sum over its risk set of each subject's value there: S (J,
@@ -227,11 +219,6 @@ class _Workspace:
         subjects at risk past it, g (n, same trailing axes) holds their terminal values."""
         out = self._running(np.concatenate([np.zeros((self.K,) + g.shape[1:]), g]), reverse=True)[: self.K]
         return out if S is None else out + S[self.a_e]
-
-    def totals(self, est: "Posterior", beta: float, dL: np.ndarray) -> np.ndarray:
-        """sum_i of the dL-integral of Z^m e^{beta Z} over subject i's risk period, m = 0, 1, 2."""
-        H, P = self.masses(dL)
-        return self.obs_mats(beta)[1].T @ H + self.moments(est, beta).T @ P
 
 
 class Posterior:
@@ -300,19 +287,16 @@ def _loglik(ws: _Workspace, alpha: TransitionParams, dL: np.ndarray, est: Poster
     return out
 
 
-def _wn_vec(ws: _Workspace, est: Posterior, beta: float) -> np.ndarray:
-    return ws.cols(ws.obs_mats(beta)[1][:, 0], ws.moments(est, beta)[:, 0]) / ws.n
-
-
 def _check_wn(ws: _Workspace, wn: np.ndarray) -> None:
     bad = ~(wn > 0) | ~np.isfinite(wn)
     if np.any(bad):
         raise DegenerateRiskSetError(float(ws.xe[int(np.argmax(bad))]))
 
 
-def _score_beta(ws, est, beta, dL) -> float:
-    """(1/n) sum_i E_i[delta_i Z - int Z e^{beta Z} dL], the beta score at a fixed hazard."""
-    return (float(np.sum(ws.delta * est.E1)) - float(ws.totals(est, beta, dL)[1])) / ws.n
+def _score_beta(ws, est, R, dL) -> float:
+    """(1/n) sum_i E_i[delta_i Z - int Z e^{beta Z} dL], the beta score at a fixed hazard,
+    from the risk-set sums R at beta (`_risk_cols`)."""
+    return (float(np.sum(ws.delta * est.E1)) - float(dL @ R[:, 1])) / ws.n
 
 
 def _free_directions(cfg: FitConfig):
@@ -327,7 +311,8 @@ def _free_directions(cfg: FitConfig):
 
 def _certificate(ws, est, alpha, beta, dL, cfg: FitConfig):
     """Fixed-point residual and score norm over the canonical probe basis."""
-    wn = _wn_vec(ws, est, beta)
+    R = _risk_cols(ws, est, beta)
+    wn = R[:, 0] / ws.n
     id_resid = float(np.max(np.abs(dL * wn - 1.0 / ws.n)))
     s3 = 1.0 / ws.n - dL * wn
     score_norm = float(np.max(np.abs(s3)))
@@ -336,13 +321,13 @@ def _certificate(ws, est, alpha, beta, dL, cfg: FitConfig):
         s1 = ws.transition_stats(est).score(alpha) / ws.n
         score_norm = max(score_norm, float(np.max(np.abs(s1[alpha_free]))))
     if beta_free:
-        score_norm = max(score_norm, abs(_score_beta(ws, est, beta, dL)))
+        score_norm = max(score_norm, abs(_score_beta(ws, est, R, dL)))
     return id_resid, score_norm
 
 
 def _risk_cols(ws, est, beta):
     """Per event time, the risk-set sums W, C, D of E[Z^m e^{beta Z}], m = 0, 1, 2 (K x 3)."""
-    return ws.cols(ws.obs_mats(beta)[1], ws.moments(est, beta))
+    return ws.cols(ws.obs_mats(beta)[1], est.exp_moments(beta))
 
 
 def _mstep(ws, est, alpha, beta, cfg: FitConfig, warn: list):
@@ -576,13 +561,13 @@ def w_n(u: float, dataset: Dataset, atoms: Posterior, beta: float) -> float:
     k = int(np.argmin(np.abs(ws.xe - u)))
     if abs(ws.xe[k] - u) > 1e-12:
         raise ValidationError(f"u={u!r} is not an event time of the dataset")
-    return float(_wn_vec(ws, atoms, beta)[k])
+    return float(_risk_cols(ws, atoms, beta)[k, 0] / ws.n)
 
 
 def lambda_update(dataset: Dataset, atoms: Posterior, beta: float) -> SieveHazard:
     """Closed-form hazard update: dL_k = (1/n) / W_n(x_k)."""
     ws = _workspace_of(dataset, atoms)
-    wn = _wn_vec(ws, atoms, beta)
+    wn = _risk_cols(ws, atoms, beta)[:, 0] / ws.n
     _check_wn(ws, wn)
     return SieveHazard(tuple(ws.xe), tuple(1.0 / (ws.n * wn)))
 
@@ -626,5 +611,6 @@ def score_full(dataset: Dataset, theta: Theta, h, Q: int = 40, atoms: Posterior 
     h1 = np.zeros(5) if h1 is None else np.asarray(h1, dtype=float)
     h3 = np.zeros(ws.K) if h3 is None else np.asarray(h3, dtype=float) * np.ones(ws.K)
     s1 = ws.transition_stats(est).score(theta.alpha) / ws.n
-    s3 = float(np.sum(h3 * (1.0 / ws.n - dL * _wn_vec(ws, est, theta.beta))))
-    return float(h1 @ s1) + float(h2) * _score_beta(ws, est, theta.beta, dL) + s3
+    R = _risk_cols(ws, est, theta.beta)
+    s3 = float(np.sum(h3 * (1.0 / ws.n - dL * (R[:, 0] / ws.n))))
+    return float(h1 @ s1) + float(h2) * _score_beta(ws, est, R, dL) + s3

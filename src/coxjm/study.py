@@ -23,7 +23,7 @@ from .baseline import partial_lik_fit
 from .exceptions import CoxjmError, SingularOperatorError, ValidationError
 from .fit import FitConfig, em_fit
 from .simulate import SimConfig, gen_dataset
-from .variance import _beta_simple, _info_parts, _operator, beta_probe, var_estimate, z_quantile
+from .variance import BETA_UNIDENTIFIED, _information, beta_probe, var_estimate, z_quantile
 
 log = logging.getLogger(__name__)
 
@@ -116,12 +116,12 @@ def _run_one(config: StudyConfig, rep: int) -> list[dict]:
             if estimator == "npml":
                 fit = em_fit(dataset, config=config.fit)
                 th = fit.theta_hat
-                # one set of information parts, at the fit's own posterior, gives both variances
-                parts = _info_parts(dataset, th, fit.posterior)
-                se = math.sqrt(_beta_simple(parts) / dataset.n)
-                row["beta_hat"], row["se_simple"] = th.beta, se
+                # one operator build, at the fit's own posterior, gives both variances
+                op, vs = _information(dataset, th, fit.posterior)
+                if vs is None:
+                    raise ValidationError(BETA_UNIDENTIFIED)
+                row["beta_hat"], row["se_simple"] = th.beta, math.sqrt(vs / dataset.n)
                 try:
-                    op = _operator(parts, th.alpha)
                     vf = var_estimate(op, th.hazard, beta_probe(op.K))
                     row["se_full"] = math.sqrt(vf / dataset.n) if vf > 0 else float("nan")
                 except SingularOperatorError:

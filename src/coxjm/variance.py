@@ -12,7 +12,12 @@ matrix M on (h1, h2, h3(x_1), ..., h3(x_K)).  Rows carrying h3(x_k) are
 scaled by 1/dL_k.  The variance of the estimator paired with a probe g is
 the quadratic form
 
-    sum_k g3(x_k) h3(x_k) dL_k + g2 h2 + g1' h1,    where sigma-hat(h) = g.
+    <g, h> = sum_k g3(x_k) h3(x_k) dL_k + g2 h2 + g1' h1,    where sigma-hat(h) = g.
+
+An observed information is self-adjoint in this inner product: with
+P = diag(1, ..., 1, dL_1, ..., dL_K), the matrix P M is symmetric.  So M is
+kept by the parts of P M, and M' needs no parts of its own:
+M'^{-1} = P M^{-1} P^{-1}.
 
 Each subject's latent window lies inside one grid interval, so the
 hazard-hazard part of the missing information is block diagonal by interval,
@@ -46,6 +51,7 @@ from .posterior import EXP_CLIP
 COND_LIMIT = 1e12
 # the centred beta curvature must exceed this share of the uncentred one
 SIMPLE_RTOL = 1e-10
+BETA_UNIDENTIFIED = "beta curvature is not positive (beta not identified); beta variance undefined"
 
 
 @dataclass(frozen=True)
@@ -71,26 +77,26 @@ class DiscretizedOperator:
 
     The joint matrix on (h1, h2, h3 at event times) is
 
-        M = [[E, F],
-             [G, H]],    H = diag(w) - V diag(dL),
+        M = [[E, G' diag(dL)],
+             [G, H          ]],    H = diag(w) - V diag(dL),
 
-    with E the 6x6 border on (h1, h2), F its 6xK columns on h3 and G the Kx6
-    h3 rows; V_kl = v[max(k, l)] when x_k and x_l lie in one grid interval
-    and 0 otherwise.  M is never formed.  On one interval V = U diag(delta) U'
-    with U the upper-triangular matrix of ones and delta_m = v_m - v_{m+1}
-    (v past the interval's last event counts as 0).  With omega = w / dL,
+    with E the symmetric 6x6 border on (h1, h2) and G the Kx6 h3 rows;
+    V_kl = v[max(k, l)] when x_k and x_l lie in one grid interval and 0
+    otherwise, so P M with P = diag(1, ..., 1, dL) is symmetric.  M is never
+    formed.  On one interval V = U diag(delta) U' with U the upper-triangular
+    matrix of ones and delta_m = v_m - v_{m+1} (v past the interval's last
+    event counts as 0).  With omega = w / dL,
 
-        H x = r    <=>   T z = U^{-1} r,          z = U' (dL x),
-        H' x = r   <=>   T z = U^{-1} (r / dL),   z = U' x,
+        H x = r    <=>   T z = U^{-1} r,   z = U' (dL x),
 
     where T = U^{-1} diag(omega) U^{-T} - diag(delta) is symmetric tridiagonal
     (diagonal omega_k + omega_{k+1} - delta_k, off-diagonal -omega_{k+1}, both
-    omega_{k+1} terms zero where the interval ends).  One LU of T and the 6x6
-    Schur complement E - F H^{-1} G solve M and M' in O(K) per right-hand side.
+    omega_{k+1} terms zero where the interval ends).  One LU of T, the K x 6
+    Z = dL H^{-1} G and an LU of the symmetric 6x6 Schur complement E - G'Z
+    solve M in O(K) per right-hand side, and M' through M'^{-1} = P M^{-1} P^{-1}.
     """
 
-    E: np.ndarray          # 6x6 border on (h1, h2)
-    F: np.ndarray          # 6xK border rows, h3 columns
+    E: np.ndarray          # symmetric 6x6 border on (h1, h2)
     G: np.ndarray          # Kx6 h3 rows, border columns
     w: np.ndarray          # diagonal of H before the V term
     v: np.ndarray          # generator of V: V_kl = v[max(k, l)] within an interval
@@ -99,13 +105,15 @@ class DiscretizedOperator:
     interval: np.ndarray   # grid interval of each event time, nondecreasing
 
     def __post_init__(self):
-        for name in ("E", "F", "G", "w", "v", "dL", "times"):
+        for name in ("E", "G", "w", "v", "dL", "times"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "interval", np.asarray(self.interval, dtype=int))
         K = self.dL.size
-        if (self.E.shape != (6, 6) or self.F.shape != (6, K) or self.G.shape != (K, 6)
+        if (self.E.shape != (6, 6) or self.G.shape != (K, 6)
                 or any(a.shape != (K,) for a in (self.w, self.v, self.times, self.interval))):
             raise ValidationError("operator parts do not match the hazard support")
+        if not np.array_equal(self.E, self.E.T, equal_nan=True):
+            raise ValidationError("operator border E must be symmetric")
         if np.any(np.diff(self.interval) < 0):
             raise ValidationError("event grid intervals must be nondecreasing")
 
@@ -128,7 +136,7 @@ class DiscretizedOperator:
 
     @cached_property
     def _factors(self):
-        """LU of T, H^{-1} G, H'^{-1} F' and the LU of the Schur complement; None if singular."""
+        """LU of T, Z = dL H^{-1} G and the LU of the Schur complement; None if singular."""
         same = self._bounds[2][:, 0]
         omega = self.w / self.dL
         nxt = np.append(omega[1:] * same, 0.0)   # omega_{k+1}, 0 where the interval ends
@@ -138,19 +146,14 @@ class DiscretizedOperator:
         *tri, info = lapack.dgttrf(off, np.append(diag, [1.0, 1.0]), off)
         if info != 0 or not np.isfinite(np.concatenate(tri[:4])).all():
             return None
-        dL = self.dL[:, None]
-        z = self._tsolve(tri, np.concatenate([self.G, self.F.T / dL], axis=1))
-        HiG, HitF = z[:, :6] / dL, z[:, 6:]
-        lu, piv, info = lapack.dgetrf(self.E - self.F @ HiG)
+        Z = self._tsolve(tri, self.G)
+        lu, piv, info = lapack.dgetrf(self.E - self.G.T @ Z)
         if info != 0 or not np.isfinite(lu).all():
             return None
-        return tri, HiG, HitF, lu, piv
+        return tri, Z, lu, piv
 
     def _tsolve(self, tri, r: np.ndarray) -> np.ndarray:
-        """U^{-T} T^{-1} U^{-1} r for a K x m matrix r.
-
-        H^{-1} r is this of r, divided by dL; H'^{-1} r is this of r / dL.
-        """
+        """U^{-T} T^{-1} U^{-1} r, which is dL H^{-1} r, for a K x m matrix r."""
         same = self._bounds[2]
         u = np.zeros((r.shape[0] + 2, r.shape[1]))
         u[:-2] = r
@@ -160,22 +163,19 @@ class DiscretizedOperator:
         return z
 
     def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
-        """M^{-1} rhs, or M'^{-1} rhs when trans, for a vector or the columns of a matrix."""
+        """M^{-1} rhs, or M'^{-1} rhs = P M^{-1} P^{-1} rhs when trans, for a vector or the
+        columns of a matrix."""
         f = self._factors
         if f is None:
             raise SingularOperatorError(math.inf)
-        tri, HiG, HitF, lu, piv = f
+        tri, Z, lu, piv = f
         r = rhs.reshape(rhs.shape[0], -1)
         dL = self.dL[:, None]
-        if trans:
-            t = self._tsolve(tri, r[6:] / dL)
-            xb = lapack.dgetrs(lu, piv, r[:6] - self.G.T @ t, trans=1)[0]
-            xh = t - HitF @ xb
-        else:
-            t = self._tsolve(tri, r[6:]) / dL
-            xb = lapack.dgetrs(lu, piv, r[:6] - self.F @ t)[0]
-            xh = t - HiG @ xb
-        return np.concatenate([xb, xh]).reshape(rhs.shape)
+        # block elimination: t = dL H^{-1} r_h3 with r = rhs, or P^{-1} rhs when trans
+        t = self._tsolve(tri, r[6:] / dL if trans else r[6:])
+        xb = lapack.dgetrs(lu, piv, r[:6] - self.G.T @ t)[0]
+        xh = t - Z @ xb
+        return np.concatenate([xb, xh if trans else xh / dL]).reshape(rhs.shape)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """M x for a vector or the columns of a matrix."""
@@ -190,7 +190,7 @@ class DiscretizedOperator:
         c = np.zeros((self.K + 1, 2 * m))
         np.cumsum(np.concatenate([y, v * y], axis=1), axis=0, out=c[1:])
         vy = v * (c[1:, :m] - c[lo, :m]) + c[hi, m:] - c[1:, m:]
-        return np.concatenate([self.E @ xb + self.F @ xh,
+        return np.concatenate([self.E @ xb + self.G.T @ y,
                                self.G @ xb + self.w[:, None] * xh - vy]).reshape(x.shape)
 
     @cached_property
@@ -199,11 +199,11 @@ class DiscretizedOperator:
         lo, hi, _ = self._bounds
         av = np.abs(self.v)
         cum = np.concatenate([[0.0], np.cumsum(av)])
-        # column l of H: w_l - v_l dL_l on the diagonal, v_l dL_l above it and v_k dL_l below
+        # column l: G[l] dL_l in the border rows; in H, w_l - v_l dL_l on the diagonal,
+        # v_l dL_l above it and v_k dL_l below
         hz = np.abs(self.w - self.v * self.dL) + np.abs(self.dL) * (
-            (np.arange(self.K) - lo) * av + cum[hi] - cum[1:])
-        return float(max(np.max(np.abs(self.E).sum(0) + np.abs(self.G).sum(0)),
-                         np.max(np.abs(self.F).sum(0) + hz)))
+            (np.arange(self.K) - lo) * av + cum[hi] - cum[1:] + np.abs(self.G).sum(1))
+        return float(max(np.max(np.abs(self.E).sum(0) + np.abs(self.G).sum(0)), np.max(hz)))
 
     @cached_property
     def cond(self) -> float:
@@ -250,20 +250,6 @@ def beta_probe(K: int) -> Probe:
     return Probe(np.zeros(5), 1.0, np.zeros(K))
 
 
-@dataclass(frozen=True)
-class _InfoParts:
-    """Complete-information columns and missing-information pieces at a fit."""
-
-    post: Posterior
-    dL: np.ndarray
-    w: np.ndarray        # W_n(x_k) = (1/n) sum_i E_i[e^{bZ(x_k)} 1{x_k <= X_i}]
-    c: np.ndarray        # (1/n) sum_i E_i[Z e^{bZ} ...], same support
-    d: np.ndarray        # (1/n) sum_i E_i[Z^2 e^{bZ} ...]
-    miss: np.ndarray     # (1/n) sum_i Cov_i of the first four terms, symmetrized
-    cross: np.ndarray    # 4 x K: (1/n) sum over windows holding x_k of Cov_i[term j, e^{bZ}]
-    var_e: np.ndarray    # (1/n) sum over windows holding x_k of Var_i(e^{bZ})
-
-
 def _latent_covariances(ws, est, alpha, beta: float) -> np.ndarray:
     """Per-subject posterior covariances of the Z-dependent complete-score terms.
 
@@ -275,50 +261,53 @@ def _latent_covariances(ws, est, alpha, beta: float) -> np.ndarray:
     Z, w = est.nodes, est.weights
     r = Z - (alpha.a + alpha.b * ws.z_pred)[:, None]
     e = np.exp(np.minimum(beta * Z, EXP_CLIP))
-    F = np.stack([r / alpha.ssq, ws.z_pred[:, None] * r / alpha.ssq,
-                  r * r / (2 * alpha.ssq**2),
-                  (ws.delta[:, None] - est.a_lat[:, None] * e) * Z, e], axis=1)
+    F = np.empty((ws.n, 5, Z.shape[1]))
+    F[:, 0] = r / alpha.ssq
+    F[:, 1] = ws.z_pred[:, None] * r / alpha.ssq
+    F[:, 2] = r * r / (2 * alpha.ssq**2)
+    F[:, 3] = (ws.delta[:, None] - est.a_lat[:, None] * e) * Z
+    F[:, 4] = e
     F -= np.einsum("iq,ifq->if", w, F)[:, :, None]
     F *= np.sqrt(w)[:, None, :]  # w >= 0, so sum_q w_q f_q f_q' is G G' with G = F sqrt(w)
     return F @ F.transpose(0, 2, 1)
 
 
-def _info_parts(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> _InfoParts:
+def _information(dataset: Dataset, theta_hat: Theta, atoms: Posterior
+                 ) -> tuple[DiscretizedOperator, float | None]:
+    """The observed information operator at a fit with its atoms, and the closed-form
+    beta variance (`var_beta_simple`), None where its curvature is not positive."""
     ws = _workspace_of(dataset, atoms)
     dL = _hazard_jumps(ws.xe, theta_hat.hazard)
-    beta = theta_hat.beta
+    beta, n = theta_hat.beta, ws.n
     cov = _latent_covariances(ws, atoms, theta_hat.alpha, beta)
-    n = ws.n
+    # W_n, C_n, D_n: (1/n) sum_i E_i[Z^m e^{bZ} 1{x_k <= X_i}], m = 0, 1, 2
     w, c, d = _risk_cols(ws, atoms, beta).T / n
-    # sums over the subjects whose latent window holds x_k, one column each
-    lat = ws.cols(None, np.where(ws.has_extra[:, None], 0.0,
-                                 np.column_stack([cov[:, :4, 4], cov[:, 4, 4]]))) / n
+    # per x_k, (1/n) sum over the latent windows holding it of Cov_i[term j, e^{bZ}]
+    lat = ws.cols(None, np.where(ws.has_extra[:, None], 0.0, cov[:, :, 4])) / n
     miss = np.sum(cov[:, :4, :4], axis=0) / n
-    return _InfoParts(atoms, dL, w, c, d, 0.5 * (miss + miss.T), lat[:, :4].T, lat[:, 4])
+    miss = 0.5 * (miss + miss.T)
+    E = np.zeros((6, 6))
+    E[:5, :5] = -ws.transition_stats(atoms).hessian(theta_hat.alpha) / n
+    E[2:5, 2:5] -= miss[:3, :3]
+    E[2:5, 5] = E[5, 2:5] = -miss[:3, 3]
+    E[5, 5] = float(np.dot(d, dL)) - miss[3, 3]
+    # h3 rows: the (a, b, ssq) and beta scores against the hazard score -e^{bZ} dL_k
+    G = np.zeros((ws.K, 6))
+    G[:, 2:5] = lat[:, :3]
+    G[:, 5] = c + lat[:, 3]
+    # V diag(dL) is the hazard-hazard missing information: dL_l (1/n) sum over the
+    # windows holding x_k and x_l of Var_i(e^{bZ}).  A latent window lies inside one
+    # grid interval, so within an interval the windows holding both are those
+    # holding the later, and their variance sum at the later time is V's generator
+    op = DiscretizedOperator(E=E, G=G, w=w, v=lat[:, 4], dL=dL.copy(), times=ws.xe.copy(),
+                             interval=ws.a_e)
+    curvature = float(np.dot(d - c**2 / w, dL) - miss[3, 3])
+    return op, 1.0 / curvature if curvature > SIMPLE_RTOL * float(np.dot(d, dL)) else None
 
 
 def build_sigma_hat(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> DiscretizedOperator:
     """Assemble the observed information operator at a converged fit with its atoms."""
-    return _operator(_info_parts(dataset, theta_hat, atoms), theta_hat.alpha)
-
-
-def _operator(p: _InfoParts, alpha) -> DiscretizedOperator:
-    ws, dL = p.post.ws, p.dL
-    E = np.zeros((6, 6))
-    E[:5, :5] = -ws.transition_stats(p.post).hessian(alpha) / ws.n
-    E[2:5, 2:5] -= p.miss[:3, :3]
-    E[2:5, 5] = E[5, 2:5] = -p.miss[:3, 3]
-    E[5, 5] = float(np.dot(p.d, dL)) - p.miss[3, 3]
-    # h3 rows: the (a, b, ssq) and beta scores against the hazard score -e^{bZ} dL_k
-    G = np.zeros((ws.K, 6))
-    G[:, 2:5] = p.cross[:3].T
-    G[:, 5] = p.c + p.cross[3]
-    # V diag(dL) is the hazard-hazard missing information: dL_l (1/n) sum over the
-    # windows holding x_k and x_l of Var_i(e^{bZ}).  A latent window lies inside one
-    # grid interval, so within an interval the windows holding both are those
-    # holding the later, and var_e at the later time is V's generator
-    return DiscretizedOperator(E=E, F=G.T * dL, G=G, w=p.w, v=p.var_e,
-                               dL=dL.copy(), times=ws.xe.copy(), interval=ws.a_e)
+    return _information(dataset, theta_hat, atoms)[0]
 
 
 def _solve(op: DiscretizedOperator, rhs: np.ndarray) -> np.ndarray:
@@ -389,15 +378,10 @@ def var_beta_simple(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> flo
     so each event time contributes the risk-set variance of Z; the last term is
     the beta missing information (A_i is the hazard mass of i's latent window).
     """
-    return _beta_simple(_info_parts(dataset, theta_hat, atoms))
-
-
-def _beta_simple(p: _InfoParts) -> float:
-    total = float(np.dot(p.d - p.c**2 / p.w, p.dL) - p.miss[3, 3])
-    if not total > SIMPLE_RTOL * float(np.dot(p.d, p.dL)):
-        raise ValidationError("beta curvature is not positive (beta not identified); "
-                              "beta variance undefined")
-    return 1.0 / total
+    var = _information(dataset, theta_hat, atoms)[1]
+    if var is None:
+        raise ValidationError(BETA_UNIDENTIFIED)
+    return var
 
 
 def ci(fit: FitResult, var_est: float, level: float) -> tuple[float, float]:
@@ -444,12 +428,7 @@ def variance_report(dataset: Dataset, theta_hat: Theta, atoms: Posterior, fit: F
     `lambda_band` when the operator is numerically singular.  An empty
     `t_grid` gives an empty `lambda_band`.
     """
-    p = _info_parts(dataset, theta_hat, atoms)
-    op = _operator(p, theta_hat.alpha)
-    try:
-        simple = _beta_simple(p)
-    except ValidationError:
-        simple = None
+    op, simple = _information(dataset, theta_hat, atoms)
     report: dict = {"var_beta_simple": simple, "cond_B": op.cond}
     try:
         report["var_beta_full"] = var_estimate(op, theta_hat.hazard, beta_probe(op.K))

@@ -358,7 +358,7 @@ def dense_operator(op) -> np.ndarray:
     K = op.K
     m = np.zeros((6 + K, 6 + K))
     m[:6, :6] = op.E
-    m[:6, 6:] = op.F
+    m[:6, 6:] = op.G.T * op.dL
     m[6:, :6] = op.G
     m[np.arange(6, 6 + K), np.arange(6, 6 + K)] = op.w
     starts = np.flatnonzero(np.diff(op.interval, prepend=-1))

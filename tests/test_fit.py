@@ -27,6 +27,7 @@ from coxjm import (
     score_full,
     w_n,
 )
+from coxjm.fit import _risk_cols
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 
 GRID0 = MeasurementGrid((0.0,))
@@ -140,7 +141,8 @@ def test_score_beta_matches_fd_of_em_objective():
     def q_beta(b):
         # beta-dependent part of the EM objective at frozen atoms
         ws = atoms.ws
-        return (b * float(np.sum(ws.delta * atoms.E1)) - float(ws.totals(atoms, b, np.asarray(hz.jumps))[0])) / ws.n
+        total = float(np.asarray(hz.jumps) @ _risk_cols(ws, atoms, b)[:, 0])
+        return (b * float(np.sum(ws.delta * atoms.E1)) - total) / ws.n
 
     h = 1e-6
     for b in (0.0, 0.4, 1.0):
@@ -389,7 +391,7 @@ def test_mstep_reaches_profiled_maximizer(seed, n, beta):
     # at fixed atoms the M-step maximizes the EM objective jointly over (beta, hazard):
     # the beta score vanishes at the returned beta with the hazard dL = 1/(n W_n) there
     # (its Newton steps stop once the score is below 0.05 tol_score)
-    from coxjm.fit import _estep, _mstep, _score_beta, _wn_vec, _Workspace
+    from coxjm.fit import _estep, _mstep, _score_beta, _Workspace
 
     ds, _ = _sim(n, seed=seed)
     ws = _Workspace(ds)
@@ -399,10 +401,11 @@ def test_mstep_reaches_profiled_maximizer(seed, n, beta):
     alpha_new, beta_new, dL_new = _mstep(ws, est, ALPHA0, beta, cfg, [])
 
     def objective(alpha, b, jumps):
-        cox = np.sum(np.log(jumps)) + b * np.sum(ws.delta * est.E1) - ws.totals(est, b, jumps)[0]
+        cox = np.sum(np.log(jumps)) + b * np.sum(ws.delta * est.E1) - jumps @ _risk_cols(ws, est, b)[:, 0]
         return ws.transition_stats(est).objective(alpha) + float(cox)
 
-    assert abs(_score_beta(ws, est, beta_new, dL_new)) <= 1e-8
-    np.testing.assert_allclose(dL_new, 1.0 / (ws.n * _wn_vec(ws, est, beta_new)), rtol=1e-12)
+    R = _risk_cols(ws, est, beta_new)
+    assert abs(_score_beta(ws, est, R, dL_new)) <= 1e-8
+    np.testing.assert_allclose(dL_new, 1.0 / R[:, 0], rtol=1e-12)
     old, new = objective(ALPHA0, beta, dL), objective(alpha_new, beta_new, dL_new)
     assert new >= old - 1e-10 * (1 + abs(old))

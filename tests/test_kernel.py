@@ -28,10 +28,10 @@ from coxjm import (
     next_value,
 )
 from coxjm.baseline import _imputed, _risk_sums
-from coxjm.fit import _Workspace, _boundedness_check, _estep, _init_theta, _score_beta, _wn_vec, estep_atoms
+from coxjm.fit import _Workspace, _boundedness_check, _estep, _init_theta, _risk_cols, _score_beta, estep_atoms
 from coxjm.data import covariate_at, is_fully_observed
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
-from coxjm.variance import _info_parts, _latent_covariances
+from coxjm.variance import _information, _latent_covariances
 
 TAU = 3.0
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
@@ -51,11 +51,14 @@ def _close(got, want, scale):
 
 
 def _atoms(rng, ds, beta, dL, Q=3):
-    """Random atoms, one row of Q per subject, with the hazard splits at (beta, dL)."""
+    """Random atoms, one row of Q per subject, with the hazard splits at (beta, dL); a stored
+    terminal value is one atom of weight one, as `_estep` writes it."""
     nodes, weights = np.empty((ds.n, Q)), np.empty((ds.n, Q))
-    for i in range(ds.n):
+    for i, s in enumerate(ds.subjects):
         w = rng.uniform(0.05, 1.0, Q)
         weights[i], nodes[i] = w / w.sum(), rng.uniform(-2.5, 2.5, Q)
+        if is_fully_observed(s, ds.grid):
+            weights[i], nodes[i] = np.eye(1, Q)[0], s.measurements[-1]
     return stack_atoms(ds, nodes, weights, beta, dL)
 
 
@@ -74,22 +77,23 @@ def check_against_oracle(ds, beta, rng):
     # column sums W_n, C_n, D_n, and the beta score and objective terms
     m = latent_moments(est.nodes, est.weights, beta)
     cols, mag = D.cols(beta, m), D.cols(beta, m, absolute=True)
-    _close(_wn_vec(ws, est, beta), cols[:, 0] / n, mag[:, 0] / n)
+    R = _risk_cols(ws, est, beta)
+    _close(R, cols, mag)
     tot, tmag = D.totals(beta, m, dL), D.totals(beta, m, dL, absolute=True)
     E1 = np.sum(est.weights * est.nodes, axis=1)
     dE, dmag = float(D.delta @ E1), float(D.delta @ np.abs(E1))
-    _close(_score_beta(ws, est, beta, dL), (dE - tot[1]) / n, (dmag + tmag[1]) / n)
-    _close(ws.totals(est, beta, dL), tot, tmag)
+    _close(_score_beta(ws, est, R, dL), (dE - tot[1]) / n, (dmag + tmag[1]) / n)
 
-    # the variance module's columns, and its sums over the latent windows holding x_k
+    # the operator's columns, and its sums over the latent windows holding x_k
     theta = Theta(alpha=ALPHA0, beta=beta, hazard=SieveHazard(tuple(D.xe), tuple(dL)))
-    parts = _info_parts(ds, theta, est)
-    _close(np.column_stack([parts.w, parts.c, parts.d]), cols / n, mag / n)
-    cov = _latent_covariances(ws, est, ALPHA0, beta)
-    lat_cols = np.column_stack([cov[:, :4, 4], cov[:, 4, 4]])
+    op = _information(ds, theta, est)[0]
+    _close(op.w, cols[:, 0] / n, mag[:, 0] / n)
+    lat_cols = _latent_covariances(ws, est, ALPHA0, beta)[:, :, 4]
     lat, lat_mag = D.lat_mask.T @ lat_cols / n, D.lat_mask.T @ np.abs(lat_cols) / n
-    _close(parts.cross, lat[:, :4].T, lat_mag[:, :4].T)
-    _close(parts.var_e, lat[:, 4], lat_mag[:, 4])
+    assert not np.any(op.G[:, :2])
+    _close(op.G[:, 2:5], lat[:, :3], lat_mag[:, :3])
+    _close(op.G[:, 5], cols[:, 1] / n + lat[:, 3], mag[:, 1] / n + lat_mag[:, 3])
+    _close(op.v, lat[:, 4], lat_mag[:, 4])
 
     # the fit's Nelson-Aalen start: exact risk-set counts
     assert np.array_equal(_init_theta(ws, None, FitConfig())[2], 1.0 / D.risk.sum(axis=0))
@@ -216,13 +220,17 @@ def test_estep_mode_search_error_names_subject():
     ds = _mixed_named()
     ws = _Workspace(ds)
     jumps = np.asarray(nelson_aalen(ds).jumps)
-    for k in (0, ws.K // 2, ws.K - 1):
+    for k in range(ws.K):
         # an infinite jump gives every subject whose latent window holds it an infinite
-        # latent mass, and so a non-finite mode; the error names the first of them
+        # latent mass, and so a non-finite mode; the error names the first of them.  A
+        # stored terminal value has no latent mass, so with none latent there is no error
         t = ws.xe[k]
         latent = [s.id for s in ds.subjects if t <= s.x and covariate_at(s, t, ds.grid) is None]
         dL = jumps.copy()
         dL[k] = np.inf
+        if not latent:
+            assert np.all(np.isfinite(_estep(ws, ALPHA0, 0.8, dL, 40).a_lat))
+            continue
         with pytest.raises(ModeSearchError) as err:
             _estep(ws, ALPHA0, 0.8, dL, 40)
         assert err.value.subject_id == latent[0] != ds.subjects[0].id

@@ -143,8 +143,8 @@ def test_study_rows_equal_public_calls(seed):
 
 def test_replication_builds_two_workspaces_and_one_information(monkeypatch):
     # one workspace for the NPML fit, whose posterior carries it to both variances
-    # through one set of information parts, and one for the LVCF comparator
-    counts = {"workspace": 0, "info_parts": 0}
+    # through one operator build, and one for the LVCF comparator
+    counts = {"workspace": 0, "operator": 0}
 
     def counted(key, init):
         def init_and_count(self, *args, **kwargs):
@@ -153,11 +153,11 @@ def test_replication_builds_two_workspaces_and_one_information(monkeypatch):
         return init_and_count
 
     monkeypatch.setattr(fit_mod._Workspace, "__init__", counted("workspace", fit_mod._Workspace.__init__))
-    monkeypatch.setattr(variance_mod._InfoParts, "__init__",
-                        counted("info_parts", variance_mod._InfoParts.__init__))
+    monkeypatch.setattr(variance_mod.DiscretizedOperator, "__init__",
+                        counted("operator", variance_mod.DiscretizedOperator.__init__))
     rows = _run_one(_study(n=200, reps=1), 0)
     assert [(r["estimator"], r["error"]) for r in rows] == [("npml", None), ("lvcf", None)]
-    assert counts == {"workspace": 2, "info_parts": 1}
+    assert counts == {"workspace": 2, "operator": 1}
 
 
 def test_posterior_of_another_dataset_refused(tmp_path):

@@ -50,7 +50,7 @@ def test_operator_block_shapes(fitted):
     ds, fit, atoms, op = fitted
     K = len(fit.theta_hat.hazard.times)
     assert op.A.shape == (5, 5)
-    assert (op.E.shape, op.F.shape, op.G.shape) == ((6, 6), (6, K), (K, 6))
+    assert (op.E.shape, op.G.shape) == ((6, 6), (K, 6))
     assert dense_operator(op).shape == (6 + K, 6 + K)
     assert np.array_equal(op.A, op.A.T)
     assert np.min(np.linalg.eigvalsh(op.A)) > 0
@@ -234,13 +234,22 @@ def test_var_beta_simple_constant_covariate():
 def test_var_estimate_negative_warns():
     # a negative quadratic form is reported, not masked: force one by flipping
     # the operator sign on the (h2, h3) block of a synthetic operator
-    op = DiscretizedOperator(E=np.diag([1.0] * 5 + [-1.0]), F=np.zeros((6, 2)), G=np.zeros((2, 6)),
+    op = DiscretizedOperator(E=np.diag([1.0] * 5 + [-1.0]), G=np.zeros((2, 6)),
                              w=-np.ones(2), v=np.zeros(2), dL=np.array([0.1, 0.2]),
                              times=np.array([0.5, 1.0]), interval=np.array([0, 1]))
     hz = SieveHazard((0.5, 1.0), (0.1, 0.2))
     with pytest.warns(RuntimeWarning):
         out = var_estimate(op, hz, Probe(np.zeros(5), 1.0, np.zeros(2)))
     assert out < 0
+
+
+def test_operator_refuses_nonsymmetric_border():
+    # M is kept by the parts of the symmetric P M, whose border is E itself
+    E = np.eye(6)
+    E[5, 0] = 0.5
+    with pytest.raises(ValidationError, match="symmetric"):
+        DiscretizedOperator(E=E, G=np.zeros((2, 6)), w=np.ones(2), v=np.zeros(2), dL=np.array([0.1, 0.2]),
+                            times=np.array([0.5, 1.0]), interval=np.array([0, 1]))
 
 
 def test_ci_examples(fitted):
@@ -295,8 +304,8 @@ def test_operator_cond_reproducible():
     # (the raw estimate can move in its last bits with where its arrays sit)
     rng = np.random.default_rng(0)
     K = 300
-    parts = dict(E=rng.standard_normal((6, 6)) + math.sqrt(K) * np.eye(6),
-                 F=rng.standard_normal((6, K)), G=rng.standard_normal((K, 6)),
+    E = rng.standard_normal((6, 6))
+    parts = dict(E=E + E.T + math.sqrt(K) * np.eye(6), G=rng.standard_normal((K, 6)),
                  w=math.sqrt(K) + rng.standard_normal(K), v=rng.uniform(0.0, 0.5, K),
                  dL=rng.uniform(0.5, 1.5, K), times=np.arange(1.0, K + 1),
                  interval=np.repeat(np.arange(10), 30))
@@ -416,8 +425,8 @@ def test_structured_operator_matches_dense_oracle_random(K, n_intervals):
     # random parts whose hazard columns carry the 1-norm, and systems of order
     # 1 and 2, which LAPACK's tridiagonal wrapper does not take unpadded
     rng = np.random.default_rng(K * 100 + n_intervals)
-    op = DiscretizedOperator(E=0.5 * rng.standard_normal((6, 6)) + 2 * np.eye(6),
-                             F=rng.standard_normal((6, K)) / K, G=rng.standard_normal((K, 6)) / K,
+    E = 0.25 * rng.standard_normal((6, 6))
+    op = DiscretizedOperator(E=E + E.T + 2 * np.eye(6), G=rng.standard_normal((K, 6)) / K,
                              w=10.0 + rng.random(K), v=rng.uniform(-1.0, 2.0, K),
                              dL=rng.uniform(0.1, 1.0, K), times=np.arange(1.0, K + 1),
                              interval=np.sort(rng.integers(0, n_intervals, K)))
