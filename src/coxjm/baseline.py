@@ -96,7 +96,9 @@ def partial_lik_fit(
 
     A flat likelihood (all covariate values equal within every risk set)
     returns beta = 0 with a "flat-likelihood" flag; a monotone likelihood is
-    clipped at the box boundary and flagged non-converged.
+    clipped at the box boundary and flagged non-converged.  Newton stops when the
+    decrement |score| / sqrt(info), the next step in standard errors of beta, is at
+    most `tol`; its rounding floor grows like sqrt(K), the score's (a sum) like K.
     """
     parts = _imputed(dataset, value_fn)
     beta = 0.0
@@ -119,12 +121,12 @@ def partial_lik_fit(
             halved += 1
         moved = abs(new - beta)
         beta, loglik, score, info = new, ll_new, sc_new, info_new
-        if abs(score) <= tol:
+        if score * score <= tol * tol * info:
             converged = True
             break
         if moved == 0.0:
             break
-    if abs(beta) >= beta_box and abs(score) > tol:
+    if abs(beta) >= beta_box and score * score > tol * tol * info:
         flags.append("boundary")
         converged = False
     return BaselineFit(beta, _breslow(parts, beta), it, converged, tuple(flags), loglik, score, info)

@@ -7,7 +7,6 @@ failure, 4 I/O problem.  COXJM_LOG controls log verbosity (DEBUG..ERROR).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -29,12 +28,8 @@ EXIT_IO = 4
 log = logging.getLogger("coxjm")
 
 
-def _read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 def cmd_simulate(args) -> int:
-    config = SimConfig.from_dict(_read_json(args.config))
+    config = SimConfig.from_dict(cio.load_json(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset, truths = gen_dataset(config)
@@ -53,7 +48,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     dataset = cio.load_dataset_json(args.data)
-    fit_cfg = FitConfig.from_dict(_read_json(args.config)) if args.config else FitConfig()
+    fit_cfg = FitConfig.from_dict(cio.load_json(args.config)) if args.config else FitConfig()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.method == "lvcf":
@@ -83,7 +78,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_mc_study(args) -> int:
-    config = StudyConfig.from_dict(_read_json(args.config))
+    config = StudyConfig.from_dict(cio.load_json(args.config))
     out = Path(args.out) if args.out else Path(config.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     report = run_study(config)

@@ -12,11 +12,15 @@ window (t_{a_x}, x]: the measurement that was never taken.
 A dataset produced by the full-information reduction stores that terminal
 value as one extra trailing measurement (count a_x + 2 instead of a_x + 1);
 `covariate_at` then never returns the latent marker for such subjects.
+
+`Dataset` works this layout out once, as read-only arrays, and validates from
+them; the fit workspace, the tie check and the full-information reduction read them.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -74,9 +78,12 @@ class Subject:
     measurements: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "delta", int(self.delta))
-        object.__setattr__(self, "measurements", tuple(float(z) for z in self.measurements))
+        try:
+            object.__setattr__(self, "x", float(self.x))
+            object.__setattr__(self, "delta", int(self.delta))
+            object.__setattr__(self, "measurements", tuple(float(z) for z in self.measurements))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"subject {self.id!r}: {exc}") from exc
         if not self.x > 0 or not math.isfinite(self.x):
             raise ValidationError(f"subject {self.id!r}: follow-up time must be finite and > 0")
         if self.delta not in (0, 1):
@@ -160,7 +167,9 @@ class Theta:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A measurement grid, a horizon tau and the subjects under study."""
+    """A measurement grid, a horizon tau and the subjects under study, with their layout
+    in subject order as read-only arrays: follow-up time `x`, event indicator `delta`, last
+    grid index `a_x` = max{k : t_k < x}, and `has_extra`, whether z_{a_x+1} is stored."""
 
     grid: MeasurementGrid
     subjects: tuple[Subject, ...]
@@ -176,17 +185,22 @@ class Dataset:
         ids = [s.id for s in self.subjects]
         if len(set(ids)) != len(ids):
             raise ValidationError("subject ids must be unique")
-        for s in self.subjects:
-            if s.x > self.tau:
-                raise ValidationError(f"subject {s.id!r}: x exceeds tau")
-            if s.x == self.tau and s.delta != 0:
-                raise ValidationError(f"subject {s.id!r}: events at tau are not allowed (administrative censoring)")
-            a_x = last_index(s.x, self.grid)
-            if len(s.measurements) not in (a_x + 1, a_x + 2):
-                raise ValidationError(
-                    f"subject {s.id!r}: expected {a_x + 1} measurements "
-                    f"(or {a_x + 2} in the full-information form), got {len(s.measurements)}"
-                )
+        x = np.array([s.x for s in self.subjects], dtype=float)
+        delta = np.array([s.delta for s in self.subjects], dtype=int)
+        count = np.array([len(s.measurements) for s in self.subjects], dtype=int)
+        a_x = np.searchsorted(self.grid.times, x) - 1  # the count of grid times < x, less one
+        bad = np.stack([x > self.tau, (x == self.tau) & (delta != 0), (count < a_x + 1) | (count > a_x + 2)])
+        if np.any(bad):
+            # the first offending subject, with the message of its first failed check
+            i = int(np.argmax(np.any(bad, axis=0)))
+            raise ValidationError(f"subject {ids[i]!r}: " + [
+                "x exceeds tau",
+                "events at tau are not allowed (administrative censoring)",
+                f"expected {a_x[i] + 1} measurements (or {a_x[i] + 2} in the full-information form), got {count[i]}",
+            ][int(np.argmax(bad[:, i]))])
+        for name, v in (("x", x), ("delta", delta), ("a_x", a_x), ("has_extra", count == a_x + 2)):
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
     @property
     def n(self) -> int:
@@ -194,11 +208,11 @@ class Dataset:
 
     def event_times(self) -> tuple[float, ...]:
         """Increasingly ordered uncensored times (ties not resolved here)."""
-        return tuple(sorted(s.x for s in self.subjects if s.delta == 1))
+        return tuple(np.sort(self.x[self.delta == 1]).tolist())
 
     @property
     def n_events(self) -> int:
-        return sum(s.delta for s in self.subjects)
+        return int(np.sum(self.delta))
 
 
 def validate_dataset(dataset: Dataset, jitter_ties: bool = False) -> Dataset:
@@ -208,30 +222,21 @@ def validate_dataset(dataset: Dataset, jitter_ties: bool = False) -> Dataset:
     by TIE_JITTER * rank in subject-id order (ranks 1, 2, ... within the group),
     which preserves the risk-set order.
     """
-    events: dict[float, list[Subject]] = {}
-    for s in dataset.subjects:
-        if s.delta == 1:
-            events.setdefault(s.x, []).append(s)
-    tied = {x: group for x, group in events.items() if len(group) > 1}
-    if not tied:
+    times, counts = np.unique(dataset.event_times(), return_counts=True)
+    tied = times[counts > 1]
+    if not tied.size:
         return dataset
     if not jitter_ties:
-        xs = sorted(tied)
-        raise ValidationError(f"tied uncensored event times at {xs}; enable jitter to break ties")
-    shifted = {}
-    for x, group in tied.items():
-        for rank, s in enumerate(sorted(group, key=lambda s: str(s.id)), start=1):
-            shifted[s.id] = x + TIE_JITTER * rank
+        raise ValidationError(f"tied uncensored event times at {tied.tolist()}; enable jitter to break ties")
+    rows = np.flatnonzero((dataset.delta == 1) & np.isin(dataset.x, tied))
+    group = sorted((dataset.subjects[i] for i in rows), key=lambda s: (s.x, str(s.id)))
+    shifted = {s.id: x + TIE_JITTER * rank for x, same_x in itertools.groupby(group, key=lambda s: s.x)
+               for rank, s in enumerate(same_x, start=1)}
     new_subjects = tuple(
         replace(s, x=shifted[s.id]) if s.id in shifted else s for s in dataset.subjects
     )
     out = Dataset(grid=dataset.grid, subjects=new_subjects, tau=dataset.tau)
     return validate_dataset(out, jitter_ties=False)
-
-
-def subject_last_grid_index(subject: Subject, grid: MeasurementGrid) -> int:
-    """a_x = index of the last grid time strictly before the follow-up time."""
-    return last_index(subject.x, grid)
 
 
 def is_fully_observed(subject: Subject, grid: MeasurementGrid) -> bool:

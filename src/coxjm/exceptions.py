@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: validation problems exit 2, numerical /
 convergence failures exit 3, I/O problems exit 4.
 """
 
+from contextlib import contextmanager
+
 
 class CoxjmError(Exception):
     """Base class for all package errors."""
@@ -11,6 +13,18 @@ class CoxjmError(Exception):
 
 class ValidationError(CoxjmError, ValueError):
     """Invalid data, configuration or argument."""
+
+
+@contextmanager
+def reading(what: str):
+    """Raise a missing key (KeyError), an unknown key or a value of the wrong type (TypeError,
+    ValueError) met while reading the `what` document as a ValidationError that names it."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
 class InsufficientDataError(ValidationError):
@@ -35,7 +49,7 @@ class ModeSearchError(CoxjmError):
 
 
 class AscentError(CoxjmError):
-    """EM step could not restore ascent after the configured number of halvings."""
+    """An EM map lowered the observed log likelihood by more than the fit's ascent tolerance."""
 
 
 class NonConvergenceError(CoxjmError):

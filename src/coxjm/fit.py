@@ -5,8 +5,8 @@ One EM map: (E) posterior atoms for every subject at the current theta;
 step-halved Newton steps in beta on the EM objective profiled over the hazard
 (whose maximizing hazard is the closed form dL_k = (1/n) / W_n(x_k), taken at
 the accepted beta).  Every update increases the EM objective, so the observed
-log likelihood is nondecreasing; a global step-halving fallback guards the
-floor/box corner cases.
+log likelihood is nondecreasing up to quadrature error; a drop beyond
+ASCENT_TOL raises AscentError.
 
 The maps are accelerated by SQUAREM: after two maps the parameters are
 extrapolated along their differences, and the extrapolated point is kept (and
@@ -19,19 +19,21 @@ identity dL_k * W_n(x_k) = 1/n holding at freshly computed atoms.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, SieveHazard, Theta, last_index, validate_dataset
+from .data import Dataset, SieveHazard, Theta, validate_dataset
 from .exceptions import (
     AscentError,
     DegenerateRiskSetError,
     InsufficientDataError,
     ModeSearchError,
     ValidationError,
+    reading,
 )
 from .posterior import EXP_CLIP, batch_posterior, gauss_logpdf
 from .transition import (
@@ -40,7 +42,6 @@ from .transition import (
     AlphaBox,
     TransitionParams,
     TransitionStats,
-    history_arrays,
 )
 
 ASCENT_TOL = 1e-8
@@ -86,11 +87,12 @@ class FitConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "FitConfig":
-        d = dict(d)
-        box = d.pop("alpha_box", None)
-        cfg = FitConfig(**d)
-        if box is not None:
-            cfg.alpha_box = AlphaBox(**{k: tuple(v) for k, v in box.items()})
+        with reading("fit config"):
+            d = dict(d)
+            box = d.pop("alpha_box", None)
+            cfg = FitConfig(**d)
+            if box is not None:
+                cfg.alpha_box = AlphaBox(**{k: tuple(v) for k, v in box.items()})
         return cfg
 
 
@@ -131,32 +133,28 @@ class _Workspace:
     """
 
     def __init__(self, dataset: Dataset):
-        self.dataset = dataset
-        grid = dataset.grid
-        subs = dataset.subjects
-        n = len(subs)
-        self.n = n
-        self.ids = [s.id for s in subs]
-        self.x = np.array([s.x for s in subs])
-        self.delta = np.array([s.delta for s in subs], dtype=float)
-        ev = sorted((s.x, i) for i, s in enumerate(subs) if s.delta == 1)
-        self.xe = np.array([t for t, _ in ev])
-        self.ev_row = np.array([i for _, i in ev], dtype=int)
+        self.dataset = validate_dataset(dataset)
+        n = self.n = dataset.n
+        self.ids = [s.id for s in dataset.subjects]
+        self.x, self.delta, self.a_x, self.has_extra = dataset.x, dataset.delta, dataset.a_x, dataset.has_extra
+        ev = np.flatnonzero(self.delta)
+        self.ev_row = ev[np.argsort(self.x[ev], kind="stable")]
+        self.xe = self.x[self.ev_row]
         self.K = len(self.xe)
         if self.K == 0:
             raise InsufficientDataError("no uncensored subjects")
-        if np.any(np.diff(self.xe) <= 0):
-            raise ValidationError("tied uncensored event times")
-        self.J = J = len(grid)
-        self.a_e = np.array([last_index(t, grid) for t in self.xe], dtype=int)
-        # the observed entries are also the observed history transitions
-        # z_j -> z_{j+1} (the terminal step is always carried by the atoms)
-        Z, self.a_x, self.has_extra, self.t_sub, self.t_int = history_arrays(dataset)
+        self.J = J = len(dataset.grid)
+        self.a_e = self.a_x[self.ev_row]
+        # the zero-padded measurement matrix: its observed entries are also the observed
+        # transitions z_j -> z_{j+1}, j < a_x (the atoms carry the terminal step)
+        Z = np.zeros((n, J + 1))
+        Z[np.arange(J + 1) <= (self.a_x + self.has_extra)[:, None]] = list(
+            itertools.chain.from_iterable(s.measurements for s in dataset.subjects))
+        self.t_sub, self.t_int = np.nonzero(np.arange(J) < self.a_x[:, None])
         self.extra_rows = np.flatnonzero(self.has_extra)
-        rows = np.arange(n)
         self.z0 = Z[:, 0].copy()
-        self.z_pred = Z[rows, self.a_x]
-        self.z_extra = Z[rows, self.a_x + 1]  # 0 where not stored
+        rows = np.arange(n)
+        self.z_pred, self.z_extra = Z[rows, self.a_x], Z[rows, self.a_x + 1]  # z_extra 0 where not stored
         self.t_prev, self.t_next = Z[self.t_sub, self.t_int], Z[self.t_sub, self.t_int + 1]
         self.obs = TransitionStats.of(self.z0, self.t_prev, self.t_next)
         self._obs_beta = None
@@ -421,30 +419,15 @@ def _boundedness_check(ws, est, dL, cfg, warn: list):
 
 def _em_map(ws, state, cfg: FitConfig, warn: list, it: int):
     """One EM map (M-step, then the E-step at its result) from state = (alpha, beta, dL,
-    E-step, loglik), halved back toward the state until the loglik does not drop; returns
-    the new state and the largest parameter move."""
+    E-step, loglik); returns the new state and the largest parameter move.  Every M-step
+    piece ascends the EM objective, so a loglik drop beyond ASCENT_TOL raises AscentError."""
     alpha, beta, dL, est, ll = state
     a_new, b_new, dL_new = _mstep(ws, est, alpha, beta, cfg, warn)
     est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
     ll_new = _loglik(ws, a_new, dL_new, est_new)
     if ll_new < ll - ASCENT_TOL:
-        accepted = False
-        va, vn = alpha.as_array(), a_new.as_array()
-        for j in range(1, cfg.step_halving_max + 1):
-            t = 0.5**j
-            a_try = TransitionParams.from_array(va + (vn - va) * t)
-            b_try = beta + (b_new - beta) * t
-            dL_try = dL + (dL_new - dL) * t
-            est_try = _estep(ws, a_try, b_try, dL_try, cfg.Q)
-            ll_try = _loglik(ws, a_try, dL_try, est_try)
-            if ll_try >= ll - ASCENT_TOL:
-                a_new, b_new, dL_new, est_new, ll_new = a_try, b_try, dL_try, est_try, ll_try
-                accepted = True
-                break
-        if not accepted:
-            raise AscentError(
-                f"observed log likelihood decreased ({ll:.10g} -> {ll_new:.10g}) "
-                f"and {cfg.step_halving_max} halvings did not restore ascent at iteration {it}")
+        raise AscentError(f"observed log likelihood dropped by {ll - ll_new:.6g} "
+                          f"({ll:.10g} -> {ll_new:.10g}) at iteration {it}")
     change = max(
         float(np.max(np.abs(a_new.as_array() - alpha.as_array()))),
         abs(b_new - beta),
@@ -491,9 +474,9 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
     """Maximize the joint pseudo likelihood by SQUAREM-accelerated EM with ascent safeguards;
     `iterations` counts the EM maps."""
     cfg = config or FitConfig()
-    ws = _Workspace(validate_dataset(dataset))
+    ws = _Workspace(dataset)
     warn: list[str] = []
-    if max(len(s.measurements) for s in ws.dataset.subjects) < 2:
+    if not np.any(ws.a_x + ws.has_extra):  # every subject has one measurement
         warn.append("identifiability: no subject has two or more measurements")
 
     alpha, beta, dL = _init_theta(ws, init, cfg)

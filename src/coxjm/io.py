@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .baseline import BaselineFit
 from .data import Dataset, MeasurementGrid, SieveHazard, Subject, Theta
-from .exceptions import ValidationError
+from .exceptions import ValidationError, reading
 from .fit import FitResult
 from .simulate import SimTruth
 from .transition import TransitionParams
@@ -31,15 +31,13 @@ def dataset_to_dict(dataset: Dataset) -> dict:
 
 
 def dataset_from_dict(d: dict) -> Dataset:
-    try:
+    with reading("dataset document"):
         grid = MeasurementGrid(tuple(d["grid"]))
         subjects = tuple(
             Subject(id=s["id"], x=s["x"], delta=s["delta"], measurements=tuple(s["measurements"]))
             for s in d["subjects"]
         )
         return Dataset(grid=grid, subjects=subjects, tau=d["tau"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed dataset document: {exc}") from exc
 
 
 def save_dataset_json(dataset: Dataset, path) -> None:
@@ -47,7 +45,7 @@ def save_dataset_json(dataset: Dataset, path) -> None:
 
 
 def load_dataset_json(path) -> Dataset:
-    return dataset_from_dict(json.loads(Path(path).read_text()))
+    return dataset_from_dict(load_json(path))
 
 
 def save_dataset_csv(dataset: Dataset, subjects_path, measurements_path) -> None:
@@ -144,16 +142,20 @@ def save_fit_json(fit: FitResult | dict, path, method: str = "npml") -> None:
 def theta_from_fit_dict(d: dict) -> Theta:
     if d.get("alpha", {}) is None:
         raise ValidationError(f"a {d.get('method')!r} fit has no transition parameters, so no theta")
-    try:
+    with reading("fit document"):
         alpha = TransitionParams.from_dict(d["alpha"])
         hz = SieveHazard(tuple(d["hazard"]["times"]), tuple(d["hazard"]["jumps"]))
         return Theta(alpha=alpha, beta=float(d["beta"]), hazard=hz)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed fit document: {exc}") from exc
+
+
+def load_json(path):
+    """The JSON document in the file at `path`; text that is not JSON is a ValidationError."""
+    with reading(f"JSON file {path}"):
+        return json.loads(Path(path).read_text())
 
 
 def load_fit_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    return load_json(path)
 
 
 def save_json(obj, path) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, MeasurementGrid, Subject, last_index, validate_dataset
-from .exceptions import ValidationError
+from .exceptions import ValidationError, reading
 from .transition import TransitionParams, draw_initial, draw_next
 
 
@@ -67,9 +67,10 @@ class SimConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SimConfig":
-        d = dict(d)
-        d["alpha0"] = TransitionParams.from_dict(d["alpha0"])
-        return SimConfig(**d)
+        with reading("simulation config"):
+            d = dict(d)
+            d["alpha0"] = TransitionParams.from_dict(d["alpha0"])
+            return SimConfig(**d)
 
 
 @dataclass(frozen=True)
@@ -163,13 +164,9 @@ def fullinfo_dataset(dataset: Dataset, truths) -> Dataset:
     """
     if len(truths) != dataset.n:
         raise ValidationError("truths must align with dataset.subjects")
-    new_subjects = []
     for s, t in zip(dataset.subjects, truths):
         if t.subject_id != s.id:
             raise ValidationError(f"truth/subject id mismatch: {t.subject_id!r} vs {s.id!r}")
-        a_x = last_index(s.x, dataset.grid)
-        if len(s.measurements) == a_x + 2:
-            new_subjects.append(s)
-        else:
-            new_subjects.append(replace(s, measurements=s.measurements + (t.latent_z,)))
-    return Dataset(grid=dataset.grid, subjects=tuple(new_subjects), tau=dataset.tau)
+    new_subjects = tuple(s if stored else replace(s, measurements=s.measurements + (t.latent_z,))
+                         for s, t, stored in zip(dataset.subjects, truths, dataset.has_extra))
+    return Dataset(grid=dataset.grid, subjects=new_subjects, tau=dataset.tau)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baseline import partial_lik_fit
-from .exceptions import CoxjmError, SingularOperatorError, ValidationError
+from .exceptions import CoxjmError, SingularOperatorError, ValidationError, reading
 from .fit import FitConfig, em_fit
 from .simulate import SimConfig, gen_dataset
 from .variance import BETA_UNIDENTIFIED, _information, beta_probe, var_estimate, z_quantile
@@ -73,15 +73,16 @@ class StudyConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "StudyConfig":
-        d = dict(d)
-        d["sim"] = SimConfig.from_dict(d["sim"])
-        if "fit" in d and d["fit"] is not None:
-            d["fit"] = FitConfig.from_dict(d["fit"])
-        else:
-            d.pop("fit", None)
-        if "estimators" in d:
-            d["estimators"] = tuple(d["estimators"])
-        return StudyConfig(**d)
+        with reading("study config"):
+            d = dict(d)
+            d["sim"] = SimConfig.from_dict(d["sim"])
+            if "fit" in d and d["fit"] is not None:
+                d["fit"] = FitConfig.from_dict(d["fit"])
+            else:
+                d.pop("fit", None)
+            if "estimators" in d:
+                d["estimators"] = tuple(d["estimators"])
+            return StudyConfig(**d)
 
 
 def config_hash(config: StudyConfig) -> str:

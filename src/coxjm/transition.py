@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, last_index, subject_last_grid_index
-from .exceptions import ValidationError
+from .data import last_index
+from .exceptions import ValidationError, reading
 
 VAR_FLOOR = 1e-8
 FLOOR_MESSAGE = "transition-model residual variance floored"
@@ -90,7 +90,8 @@ class TransitionParams:
 
     @staticmethod
     def from_dict(d: dict) -> "TransitionParams":
-        return TransitionParams(**{k: float(d[k]) for k in PARAM_NAMES})
+        with reading("transition parameters"):
+            return TransitionParams(**{k: float(d[k]) for k in PARAM_NAMES})
 
 
 def gauss_logpdf(x, mean, var):
@@ -108,28 +109,7 @@ def cond_latent_params(history, alpha: TransitionParams) -> tuple[float, float]:
 
 def observed_history(subject, grid) -> tuple[float, ...]:
     """Measurements z_0 .. z_{a_x}, excluding any stored terminal value."""
-    a_x = subject_last_grid_index(subject, grid)
-    return subject.measurements[: a_x + 1]
-
-
-def history_arrays(dataset: Dataset):
-    """The measurement histories of all subjects as arrays.
-
-    Returns the zero-padded measurement matrix Z (n x (J+1)), each subject's
-    last grid index a_x, whether it stores its terminal value z_{a_x+1}, and
-    the observed transitions z_j -> z_{j+1}, j < a_x, as (subject, j) index
-    arrays in subject order.
-    """
-    grid, subs = dataset.grid, dataset.subjects
-    J = len(grid)
-    a_x = np.array([last_index(s.x, grid) for s in subs], dtype=int)
-    Z = np.zeros((len(subs), J + 1))
-    count = np.empty(len(subs), dtype=int)
-    for i, s in enumerate(subs):
-        count[i] = len(s.measurements)
-        Z[i, : count[i]] = s.measurements
-    t_sub, t_int = np.nonzero(np.arange(J)[None, :] < a_x[:, None])
-    return Z, a_x, count == a_x + 2, t_sub, t_int
+    return subject.measurements[: last_index(subject.x, grid) + 1]
 
 
 def _mean(v: np.ndarray) -> float:

@@ -159,3 +159,14 @@ def test_value_fn_must_be_lvcf_or_next():
         partial_lik_fit(ds, value_fn=lambda s, u, grid: 0.0)
     with pytest.raises(ValidationError):
         breslow(ds, 0.0, value_fn=covariate_at)
+
+
+@pytest.mark.slow
+def test_partial_lik_fit_converges_at_large_n():
+    # K ~ 32,800 events: the score's rounding floor (~2e-12) lies above an absolute 1e-12
+    cfg = SimConfig(n=64000, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
+                    lambda0=0.3, censor_rate=0.2, seed=1)
+    ds, _ = gen_dataset(cfg)
+    fit = partial_lik_fit(ds)
+    assert fit.converged and fit.iterations < 10 and not fit.flags
+    assert fit.score * fit.score <= 1e-24 * fit.information

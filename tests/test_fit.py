@@ -366,6 +366,23 @@ def test_em_fit_survives_failed_extrapolation(monkeypatch, error):
         assert dl * w_n(t, ds, atoms, th.beta) == pytest.approx(1.0 / ds.n, abs=1e-11)
 
 
+def test_em_fit_raises_on_loglik_drop(monkeypatch):
+    # an M-step whose point lowers the observed log likelihood is refused, with the drop and the map
+    from coxjm import AscentError
+    from coxjm import fit as fit_mod
+
+    mstep = fit_mod._mstep
+
+    def descending(ws, est, alpha, beta, cfg, warn):
+        a, b, dL = mstep(ws, est, alpha, beta, cfg, warn)
+        return a, b - 3.0, dL
+
+    monkeypatch.setattr(fit_mod, "_mstep", descending)
+    ds, _ = _sim(40, seed=8)
+    with pytest.raises(AscentError, match=r"dropped by \d.* at iteration 1$"):
+        em_fit(ds)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_em_fit_matches_tight_fit(seed):
     # the extrapolated path stops within 1e-6 in beta of a fit run far past the tolerances

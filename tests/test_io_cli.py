@@ -163,6 +163,30 @@ def test_cli_validation_exit_codes(tmp_path):
     assert main(["simulate", "--config", str(bad_grid), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("case", ["fit-config-key", "study-sim-key", "subject-x", "invalid-json"])
+def test_cli_malformed_document_exits_2_naming_the_key(case, dataset, tmp_path, capsys):
+    data, doc = tmp_path / "d.json", tmp_path / "doc.json"
+    cio.save_dataset_json(dataset, data)
+    if case == "fit-config-key":
+        doc.write_text(json.dumps({"max_iters": 5}))
+        argv, named = ["fit", "--data", str(data), "--method", "npml", "--config", str(doc)], "max_iters"
+    elif case == "study-sim-key":
+        sim = _sim_cfg_dict()
+        del sim["alpha0"]
+        doc.write_text(json.dumps({"sim": sim, "replications": 2}))
+        argv, named = ["mc-study", "--config", str(doc)], "alpha0"
+    elif case == "subject-x":
+        d = cio.dataset_to_dict(dataset)
+        d["subjects"][3]["x"] = "abc"
+        doc.write_text(json.dumps(d))
+        argv, named = ["fit", "--data", str(doc), "--method", "lvcf"], "subject 3:"
+    else:
+        doc.write_text('{"n": 25,')
+        argv, named = ["simulate", "--config", str(doc)], "doc.json"
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_cli_io_exit_code(tmp_path):
     assert main(["fit", "--data", str(tmp_path / "missing.json"), "--method", "npml",
                  "--out", str(tmp_path / "o")]) == 4

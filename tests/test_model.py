@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,19 @@ from coxjm import (
     MeasurementGrid,
     SieveHazard,
     Subject,
+    Theta,
+    TransitionParams,
     ValidationError,
+    breslow,
     covariate_at,
+    em_fit,
+    estep_atoms,
     hazard_eval,
     last_index,
+    partial_lik_fit,
     validate_dataset,
 )
+from coxjm.data import is_fully_observed
 
 GRID = MeasurementGrid((0.0, 1.0, 2.0))
 
@@ -160,9 +168,13 @@ def test_dataset_unique_ids():
 def test_tied_events_rejected_then_jittered():
     a = Subject(id="a", x=1.5, delta=1, measurements=(0.0, 1.0))
     b = Subject(id="b", x=1.5, delta=1, measurements=(0.2, 0.4))
-    ds = _dataset([a, b])
-    with pytest.raises(ValidationError):
-        validate_dataset(ds)
+    ds = _dataset([a, b, Subject(id="c", x=2.5, delta=0, measurements=(0.0, 1.0, 2.0))])
+    theta = Theta(alpha=TransitionParams(0.0, 1.0, 0.0, 0.5, 1.0), beta=0.0, hazard=SieveHazard((1.5,), (0.5,)))
+    # every consumer refuses ties with the one message that names the tied times
+    for call in (validate_dataset, em_fit, partial_lik_fit, lambda d: breslow(d, 0.0),
+                 lambda d: estep_atoms(d, theta)):
+        with pytest.raises(ValidationError, match=r"^tied uncensored event times at \[1\.5\]"):
+            call(ds)
     fixed = validate_dataset(ds, jitter_ties=True)
     xs = sorted(s.x for s in fixed.subjects)
     assert xs[0] != xs[1]
@@ -176,3 +188,41 @@ def test_tied_censoring_is_fine():
     a = Subject(id="a", x=1.5, delta=0, measurements=(0.0, 1.0))
     b = Subject(id="b", x=1.5, delta=0, measurements=(0.2, 0.4))
     validate_dataset(_dataset([a, b]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), steps=st.lists(st.floats(0.05, 1.0), max_size=6))
+def test_dataset_layout_matches_per_subject_functions(data, steps):
+    grid = MeasurementGrid(tuple(np.concatenate([[0.0], np.cumsum(steps)]).tolist()))
+    tau = grid.times[-1] + 0.5
+    subjects = []
+    for i in range(data.draw(st.integers(1, 12))):
+        x = data.draw(st.one_of(st.floats(1e-6, tau), st.sampled_from(grid.times[1:] + (tau,))))
+        delta = 0 if x == tau else data.draw(st.integers(0, 1))
+        count = last_index(x, grid) + 1 + data.draw(st.integers(0, 1))
+        subjects.append(Subject(id=i, x=x, delta=delta, measurements=(0.5,) * count))
+    ds = Dataset(grid=grid, subjects=tuple(subjects), tau=tau)
+    assert ds.x.tolist() == [s.x for s in subjects]
+    assert ds.delta.tolist() == [s.delta for s in subjects]
+    assert ds.a_x.tolist() == [last_index(s.x, grid) for s in subjects]
+    assert ds.has_extra.tolist() == [is_fully_observed(s, grid) for s in subjects]
+
+
+def test_dataset_layout_is_read_only():
+    ds = _dataset([Subject(id=1, x=1.7, delta=1, measurements=(0.0, 1.0))])
+    for v in (ds.x, ds.delta, ds.a_x, ds.has_extra):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(x=3.5), "x exceeds tau"),
+    (dict(x=3.0, delta=1), "events at tau are not allowed"),
+    (dict(measurements=(0.0,)), r"expected 3 measurements \(or 4 in the full-information form\), got 1"),
+])
+def test_dataset_error_names_first_bad_subject(bad, message):
+    # the later bad subject fails the first check, so a check-by-check scan would name it
+    ok = Subject(id="ok", x=2.5, delta=0, measurements=(0.0, 1.0, 2.0))
+    subjects = [ok, replace(ok, id="first", **bad), replace(ok, id="ok2"), replace(ok, id="second", x=3.5)]
+    with pytest.raises(ValidationError, match=f"^subject 'first': {message}"):
+        _dataset(subjects)
