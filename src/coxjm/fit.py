@@ -35,7 +35,7 @@ from .exceptions import (
     ValidationError,
     reading,
 )
-from .posterior import EXP_CLIP, batch_posterior, gauss_logpdf
+from .posterior import EXP_CLIP, batch_posterior, exp_clipped, gauss_logpdf
 from .transition import (
     FLOOR_MESSAGE,
     VAR_FLOOR,
@@ -116,7 +116,7 @@ class FitResult:
 
 def _exp_powers(v: np.ndarray, beta: float):
     """e^{beta v}, v e^{beta v} and v^2 e^{beta v}."""
-    e = np.exp(np.minimum(beta * v, EXP_CLIP))
+    e = exp_clipped(np.multiply(v, beta))
     ve = v * e
     return e, ve, v * ve
 
@@ -167,8 +167,10 @@ class _Workspace:
         pos[order] = np.arange(order.size)
         row = np.concatenate([self.a_e, self.a_x])
         counts = np.bincount(row, minlength=J)
-        self._cell = (row, pos - (np.cumsum(counts) - counts)[row])
+        col = pos - (np.cumsum(counts) - counts)[row]
         self._rows = (J, int(counts.max()))
+        # each item's cell as a flat index into the padded rows, and with mirrored columns
+        self._cell = (row * self._rows[1] + col, (row + 1) * self._rows[1] - 1 - col)
 
     def transition_stats(self, est: "Posterior") -> TransitionStats:
         """The observed histories' statistics merged with the terminal transitions
@@ -189,34 +191,42 @@ class _Workspace:
         return self._obs
 
     def _running(self, v: np.ndarray, reverse: bool = False) -> np.ndarray:
-        """Per item (events, then subjects): the sum of v over its interval's items up to it
-        (from it on, if reverse)."""
-        pad = np.zeros(self._rows + v.shape[1:])
-        pad[self._cell] = v
-        if reverse:
-            return np.cumsum(pad[:, ::-1], axis=1)[:, ::-1][self._cell]
-        return np.cumsum(pad, axis=1)[self._cell]
+        """Running sums within each grid interval over its items in time order: per
+        subject, the sum of the events' values v (K) up to it; if reverse, per event, the
+        sum of the subjects' values v (n, optional trailing axes) from it on.  The reverse
+        sum runs forward over mirrored columns, adding in the same order."""
+        cell = self._cell[reverse]
+        put, take = (cell[self.K:], cell[: self.K]) if reverse else (cell[: self.K], cell[self.K:])
+        pad = np.zeros((self._rows[0] * self._rows[1],) + v.shape[1:])
+        pad[put] = v
+        rows = pad.reshape(self._rows + v.shape[1:])
+        np.cumsum(rows, axis=1, out=rows)
+        return pad[take]
 
     def masses(self, dL: np.ndarray):
         """Hazard mass of each grid interval (J) and of each subject's terminal window (n)."""
         return (np.bincount(self.a_e, weights=dL, minlength=self.J),
-                self._running(np.concatenate([dL, np.zeros(self.n)]))[self.K:])
+                self._running(dL))
 
     def splits(self, beta: float, dL: np.ndarray):
         """Per subject: hazard mass times e^{beta z} where z is observed (a_obs), latent mass (a_lat)."""
         H, P = self.masses(dL)
         # (astype: bincount returns integers when there is no observed entry)
-        a_obs = np.bincount(self.t_sub, self.obs_mats(beta)[0] * H[self.t_int], self.n).astype(float, copy=False)
+        h = np.take(H, self.t_int)
+        h *= self.obs_mats(beta)[0]
+        a_obs = np.bincount(self.t_sub, h, self.n).astype(float, copy=False)
         x = self.extra_rows
-        a_obs[x] += np.exp(np.minimum(beta * self.z_extra[x], EXP_CLIP)) * P[x]
+        a_obs[x] += exp_clipped(beta * self.z_extra[x]) * P[x]
         return a_obs, np.where(self.has_extra, 0.0, P)
 
     def cols(self, S, g) -> np.ndarray:
         """Per event time, the sum over its risk set of each subject's value there: S (J,
         optional trailing axes; None for zero) sums per interval the values of the
         subjects at risk past it, g (n, same trailing axes) holds their terminal values."""
-        out = self._running(np.concatenate([np.zeros((self.K,) + g.shape[1:]), g]), reverse=True)[: self.K]
-        return out if S is None else out + S[self.a_e]
+        out = self._running(g, reverse=True)
+        if S is not None:
+            out += np.take(S, self.a_e, axis=0)
+        return out
 
 
 class Posterior:
@@ -252,11 +262,13 @@ class Posterior:
         """E[Z^m e^{bZ}], m = 0, 1, 2 (n x 3) at the current beta (kept for the last beta)."""
         if beta != self._moments_beta:
             z = self.nodes.T
-            t = self.weights.T * np.exp(np.minimum(beta * z, EXP_CLIP))
+            t = exp_clipped(np.multiply(z, beta))
+            t *= self.weights.T
             m = np.empty((z.shape[1], 3))
             for j in range(3):
+                if j:
+                    t *= z
                 m[:, j] = np.sum(t, axis=0)
-                t *= z
             self._moments_beta, self._moments = beta, m
         return self._moments
 
@@ -408,7 +420,7 @@ def _boundedness_check(ws, est, dL, cfg, warn: list):
     # the observed values at risk at some event (z_extra is 0 where not stored), and the atoms
     zmax = float(np.max(np.abs(np.concatenate([
         ws.t_next[np.bincount(ws.a_e, minlength=ws.J)[ws.t_int] > 0],
-        ws.z_extra * (ws.masses(np.ones(ws.K))[1] > 0), est.nodes.ravel()]))))
+        ws.z_extra * (ws.masses(np.ones(ws.K))[1] > 0), [est.nodes.min(), est.nodes.max()]]))))
     m = math.exp(-cfg.beta_box * zmax) if cfg.beta_box * zmax < EXP_CLIP else 0.0
     if m <= 0:
         return

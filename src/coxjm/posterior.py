@@ -38,6 +38,14 @@ def _gh(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _gh_cache[order]
 
 
+def exp_clipped(bz: np.ndarray) -> np.ndarray:
+    """exp(min(bz, EXP_CLIP)), computed in place in bz; below the clip the minimum is an
+    identity, so its pass runs only when some value exceeds EXP_CLIP."""
+    if bz.max(initial=-np.inf) > EXP_CLIP:
+        np.minimum(bz, EXP_CLIP, out=bz)
+    return np.exp(bz, out=bz)
+
+
 def _batch_modes(delta, a_lat, mean, var, beta, ids=None):
     """The posterior mode and curvature sd of a batch of subjects, in closed form.
 
@@ -82,13 +90,23 @@ def batch_posterior(delta, a_lat, mean, var, beta, order, ids=None):
     delta, a_lat, mean, var = (np.asarray(v, dtype=float) for v in (delta, a_lat, mean, var))
     mode, sd = _batch_modes(delta, a_lat, mean, var, beta, ids=ids)
     xg, wg = _gh(order)
-    nodes = mode + SQRT2 * sd * xg[:, None]
-    bz = beta * nodes
-    logint = delta * bz - a_lat * np.exp(np.minimum(bz, EXP_CLIP)) + gauss_logpdf(nodes, mean, var)
-    logint = np.where(bz > EXP_CLIP, -np.inf, logint)
-    logw = (np.log(wg) + xg**2)[:, None] + logint
-    top = np.max(logw, axis=0)
-    w = np.exp(logw - top)
+    nodes = np.multiply(xg[:, None], SQRT2 * sd)
+    nodes += mode
+    # w is beta*z, then the log integrand, then the weights, each computed in place
+    w = np.multiply(nodes, beta)
+    over = w > EXP_CLIP if w.max(initial=-np.inf) > EXP_CLIP else None  # no clip below EXP_CLIP
+    s = np.exp(w if over is None else np.minimum(w, EXP_CLIP))
+    s *= a_lat
+    w *= delta
+    w -= s
+    del s  # freed before gauss_logpdf allocates its result
+    w += gauss_logpdf(nodes, mean, var)
+    if over is not None:
+        w[over] = -np.inf
+    w += (np.log(wg) + xg**2)[:, None]
+    top = np.max(w, axis=0)
+    w -= top
+    np.exp(w, out=w)
     total = np.sum(w, axis=0)
     w /= total
     log_norm = top + np.log(total) + np.log(SQRT2 * sd)

@@ -95,9 +95,12 @@ class TransitionParams:
 
 
 def gauss_logpdf(x, mean, var):
-    """log N(x; mean, var), vectorized."""
-    x = np.asarray(x, dtype=float)
-    return -0.5 * (LOG_2PI + np.log(var)) - (x - mean) ** 2 / (2.0 * var)
+    """log N(x; mean, var), vectorized, computed in place in the one array it returns."""
+    var = np.asarray(var, dtype=float)
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(mean), var.shape))
+    np.square(np.subtract(x, mean, out=out, dtype=float), out=out)
+    out /= 2.0 * var
+    return np.subtract(-0.5 * (LOG_2PI + np.log(var)), out, out=out)[()]
 
 
 def cond_latent_params(history, alpha: TransitionParams) -> tuple[float, float]:

@@ -46,9 +46,11 @@ from scipy.special import ndtri
 from .data import Dataset, SieveHazard, Theta
 from .exceptions import SingularOperatorError, ValidationError
 from .fit import FitResult, Posterior, _hazard_jumps, _risk_cols, _workspace_of
-from .posterior import EXP_CLIP
+from .posterior import exp_clipped
 
 COND_LIMIT = 1e12
+# the largest normwise backward error a solve may leave
+SOLVE_TOL = 1e-12
 # the centred beta curvature must exceed this share of the uncentred one
 SIMPLE_RTOL = 1e-10
 BETA_UNIDENTIFIED = "beta curvature is not positive (beta not identified); beta variance undefined"
@@ -260,7 +262,7 @@ def _latent_covariances(ws, est, alpha, beta: float) -> np.ndarray:
     """
     Z, w = est.nodes, est.weights
     r = Z - (alpha.a + alpha.b * ws.z_pred)[:, None]
-    e = np.exp(np.minimum(beta * Z, EXP_CLIP))
+    e = exp_clipped(beta * Z)
     F = np.empty((ws.n, 5, Z.shape[1]))
     F[:, 0] = r / alpha.ssq
     F[:, 1] = ws.z_pred[:, None] * r / alpha.ssq
@@ -315,9 +317,15 @@ def _solve(op: DiscretizedOperator, rhs: np.ndarray) -> np.ndarray:
     if not math.isfinite(op.cond) or op.cond > COND_LIMIT:
         raise SingularOperatorError(op.cond)
     sol = op.solve(rhs)
-    res = np.linalg.norm(op.matvec(sol) - rhs, axis=0) / np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-    if np.max(res) > 1e-8:
-        raise SingularOperatorError(op.cond, f"linear solve residual too large ({np.max(res):.2e})")
+    # per column, the normwise backward error ||Mx - b|| / (||M|| ||x|| + ||b||) in the 1-norm
+    # (Rigal & Gaches 1967, J. ACM 14:543; Higham 2002, Accuracy and Stability of Numerical
+    # Algorithms, sec. 7.1): unlike the residual it does not grow with ||M||, which the 1/dL
+    # rows make grow like n
+    res = np.abs(op.matvec(sol) - rhs).sum(axis=0)
+    scale = op.norm1 * np.abs(sol).sum(axis=0) + np.abs(rhs).sum(axis=0)
+    err = float(np.max(res / np.maximum(scale, np.finfo(float).tiny)))
+    if not err <= SOLVE_TOL:
+        raise SingularOperatorError(op.cond, f"linear solve backward error too large ({err:.2e})")
     return sol
 
 

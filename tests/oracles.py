@@ -44,13 +44,14 @@ from coxjm.transition import cond_latent_params, gauss_logpdf, observed_history
 
 def _powers(v, beta, mask):
     e = np.exp(np.minimum(beta * v, EXP_CLIP)) * mask
-    return np.stack([e, v * e, v * v * e])
+    return np.stack([e, v * e, v * (v * e)])
 
 
 def latent_moments(nodes, weights, beta):
-    """sum_q w_q z_q^m e^{beta z_q}, m = 0, 1, 2, per subject (n x 3)."""
+    """sum_q w_q z_q^m e^{beta z_q}, m = 0, 1, 2, per subject (n x 3), with t = w e^{beta z}
+    multiplied up as z t and z (z t), in the kernels' order."""
     t = weights * np.exp(np.minimum(beta * nodes, EXP_CLIP))
-    return np.stack([np.sum(t * nodes**m, axis=1) for m in range(3)], axis=1)
+    return np.stack([np.sum(t, axis=1), np.sum(nodes * t, axis=1), np.sum(nodes * (nodes * t), axis=1)], axis=1)
 
 
 class DenseRisk:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import DenseRisk, latent_moments, lvcf_risk_sums, posterior_atoms, stack_atoms
+from oracles import DenseRisk, _powers, latent_moments, lvcf_risk_sums, posterior_atoms, stack_atoms
 
 from coxjm import (
     Dataset,
@@ -30,6 +30,7 @@ from coxjm import (
 from coxjm.baseline import _imputed, _risk_sums
 from coxjm.fit import _Workspace, _boundedness_check, _estep, _init_theta, _risk_cols, _score_beta, estep_atoms
 from coxjm.data import covariate_at, is_fully_observed
+from coxjm.posterior import EXP_CLIP
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.variance import _information, _latent_covariances
 
@@ -257,3 +258,50 @@ def test_em_fit_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 2**20
+
+
+@pytest.mark.parametrize("beta, clipped", [(10.0, True), (1.0, False)])
+def test_exp_moments_clip_matches_unfused(beta, clipped):
+    # one node of every seventh subject at 75: past EXP_CLIP at beta = 10, not at beta = 1
+    ds, _ = _sim(60, 0.25, seed=1)
+    rng = np.random.default_rng(0)
+    nodes, weights = rng.uniform(-2.5, 2.5, (ds.n, 5)), rng.uniform(0.05, 1.0, (ds.n, 5))
+    nodes[::7, 2] = 75.0
+    est = stack_atoms(ds, nodes, weights / weights.sum(axis=1, keepdims=True))
+    assert bool(np.any(beta * est.nodes > EXP_CLIP)) == clipped
+    assert np.array_equal(est.exp_moments(beta), latent_moments(est.nodes, est.weights, beta))
+
+
+@pytest.mark.parametrize("beta, clipped", [(10.0, True), (1.0, False)])
+def test_interval_sums_clip_matches_unfused(beta, clipped):
+    ds, _ = _sim(60, 0.25, seed=1)
+    ws = _Workspace(ds)
+    v = ws.t_next.copy()
+    v[::5] = 75.0
+    assert bool(np.any(beta * v > EXP_CLIP)) == clipped
+    e, S = ws.interval_sums(v, beta)
+    F = _powers(v, beta, 1.0)
+    assert np.array_equal(e, F[0])
+    assert np.array_equal(S, np.stack([np.bincount(ws.t_int, f, ws.J) for f in F], axis=1))
+
+
+def test_estep_allocates_few_quadrature_arrays():
+    # the kernels compute in place: an E-step holds three Q x n arrays at once (nodes,
+    # weights and one scratch array), bounded here by four, and the exponential moments
+    # one, bounded by one and a half
+    ds, _ = _sim(2000, 0.25, seed=0)
+    ws, cfg = _Workspace(ds), FitConfig()
+    alpha, _, dL = _init_theta(ws, None, cfg)
+    size = cfg.Q * ws.n * 8
+    tracemalloc.start()
+    try:
+        est = _estep(ws, alpha, 1.0, dL, cfg.Q)
+        estep_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        est.exp_moments(0.5)
+        moments_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert estep_peak <= 4 * size
+    assert moments_peak <= 1.5 * size

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    ExponentSplit,
     PosteriorAtoms,
     cond_exp,
     exponent_split,
@@ -23,7 +24,7 @@ from coxjm import (
     TransitionParams,
     ValidationError,
 )
-from coxjm.posterior import EXP_CLIP, _batch_modes
+from coxjm.posterior import EXP_CLIP, SQRT2, _batch_modes, _gh, batch_posterior
 
 GRID0 = MeasurementGrid((0.0,))
 GRID2 = MeasurementGrid((0.0, 0.5))
@@ -251,3 +252,25 @@ def test_mode_far_from_the_prior_mean():
     # beta*c = 900 and omega is about 893; the value is an mpmath root
     mode, _ = _batch_modes(np.array([1.0]), np.array([1e-3]), np.array([0.0]), 100.0, 3.0)
     assert mode[0] == pytest.approx(2.3000196687595344, rel=1e-14)
+
+
+@pytest.mark.parametrize("beta, clipped", [(10.0, True), (1.0, False)])
+def test_batch_posterior_clip_matches_unfused_integrand(beta, clipped):
+    # no latent mass and a prior mean of 69: at beta = 10 the upper nodes pass EXP_CLIP
+    # (beta z up to about 820); at beta = 1 none does.  Either way the in-place kernel's
+    # weights and log integral equal, bit for bit, those of the oracle's unfused log posterior
+    delta, a_lat = np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.3, 0.3])
+    mean, var = np.array([69.0, 69.0, 69.0, 0.5]), 1.0
+    nodes, weights, mode, sd, log_norm = batch_posterior(delta, a_lat, mean, var, beta, 40)
+    assert bool(np.any(beta * nodes > EXP_CLIP)) == clipped
+    logint = np.stack([log_unnormalized_posterior(
+        nodes[i], Subject(id=i, x=1.0, delta=int(delta[i]), measurements=(0.0,)), ExponentSplit(0.0, a_lat[i], 0.0),
+        _theta(alpha=TransitionParams(0.0, 1.0, mean[i], 0.0, var), beta=beta)) for i in range(4)], axis=1)
+    xg, wg = _gh(40)
+    logw = (np.log(wg) + xg**2)[:, None] + logint
+    top = np.max(logw, axis=0)
+    w = np.exp(logw - top)
+    total = np.sum(w, axis=0)
+    assert np.array_equal(weights, (w / total).T)
+    assert np.array_equal(log_norm, top + np.log(total) + np.log(SQRT2 * sd))
+    assert np.all(weights[beta * nodes > EXP_CLIP] == 0.0)

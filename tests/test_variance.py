@@ -29,7 +29,7 @@ from coxjm import (
 )
 from coxjm.data import SieveHazard, last_index
 from coxjm.simulate import SimConfig, gen_dataset
-from coxjm.variance import apply_operator, beta_probe, lambda_band
+from coxjm.variance import COND_LIMIT, apply_operator, beta_probe, lambda_band
 
 GRID0 = MeasurementGrid((0.0,))
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
@@ -456,3 +456,40 @@ def test_variance_report_memory_is_linear_in_n():
         tracemalloc.stop()
     assert math.isfinite(rep["cond_B"])
     assert peak < 128 * 2**20
+
+
+def _large_norm_operator():
+    """A random operator whose hazard rows carry 1/dL with dL about 1e-9, so ||M||_1 is
+    about 1e11 while cond stays below COND_LIMIT, and a right-hand side for it."""
+    K = 300
+    rng = np.random.default_rng(0)
+    E = 0.25 * rng.standard_normal((6, 6))
+    dL = rng.uniform(0.1, 1.0, K) * 1e-9
+    op = DiscretizedOperator(E=E + E.T + 2 * np.eye(6), G=rng.standard_normal((K, 6)) / dL[:, None] / K,
+                             w=(10.0 + rng.random(K)) / dL, v=0.01 * rng.uniform(-1.0, 2.0, K) / dL**2,
+                             dL=dL, times=np.arange(1.0, K + 1), interval=np.sort(rng.integers(0, 25, K)))
+    return op, Probe(rng.standard_normal(5), rng.standard_normal(), rng.standard_normal(K))
+
+
+def test_solve_gate_reads_backward_error_not_residual():
+    # the residual grows with ||M||: relative to max(1, ||b||) it exceeds 1e-8 here, yet
+    # the solve is backward stable, and the gate reads the normwise backward error
+    op, g = _large_norm_operator()
+    assert op.norm1 > 1e10 and op.cond <= COND_LIMIT
+    b = np.concatenate([g.h1, [g.h2], g.h3])
+    x = op.solve(b)
+    assert np.linalg.norm(op.matvec(x) - b) / max(1.0, np.linalg.norm(b)) > 1e-8
+    h = invert_apply(op, g)
+    assert np.array_equal(np.concatenate([h.h1, [h.h2], h.h3]), x)
+
+
+def test_solve_gate_refuses_perturbed_solution(monkeypatch):
+    # a solution off by a relative 1e-8 leaves a backward error of about 1e-10, above SOLVE_TOL
+    op, g = _large_norm_operator()
+    op.cond  # estimated, and cached, with the exact solves
+    solve = DiscretizedOperator.solve
+    rng = np.random.default_rng(1)
+    monkeypatch.setattr(DiscretizedOperator, "solve",
+                        lambda self, rhs, trans=False: solve(self, rhs, trans) * (1 + 1e-8 * rng.standard_normal(rhs.shape)))
+    with pytest.raises(SingularOperatorError, match="backward error too large"):
+        invert_apply(op, g)
