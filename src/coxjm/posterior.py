@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import wrightomega
 
 from .exceptions import ModeSearchError, ValidationError
 from .transition import gauss_logpdf
@@ -46,6 +45,49 @@ def exp_clipped(bz: np.ndarray) -> np.ndarray:
     return np.exp(bz, out=bz)
 
 
+def _fsc_step(x, w):
+    """One Fritsch-Shafer-Crowley step (1973, CACM 16:123) towards w + log w = x; returns
+    the new w and the step's residual r and w + 1."""
+    r = x - w - np.log(w)
+    wp1 = w + 1.0
+    a = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+    return w * (1.0 + (r / wp1) * (a - r) / (a - 2.0 * r)), r, wp1
+
+
+def _wright_omega(x: np.ndarray) -> np.ndarray:
+    """The real Wright omega function, the root w of w + log w = x, elementwise.
+
+    Lawrence, Corless & Jeffrey (2012, ACM TOMS 38:20, Algorithm 917) on the real
+    line, with the regions of scipy.special.wrightomega: below -50 omega is e^x and
+    above 1e20 it is x, each to double precision.  Between, the start e^x on
+    (-50, -2), e^{2(x-1)/3} on [-2, 1) or x - log x + log(x)/x from 1 takes one
+    FSC step, and a second where (2w^2 - 8w - 1)|r|^4 >= eps 72 |w + 1|^6.  -inf
+    gives 0.  Each branch's exp or log runs on arguments clipped to its own
+    region, so no branch overflows or warns where another is taken.  At a few
+    hundred subjects the time goes to the number of array passes, so a region
+    that no element reaches costs none.
+    """
+    lo, hi = x.min(initial=np.inf), x.max(initial=-np.inf)
+    inside = -50.0 <= lo and hi <= 1e20  # False when some x is NaN
+    t = x if inside else np.minimum(np.maximum(x, -50.0), 1e20)
+    if hi < -2.0:
+        w = np.exp(t)
+    else:
+        w = np.exp(np.where(t < -2.0, t, 2.0 * (np.minimum(t, 1.0) - 1.0) / 3.0))
+        if not hi < 1.0:
+            u = np.maximum(t, 1.0)
+            lg = np.log(u)
+            w = np.where(t < 1.0, w, u - lg + lg / u)
+    w, r, wp1 = _fsc_step(t, w)
+    # w + 1 > 0; pow of a negative base takes libm's slow path, so |r| goes in
+    again = np.abs(2.0 * w * w - 8.0 * w - 1.0) * np.abs(r) ** 4 >= np.finfo(float).eps * 72.0 * wp1**6
+    if again.any():
+        w = np.where(again, _fsc_step(t, w)[0], w)
+    if inside:
+        return w
+    return np.where(x < -50.0, np.exp(np.minimum(x, -50.0)), np.where(x > 1e20, x, w))
+
+
 def _batch_modes(delta, a_lat, mean, var, beta, ids=None):
     """The posterior mode and curvature sd of a batch of subjects, in closed form.
 
@@ -56,10 +98,9 @@ def _batch_modes(delta, a_lat, mean, var, beta, ids=None):
 
     so omega = beta(c - z) is the Lambert W of the right-hand side (Corless et al.
     1996, Adv. Comput. Math. 5:329), taken without overflow as the Wright omega
-    function of its log (Lawrence, Corless & Jeffrey 2012, ACM TOMS 38:20).  The
-    mode is c - omega/beta, and -g'' there is (1 + omega)/var.  With beta = 0 or
-    a_lat = 0 the mode is c and the sd sqrt(var).  A non-finite mode raises
-    ModeSearchError naming the subject.
+    function of its log (`_wright_omega`).  The mode is c - omega/beta, and -g''
+    there is (1 + omega)/var.  With beta = 0 or a_lat = 0 the mode is c and the
+    sd sqrt(var).  A non-finite mode raises ModeSearchError naming the subject.
     """
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float) * np.ones_like(mean)
@@ -67,7 +108,7 @@ def _batch_modes(delta, a_lat, mean, var, beta, ids=None):
     if beta == 0.0:
         return c, np.sqrt(var)
     with np.errstate(divide="ignore"):  # a_lat = 0 gives log 0 = -inf and omega = 0
-        omega = wrightomega(np.log(var * a_lat * beta * beta) + beta * c)
+        omega = _wright_omega(np.log(var * a_lat * beta * beta) + beta * c)
     mode = c - omega / beta
     bad = ~np.isfinite(mode)
     if np.any(bad):

@@ -37,11 +37,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.special import ndtri
 
 from .data import Dataset, SieveHazard, Theta
 from .exceptions import SingularOperatorError, ValidationError
@@ -138,7 +137,15 @@ class DiscretizedOperator:
 
     @cached_property
     def _factors(self):
-        """LU of T, Z = dL H^{-1} G and the LU of the Schur complement; None if singular."""
+        """The solve with T's LU (LAPACK dgttrs), Z = dL H^{-1} G and the solve with the
+        Schur complement's LU (dgetrs); None if singular.
+
+        scipy.linalg is imported here, at the first factorisation, and nowhere else, so a
+        process that computes no variance never loads it (lazy loading as in Scientific
+        Python SPEC 1).
+        """
+        from scipy.linalg import lapack
+
         same = self._bounds[2][:, 0]
         omega = self.w / self.dL
         nxt = np.append(omega[1:] * same, 0.0)   # omega_{k+1}, 0 where the interval ends
@@ -148,19 +155,20 @@ class DiscretizedOperator:
         *tri, info = lapack.dgttrf(off, np.append(diag, [1.0, 1.0]), off)
         if info != 0 or not np.isfinite(np.concatenate(tri[:4])).all():
             return None
-        Z = self._tsolve(tri, self.G)
+        tsolve = partial(lapack.dgttrs, *tri)
+        Z = self._tsolve(tsolve, self.G)
         lu, piv, info = lapack.dgetrf(self.E - self.G.T @ Z)
         if info != 0 or not np.isfinite(lu).all():
             return None
-        return tri, Z, lu, piv
+        return tsolve, Z, partial(lapack.dgetrs, lu, piv)
 
-    def _tsolve(self, tri, r: np.ndarray) -> np.ndarray:
+    def _tsolve(self, tsolve, r: np.ndarray) -> np.ndarray:
         """U^{-T} T^{-1} U^{-1} r, which is dL H^{-1} r, for a K x m matrix r."""
         same = self._bounds[2]
         u = np.zeros((r.shape[0] + 2, r.shape[1]))
         u[:-2] = r
         u[:-3] -= r[1:] * same
-        z = lapack.dgttrs(*tri, u)[0][:-2]
+        z = tsolve(u)[0][:-2]
         z[1:] -= z[:-1] * same
         return z
 
@@ -170,12 +178,12 @@ class DiscretizedOperator:
         f = self._factors
         if f is None:
             raise SingularOperatorError(math.inf)
-        tri, Z, lu, piv = f
+        tsolve, Z, ssolve = f
         r = rhs.reshape(rhs.shape[0], -1)
         dL = self.dL[:, None]
         # block elimination: t = dL H^{-1} r_h3 with r = rhs, or P^{-1} rhs when trans
-        t = self._tsolve(tri, r[6:] / dL if trans else r[6:])
-        xb = lapack.dgetrs(lu, piv, r[:6] - self.G.T @ t)[0]
+        t = self._tsolve(tsolve, r[6:] / dL if trans else r[6:])
+        xb = ssolve(r[:6] - self.G.T @ t)[0]
         xh = t - Z @ xb
         return np.concatenate([xb, xh if trans else xh / dL]).reshape(rhs.shape)
 
@@ -405,7 +413,7 @@ def z_quantile(level: float) -> float:
     """The standard normal quantile bounding a two-sided interval of coverage `level`."""
     if not 0 < level < 1:
         raise ValidationError("level must be in (0, 1)")
-    return float(ndtri(0.5 * (1.0 + level)))
+    return NormalDist().inv_cdf(0.5 * (1.0 + level))
 
 
 def lambda_band(op: DiscretizedOperator, hazard: SieveHazard, t_grid) -> list[tuple[float, float]]:

@@ -14,6 +14,7 @@ from oracles import (
     posterior_atoms,
 )
 from scipy.optimize import brentq
+from scipy.special import wrightomega
 
 from coxjm import (
     MeasurementGrid,
@@ -24,7 +25,7 @@ from coxjm import (
     TransitionParams,
     ValidationError,
 )
-from coxjm.posterior import EXP_CLIP, SQRT2, _batch_modes, _gh, batch_posterior
+from coxjm.posterior import EXP_CLIP, SQRT2, _batch_modes, _gh, _wright_omega, batch_posterior
 
 GRID0 = MeasurementGrid((0.0,))
 GRID2 = MeasurementGrid((0.0, 0.5))
@@ -252,6 +253,52 @@ def test_mode_far_from_the_prior_mean():
     # beta*c = 900 and omega is about 893; the value is an mpmath root
     mode, _ = _batch_modes(np.array([1.0]), np.array([1e-3]), np.array([0.0]), 100.0, 3.0)
     assert mode[0] == pytest.approx(2.3000196687595344, rel=1e-14)
+
+
+def _region_edges():
+    # each region boundary, its neighbouring doubles and points a little further out
+    for b in (-50.0, -2.0, 1.0, 1e20):
+        yield from (b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), b - 1e-9 * abs(b),
+                    b + 1e-9 * abs(b), b - 0.5 * abs(b), b + 0.5 * abs(b))
+
+
+def test_wright_omega_matches_scipy():
+    # oracle: scipy.special.wrightomega, Algorithm 917 in the same regions and steps.  The two
+    # differ only through the last bit of exp and log (NumPy's SIMD loops against libm), and
+    # omega's relative condition number |x| / (1 + omega) scales that, so the bound is 4 ulp
+    # times max(1, |x| / (1 + omega)); on (-8, -2) plain ulp differences reach 7
+    x = np.concatenate([list(_region_edges()), np.linspace(-60.0, 60.0, 120001),
+                        np.geomspace(1.0, 1e25, 2001), [1e300, -1e300, 0.0, -0.0]])
+    # the whole sweep, then each start region alone, so every skipped branch is exercised
+    parts = [x] + [x[(lo <= x) & (x < hi)] for lo, hi in ((-50.0, -2.0), (-2.0, 1.0), (-50.0, 1.0),
+                                                           (1.0, 1e20), (-np.inf, -2.0))]
+    with np.errstate(all="raise", under="ignore"):
+        got = np.concatenate([_wright_omega(part) for part in parts])
+    x = np.concatenate(parts)
+    want = wrightomega(x)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0)
+    kappa = np.maximum(1.0, np.abs(x) / (1.0 + want))
+    ulps = np.abs(got - want) / np.spacing(want)
+    assert np.all(ulps <= 4 * kappa), (x[np.argmax(ulps / kappa)], np.max(ulps / kappa))
+    assert np.mean(got == want) > 0.95
+
+
+def test_wright_omega_infinities_and_nan():
+    with np.errstate(all="raise", under="ignore"):
+        got = _wright_omega(np.array([-np.inf, np.inf, np.nan, -750.0, 1e21]))
+    assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[2])
+    assert got[3] == 0.0  # e^x underflows, as in scipy
+    assert got[4] == 1e21
+
+
+def test_batch_modes_without_latent_mass_is_the_prior_tilt():
+    # a_lat = 0: log 0 = -inf, omega = 0, so the mode is c = mean + delta*beta*var and the sd
+    # sqrt(var), exactly
+    delta, mean, var = np.array([1.0, 0.0, 1.0]), np.array([0.3, -2.0, 5.0]), 0.7
+    with np.errstate(all="raise", under="ignore"):
+        mode, sd = _batch_modes(delta, np.zeros(3), mean, var, -1.3)
+    assert mode.tolist() == (mean + delta * -1.3 * var).tolist()
+    assert sd.tolist() == [math.sqrt(var)] * 3
 
 
 @pytest.mark.parametrize("beta, clipped", [(10.0, True), (1.0, False)])

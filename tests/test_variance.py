@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from oracles import dense_operator, stack_atoms
 
 from coxjm import (
@@ -29,7 +30,7 @@ from coxjm import (
 )
 from coxjm.data import SieveHazard, last_index
 from coxjm.simulate import SimConfig, gen_dataset
-from coxjm.variance import COND_LIMIT, apply_operator, beta_probe, lambda_band
+from coxjm.variance import COND_LIMIT, apply_operator, beta_probe, lambda_band, z_quantile
 
 GRID0 = MeasurementGrid((0.0,))
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
@@ -263,6 +264,22 @@ def test_ci_examples(fitted):
         ci(fit, 0.0, 0.95)
     with pytest.raises(ValidationError):
         ci(fit, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_z_quantile_matches_ndtri(level):
+    # the stdlib normal quantile against scipy's ndtri; at 0.95 it gives 1.9599639845400536,
+    # two ulp below ndtri's 1.959963984540054
+    want = float(scipy.special.ndtri(0.5 * (1.0 + level)))
+    got = z_quantile(level)
+    assert type(got) is float
+    assert abs(got - want) <= 4 * np.spacing(want)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5])
+def test_z_quantile_refuses_levels_outside_the_open_unit_interval(level):
+    with pytest.raises(ValidationError, match="level"):
+        z_quantile(level)
 
 
 def test_lambda_band_and_report(fitted):
