@@ -43,7 +43,7 @@ from .fit import (
     w_n,
     weighted_mle_alpha,
 )
-from .simulate import SimConfig, SimTruth, fullinfo_dataset, gen_dataset, gen_subject
+from .simulate import SimConfig, SimTruth, fullinfo_dataset, gen_dataset
 from .transition import AlphaBox, TransitionParams, cond_latent_params
 from .variance import (
     DiscretizedOperator,

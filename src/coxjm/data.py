@@ -81,7 +81,7 @@ class Subject:
         try:
             object.__setattr__(self, "x", float(self.x))
             object.__setattr__(self, "delta", int(self.delta))
-            object.__setattr__(self, "measurements", tuple(float(z) for z in self.measurements))
+            object.__setattr__(self, "measurements", tuple(map(float, self.measurements)))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"subject {self.id!r}: {exc}") from exc
         if not self.x > 0 or not math.isfinite(self.x):
@@ -90,7 +90,7 @@ class Subject:
             raise ValidationError(f"subject {self.id!r}: delta must be 0 or 1")
         if not self.measurements:
             raise ValidationError(f"subject {self.id!r}: entry measurement z_0 is required")
-        if any(not math.isfinite(z) for z in self.measurements):
+        if not all(map(math.isfinite, self.measurements)):
             raise ValidationError(f"subject {self.id!r}: measurements must be finite")
 
 

@@ -41,7 +41,17 @@ def dataset_from_dict(d: dict) -> Dataset:
 
 
 def save_dataset_json(dataset: Dataset, path) -> None:
-    Path(path).write_text(json.dumps(dataset_to_dict(dataset), indent=1) + "\n")
+    """Write `json.dumps(dataset_to_dict(dataset), indent=1)` and a newline.  The layout is
+    written here, because json's indenting encoder is pure Python; every float is finite, so
+    each is its `float.__repr__`, as json writes it."""
+    r = float.__repr__
+    subjects = ",\n".join(
+        f'  {{\n   "id": {json.dumps(s.id)},\n   "x": {r(s.x)},\n   "delta": {s.delta},\n'
+        '   "measurements": [\n    ' + ",\n    ".join(map(r, s.measurements)) + "\n   ]\n  }"
+        for s in dataset.subjects)
+    Path(path).write_text('{\n "grid": [\n  ' + ",\n  ".join(map(r, dataset.grid.times))
+                          + f'\n ],\n "tau": {r(dataset.tau)},\n "subjects": '
+                          + (f"[\n{subjects}\n ]" if subjects else "[]") + "\n}\n")
 
 
 def load_dataset_json(path) -> Dataset:

@@ -12,15 +12,15 @@ order-independent and bitwise reproducible.
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, MeasurementGrid, Subject, last_index, validate_dataset
+from .data import Dataset, MeasurementGrid, Subject, validate_dataset
 from .exceptions import ValidationError, reading
-from .transition import TransitionParams, draw_initial, draw_next
+from .transition import TransitionParams
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,11 @@ class SimConfig:
     truncate_at: float | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("n must be >= 1")
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
+        for name in ("grid_step", "tau", "beta0", "lambda0", "censor_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.grid_step <= 0:
             raise ValidationError("grid_step must be > 0")
         if self.lambda0 <= 0:
@@ -83,9 +86,8 @@ class SimTruth:
     censor_time: float
 
 
-@functools.lru_cache(maxsize=16)
 def make_grid(config: SimConfig) -> MeasurementGrid:
-    """Grid times 0, step, ..., tau - step (kept per config: each subject asks for it)."""
+    """Grid times 0, step, ..., tau - step."""
     return MeasurementGrid(tuple(k * config.grid_step for k in range(config.n_intervals)))
 
 
@@ -94,66 +96,74 @@ def subject_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def piecewise_exp_time(e: float, rates, step: float, tau: float) -> float:
-    """Invert the piecewise-constant cumulative hazard at a standard exponential e.
+def _truncated_normal(rng, mean: float, sd: float, bound: float) -> float:
+    """One rng.normal(mean, sd) draw, redrawn until |value| <= bound."""
+    for _ in range(1000):
+        z = float(rng.normal(mean, sd))
+        if abs(z) <= bound:
+            return z
+    raise ValidationError(f"truncation bound {bound} incompatible with N({mean}, {sd**2})")
 
-    rates[j] rules the interval ((j)*step, (j+1)*step], the last one ending at
-    tau; returns math.inf when the total hazard through tau is below e.
+
+def _event_times(z: np.ndarray, e: np.ndarray, config: SimConfig) -> np.ndarray:
+    """Invert each row's piecewise-constant cumulative hazard at its standard exponential e.
+
+    Row i has rate lambda0 * exp(beta0 * z[i, j+1]) on ((j)*step, (j+1)*step], the last
+    interval ending at tau.  The masses are summed left to right, so the time lies in the
+    first interval whose running sum reaches e; it is inf where the total is below e.
     """
-    acc = 0.0
-    for j, rate in enumerate(rates):
-        hi = min((j + 1) * step, tau)
-        width = hi - j * step
-        mass = rate * width
-        if acc + mass >= e:
-            return float(j * step + (e - acc) / rate)
-        acc += mass
-    return math.inf
-
-
-def gen_subject(rng: np.random.Generator, config: SimConfig,
-                subject_id: int | str = 0) -> tuple[Subject, SimTruth]:
-    """One subject: covariate chain, event time, censoring, recorded data.  An untruncated
-    chain takes its m+1 normals in one call and combines them as `rng.normal(mean, sd)` does."""
-    m, al = config.n_intervals, config.alpha0
-    if config.truncate_at is None:
-        eps = rng.standard_normal(m + 1).tolist()
-        z = [al.mu0 + math.sqrt(al.s0sq) * eps[0]]
-        for d in eps[1:]:
-            z.append((al.a + al.b * z[-1]) + math.sqrt(al.ssq) * d)
-    else:  # rejection makes the number of draws per value random
-        z = [draw_initial(rng, al, config.truncate_at)]
-        for _ in range(m):
-            z.append(draw_next(rng, z[-1], al, config.truncate_at))
-    z = np.array(z)
-    rates = config.lambda0 * np.exp(config.beta0 * z[1:])
-    e = float(rng.exponential(1.0))
-    t_event = piecewise_exp_time(e, rates, config.grid_step, config.tau)
-    if config.censor_rate > 0:
-        c = min(config.tau, float(rng.exponential(1.0 / config.censor_rate)))
-    else:
-        c = config.tau
-    x = min(t_event, c)
-    delta = 1 if t_event <= c else 0
-    a_x = last_index(x, make_grid(config))
-    subject = Subject(id=subject_id, x=x, delta=delta, measurements=tuple(z[: a_x + 1]))
-    truth = SimTruth(subject_id=subject_id, latent_z=float(z[a_x + 1]),
-                     event_time=t_event, censor_time=c)
-    return subject, truth
+    m, step, tau = config.n_intervals, config.grid_step, config.tau
+    cum = config.beta0 * z[:, 1:]
+    np.exp(cum, out=cum)
+    cum *= config.lambda0
+    cum *= [min((j + 1) * step, tau) - j * step for j in range(m)]
+    np.cumsum(cum, axis=1, out=cum)
+    j = np.count_nonzero(cum < e[:, None], axis=1)  # rows are nondecreasing
+    rows = np.flatnonzero(j < m)
+    jr = j[rows]
+    acc = np.where(jr > 0, cum[rows, jr - 1], 0.0)
+    t = np.full(len(e), math.inf)
+    t[rows] = jr * step + (e[rows] - acc) / (config.lambda0 * np.exp(config.beta0 * z[rows, jr + 1]))
+    return t
 
 
 def gen_dataset(config: SimConfig) -> tuple[Dataset, tuple[SimTruth, ...]]:
-    """n independent subjects on derived streams; ties (probability zero) jittered."""
-    subjects = []
-    truths = []
-    for i in range(config.n):
-        s, t = gen_subject(subject_stream(config.seed, i), config, subject_id=i)
-        subjects.append(s)
-        truths.append(t)
+    """n independent subjects on derived streams; ties (probability zero) jittered.
+
+    Subject i draws from `subject_stream(seed, i)`: its chain (m+1 standard normals, or
+    the truncated rejection draws), a standard exponential for the event time, then the
+    censoring exponential.  The chain recursion and the event times then run across
+    subjects, with the per-subject arithmetic in its order.
+    """
+    n, m, al, bound = config.n, config.n_intervals, config.alpha0, config.truncate_at
+    z, e, c = np.empty((n, m + 1)), np.empty(n), np.full(n, config.tau)
+    for i in range(n):
+        rng = subject_stream(config.seed, i)
+        if bound is None:
+            rng.standard_normal(out=z[i])
+        else:  # rejection makes the number of draws per value random
+            row = [_truncated_normal(rng, al.mu0, math.sqrt(al.s0sq), bound)]
+            for _ in range(m):
+                row.append(_truncated_normal(rng, al.a + al.b * row[-1], math.sqrt(al.ssq), bound))
+            z[i] = row
+        e[i] = rng.exponential(1.0)
+        if config.censor_rate > 0:
+            c[i] = min(config.tau, rng.exponential(1.0 / config.censor_rate))
+    if bound is None:  # z[:, j] holds standard normals until step j combines them
+        z[:, 0] = al.mu0 + math.sqrt(al.s0sq) * z[:, 0]
+        for j in range(1, m + 1):
+            z[:, j] = (al.a + al.b * z[:, j - 1]) + math.sqrt(al.ssq) * z[:, j]
+    t = _event_times(z, e, config)
+    x = np.minimum(t, c)
     grid = make_grid(config)
+    a_x = np.searchsorted(grid.times, x) - 1  # the count of grid times < x, less one
+    subjects, truths = [], []
+    for i, (xi, di, ai, ti, ci) in enumerate(zip(x.tolist(), (t <= c).tolist(), a_x.tolist(),
+                                                 t.tolist(), c.tolist())):
+        subjects.append(Subject(id=i, x=xi, delta=di, measurements=z[i, : ai + 1].tolist()))
+        truths.append(SimTruth(subject_id=i, latent_z=float(z[i, ai + 1]), event_time=ti, censor_time=ci))
     dataset = Dataset(grid=grid, subjects=tuple(subjects), tau=config.tau)
-    dataset = validate_dataset(dataset, jitter_ties=True)
-    return dataset, tuple(truths)
+    return validate_dataset(dataset, jitter_ties=True), tuple(truths)
 
 
 def fullinfo_dataset(dataset: Dataset, truths) -> Dataset:

@@ -217,23 +217,3 @@ class TransitionStats:
         s0sq, ssq = self.M2_0 / self.n0, self._sse(a, b) / self.N
         alpha = box.clamp(np.array([self.z0bar, s0sq, a, b, ssq]), var_floor)
         return alpha, s0sq < var_floor or ssq < var_floor
-
-
-def draw_initial(rng, alpha: TransitionParams, truncate_at: float | None = None) -> float:
-    """Draw the entry value z_0; optional resampling truncation at +-truncate_at."""
-    return _draw_truncated(rng, alpha.mu0, math.sqrt(alpha.s0sq), truncate_at)
-
-
-def draw_next(rng, prev: float, alpha: TransitionParams, truncate_at: float | None = None) -> float:
-    """Draw the next transition value given the previous one."""
-    return _draw_truncated(rng, alpha.a + alpha.b * prev, math.sqrt(alpha.ssq), truncate_at)
-
-
-def _draw_truncated(rng, mean: float, sd: float, truncate_at: float | None) -> float:
-    if truncate_at is None:
-        return float(rng.normal(mean, sd))
-    for _ in range(1000):
-        z = float(rng.normal(mean, sd))
-        if abs(z) <= truncate_at:
-            return z
-    raise ValidationError(f"truncation bound {truncate_at} incompatible with N({mean}, {sd**2})")

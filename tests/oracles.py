@@ -6,7 +6,8 @@ the risk indicator, its observed and latent parts, and the observed covariate
 value.  It takes O(n K) memory, so it serves small test datasets only.
 `lvcf_risk_sums` evaluates the comparator's imputation one (subject, event
 time) pair at a time through the scalar value functions.  `scalar_gen_dataset`
-is the simulator drawn one `rng.normal` call per chain value.
+is the simulator drawn one `rng.normal` call per chain value, with each event
+time inverted interval by interval (`piecewise_exp_time`).
 `log_joint_density`, `score_alpha` and `hessian_alpha` are the transition
 model's log density and its derivatives for one measurement sequence, written
 out residual by residual.  `batch_loglik` is the observed-data log likelihood
@@ -38,7 +39,7 @@ from coxjm.data import (
 from coxjm.exceptions import ValidationError
 from coxjm.fit import Posterior, _Workspace
 from coxjm.posterior import EXP_CLIP, _batch_modes, batch_posterior
-from coxjm.simulate import SimTruth, make_grid, piecewise_exp_time, subject_stream
+from coxjm.simulate import SimTruth, make_grid, subject_stream
 from coxjm.transition import cond_latent_params, gauss_logpdf, observed_history
 
 
@@ -142,6 +143,23 @@ def _normal(rng, mean, sd, bound):
         v = float(rng.normal(mean, sd))
         if bound is None or abs(v) <= bound:
             return v
+
+
+def piecewise_exp_time(e: float, rates, step: float, tau: float) -> float:
+    """Invert the piecewise-constant cumulative hazard at a standard exponential e.
+
+    rates[j] rules the interval ((j)*step, (j+1)*step], the last one ending at
+    tau; returns math.inf when the total hazard through tau is below e.
+    """
+    acc = 0.0
+    for j, rate in enumerate(rates):
+        hi = min((j + 1) * step, tau)
+        width = hi - j * step
+        mass = rate * width
+        if acc + mass >= e:
+            return float(j * step + (e - acc) / rate)
+        acc += mass
+    return math.inf
 
 
 def scalar_gen_dataset(config):

@@ -6,7 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coxjm import Dataset, FitConfig, TransitionParams, ValidationError, em_fit, observed_loglik, partial_lik_fit
+from coxjm import (
+    Dataset,
+    FitConfig,
+    MeasurementGrid,
+    Subject,
+    TransitionParams,
+    ValidationError,
+    em_fit,
+    observed_loglik,
+    partial_lik_fit,
+)
 from coxjm import io as cio
 from coxjm.cli import main
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
@@ -40,6 +50,35 @@ def test_dataset_json_round_trip_bit_exact(dataset, tmp_path):
     p2 = tmp_path / "d2.json"
     cio.save_dataset_json(back, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def _odd_dataset():
+    """Ids json must escape and floats at the edges of repr's forms, on a two-point grid."""
+    grid = MeasurementGrid((0.0, 0.25))
+    return Dataset(grid=grid, tau=1.5e16, subjects=(
+        Subject(id='a"b', x=5e-324, delta=1, measurements=(-0.0,)),
+        Subject(id="é", x=1e-07, delta=0, measurements=(1e-07,)),
+        Subject(id="x\ny", x=0.3, delta=1, measurements=(5e-324, 1.5e16)),
+        Subject(id=-3, x=1.5e16, delta=0, measurements=(1.5e16, -0.0)),
+        Subject(id=7, x=2.5, delta=1, measurements=(0.1, -0.2, 0.3)),  # full-information form
+    ))
+
+
+@pytest.mark.parametrize("case", ["grid-0.25", "grid-0.02", "full-information", "odd", "empty"])
+def test_dataset_json_is_the_json_module_layout(case, tmp_path):
+    if case == "odd":
+        ds = _odd_dataset()
+    elif case == "empty":
+        ds = Dataset(grid=MeasurementGrid((0.0, 0.5)), tau=1.0, subjects=())
+    else:
+        step = 0.02 if case == "grid-0.02" else 0.25
+        ds, truths = gen_dataset(SimConfig.from_dict(_sim_cfg_dict(n=40, seed=6, grid_step=step)))
+        if case == "full-information":
+            ds = fullinfo_dataset(ds, truths)
+    p = tmp_path / "d.json"
+    cio.save_dataset_json(ds, p)
+    assert p.read_text() == json.dumps(cio.dataset_to_dict(ds), indent=1) + "\n"
+    assert repr(cio.load_dataset_json(p)) == repr(ds)
 
 
 def test_dataset_csv_round_trip(dataset, tmp_path):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import scalar_gen_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import piecewise_exp_time, scalar_gen_dataset
 
 from coxjm import (
     MeasurementGrid,
@@ -14,15 +17,7 @@ from coxjm import (
 from coxjm.baseline import nelson_aalen
 from coxjm.data import Theta
 from coxjm.fit import estep_atoms
-from coxjm.simulate import (
-    SimConfig,
-    fullinfo_dataset,
-    gen_dataset,
-    gen_subject,
-    make_grid,
-    piecewise_exp_time,
-    subject_stream,
-)
+from coxjm.simulate import SimConfig, _event_times, fullinfo_dataset, gen_dataset, make_grid
 
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
 
@@ -45,6 +40,19 @@ def test_config_validation():
         _cfg(censor_rate=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lambda0", math.nan), ("lambda0", math.inf), ("beta0", math.nan), ("beta0", -math.inf),
+    ("censor_rate", math.nan), ("censor_rate", math.inf), ("grid_step", math.nan),
+    ("grid_step", math.inf), ("tau", math.nan), ("tau", math.inf), ("n", 2.5), ("n", "3"),
+])
+def test_config_rejects_non_finite_and_non_integer_values(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        _cfg(**{field: value})
+    # the same message through the config document the CLI reads
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        SimConfig.from_dict({**_cfg().to_dict(), field: value})
+
+
 def test_make_grid():
     grid = make_grid(_cfg())
     assert grid.times[0] == 0.0
@@ -52,15 +60,59 @@ def test_make_grid():
     assert len(grid.times) == 12
 
 
-def test_piecewise_exp_time_inversion():
-    rates = [2.0, 0.5]
-    # cumulative hazard: 2*t on (0,1], 2 + 0.5*(t-1) on (1,2]
-    assert piecewise_exp_time(1.0, rates, 1.0, 2.0) == pytest.approx(0.5)
-    assert piecewise_exp_time(2.25, rates, 1.0, 2.0) == pytest.approx(1.5)
-    assert piecewise_exp_time(3.0, rates, 1.0, 2.0) == math.inf
+def _inverse(z, e, **kw):
+    """Batched event times for the chains z at the exponentials e, and the oracle's."""
+    cfg = _cfg(n=len(e), **kw)
+    z, e = np.asarray(z, dtype=float), np.asarray(e, dtype=float)
+    rates = cfg.lambda0 * np.exp(cfg.beta0 * z[:, 1:])
+    want = [piecewise_exp_time(float(ei), r, cfg.grid_step, cfg.tau) for ei, r in zip(e, rates)]
+    return _event_times(z, e, cfg).tolist(), want, rates
+
+
+def test_event_times_inversion():
+    # rates 2 and 0.5 (up to rounding in exp): cumulative hazard 2t on (0,1], 2 + 0.5(t-1) on (1,2]
+    z = [0.0, math.log(4.0), 0.0]
+    got, want, rates = _inverse([z] * 5, [1.0, 2.25, 3.0, 2.0 + 1e-12, 2.0 - 1e-12],
+                                grid_step=1.0, tau=2.0, beta0=1.0, lambda0=0.5)
+    assert got == want
+    assert got[0] == pytest.approx(0.5) and got[1] == pytest.approx(1.5) and got[2] == math.inf
     # survival through the first interval: T > t_1 iff e > rate_0 * t_1
-    assert piecewise_exp_time(2.0 + 1e-12, rates, 1.0, 2.0) > 1.0
-    assert piecewise_exp_time(2.0 - 1e-12, rates, 1.0, 2.0) < 1.0
+    assert got[3] > 1.0 > got[4]
+    # e equal to the total hazard through tau is reached at tau, not beyond it
+    total = rates[0, 0] * 1.0 + rates[0, 1] * 1.0
+    got, want, _ = _inverse([z], [total], grid_step=1.0, tau=2.0, beta0=1.0, lambda0=0.5)
+    assert got == want and got[0] == pytest.approx(2.0)
+
+
+def test_event_time_on_an_interval_boundary_takes_the_earlier_interval():
+    # a rate r whose mass r*0.1 divides back to just below 0.1: the first interval gives
+    # (r*0.1)/r < 0.1, and the second would give 0.1 + 0/r' = 0.1
+    r = next(v for v in 0.5 * np.exp(np.linspace(0.1, 2.0, 400)) if (v * 0.1) / v != 0.1)
+    z = [0.0, math.log(r / 0.5), 0.3]
+    cfg = dict(grid_step=0.1, tau=0.2, beta0=1.0, lambda0=0.5)
+    _, _, rates = _inverse([z], [1.0], **cfg)
+    got, want, _ = _inverse([z], [float(rates[0, 0] * 0.1)], **cfg)
+    assert got == want
+    assert got[0] == (rates[0, 0] * 0.1) / rates[0, 0] < 0.1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([0.25, 0.02]), st.integers(1, 8), st.floats(-2.0, 2.0), st.floats(0.01, 5.0),
+       st.data())
+def test_event_times_match_the_interval_loop(grid_step, n, beta0, lambda0, data):
+    m = int(round(3.0 / grid_step))
+    z = data.draw(arrays(float, (n, m + 1), elements=st.floats(-3.0, 3.0)))
+    e = data.draw(arrays(float, n, elements=st.floats(0.0, 40.0)))
+    # some rows' e exactly on a running sum of the masses, as the loop accumulates them
+    rates = lambda0 * np.exp(beta0 * z[:, 1:])
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        k = data.draw(st.integers(1, m))
+        acc = 0.0
+        for j in range(k):
+            acc += rates[i, j] * (min((j + 1) * grid_step, 3.0) - j * grid_step)
+        e[i] = acc
+    got, want, _ = _inverse(z, e, grid_step=grid_step, beta0=beta0, lambda0=lambda0)
+    assert got == want
 
 
 def test_gen_dataset_deterministic():
@@ -154,11 +206,14 @@ def test_censoring_independent_permutation_check():
     assert abs(r) < 3.0 / math.sqrt(mask.sum())
 
 
-def test_gen_subject_stream_reproducible():
-    cfg = _cfg()
-    s1, t1 = gen_subject(subject_stream(cfg.seed, 3), cfg, subject_id=3)
-    s2, t2 = gen_subject(subject_stream(cfg.seed, 3), cfg, subject_id=3)
-    assert s1 == s2 and t1 == t2
+@pytest.mark.parametrize("truncate_at", [None, 1.2])
+def test_subject_draws_do_not_depend_on_n(truncate_at):
+    # subject i reads only its own stream, so the first subjects and their truths are the same
+    # whatever the number of subjects drawn after them
+    small, small_truths = gen_dataset(_cfg(n=5, censor_rate=0.3, truncate_at=truncate_at))
+    large, large_truths = gen_dataset(_cfg(n=12, censor_rate=0.3, truncate_at=truncate_at))
+    assert small.subjects == large.subjects[:5]
+    assert small_truths == large_truths[:5]
 
 
 def test_fullinfo_dataset_appends_latent():
