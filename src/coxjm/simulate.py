@@ -136,7 +136,7 @@ def gen_dataset(config: SimConfig) -> tuple[Dataset, tuple[SimTruth, ...]]:
     subjects, with the per-subject arithmetic in its order.
     """
     n, m, al, bound = config.n, config.n_intervals, config.alpha0, config.truncate_at
-    z, e, c = np.empty((n, m + 1)), np.empty(n), np.full(n, config.tau)
+    z, e, c = np.empty((n, m + 1)), np.empty(n), np.full(n, float(config.tau))
     for i in range(n):
         rng = subject_stream(config.seed, i)
         if bound is None:
@@ -156,7 +156,7 @@ def gen_dataset(config: SimConfig) -> tuple[Dataset, tuple[SimTruth, ...]]:
     t = _event_times(z, e, config)
     x = np.minimum(t, c)
     grid = make_grid(config)
-    a_x = np.searchsorted(grid.times, x) - 1  # the count of grid times < x, less one
+    a_x = np.searchsorted(grid.times, x) - 1  # max{k : t_k < x}, as Dataset's a_x in data.py
     subjects, truths = [], []
     for i, (xi, di, ai, ti, ci) in enumerate(zip(x.tolist(), (t <= c).tolist(), a_x.tolist(),
                                                  t.tolist(), c.tolist())):

@@ -258,3 +258,16 @@ def test_gen_dataset_matches_scalar_draws(seed, grid_step, censor_rate, truncate
                alpha0=TransitionParams(0.3, 1.2, 0.17, 0.7, 0.25))
     got, want = gen_dataset(cfg), scalar_gen_dataset(cfg)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("censor_rate", [0, 0.3, 1])
+@pytest.mark.parametrize("truncate_at", [None, 1.2])
+def test_gen_dataset_with_integer_tau_and_grid_step(censor_rate, truncate_at):
+    # integers, as a JSON config may give them: the censoring times must stay real numbers
+    cfg = _cfg(n=40, grid_step=1, tau=3, censor_rate=censor_rate, truncate_at=truncate_at)
+    (got, got_truths), (want, want_truths) = gen_dataset(cfg), scalar_gen_dataset(cfg)
+    assert repr(got) == repr(want)
+    assert got_truths == want_truths  # the scalar code keeps an int tau as the censoring time
+    assert all(type(v) is float for t in got_truths for v in (t.latent_z, t.event_time, t.censor_time))
+    if censor_rate:
+        assert any(0 < t.censor_time < 3 and t.censor_time % 1 for t in got_truths)
