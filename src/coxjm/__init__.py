@@ -35,6 +35,7 @@ from .fit import (
     FitConfig,
     FitResult,
     Posterior,
+    QuadratureCheck,
     em_fit,
     estep_atoms,
     lambda_update,

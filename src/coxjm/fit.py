@@ -15,6 +15,9 @@ followed by one more map) only if its log likelihood has not dropped.
 Convergence requires one map to move the parameters less than `tol_param`, a
 small score over the canonical probe directions, and the hazard fixed-point
 identity dL_k * W_n(x_k) = 1/n holding at freshly computed atoms.
+
+The fit then states its quadrature error: one E-step at the final parameter with
+twice the nodes (Gauss-Hermite rules are not nested), compared with the fit's own.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,16 +48,19 @@ from .transition import (
 )
 
 ASCENT_TOL = 1e-8
+Q_DEFAULT = 20  # the E-step's Gauss-Hermite order, unless a config or a call gives one
 
 
 @dataclass
 class FitConfig:
     """Knobs of the EM fitter; all runs with the same config are deterministic.
 
-    `max_iter` caps the EM maps; `inner_cycles` caps the M-step's Newton steps in beta.
+    `Q` is the order of the mode-recentred Gauss-Hermite rule of every E-step; the fit
+    checks it against a 2Q rule at the end (`FitResult.quadrature`).  `max_iter` caps the
+    EM maps; `inner_cycles` caps the M-step's Newton steps in beta.
     """
 
-    Q: int = 40
+    Q: int = Q_DEFAULT
     max_iter: int = 500
     tol_param: float = 1e-7
     tol_score: float = 1e-6
@@ -96,9 +102,25 @@ class FitConfig:
         return cfg
 
 
+@dataclass(frozen=True)
+class QuadratureCheck:
+    """An E-step with `order` nodes against a coarser one at the same parameter: the largest
+    per-subject change of log_norm, and the changes (finer minus coarser) of the observed
+    log likelihood and of the beta score at a fixed hazard."""
+
+    order: int
+    log_norm: float
+    loglik: float
+    score_beta: float
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass
 class FitResult:
-    """`posterior` is the final E-step, the posterior at theta_hat on the fit's workspace."""
+    """`posterior` is the final E-step, the posterior at theta_hat on the fit's workspace;
+    `quadrature` compares it with a rule of twice its nodes."""
 
     theta_hat: Theta
     loglik_trace: list[float]
@@ -108,6 +130,7 @@ class FitResult:
     warnings: list[str]
     n_subjects: int
     posterior: Posterior = field(repr=False, compare=False)
+    quadrature: QuadratureCheck
 
     @property
     def loglik(self) -> float:
@@ -273,10 +296,14 @@ class Posterior:
         return self._moments
 
 
-def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray, Q: int) -> Posterior:
+def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray, Q: int,
+           modes=None) -> Posterior:
+    """The E-step at (alpha, beta, dL) with a Q-node rule; `modes`, the (mode, sd) of a
+    posterior at the same parameter, skips the mode search."""
     a_obs, a_lat = ws.splits(beta, dL)
     mean = alpha.a + alpha.b * ws.z_pred
-    nodes, weights, mode, sd, log_norm = batch_posterior(ws.delta, a_lat, mean, alpha.ssq, beta, Q, ids=ws.ids)
+    nodes, weights, mode, sd, log_norm = batch_posterior(ws.delta, a_lat, mean, alpha.ssq, beta, Q,
+                                                         ids=ws.ids, modes=modes)
     full = ws.extra_rows
     if full.size:
         # a stored terminal value is one atom, written over its quadrature row
@@ -307,6 +334,20 @@ def _score_beta(ws, est, R, dL) -> float:
     """(1/n) sum_i E_i[delta_i Z - int Z e^{beta Z} dL], the beta score at a fixed hazard,
     from the risk-set sums R at beta (`_risk_cols`)."""
     return (float(np.sum(ws.delta * est.E1)) - float(dL @ R[:, 1])) / ws.n
+
+
+def _quadrature_check(ws, state, Q: int) -> QuadratureCheck:
+    """The E-step of state = (alpha, beta, dL, E-step, loglik), taken with Q nodes, against
+    one with 2Q nodes at the same parameter and the same modes and curvature sds."""
+    alpha, beta, dL, est, ll = state
+    fine = _estep(ws, alpha, beta, dL, 2 * Q, (est.mode, est.sd))
+    return QuadratureCheck(
+        order=2 * Q,
+        log_norm=float(np.max(np.abs(fine.log_norm - est.log_norm))),
+        loglik=_loglik(ws, alpha, dL, fine) - ll,
+        score_beta=(_score_beta(ws, fine, _risk_cols(ws, fine, beta), dL)
+                    - _score_beta(ws, est, _risk_cols(ws, est, beta), dL)),
+    )
 
 
 def _free_directions(cfg: FitConfig):
@@ -438,8 +479,11 @@ def _em_map(ws, state, cfg: FitConfig, warn: list, it: int):
     est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
     ll_new = _loglik(ws, a_new, dL_new, est_new)
     if ll_new < ll - ASCENT_TOL:
+        quad = _quadrature_check(ws, (a_new, b_new, dL_new, est_new, ll_new), cfg.Q)
         raise AscentError(f"observed log likelihood dropped by {ll - ll_new:.6g} "
-                          f"({ll:.10g} -> {ll_new:.10g}) at iteration {it}")
+                          f"({ll:.15g} -> {ll_new:.15g}; with {quad.order} nodes in place of "
+                          f"Q={cfg.Q} the new value moves by {quad.loglik:.3g}, an estimate of "
+                          f"the quadrature error) at iteration {it}")
     change = max(
         float(np.max(np.abs(a_new.as_array() - alpha.as_array()))),
         abs(b_new - beta),
@@ -513,6 +557,11 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
             state, cycle = (state, cycle[2:]) if ext is None else (ext, [])
 
     alpha, beta, dL, est = state[:4]
+    quad = _quadrature_check(ws, state, cfg.Q)
+    if abs(quad.score_beta) > cfg.tol_score and _free_directions(cfg)[1]:
+        warn.append(f"quadrature error: with {quad.order} nodes in place of Q={cfg.Q} the beta "
+                    f"score moves by {quad.score_beta:.3g}, more than tol_score {cfg.tol_score:g}; "
+                    "raise Q")
     _boundedness_check(ws, est, dL, cfg, warn)
     if abs(beta) >= cfg.beta_box and cfg.beta_box > 0:
         warn.append("beta at the box boundary")
@@ -526,6 +575,7 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
         warnings=warn,
         n_subjects=ws.n,
         posterior=est,
+        quadrature=quad,
     )
 
 
@@ -580,19 +630,19 @@ def weighted_mle_alpha(dataset: Dataset, atoms: Posterior, box: AlphaBox | None 
     return alpha
 
 
-def estep_atoms(dataset: Dataset, theta: Theta, Q: int = 40) -> Posterior:
+def estep_atoms(dataset: Dataset, theta: Theta, Q: int = Q_DEFAULT) -> Posterior:
     """The posterior of every subject's terminal value at theta, on a new workspace."""
     ws = _Workspace(dataset)
     return _estep(ws, theta.alpha, theta.beta, _hazard_jumps(ws.xe, theta.hazard), Q)
 
 
-def observed_loglik(dataset: Dataset, theta: Theta, Q: int = 40) -> float:
+def observed_loglik(dataset: Dataset, theta: Theta, Q: int = Q_DEFAULT) -> float:
     """Observed-data log likelihood of theta, by mode-recentered quadrature."""
     post = estep_atoms(dataset, theta, Q)
     return _loglik(post.ws, theta.alpha, np.asarray(theta.hazard.jumps, dtype=float), post)
 
 
-def score_full(dataset: Dataset, theta: Theta, h, Q: int = 40, atoms: Posterior | None = None) -> float:
+def score_full(dataset: Dataset, theta: Theta, h, Q: int = Q_DEFAULT, atoms: Posterior | None = None) -> float:
     """Empirical score along the probe h = (h1, h2, h3-at-event-times).
 
     With `atoms` given, expectations are frozen at the atoms' parameter

@@ -117,17 +117,19 @@ def load_truths_csv(path) -> tuple[SimTruth, ...]:
 def fit_to_dict(fit: FitResult, method: str = "npml") -> dict:
     th = fit.theta_hat
     return _fit_doc(method, th.alpha.to_dict(), th.beta, th.hazard, fit.loglik_trace, fit.converged,
-                    fit.score_norm, fit.iterations, fit.n_subjects, fit.warnings)
+                    fit.score_norm, fit.iterations, fit.n_subjects, fit.warnings,
+                    fit.quadrature.to_dict())
 
 
 def baseline_fit_to_dict(bl: BaselineFit, n_subjects: int) -> dict:
-    """An LVCF partial-likelihood fit in the same layout, with no transition parameters."""
+    """An LVCF partial-likelihood fit in the same layout, with no transition parameters and
+    no quadrature."""
     return _fit_doc("lvcf-cox", None, bl.beta_pl, bl.breslow, [bl.loglik], bl.converged,
-                    abs(bl.score), bl.iterations, n_subjects, bl.flags)
+                    abs(bl.score), bl.iterations, n_subjects, bl.flags, None)
 
 
 def _fit_doc(method, alpha, beta, hazard, trace, converged, score_norm, iterations, n_subjects,
-             warnings) -> dict:
+             warnings, quadrature) -> dict:
     return {
         "method": method,
         "alpha": alpha,
@@ -140,6 +142,7 @@ def _fit_doc(method, alpha, beta, hazard, trace, converged, score_norm, iteratio
         "iterations": iterations,
         "n_subjects": n_subjects,
         "warnings": list(warnings),
+        "quadrature": quadrature,
     }
 
 

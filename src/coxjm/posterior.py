@@ -117,19 +117,21 @@ def _batch_modes(delta, a_lat, mean, var, beta, ids=None):
     return mode, np.sqrt(var / (1.0 + omega))
 
 
-def batch_posterior(delta, a_lat, mean, var, beta, order, ids=None):
+def batch_posterior(delta, a_lat, mean, var, beta, order, ids=None, modes=None):
     """Mode-recentered Gauss-Hermite atoms for a batch of subjects.
 
     Returns (nodes, weights, mode, curvature_sd, log_norm) with shapes
     (n, order) for nodes/weights and (n,) for the rest; log_norm is the log of
     int exp(delta*beta*z - a_lat*exp(beta*z)) N(z; mean, var) dz.  The arrays
     are built node-major (order x n), so passes and reductions run along the
-    subjects; nodes and weights are their transposed views.
+    subjects; nodes and weights are their transposed views.  `modes`, the
+    (mode, curvature_sd) of the same batch, skips the mode search: neither
+    depends on the order.  A zero sd there gives a log_norm of -inf.
     """
     if order < 2:
         raise ValidationError("quadrature order must be >= 2")
     delta, a_lat, mean, var = (np.asarray(v, dtype=float) for v in (delta, a_lat, mean, var))
-    mode, sd = _batch_modes(delta, a_lat, mean, var, beta, ids=ids)
+    mode, sd = _batch_modes(delta, a_lat, mean, var, beta, ids=ids) if modes is None else modes
     xg, wg = _gh(order)
     nodes = np.multiply(xg[:, None], SQRT2 * sd)
     nodes += mode
@@ -150,5 +152,6 @@ def batch_posterior(delta, a_lat, mean, var, beta, order, ids=None):
     np.exp(w, out=w)
     total = np.sum(w, axis=0)
     w /= total
-    log_norm = top + np.log(total) + np.log(SQRT2 * sd)
+    with np.errstate(divide="ignore"):
+        log_norm = top + np.log(total) + np.log(SQRT2 * sd)
     return nodes.T, w.T, mode, sd, log_norm

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -33,6 +34,7 @@ from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 GRID0 = MeasurementGrid((0.0,))
 STD = TransitionParams(0.0, 1.0, 0.0, 0.0, 1.0)
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
+HIGH_MISSING = TransitionParams(0.0, 1.0, 0.0, 0.3, 1.0)  # b = 0.3, ssq = 1: a noisy latent value
 
 
 def _points(ds, zs):
@@ -45,8 +47,8 @@ def _score_beta(ds, atoms, beta, hazard):
     return score_full(ds, Theta(alpha=STD, beta=beta, hazard=hazard), (None, 1.0, None), atoms=atoms)
 
 
-def _sim(n=40, seed=0, censor_rate=0.2, beta0=1.0, grid_step=0.25):
-    cfg = SimConfig(n=n, grid_step=grid_step, tau=3.0, alpha0=ALPHA0, beta0=beta0,
+def _sim(n=40, seed=0, censor_rate=0.2, beta0=1.0, grid_step=0.25, alpha0=ALPHA0):
+    cfg = SimConfig(n=n, grid_step=grid_step, tau=3.0, alpha0=alpha0, beta0=beta0,
                     lambda0=0.3, censor_rate=censor_rate, seed=seed)
     return gen_dataset(cfg)
 
@@ -386,9 +388,10 @@ def test_em_fit_raises_on_loglik_drop(monkeypatch):
 @pytest.mark.parametrize("seed", range(5))
 def test_em_fit_matches_tight_fit(seed):
     # the extrapolated path stops within 1e-6 in beta of a fit run far past the tolerances
+    # with a finer rule
     ds, _ = _sim(200, seed=seed)
     fit = em_fit(ds)
-    tight = em_fit(ds, config=FitConfig(tol_param=1e-11, tol_score=1e-11))
+    tight = em_fit(ds, config=FitConfig(Q=80, tol_param=1e-11, tol_score=1e-11))
     assert fit.converged and tight.converged
     assert abs(fit.theta_hat.beta - tight.theta_hat.beta) <= 1e-6
 
@@ -426,3 +429,101 @@ def test_mstep_reaches_profiled_maximizer(seed, n, beta):
     np.testing.assert_allclose(dL_new, 1.0 / R[:, 0], rtol=1e-12)
     old, new = objective(ALPHA0, beta, dL), objective(alpha_new, beta_new, dL_new)
     assert new >= old - 1e-10 * (1 + abs(old))
+
+
+def test_mstep_keeps_beta_when_no_halving_ascends():
+    # with no halving allowed, a full Newton step that lowers the profiled objective is
+    # refused: beta stays, with the hazard that maximizes the objective there (at seed 0 the
+    # step from -3 goes to 3.04, where the objective is lower by 0.47)
+    from coxjm.fit import _estep, _mstep, _Workspace
+
+    ds, _ = _sim(40, seed=0)
+    ws = _Workspace(ds)
+    est = _estep(ws, ALPHA0, -3.0, np.asarray(nelson_aalen(ds).jumps), 20)
+    _, beta, dL = _mstep(ws, est, ALPHA0, -3.0, FitConfig(step_halving_max=0, inner_cycles=1), [])
+    assert beta == -3.0
+    np.testing.assert_array_equal(dL, 1.0 / _risk_cols(ws, est, -3.0)[:, 0])
+    # halving the same step ascends
+    assert _mstep(ws, est, ALPHA0, -3.0, FitConfig(inner_cycles=1), [])[1] > -3.0
+
+
+def test_quadrature_check_matches_public_calls():
+    # the check compares the fit's E-step with a 2Q one at theta-hat, which estep_atoms,
+    # observed_loglik and score_full compute from scratch (the modes do not depend on Q)
+    ds, _ = _sim(200, seed=3, alpha0=HIGH_MISSING)
+    fit = em_fit(ds, config=FitConfig(Q=8))
+    th, quad = fit.theta_hat, fit.quadrature
+    assert quad.order == 16
+    coarse, fine = estep_atoms(ds, th, 8), estep_atoms(ds, th, 16)
+    assert quad.log_norm == float(np.max(np.abs(fine.log_norm - coarse.log_norm))) > 0
+    assert quad.loglik == observed_loglik(ds, th, 16) - observed_loglik(ds, th, 8) != 0
+    beta_score = [score_full(ds, th, (None, 1.0, None), Q) for Q in (8, 16)]
+    assert quad.score_beta == beta_score[1] - beta_score[0] != 0
+
+
+def test_quadrature_check_moves_no_fitted_number(monkeypatch):
+    from coxjm import fit as fit_mod
+
+    ds, _ = _sim(200, seed=3, alpha0=HIGH_MISSING)
+    fit = em_fit(ds)
+    unchecked = fit_mod.QuadratureCheck(0, 0.0, 0.0, 0.0)
+    monkeypatch.setattr(fit_mod, "_quadrature_check", lambda *args: unchecked)
+    bare = em_fit(ds)
+    assert bare.quadrature is unchecked and fit.quadrature.order == 2 * FitConfig().Q
+    assert (repr(bare.theta_hat), bare.loglik_trace, bare.iterations, bare.score_norm, bare.warnings) == (
+        repr(fit.theta_hat), fit.loglik_trace, fit.iterations, fit.score_norm, fit.warnings)
+    for name in ("nodes", "weights", "log_norm", "mode", "sd", "E1", "V"):
+        np.testing.assert_array_equal(getattr(bare.posterior, name), getattr(fit.posterior, name))
+
+
+def test_quadrature_check_warns_on_a_coarse_rule():
+    # b = 0.3, ssq = 1, n = 2000, seed 2: at Q = 8 a 16-node rule moves the beta score by
+    # 2.35e-6, more than tol_score; the default rule moves it by 2.2e-10
+    ds, _ = _sim(2000, seed=2, alpha0=HIGH_MISSING)
+    fit = em_fit(ds, config=FitConfig(Q=8))
+    assert fit.converged and abs(fit.quadrature.score_beta) > FitConfig().tol_score
+    assert [w for w in fit.warnings if w.startswith("quadrature error")] == [
+        f"quadrature error: with 16 nodes in place of Q=8 the beta score moves by "
+        f"{fit.quadrature.score_beta:.3g}, more than tol_score 1e-06; raise Q"]
+    # with beta frozen its score is not certified, so it is not checked either
+    frozen = em_fit(ds, config=FitConfig(Q=8, beta_box=0.0))
+    assert not any(w.startswith("quadrature error") for w in frozen.warnings)
+
+
+def test_ascent_error_quotes_the_quadrature_error():
+    # Q = 4 with b = 0.3, ssq = 1, n = 200, seed 3: the log likelihood drops between two maps
+    # by far less than an 8-node rule moves it at the new point
+    from coxjm import AscentError
+
+    ds, _ = _sim(200, seed=3, alpha0=HIGH_MISSING)
+    with pytest.raises(AscentError) as err:
+        em_fit(ds, config=FitConfig(Q=4))
+    m = re.fullmatch(r"observed log likelihood dropped by (\S+) \(.*; with 8 nodes in place of Q=4 "
+                     r"the new value moves by (\S+), an estimate of the quadrature error\) "
+                     r"at iteration \d+", str(err.value))
+    assert m, str(err.value)
+    assert abs(float(m[2])) > 100 * float(m[1])
+
+
+FIXED_SEEDS = [(200, seed, 0.25, ALPHA0) for seed in range(8)] + [
+    (2000, seed, 0.25, ALPHA0) for seed in range(3)] + [
+    (1000, seed, 0.02, ALPHA0) for seed in range(3)] + [
+    (2000, 2, 0.25, HIGH_MISSING), (200, 3, 0.25, HIGH_MISSING)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, seed, grid_step, alpha0", FIXED_SEEDS, ids=[
+    f"n{n}-seed{seed}-grid{step}" + ("-b0.3-ssq1" if al is HIGH_MISSING else "")
+    for n, seed, step, al in FIXED_SEEDS])
+def test_default_rule_on_fixed_seed_set(n, seed, grid_step, alpha0):
+    # the default rule against a Q = 80 fit run far past the tolerances: the fit converges,
+    # its log likelihood does not drop (beyond the rounding of a sum over subjects, measured
+    # at 2 ulps at n = 200 seeds 2 and 7), beta is within 1e-6 and the check stays silent
+    ds, _ = _sim(n, seed=seed, grid_step=grid_step, alpha0=alpha0)
+    fit = em_fit(ds)
+    ref = em_fit(ds, config=FitConfig(Q=80, tol_param=1e-11, tol_score=1e-11))
+    assert fit.converged and ref.converged
+    tr = np.asarray(fit.loglik_trace)
+    assert np.all(np.diff(tr) >= -4 * np.spacing(np.abs(tr[1:])))
+    assert abs(fit.theta_hat.beta - ref.theta_hat.beta) <= 1e-6
+    assert abs(fit.quadrature.score_beta) <= FitConfig().tol_score and not fit.warnings

@@ -130,6 +130,8 @@ def test_fit_json_round_trip_loglik(dataset, tmp_path):
     assert observed_loglik(dataset, theta) == pytest.approx(doc["loglik"], abs=1e-10)
     assert doc["method"] == "npml"
     assert doc["converged"] is True
+    assert doc["quadrature"] == fit.quadrature.to_dict()
+    assert doc["quadrature"]["order"] == 2 * FitConfig().Q
 
 
 def test_cli_lvcf_fit_document(dataset, tmp_path):
@@ -146,7 +148,7 @@ def test_cli_lvcf_fit_document(dataset, tmp_path):
         "hazard": {"times": list(bl.breslow.times), "jumps": list(bl.breslow.jumps)},
         "loglik_trace": [bl.loglik], "loglik": bl.loglik, "converged": True,
         "score_norm": abs(bl.score), "iterations": bl.iterations, "n_subjects": dataset.n,
-        "warnings": [],
+        "warnings": [], "quadrature": None,
     }
     assert list(doc) == list(cio.fit_to_dict(em_fit(dataset)))
     assert text == json.dumps(doc, indent=1) + "\n"

@@ -28,7 +28,8 @@ from coxjm import (
     next_value,
 )
 from coxjm.baseline import _imputed, _risk_sums
-from coxjm.fit import _Workspace, _boundedness_check, _estep, _init_theta, _risk_cols, _score_beta, estep_atoms
+from coxjm.fit import (Q_DEFAULT, _Workspace, _boundedness_check, _estep, _init_theta, _risk_cols,
+                       _score_beta, estep_atoms)
 from coxjm.data import covariate_at, is_fully_observed
 from coxjm.posterior import EXP_CLIP
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
@@ -198,7 +199,7 @@ def test_estep_matches_per_subject_atoms(beta):
     est = estep_atoms(ds, theta)
     stored = [is_fully_observed(s, ds.grid) for s in ds.subjects]
     assert any(stored) and not all(stored)  # both branches of _estep
-    atoms = [posterior_atoms(s, theta, 40, ds.grid) for s in ds.subjects]
+    atoms = [posterior_atoms(s, theta, Q_DEFAULT, ds.grid) for s in ds.subjects]  # estep_atoms' order
     for i, want in enumerate(atoms):
         q = want.nodes.size  # a stored value is one atom, repeated with weight zero in `est`
         np.testing.assert_allclose(est.nodes[i, :q], want.nodes, rtol=RTOL, atol=RTOL)
