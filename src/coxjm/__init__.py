@@ -9,18 +9,8 @@ variance estimator.  A simulator and a Monte Carlo study harness validate
 consistency, normality and confidence-interval coverage empirically.
 """
 
-from .baseline import BaselineFit, breslow, lvcf_value, nelson_aalen, next_value, partial_lik_fit
-from .data import (
-    Dataset,
-    MeasurementGrid,
-    SieveHazard,
-    Subject,
-    Theta,
-    covariate_at,
-    hazard_eval,
-    last_index,
-    validate_dataset,
-)
+from .baseline import BaselineFit, breslow, nelson_aalen, partial_lik_fit
+from .data import Dataset, MeasurementGrid, SieveHazard, Theta, validate_dataset
 from .exceptions import (
     AscentError,
     CoxjmError,
@@ -45,7 +35,7 @@ from .fit import (
     weighted_mle_alpha,
 )
 from .simulate import SimConfig, SimTruth, fullinfo_dataset, gen_dataset
-from .transition import AlphaBox, TransitionParams, cond_latent_params
+from .transition import AlphaBox, TransitionParams
 from .variance import (
     DiscretizedOperator,
     Probe,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, MeasurementGrid, SieveHazard, Subject, covariate_at, last_index
+from .data import Dataset, SieveHazard
 from .exceptions import DegenerateRiskSetError, ValidationError
 from .fit import _exp_powers, _Workspace
 
@@ -28,41 +28,20 @@ class BaselineFit:
     information: float = float("nan")
 
 
-def lvcf_value(subject: Subject, u: float, grid: MeasurementGrid) -> float:
-    """Last measured value at or before u: z_{a_u} (z_{a_x} past follow-up)."""
-    if u < 0 or u > subject.x:
-        raise ValidationError(f"lvcf_value: u={u!r} outside [0, x={subject.x!r}]")
-    if u == 0:
-        return subject.measurements[0]
-    a_u = last_index(u, grid)
-    a_x = last_index(subject.x, grid)
-    return subject.measurements[min(a_u, a_x)]
-
-
-def next_value(subject: Subject, u: float, grid: MeasurementGrid) -> float:
-    """Covariate-path value at u; requires the dataset in full-information form."""
-    v = covariate_at(subject, u, grid)
-    if v is None:
-        raise ValidationError(
-            f"subject {subject.id!r} has a latent value at u={u!r}; "
-            "next_value needs fully observed data")
-    return v
-
-
-def _imputed(dataset: Dataset, value_fn):
+def _imputed(dataset: Dataset, imputation: str):
     """The risk-set workspace and the imputed values on the observed entries (subject i,
-    interval j < a_x(i)) and in each terminal interval (n): `lvcf_value` takes
-    measurement min(j, a_x), `next_value` the value due at the interval's end, fully observed."""
+    interval j < a_x(i)) and in each terminal interval (n): "lvcf" takes measurement
+    min(j, a_x), "next" the value due at the interval's end, which must be stored."""
     ws = _Workspace(dataset)
-    if value_fn is lvcf_value:
+    if imputation == "lvcf":
         return ws, ws.t_prev, ws.z_pred
-    if value_fn is not next_value:
-        raise ValidationError("value_fn must be lvcf_value or next_value")
+    if imputation != "next":
+        raise ValidationError(f"imputation must be 'lvcf' or 'next', got {imputation!r}")
     short = ~ws.has_extra & (ws.masses(np.ones(ws.K))[1] > 0)
     if np.any(short):
         raise ValidationError(
-            f"subject {dataset.subjects[int(np.argmax(short))].id!r} has a latent value at risk; "
-            "next_value needs fully observed data")
+            f"subject {dataset.ids[int(np.argmax(short))]!r} has a latent value at risk; "
+            "imputation 'next' needs fully observed data")
     return ws, ws.t_next, ws.z_extra
 
 
@@ -87,12 +66,13 @@ def _pl_parts(ws, v, z, beta):
 
 def partial_lik_fit(
     dataset: Dataset,
-    value_fn=lvcf_value,
+    imputation: str = "lvcf",
     beta_box: float = 10.0,
     tol: float = 1e-12,
     max_iter: int = 100,
 ) -> BaselineFit:
-    """Newton-Raphson maximization of the log partial likelihood.
+    """Newton-Raphson maximization of the log partial likelihood, with the covariate at risk
+    imputed by `imputation`: "lvcf", or "next" for a dataset in full-information form.
 
     A flat likelihood (all covariate values equal within every risk set)
     returns beta = 0 with a "flat-likelihood" flag; a monotone likelihood is
@@ -100,7 +80,7 @@ def partial_lik_fit(
     decrement |score| / sqrt(info), the next step in standard errors of beta, is at
     most `tol`; its rounding floor grows like sqrt(K), the score's (a sum) like K.
     """
-    parts = _imputed(dataset, value_fn)
+    parts = _imputed(dataset, imputation)
     beta = 0.0
     flags: list[str] = []
     loglik, score, info = _pl_parts(*parts, beta)
@@ -132,11 +112,11 @@ def partial_lik_fit(
     return BaselineFit(beta, _breslow(parts, beta), it, converged, tuple(flags), loglik, score, info)
 
 
-def breslow(dataset: Dataset, beta: float, value_fn=lvcf_value) -> SieveHazard:
+def breslow(dataset: Dataset, beta: float, imputation: str = "lvcf") -> SieveHazard:
     """Breslow estimator: jump 1 / sum_{at risk} e^{beta z_j(x_k)} at each event."""
     if not np.isfinite(beta):
         raise ValidationError("beta must be finite")
-    return _breslow(_imputed(dataset, value_fn), beta)
+    return _breslow(_imputed(dataset, imputation), beta)
 
 
 def _breslow(parts, beta: float) -> SieveHazard:

@@ -1,4 +1,4 @@
-"""Core domain types: measurement grid, subjects, datasets and the step hazard.
+"""Core domain types: measurement grid, datasets and the step hazard.
 
 Covariate path convention
 -------------------------
@@ -6,20 +6,21 @@ The longitudinal covariate is measured on a common grid 0 = t_0 < t_1 < ...
 (all grid times strictly below the administrative horizon tau).  The path
 value on the interval (t_j, t_{j+1}] is the value due at t_{j+1}.  A subject
 followed up to time x therefore has observed values z_0 .. z_{a_x}, where
-a_x = max{k : t_k < x}, and carries one *latent* value on the terminal
-window (t_{a_x}, x]: the measurement that was never taken.
+a_x = max{k : t_k < x} (`MeasurementGrid.last_index`), and carries one
+*latent* value on the terminal window (t_{a_x}, x]: the measurement that was
+never taken.
 
 A dataset produced by the full-information reduction stores that terminal
-value as one extra trailing measurement (count a_x + 2 instead of a_x + 1);
-`covariate_at` then never returns the latent marker for such subjects.
+value as one extra trailing measurement (count a_x + 2 instead of a_x + 1),
+so such a subject has no latent value.
 
-`Dataset` works this layout out once, as read-only arrays, and validates from
-them; the fit workspace, the tie check and the full-information reduction read them.
+`Dataset` holds its subjects as columns, validated once as arrays; the fit
+workspace, the tie check, the full-information reduction and the file formats
+read them.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -56,58 +57,10 @@ class MeasurementGrid:
     def __len__(self) -> int:
         return len(self.times)
 
-
-def last_index(t: float, grid: MeasurementGrid) -> int:
-    """Index of the last grid time strictly before t, i.e. max{k : t_k < t}."""
-    if not t > 0:
-        raise ValidationError(f"last_index requires t > 0, got {t!r}")
-    # bisect_left returns the count of grid times < t
-    return bisect.bisect_left(grid.times, t) - 1
-
-
-@dataclass(frozen=True)
-class Subject:
-    """One right-censored follow-up with grid-timed covariate measurements.
-
-    delta = 1 marks an observed event at x, delta = 0 a censoring time.
-    """
-
-    id: int | str
-    x: float
-    delta: int
-    measurements: tuple[float, ...]
-
-    def __post_init__(self):
-        try:
-            object.__setattr__(self, "x", float(self.x))
-            object.__setattr__(self, "delta", int(self.delta))
-            object.__setattr__(self, "measurements", tuple(map(float, self.measurements)))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"subject {self.id!r}: {exc}") from exc
-        if not self.x > 0 or not math.isfinite(self.x):
-            raise ValidationError(f"subject {self.id!r}: follow-up time must be finite and > 0")
-        if self.delta not in (0, 1):
-            raise ValidationError(f"subject {self.id!r}: delta must be 0 or 1")
-        if not self.measurements:
-            raise ValidationError(f"subject {self.id!r}: entry measurement z_0 is required")
-        if not all(map(math.isfinite, self.measurements)):
-            raise ValidationError(f"subject {self.id!r}: measurements must be finite")
-
-
-def covariate_at(subject: Subject, u: float, grid: MeasurementGrid) -> float | None:
-    """Covariate path value of `subject` at time u; None marks the latent value.
-
-    u = 0 yields the entry value z_0; u in (t_j, t_{j+1}] yields the value due
-    at t_{j+1} when it was measured, and None on the terminal window.
-    """
-    if u < 0 or u > subject.x:
-        raise ValidationError(f"covariate_at: u={u!r} outside [0, x={subject.x!r}]")
-    if u == 0:
-        return subject.measurements[0]
-    j = last_index(u, grid) + 1
-    if j < len(subject.measurements):
-        return subject.measurements[j]
-    return None
+    def last_index(self, x) -> np.ndarray:
+        """a_x = max{k : t_k < x} for each follow-up time x > 0: the count of grid times
+        below x, less one."""
+        return np.searchsorted(self.times, x) - 1
 
 
 @dataclass(frozen=True)
@@ -139,17 +92,6 @@ class SieveHazard:
         out = cum[idx]
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.jumps))
-
-
-def hazard_eval(hazard: SieveHazard, t: float) -> float:
-    """Lambda(t), the cumulative hazard at t (inclusive of a jump at t)."""
-    if t < 0:
-        raise ValidationError(f"hazard_eval requires t >= 0, got {t!r}")
-    return hazard.evaluate(t)
-
 
 @dataclass(frozen=True)
 class Theta:
@@ -165,46 +107,91 @@ class Theta:
             raise ValidationError("beta must be finite")
 
 
-@dataclass(frozen=True)
+def _floats(v, owner, errors: dict) -> np.ndarray:
+    """The sequence v as a float array of its own, NaN where an entry is not a number; the
+    error of such an entry i goes into `errors` under its subject owner[i], unless that
+    subject has one already."""
+    try:
+        out = np.array(v, dtype=float)
+        if out.ndim == 1:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    out = np.full(len(v), math.nan)
+    for i, u in enumerate(v):
+        try:
+            out[i] = float(u)
+        except (TypeError, ValueError, OverflowError) as exc:
+            errors.setdefault(int(owner[i]), exc)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A measurement grid, a horizon tau and the subjects under study, with their layout
-    in subject order as read-only arrays: follow-up time `x`, event indicator `delta`, last
-    grid index `a_x` = max{k : t_k < x}, and `has_extra`, whether z_{a_x+1} is stored."""
+    """A measurement grid, a horizon tau and the subjects under study as columns in subject
+    order: `ids`, and read-only arrays of follow-up times `x`, event indicators `delta`
+    (1 an event at x, 0 censoring) and measurements `values`, subject i's being
+    `values[offsets[i]:offsets[i+1]]`.  Derived, also read-only: the last grid index
+    `a_x` = max{k : t_k < x} and `has_extra`, whether z_{a_x+1} is stored."""
 
     grid: MeasurementGrid
-    subjects: tuple[Subject, ...]
     tau: float
+    ids: tuple
+    x: np.ndarray
+    delta: np.ndarray
+    offsets: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "subjects", tuple(self.subjects))
-        object.__setattr__(self, "tau", float(self.tau))
-        if not math.isfinite(self.tau) or self.tau <= 0:
+        tau = float(self.tau)
+        if not math.isfinite(tau) or tau <= 0:
             raise ValidationError("tau must be finite and > 0")
-        if self.grid.times[-1] >= self.tau:
+        if self.grid.times[-1] >= tau:
             raise ValidationError("all grid times must be < tau")
-        ids = [s.id for s in self.subjects]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("subject ids must be unique")
-        x = np.array([s.x for s in self.subjects], dtype=float)
-        delta = np.array([s.delta for s in self.subjects], dtype=int)
-        count = np.array([len(s.measurements) for s in self.subjects], dtype=int)
-        a_x = np.searchsorted(self.grid.times, x) - 1  # the count of grid times < x, less one
-        bad = np.stack([x > self.tau, (x == self.tau) & (delta != 0), (count < a_x + 1) | (count > a_x + 2)])
+        ids = tuple(self.ids)
+        n = len(ids)
+        offsets = np.array(self.offsets, dtype=np.int64)
+        if (len(self.x) != n or len(self.delta) != n or offsets.shape != (n + 1,) or offsets[0] != 0
+                or np.any(np.diff(offsets) < 0) or offsets[-1] != len(self.values)):
+            raise ValidationError("inconsistent dataset layout: x and delta need one entry per id, and "
+                                  "offsets one more, rising from 0 to the number of values")
+        count = np.diff(offsets)
+        owner, errors = np.repeat(np.arange(n), count), {}  # each subject's first entry that is not a number
+        x, delta, values = (_floats(v, o, errors) for v, o in
+                            ((self.x, range(n)), (self.delta, range(n)), (self.values, owner)))
+        a_x = self.grid.last_index(x)
+        bad = np.stack([np.isin(np.arange(n), list(errors)), ~(x > 0) | ~np.isfinite(x),
+                        (delta != 0) & (delta != 1), count == 0, np.bincount(owner, ~np.isfinite(values), n) > 0,
+                        x > tau, (x == tau) & (delta != 0), (count < a_x + 1) | (count > a_x + 2)])
         if np.any(bad):
             # the first offending subject, with the message of its first failed check
             i = int(np.argmax(np.any(bad, axis=0)))
             raise ValidationError(f"subject {ids[i]!r}: " + [
+                str(errors.get(i)),
+                "follow-up time must be finite and > 0",
+                "delta must be 0 or 1",
+                "entry measurement z_0 is required",
+                "measurements must be finite",
                 "x exceeds tau",
                 "events at tau are not allowed (administrative censoring)",
                 f"expected {a_x[i] + 1} measurements (or {a_x[i] + 2} in the full-information form), got {count[i]}",
             ][int(np.argmax(bad[:, i]))])
-        for name, v in (("x", x), ("delta", delta), ("a_x", a_x), ("has_extra", count == a_x + 2)):
+        if len(set(ids)) != n:
+            raise ValidationError("subject ids must be unique")
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "ids", ids)
+        for name, v in (("x", x), ("delta", delta.astype(int)), ("offsets", offsets), ("values", values),
+                        ("a_x", a_x), ("has_extra", count == a_x + 2)):
             v.flags.writeable = False
             object.__setattr__(self, name, v)
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Dataset) and (self.grid, self.tau, self.ids) == (other.grid, other.tau, other.ids)
+                and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in ("x", "delta", "offsets", "values")))
+
     @property
     def n(self) -> int:
-        return len(self.subjects)
+        return len(self.ids)
 
     def event_times(self) -> tuple[float, ...]:
         """Increasingly ordered uncensored times (ties not resolved here)."""
@@ -228,17 +215,9 @@ def validate_dataset(dataset: Dataset, jitter_ties: bool = False) -> Dataset:
         return dataset
     if not jitter_ties:
         raise ValidationError(f"tied uncensored event times at {tied.tolist()}; enable jitter to break ties")
-    rows = np.flatnonzero((dataset.delta == 1) & np.isin(dataset.x, tied))
-    group = sorted((dataset.subjects[i] for i in rows), key=lambda s: (s.x, str(s.id)))
-    shifted = {s.id: x + TIE_JITTER * rank for x, same_x in itertools.groupby(group, key=lambda s: s.x)
-               for rank, s in enumerate(same_x, start=1)}
-    new_subjects = tuple(
-        replace(s, x=shifted[s.id]) if s.id in shifted else s for s in dataset.subjects
-    )
-    out = Dataset(grid=dataset.grid, subjects=new_subjects, tau=dataset.tau)
-    return validate_dataset(out, jitter_ties=False)
-
-
-def is_fully_observed(subject: Subject, grid: MeasurementGrid) -> bool:
-    """True when the terminal-window value is stored as an extra measurement."""
-    return len(subject.measurements) == last_index(subject.x, grid) + 2
+    x = dataset.x.copy()
+    rows = sorted(np.flatnonzero((dataset.delta == 1) & np.isin(x, tied)), key=lambda i: (x[i], str(dataset.ids[i])))
+    for _, same_x in itertools.groupby(rows, key=dataset.x.__getitem__):
+        for rank, i in enumerate(same_x, start=1):
+            x[i] += TIE_JITTER * rank
+    return validate_dataset(replace(dataset, x=x), jitter_ties=False)

@@ -22,7 +22,6 @@ twice the nodes (Gauss-Hermite rules are not nested), compared with the fit's ow
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings as _warnings
 from dataclasses import asdict, dataclass, field
@@ -158,7 +157,7 @@ class _Workspace:
     def __init__(self, dataset: Dataset):
         self.dataset = validate_dataset(dataset)
         n = self.n = dataset.n
-        self.ids = [s.id for s in dataset.subjects]
+        self.ids = dataset.ids
         self.x, self.delta, self.a_x, self.has_extra = dataset.x, dataset.delta, dataset.a_x, dataset.has_extra
         ev = np.flatnonzero(self.delta)
         self.ev_row = ev[np.argsort(self.x[ev], kind="stable")]
@@ -171,8 +170,7 @@ class _Workspace:
         # the zero-padded measurement matrix: its observed entries are also the observed
         # transitions z_j -> z_{j+1}, j < a_x (the atoms carry the terminal step)
         Z = np.zeros((n, J + 1))
-        Z[np.arange(J + 1) <= (self.a_x + self.has_extra)[:, None]] = list(
-            itertools.chain.from_iterable(s.measurements for s in dataset.subjects))
+        Z[np.arange(J + 1) <= (self.a_x + self.has_extra)[:, None]] = dataset.values
         self.t_sub, self.t_int = np.nonzero(np.arange(J) < self.a_x[:, None])
         self.extra_rows = np.flatnonzero(self.has_extra)
         self.z0 = Z[:, 0].copy()

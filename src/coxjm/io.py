@@ -7,12 +7,15 @@ JSON floats are written with Python's shortest round-trip decimal repr
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 from .baseline import BaselineFit
-from .data import Dataset, MeasurementGrid, SieveHazard, Subject, Theta
+from .data import Dataset, MeasurementGrid, SieveHazard, Theta
 from .exceptions import ValidationError, reading
 from .fit import FitResult
 from .simulate import SimTruth
@@ -20,24 +23,24 @@ from .transition import TransitionParams
 
 
 def dataset_to_dict(dataset: Dataset) -> dict:
+    v, o = dataset.values.tolist(), dataset.offsets.tolist()
     return {
         "grid": list(dataset.grid.times),
         "tau": dataset.tau,
         "subjects": [
-            {"id": s.id, "x": s.x, "delta": s.delta, "measurements": list(s.measurements)}
-            for s in dataset.subjects
+            {"id": sid, "x": x, "delta": d, "measurements": v[lo:hi]}
+            for sid, x, d, lo, hi in zip(dataset.ids, dataset.x.tolist(), dataset.delta.tolist(), o, o[1:])
         ],
     }
 
 
 def dataset_from_dict(d: dict) -> Dataset:
     with reading("dataset document"):
-        grid = MeasurementGrid(tuple(d["grid"]))
-        subjects = tuple(
-            Subject(id=s["id"], x=s["x"], delta=s["delta"], measurements=tuple(s["measurements"]))
-            for s in d["subjects"]
-        )
-        return Dataset(grid=grid, subjects=subjects, tau=d["tau"])
+        subjects = d["subjects"]
+        meas = [s["measurements"] for s in subjects]
+        return Dataset(grid=MeasurementGrid(tuple(d["grid"])), tau=d["tau"], ids=[s["id"] for s in subjects],
+                       x=[s["x"] for s in subjects], delta=[s["delta"] for s in subjects],
+                       offsets=np.cumsum([0, *map(len, meas)]), values=list(itertools.chain.from_iterable(meas)))
 
 
 def save_dataset_json(dataset: Dataset, path) -> None:
@@ -45,10 +48,13 @@ def save_dataset_json(dataset: Dataset, path) -> None:
     written here, because json's indenting encoder is pure Python; every float is finite, so
     each is its `float.__repr__`, as json writes it."""
     r = float.__repr__
-    subjects = ",\n".join(
-        f'  {{\n   "id": {json.dumps(s.id)},\n   "x": {r(s.x)},\n   "delta": {s.delta},\n'
-        '   "measurements": [\n    ' + ",\n    ".join(map(r, s.measurements)) + "\n   ]\n  }"
-        for s in dataset.subjects)
+    v, o = list(map(r, dataset.values.tolist())), dataset.offsets.tolist()
+    # the ids as json writes them, in one call: an encoded id holds no raw newline
+    ids = json.dumps(list(dataset.ids), separators=("\n", ":"))[1:-1].split("\n")
+    subjects = ",\n".join([
+        f'  {{\n   "id": {sid},\n   "x": {r(x)},\n   "delta": {d},\n'
+        '   "measurements": [\n    ' + ",\n    ".join(v[lo:hi]) + "\n   ]\n  }"
+        for sid, x, d, lo, hi in zip(ids, dataset.x.tolist(), dataset.delta.tolist(), o, o[1:])])
     Path(path).write_text('{\n "grid": [\n  ' + ",\n  ".join(map(r, dataset.grid.times))
                           + f'\n ],\n "tau": {r(dataset.tau)},\n "subjects": '
                           + (f"[\n{subjects}\n ]" if subjects else "[]") + "\n}\n")
@@ -60,17 +66,12 @@ def load_dataset_json(path) -> Dataset:
 
 def save_dataset_csv(dataset: Dataset, subjects_path, measurements_path) -> None:
     """Two-file CSV form: id,x,delta plus a companion id,measure_index,value."""
+    subjects = dataset_to_dict(dataset)["subjects"]
     with open(subjects_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "x", "delta"])
-        for s in dataset.subjects:
-            w.writerow([s.id, repr(s.x), s.delta])
+        csv.writer(f).writerows([("id", "x", "delta")] + [(s["id"], repr(s["x"]), s["delta"]) for s in subjects])
     with open(measurements_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "measure_index", "value"])
-        for s in dataset.subjects:
-            for j, z in enumerate(s.measurements):
-                w.writerow([s.id, j, repr(z)])
+        csv.writer(f).writerows([("id", "measure_index", "value")] + [
+            (s["id"], j, repr(z)) for s in subjects for j, z in enumerate(s["measurements"])])
 
 
 def _csv_id(s: str) -> int | str:
@@ -80,20 +81,18 @@ def _csv_id(s: str) -> int | str:
 
 def load_dataset_csv(subjects_path, measurements_path, grid_times, tau) -> Dataset:
     """Load the CSV pair; the grid and tau are not stored there and must be given."""
-    meas: dict[str, dict[int, float]] = {}
+    meas: dict[str, dict[int, str]] = {}
     with open(measurements_path, newline="") as f:
         for row in csv.DictReader(f):
-            meas.setdefault(row["id"], {})[int(row["measure_index"])] = float(row["value"])
-    subjects = []
+            meas.setdefault(row["id"], {})[int(row["measure_index"])] = row["value"]
     with open(subjects_path, newline="") as f:
-        for row in csv.DictReader(f):
-            mm = meas.get(row["id"], {})
-            values = tuple(mm[j] for j in sorted(mm))
-            if len(values) != len(mm) or sorted(mm) != list(range(len(mm))):
-                raise ValidationError(f"subject {row['id']!r}: measurement indices not contiguous")
-            subjects.append(Subject(id=_csv_id(row["id"]), x=float(row["x"]),
-                                    delta=int(row["delta"]), measurements=values))
-    return Dataset(grid=MeasurementGrid(tuple(grid_times)), subjects=tuple(subjects), tau=float(tau))
+        subjects = list(csv.DictReader(f))
+    for s in subjects:
+        mm = meas.get(s["id"], {})
+        if sorted(mm) != list(range(len(mm))):
+            raise ValidationError(f"subject {s['id']!r}: measurement indices not contiguous")
+        s["id"], s["measurements"] = _csv_id(s["id"]), [mm[j] for j in range(len(mm))]
+    return dataset_from_dict({"grid": grid_times, "tau": tau, "subjects": subjects})
 
 
 def save_truths_csv(truths, path) -> None:

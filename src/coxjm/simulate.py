@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, MeasurementGrid, Subject, validate_dataset
+from .data import Dataset, MeasurementGrid, validate_dataset
 from .exceptions import ValidationError, reading
 from .transition import TransitionParams
 
@@ -156,14 +156,12 @@ def gen_dataset(config: SimConfig) -> tuple[Dataset, tuple[SimTruth, ...]]:
     t = _event_times(z, e, config)
     x = np.minimum(t, c)
     grid = make_grid(config)
-    a_x = np.searchsorted(grid.times, x) - 1  # max{k : t_k < x}, as Dataset's a_x in data.py
-    subjects, truths = [], []
-    for i, (xi, di, ai, ti, ci) in enumerate(zip(x.tolist(), (t <= c).tolist(), a_x.tolist(),
-                                                 t.tolist(), c.tolist())):
-        subjects.append(Subject(id=i, x=xi, delta=di, measurements=z[i, : ai + 1].tolist()))
-        truths.append(SimTruth(subject_id=i, latent_z=float(z[i, ai + 1]), event_time=ti, censor_time=ci))
-    dataset = Dataset(grid=grid, subjects=tuple(subjects), tau=config.tau)
-    return validate_dataset(dataset, jitter_ties=True), tuple(truths)
+    a_x = grid.last_index(x)
+    dataset = Dataset(grid=grid, tau=config.tau, ids=range(n), x=x, delta=t <= c,
+                      offsets=np.concatenate([[0], np.cumsum(a_x + 1)]), values=z[np.arange(m + 1) <= a_x[:, None]])
+    truths = tuple(SimTruth(subject_id=i, latent_z=zi, event_time=ti, censor_time=ci)
+                   for i, (zi, ti, ci) in enumerate(zip(z[np.arange(n), a_x + 1].tolist(), t.tolist(), c.tolist())))
+    return validate_dataset(dataset, jitter_ties=True), truths
 
 
 def fullinfo_dataset(dataset: Dataset, truths) -> Dataset:
@@ -173,10 +171,11 @@ def fullinfo_dataset(dataset: Dataset, truths) -> Dataset:
     already-augmented subjects pass through unchanged.
     """
     if len(truths) != dataset.n:
-        raise ValidationError("truths must align with dataset.subjects")
-    for s, t in zip(dataset.subjects, truths):
-        if t.subject_id != s.id:
-            raise ValidationError(f"truth/subject id mismatch: {t.subject_id!r} vs {s.id!r}")
-    new_subjects = tuple(s if stored else replace(s, measurements=s.measurements + (t.latent_z,))
-                         for s, t, stored in zip(dataset.subjects, truths, dataset.has_extra))
-    return Dataset(grid=dataset.grid, subjects=new_subjects, tau=dataset.tau)
+        raise ValidationError("truths must align with the dataset's subjects")
+    for t, sid in zip(truths, dataset.ids):
+        if t.subject_id != sid:
+            raise ValidationError(f"truth/subject id mismatch: {t.subject_id!r} vs {sid!r}")
+    add = ~dataset.has_extra
+    latent = np.array([t.latent_z for t in truths], dtype=float)[add]
+    return replace(dataset, offsets=dataset.offsets + np.concatenate([[0], np.cumsum(add)]),
+                   values=np.insert(dataset.values, dataset.offsets[1:][add], latent))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import last_index
 from .exceptions import ValidationError, reading
 
 VAR_FLOOR = 1e-8
@@ -101,18 +100,6 @@ def gauss_logpdf(x, mean, var):
     np.square(np.subtract(x, mean, out=out, dtype=float), out=out)
     out /= 2.0 * var
     return np.subtract(-0.5 * (LOG_2PI + np.log(var)), out, out=out)[()]
-
-
-def cond_latent_params(history, alpha: TransitionParams) -> tuple[float, float]:
-    """Mean and variance of the next transition step given the history."""
-    if len(history) == 0:
-        raise ValidationError("history must be nonempty")
-    return alpha.a + alpha.b * float(history[-1]), alpha.ssq
-
-
-def observed_history(subject, grid) -> tuple[float, ...]:
-    """Measurements z_0 .. z_{a_x}, excluding any stored terminal value."""
-    return subject.measurements[: last_index(subject.x, grid) + 1]
 
 
 def _mean(v: np.ndarray) -> float:

@@ -1,5 +1,8 @@
 """Independent reference implementations of the risk-set sums, for tests only.
 
+`Subject` is one subject as a record (`dataset_of` and `subjects_of` convert), and
+the scalar functions from `last_index` to `lvcf_value` state the covariate path
+convention one subject and one time at a time.
 `DenseRisk` is the dense construction the fitter used before its kernel was
 collapsed onto grid intervals: one [subject i, event time k] matrix each for
 the risk indicator, its observed and latent parts, and the observed covariate
@@ -20,27 +23,88 @@ atoms and `oracle_moments` by the trapezoid rule.  `stack_atoms` builds a
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from coxjm.data import (
-    Dataset,
-    MeasurementGrid,
-    SieveHazard,
-    Subject,
-    Theta,
-    covariate_at,
-    is_fully_observed,
-    last_index,
-    validate_dataset,
-)
+from coxjm.data import Dataset, MeasurementGrid, SieveHazard, Theta, validate_dataset
 from coxjm.exceptions import ValidationError
 from coxjm.fit import Posterior, _Workspace
+from coxjm.io import dataset_from_dict
 from coxjm.posterior import EXP_CLIP, _batch_modes, batch_posterior
 from coxjm.simulate import SimTruth, make_grid, subject_stream
-from coxjm.transition import cond_latent_params, gauss_logpdf, observed_history
+from coxjm.transition import TransitionParams, gauss_logpdf
+
+
+@dataclass(frozen=True)
+class Subject:
+    """One subject as a record: follow-up time x, event indicator delta (1 an event at x,
+    0 censoring) and the measurements z_0, z_1, ..."""
+
+    id: int | str
+    x: float
+    delta: int
+    measurements: tuple[float, ...]
+
+
+def dataset_of(grid: MeasurementGrid, subjects, tau: float) -> Dataset:
+    """The columnar `Dataset` of a sequence of `Subject` records, read as a dataset document."""
+    return dataset_from_dict({"grid": grid.times, "tau": tau, "subjects": [asdict(s) for s in subjects]})
+
+
+def subjects_of(dataset: Dataset) -> tuple[Subject, ...]:
+    """The records of a dataset's subjects, in subject order."""
+    v, o = dataset.values.tolist(), dataset.offsets.tolist()
+    return tuple(Subject(sid, x, d, tuple(v[lo:hi])) for sid, x, d, lo, hi in
+                 zip(dataset.ids, dataset.x.tolist(), dataset.delta.tolist(), o, o[1:]))
+
+
+def last_index(t: float, grid: MeasurementGrid) -> int:
+    """Index of the last grid time strictly before t, i.e. max{k : t_k < t}."""
+    if not t > 0:
+        raise ValidationError(f"last_index requires t > 0, got {t!r}")
+    # bisect_left returns the count of grid times < t
+    return bisect.bisect_left(grid.times, t) - 1
+
+
+def covariate_at(subject: Subject, u: float, grid: MeasurementGrid) -> float | None:
+    """Covariate path value of `subject` at time u; None marks the latent value.
+
+    u = 0 yields the entry value z_0; u in (t_j, t_{j+1}] yields the value due
+    at t_{j+1} when it was measured, and None on the terminal window.
+    """
+    if u < 0 or u > subject.x:
+        raise ValidationError(f"covariate_at: u={u!r} outside [0, x={subject.x!r}]")
+    if u == 0:
+        return subject.measurements[0]
+    j = last_index(u, grid) + 1
+    if j < len(subject.measurements):
+        return subject.measurements[j]
+    return None
+
+
+def is_fully_observed(subject: Subject, grid: MeasurementGrid) -> bool:
+    """True when the terminal-window value is stored as an extra measurement."""
+    return len(subject.measurements) == last_index(subject.x, grid) + 2
+
+
+def observed_history(subject: Subject, grid: MeasurementGrid) -> tuple[float, ...]:
+    """Measurements z_0 .. z_{a_x}, excluding any stored terminal value."""
+    return subject.measurements[: last_index(subject.x, grid) + 1]
+
+
+def cond_latent_params(history, alpha: TransitionParams) -> tuple[float, float]:
+    """Mean and variance of the next transition step given the (nonempty) history."""
+    return alpha.a + alpha.b * float(history[-1]), alpha.ssq
+
+
+def lvcf_value(subject: Subject, u: float, grid: MeasurementGrid) -> float:
+    """Last measured value at or before u in [0, x]: z_{a_u} (z_{a_x} in the terminal window)."""
+    if u == 0:
+        return subject.measurements[0]
+    return subject.measurements[min(last_index(u, grid), last_index(subject.x, grid))]
 
 
 def _powers(v, beta, mask):
@@ -59,7 +123,7 @@ class DenseRisk:
     """Dense risk-set matrices of a dataset, indexed [subject i, event time k]."""
 
     def __init__(self, dataset):
-        grid, subs = dataset.grid, dataset.subjects
+        grid, subs = dataset.grid, subjects_of(dataset)
         n = len(subs)
         self.n = n
         self.x = np.array([s.x for s in subs])
@@ -126,10 +190,10 @@ def lvcf_risk_sums(dataset, value_fn, beta, absolute=False):
 
     With `absolute`, |v|^p replaces v^p.
     """
-    xe = dataset.event_times()
+    xe, subjects = dataset.event_times(), subjects_of(dataset)
     S = np.zeros((3, len(xe)))
     for k, t in enumerate(xe):
-        for s in dataset.subjects:
+        for s in subjects:
             if s.x >= t:
                 v = value_fn(s, t, dataset.grid)
                 e = np.exp(min(beta * v, EXP_CLIP))
@@ -179,8 +243,7 @@ def scalar_gen_dataset(config):
         a_x = last_index(x, make_grid(config))
         subjects.append(Subject(id=i, x=x, delta=int(t <= c), measurements=tuple(z[: a_x + 1])))
         truths.append(SimTruth(subject_id=i, latent_z=float(z[a_x + 1]), event_time=t, censor_time=c))
-    ds = Dataset(grid=make_grid(config), subjects=tuple(subjects), tau=config.tau)
-    return validate_dataset(ds, jitter_ties=True), tuple(truths)
+    return validate_dataset(dataset_of(make_grid(config), subjects, config.tau), jitter_ties=True), tuple(truths)
 
 
 def log_joint_density(values, alpha) -> float:

@@ -14,15 +14,13 @@ import time
 import numpy as np
 import pytest
 import scipy.optimize
-from oracles import DenseRisk, cond_exp, oracle_moments, posterior_atoms
+from oracles import DenseRisk, Subject, cond_exp, dataset_of, oracle_moments, posterior_atoms
 
 from coxjm import (
     AlphaBox,
-    Dataset,
     FitConfig,
     MeasurementGrid,
     Probe,
-    Subject,
     Theta,
     TransitionParams,
     em_fit,
@@ -34,7 +32,7 @@ from coxjm import (
     score_full,
     w_n,
 )
-from coxjm.baseline import next_value, partial_lik_fit
+from coxjm.baseline import partial_lik_fit
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.study import StudyConfig, run_study
 from coxjm.variance import apply_operator, beta_probe, build_sigma_hat
@@ -63,7 +61,7 @@ def test_criterion_1_reduction_equivalence():
         ds, truths = gen_dataset(_default_sim(50, 1100 + seed))
         full = fullinfo_dataset(ds, truths)
         fit = em_fit(full, config=cfg)
-        pl = partial_lik_fit(full, value_fn=next_value)
+        pl = partial_lik_fit(full, imputation="next")
         worst_b = max(worst_b, abs(fit.theta_hat.beta - pl.beta_pl))
         worst_l = max(worst_l, float(np.max(np.abs(
             np.cumsum(fit.theta_hat.hazard.jumps) - np.cumsum(pl.breslow.jumps)))))
@@ -144,7 +142,7 @@ def test_criterion_5_oracle_global_maximum():
         Subject(id=4, x=1.50, delta=0, measurements=(0.0, -0.3)),
         Subject(id=5, x=0.60, delta=0, measurements=(0.4, 0.8)),
     )
-    ds = Dataset(grid=grid, subjects=subs, tau=1.5)
+    ds = dataset_of(grid, subs, 1.5)
     frozen = AlphaBox(**{k: (float(v), float(v)) for k, v in ALPHA0.to_dict().items()})
     fit = em_fit(ds, config=FitConfig(alpha_box=frozen, tol_param=1e-10, tol_score=1e-9,
                                       id_tol=1e-12))

@@ -1,19 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import stack_atoms
+from oracles import Subject, dataset_of, lvcf_value, stack_atoms, subjects_of
 
 from coxjm import (
-    Dataset,
     DegenerateRiskSetError,
     MeasurementGrid,
-    Subject,
     TransitionParams,
     ValidationError,
     breslow,
-    covariate_at,
-    lvcf_value,
     nelson_aalen,
     partial_lik_fit,
 )
@@ -36,7 +33,7 @@ def test_lvcf_examples():
 def test_partial_lik_flat_likelihood():
     subs = tuple(Subject(id=i, x=x, delta=d, measurements=(1.0,))
                  for i, (x, d) in enumerate([(0.5, 1), (1.2, 1), (2.0, 0)]))
-    ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
+    ds = dataset_of(GRID0, subs, 3.0)
     fit = partial_lik_fit(ds)
     assert fit.beta_pl == 0.0
     assert "flat-likelihood" in fit.flags
@@ -47,13 +44,7 @@ def test_partial_lik_shift_invariance():
                     lambda0=0.3, censor_rate=0.2, seed=21)
     ds, _ = gen_dataset(cfg)
     fit = partial_lik_fit(ds)
-    shifted = Dataset(
-        grid=ds.grid,
-        subjects=tuple(
-            Subject(id=s.id, x=s.x, delta=s.delta,
-                    measurements=tuple(z + 5.0 for z in s.measurements))
-            for s in ds.subjects),
-        tau=ds.tau)
+    shifted = replace(ds, values=ds.values + 5.0)
     fit2 = partial_lik_fit(shifted)
     assert fit2.beta_pl == pytest.approx(fit.beta_pl, abs=1e-10)
 
@@ -63,7 +54,7 @@ def test_partial_lik_matches_brute_force():
             Subject(id=2, x=0.9, delta=1, measurements=(-0.3,)),
             Subject(id=3, x=1.6, delta=1, measurements=(1.1,)),
             Subject(id=4, x=3.0, delta=0, measurements=(0.2,)))
-    ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
+    ds = dataset_of(GRID0, subs, 3.0)
     fit = partial_lik_fit(ds)
 
     def lpl(beta):
@@ -100,7 +91,7 @@ def test_partial_lik_matches_brute_force():
 def test_breslow_nelson_aalen_reduction():
     subs = (Subject(id=1, x=0.5, delta=1, measurements=(0.3,)),
             Subject(id=2, x=1.4, delta=1, measurements=(-0.1,)))
-    ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
+    ds = dataset_of(GRID0, subs, 3.0)
     hz = breslow(ds, 0.0)
     assert hz.jumps == (0.5, 1.0)
     cfg = SimConfig(n=25, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
@@ -117,7 +108,7 @@ def test_breslow_matches_lambda_update_with_degenerate_atoms():
     ds, _ = gen_dataset(cfg)
     assert len(ds.grid.times) == 1
     beta = 0.7
-    atoms = stack_atoms(ds, np.array([[lvcf_value(s, s.x, ds.grid)] for s in ds.subjects]),
+    atoms = stack_atoms(ds, np.array([[lvcf_value(s, s.x, ds.grid)] for s in subjects_of(ds)]),
                         np.ones((ds.n, 1)))
     hz_em = lambda_update(ds, atoms, beta)
     hz_bl = breslow(ds, beta)
@@ -130,7 +121,7 @@ def test_partial_lik_boundary_flag():
             Subject(id=2, x=0.8, delta=1, measurements=(2.0,)),
             Subject(id=3, x=1.5, delta=1, measurements=(1.0,)),
             Subject(id=4, x=2.5, delta=0, measurements=(0.0,)))
-    ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
+    ds = dataset_of(GRID0, subs, 3.0)
     fit = partial_lik_fit(ds, beta_box=5.0)
     assert not fit.converged
     assert "boundary" in fit.flags
@@ -144,7 +135,7 @@ def test_partial_lik_degenerate_risk_set_names_event_time():
     subs = (Subject(id="a", x=0.5, delta=1, measurements=(0.001,)),
             *(Subject(id=f"c{j}", x=1.2, delta=0, measurements=(0.0, 0.0)) for j in range(4)),
             Subject(id="b", x=1.5, delta=1, measurements=(0.0, -100.0)))
-    ds = Dataset(grid=grid, subjects=subs, tau=3.0)
+    ds = dataset_of(grid, subs, 3.0)
     with pytest.raises(DegenerateRiskSetError) as exc:
         partial_lik_fit(ds)
     assert exc.value.time == 1.5
@@ -153,12 +144,12 @@ def test_partial_lik_degenerate_risk_set_names_event_time():
     assert exc.value.time == 1.5
 
 
-def test_value_fn_must_be_lvcf_or_next():
-    ds = Dataset(grid=GRID0, subjects=(Subject(id=1, x=0.5, delta=1, measurements=(0.3,)),), tau=3.0)
-    with pytest.raises(ValidationError):
-        partial_lik_fit(ds, value_fn=lambda s, u, grid: 0.0)
-    with pytest.raises(ValidationError):
-        breslow(ds, 0.0, value_fn=covariate_at)
+def test_imputation_must_be_lvcf_or_next():
+    ds = dataset_of(GRID0, [Subject(id=1, x=0.5, delta=1, measurements=(0.3,))], 3.0)
+    with pytest.raises(ValidationError, match="^imputation must be 'lvcf' or 'next', got 'locf'"):
+        partial_lik_fit(ds, imputation="locf")
+    with pytest.raises(ValidationError, match="^imputation must be"):
+        breslow(ds, 0.0, imputation=None)
 
 
 @pytest.mark.slow

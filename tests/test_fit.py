@@ -7,16 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import exponent_split, log_joint_density, stack_atoms
+from oracles import (
+    Subject,
+    cond_latent_params,
+    covariate_at,
+    dataset_of,
+    exponent_split,
+    log_joint_density,
+    stack_atoms,
+    subjects_of,
+)
 
 from coxjm import (
-    Dataset,
     FitConfig,
     InsufficientDataError,
     MeasurementGrid,
     ModeSearchError,
     SieveHazard,
-    Subject,
     Theta,
     TransitionParams,
     ValidationError,
@@ -57,12 +64,12 @@ def test_wn_at_risk_fraction_at_beta_zero():
     ds, _ = _sim(30, seed=1)
     atoms = _points(ds, [0.0] * ds.n)
     for t in ds.event_times()[:5]:
-        frac = sum(1 for s in ds.subjects if s.x >= t) / ds.n
+        frac = np.sum(ds.x >= t) / ds.n
         assert w_n(t, ds, atoms, 0.0) == pytest.approx(frac, abs=1e-12)
 
 
 def test_wn_single_subject():
-    ds = Dataset(grid=GRID0, subjects=(Subject(id=1, x=0.8, delta=1, measurements=(0.4,)),), tau=3.0)
+    ds = dataset_of(GRID0, (Subject(id=1, x=0.8, delta=1, measurements=(0.4,)),), 3.0)
     atoms = _points(ds, [1.1])
     assert w_n(0.8, ds, atoms, 0.7) == pytest.approx(math.exp(0.7 * 1.1), abs=1e-12)
     with pytest.raises(ValidationError):
@@ -73,12 +80,10 @@ def test_wn_fully_observed_classical_risk_sum():
     ds, truths = _sim(25, seed=2)
     full = fullinfo_dataset(ds, truths)
     atoms = estep_atoms(full, _theta_for(full, beta=0.8))
-    from coxjm.data import covariate_at
-
     for t in full.event_times()[:5]:
         want = np.mean([
             math.exp(0.8 * covariate_at(s, t, full.grid)) if s.x >= t else 0.0
-            for s in full.subjects
+            for s in subjects_of(full)
         ])
         assert w_n(t, full, atoms, 0.8) == pytest.approx(want, rel=1e-12)
 
@@ -92,12 +97,12 @@ def test_lambda_update_nelson_aalen_cases():
     g = GRID0
     subs = (Subject(id=1, x=0.5, delta=1, measurements=(0.0,)),
             Subject(id=2, x=1.0, delta=1, measurements=(0.0,)))
-    ds = Dataset(grid=g, subjects=subs, tau=3.0)
+    ds = dataset_of(g, subs, 3.0)
     atoms = _points(ds, [0.0] * 2)
     hz = lambda_update(ds, atoms, 0.0)
     assert hz.jumps == (0.5, 1.0)
 
-    one = Dataset(grid=g, subjects=(Subject(id=1, x=0.8, delta=1, measurements=(0.0,)),), tau=3.0)
+    one = dataset_of(g, (Subject(id=1, x=0.8, delta=1, measurements=(0.0,)),), 3.0)
     hz1 = lambda_update(one, _points(one, [1.3]), 0.9)
     assert hz1.jumps[0] == pytest.approx(1.0 / math.exp(0.9 * 1.3), rel=1e-14)
 
@@ -113,7 +118,7 @@ def test_lambda_update_fixed_point_identity():
 
 
 def test_score_beta_one_subject_degenerate():
-    ds = Dataset(grid=GRID0, subjects=(Subject(id=1, x=0.8, delta=1, measurements=(0.0,)),), tau=3.0)
+    ds = dataset_of(GRID0, (Subject(id=1, x=0.8, delta=1, measurements=(0.0,)),), 3.0)
     atoms = _points(ds, [1.7])
     for beta in (-0.5, 0.0, 0.8, 2.0):
         hz = lambda_update(ds, atoms, beta)
@@ -124,7 +129,7 @@ def test_score_beta_constant_covariate():
     c = 0.9
     subs = tuple(Subject(id=i, x=x, delta=d, measurements=(c,))
                  for i, (x, d) in enumerate([(0.4, 1), (0.9, 1), (1.4, 0), (2.0, 1)]))
-    ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
+    ds = dataset_of(GRID0, subs, 3.0)
     atoms = _points(ds, [c] * 4)
     beta = 0.3
     hz = SieveHazard((0.4, 0.9, 2.0), (0.2, 0.3, 0.4))
@@ -155,7 +160,7 @@ def test_score_beta_matches_fd_of_em_objective():
 def test_observed_loglik_censored_marginal():
     subj = Subject(id=1, x=0.4, delta=0, measurements=(0.0,))
     other = Subject(id=2, x=0.9, delta=1, measurements=(0.5,))
-    ds = Dataset(grid=GRID0, subjects=(subj, other), tau=3.0)
+    ds = dataset_of(GRID0, (subj, other), 3.0)
     th = Theta(alpha=STD, beta=0.0, hazard=SieveHazard((0.9,), (0.5,)))
     ll = observed_loglik(ds, th)
     # at beta=0 each subject contributes ln dL^delta - Lambda(x) + ln marginal
@@ -170,7 +175,7 @@ def test_observed_loglik_beta_zero_reduction():
 
     want = 0.0
     jumps = dict(zip(th.hazard.times, th.hazard.jumps))
-    for s in ds.subjects:
+    for s in subjects_of(ds):
         want += s.delta * math.log(jumps[s.x]) if s.delta else 0.0
         want += -th.hazard.evaluate(s.x)
         want += log_joint_density(list(s.measurements), th.alpha)
@@ -183,11 +188,10 @@ def test_observed_loglik_matches_trapezoid_oracle():
     # brute-force per-subject likelihood: trapezoid over the latent value
     total = 0.0
     jumps = dict(zip(th.hazard.times, th.hazard.jumps))
-    for s in ds.subjects:
+    for s in subjects_of(ds):
         sp = exponent_split(s, th.hazard, th.beta, ds.grid)
         # window from the posterior mode finder, integration independent
         from coxjm.posterior import _batch_modes
-        from coxjm.transition import cond_latent_params
 
         mean, var = cond_latent_params(s.measurements, th.alpha)
         mode, sd = _batch_modes(np.array([float(s.delta)]), np.array([sp.a_lat]),
@@ -227,9 +231,9 @@ def test_em_fit_fullinfo_matches_partial_likelihood():
     ds, truths = _sim(50, seed=10)
     full = fullinfo_dataset(ds, truths)
     fit = em_fit(full, config=FitConfig(tol_param=1e-11, tol_score=1e-10, id_tol=1e-13))
-    from coxjm.baseline import next_value, partial_lik_fit
+    from coxjm.baseline import partial_lik_fit
 
-    pl = partial_lik_fit(full, value_fn=next_value)
+    pl = partial_lik_fit(full, imputation="next")
     assert fit.theta_hat.beta == pytest.approx(pl.beta_pl, abs=1e-6)
     dl = np.abs(np.cumsum(fit.theta_hat.hazard.jumps) - np.cumsum(pl.breslow.jumps))
     assert dl.max() <= 1e-8
@@ -237,7 +241,7 @@ def test_em_fit_fullinfo_matches_partial_likelihood():
 
 def test_em_fit_requires_events():
     subs = (Subject(id=1, x=3.0, delta=0, measurements=(0.0,)),)
-    ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
+    ds = dataset_of(GRID0, subs, 3.0)
     with pytest.raises(InsufficientDataError):
         em_fit(ds)
 
@@ -253,7 +257,7 @@ def test_em_fit_identifiability_warning():
     subs = (Subject(id=1, x=0.5, delta=1, measurements=(0.1,)),
             Subject(id=2, x=0.9, delta=1, measurements=(0.4,)),
             Subject(id=3, x=3.0, delta=0, measurements=(-0.2,)))
-    ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
+    ds = dataset_of(GRID0, subs, 3.0)
     fit = em_fit(ds, config=FitConfig(max_iter=50))
     assert any("identifiability" in w for w in fit.warnings)
 
@@ -309,8 +313,7 @@ def test_em_ascent_randomized_small_fits():
 
 def _shifted(ds, c):
     """`ds` with c added to every covariate measurement."""
-    return replace(ds, subjects=tuple(replace(s, measurements=tuple(v + c for v in s.measurements))
-                                      for s in ds.subjects))
+    return replace(ds, values=ds.values + c)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

@@ -9,28 +9,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import DenseRisk, _powers, latent_moments, lvcf_risk_sums, posterior_atoms, stack_atoms
+from oracles import (
+    DenseRisk,
+    Subject,
+    _powers,
+    covariate_at,
+    dataset_of,
+    is_fully_observed,
+    last_index,
+    latent_moments,
+    lvcf_risk_sums,
+    lvcf_value,
+    posterior_atoms,
+    stack_atoms,
+    subjects_of,
+)
 
 from coxjm import (
-    Dataset,
     FitConfig,
     MeasurementGrid,
     ModeSearchError,
     SieveHazard,
-    Subject,
     Theta,
     TransitionParams,
     ValidationError,
     em_fit,
-    last_index,
-    lvcf_value,
     nelson_aalen,
-    next_value,
 )
 from coxjm.baseline import _imputed, _risk_sums
 from coxjm.fit import (Q_DEFAULT, _Workspace, _boundedness_check, _estep, _init_theta, _risk_cols,
                        _score_beta, estep_atoms)
-from coxjm.data import covariate_at, is_fully_observed
 from coxjm.posterior import EXP_CLIP
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.variance import _information, _latent_covariances
@@ -56,7 +64,7 @@ def _atoms(rng, ds, beta, dL, Q=3):
     """Random atoms, one row of Q per subject, with the hazard splits at (beta, dL); a stored
     terminal value is one atom of weight one, as `_estep` writes it."""
     nodes, weights = np.empty((ds.n, Q)), np.empty((ds.n, Q))
-    for i, s in enumerate(ds.subjects):
+    for i, s in enumerate(subjects_of(ds)):
         w = rng.uniform(0.05, 1.0, Q)
         weights[i], nodes[i] = w / w.sum(), rng.uniform(-2.5, 2.5, Q)
         if is_fully_observed(s, ds.grid):
@@ -111,15 +119,16 @@ def check_against_oracle(ds, beta, rng):
             _boundedness_check(ws, est, dL * (bound * f / dL.sum()), cfg, warn)
             assert bool(warn) == warned
 
-    # the LVCF comparator's S0, S1, S2, and next_value where the values at risk are observed
-    _close(_risk_sums(*_imputed(ds, lvcf_value), beta), lvcf_risk_sums(ds, lvcf_value, beta),
+    # the LVCF comparator's S0, S1, S2, and imputation "next" where the values at risk are observed
+    _close(_risk_sums(*_imputed(ds, "lvcf"), beta), lvcf_risk_sums(ds, lvcf_value, beta),
            lvcf_risk_sums(ds, lvcf_value, beta, absolute=True))
     if D.lat_mask.any():
         with pytest.raises(ValidationError, match="latent value at risk"):
-            _imputed(ds, next_value)
+            _imputed(ds, "next")
     else:
-        _close(_risk_sums(*_imputed(ds, next_value), beta), lvcf_risk_sums(ds, next_value, beta),
-               lvcf_risk_sums(ds, next_value, beta, absolute=True))
+        # every value at risk is stored, so the covariate path is the value due at each interval's end
+        _close(_risk_sums(*_imputed(ds, "next"), beta), lvcf_risk_sums(ds, covariate_at, beta),
+               lvcf_risk_sums(ds, covariate_at, beta, absolute=True))
 
 
 @st.composite
@@ -151,7 +160,7 @@ def risk_cases(draw):
         x = 1.234
         subs.append(Subject(id=len(subs), x=x, delta=1,
                             measurements=tuple(rng.uniform(-2.5, 2.5, last_index(x, grid) + 1 + all_extra))))
-    return Dataset(grid=grid, subjects=tuple(subs), tau=TAU), draw(st.floats(-2.0, 2.0)), rng
+    return dataset_of(grid, subs, TAU), draw(st.floats(-2.0, 2.0)), rng
 
 
 @pytest.mark.filterwarnings("ignore:transition-model residual variance floored")
@@ -166,17 +175,17 @@ def _hand_built():
     # subject 3 is censored at the event time 2.5, subject 4 at tau
     grid = MeasurementGrid((0.0, 1.0, 2.0))
     rows = [(0.4, 1, 2), (1.0, 1, 1), (2.0, 0, 3), (2.5, 1, 3), (2.5, 0, 4), (3.0, 0, 3)]
-    return Dataset(grid=grid, tau=TAU, subjects=tuple(
+    return dataset_of(grid, [
         Subject(id=i, x=x, delta=d, measurements=tuple(math.sin(1.7 * j + i) for j in range(m)))
-        for i, (x, d, m) in enumerate(rows)))
+        for i, (x, d, m) in enumerate(rows)], TAU)
 
 
 def _mixed(grid_step, every):
     # a simulated dataset whose terminal value is stored for every `every`-th subject
     ds, truths = _sim(40, grid_step, seed=13)
     full = fullinfo_dataset(ds, truths)
-    return replace(ds, subjects=tuple(f if i % every == 0 else s
-                                      for i, (s, f) in enumerate(zip(ds.subjects, full.subjects))))
+    return dataset_of(ds.grid, [f if i % every == 0 else s
+                                for i, (s, f) in enumerate(zip(subjects_of(ds), subjects_of(full)))], ds.tau)
 
 
 @pytest.mark.parametrize("make", [_hand_built, lambda: _mixed(0.02, 2), lambda: _mixed(0.25, 1)],
@@ -189,7 +198,7 @@ def test_kernel_matches_dense_oracle_fixed(make, beta):
 def _mixed_named():
     # the fine-grid mixed dataset (subject 0 stored) with ids that are not positions
     ds = _mixed(0.02, 2)
-    return replace(ds, subjects=tuple(replace(s, id=f"s{i:02d}") for i, s in enumerate(ds.subjects)))
+    return replace(ds, ids=[f"s{i:02d}" for i in range(ds.n)])
 
 
 @pytest.mark.parametrize("beta", [-1.3, 0.8])
@@ -197,9 +206,9 @@ def test_estep_matches_per_subject_atoms(beta):
     ds = _mixed_named()
     theta = Theta(alpha=ALPHA0, beta=beta, hazard=nelson_aalen(ds))
     est = estep_atoms(ds, theta)
-    stored = [is_fully_observed(s, ds.grid) for s in ds.subjects]
+    stored = [is_fully_observed(s, ds.grid) for s in subjects_of(ds)]
     assert any(stored) and not all(stored)  # both branches of _estep
-    atoms = [posterior_atoms(s, theta, Q_DEFAULT, ds.grid) for s in ds.subjects]  # estep_atoms' order
+    atoms = [posterior_atoms(s, theta, Q_DEFAULT, ds.grid) for s in subjects_of(ds)]  # estep_atoms' order
     for i, want in enumerate(atoms):
         q = want.nodes.size  # a stored value is one atom, repeated with weight zero in `est`
         np.testing.assert_allclose(est.nodes[i, :q], want.nodes, rtol=RTOL, atol=RTOL)
@@ -222,12 +231,13 @@ def test_estep_mode_search_error_names_subject():
     ds = _mixed_named()
     ws = _Workspace(ds)
     jumps = np.asarray(nelson_aalen(ds).jumps)
+    subjects = subjects_of(ds)
     for k in range(ws.K):
         # an infinite jump gives every subject whose latent window holds it an infinite
         # latent mass, and so a non-finite mode; the error names the first of them.  A
         # stored terminal value has no latent mass, so with none latent there is no error
         t = ws.xe[k]
-        latent = [s.id for s in ds.subjects if t <= s.x and covariate_at(s, t, ds.grid) is None]
+        latent = [s.id for s in subjects if t <= s.x and covariate_at(s, t, ds.grid) is None]
         dL = jumps.copy()
         dL[k] = np.inf
         if not latent:
@@ -235,13 +245,14 @@ def test_estep_mode_search_error_names_subject():
             continue
         with pytest.raises(ModeSearchError) as err:
             _estep(ws, ALPHA0, 0.8, dL, 40)
-        assert err.value.subject_id == latent[0] != ds.subjects[0].id
+        assert err.value.subject_id == latent[0] != ds.ids[0]
 
 
 def test_em_fit_invariant_under_subject_permutation():
     ds, _ = _sim(200, 0.25, seed=3)
     perm = np.random.default_rng(0).permutation(ds.n)
-    shuffled = replace(ds, subjects=tuple(ds.subjects[i] for i in perm))
+    subjects = subjects_of(ds)
+    shuffled = dataset_of(ds.grid, [subjects[i] for i in perm], ds.tau)
     a, b = em_fit(ds), em_fit(shuffled)
     assert a.converged and b.iterations == a.iterations
     assert abs(b.theta_hat.beta - a.theta_hat.beta) <= 1e-10

@@ -5,25 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import Subject, covariate_at, dataset_of, is_fully_observed, last_index
 
 from coxjm import (
     Dataset,
     MeasurementGrid,
     SieveHazard,
-    Subject,
     Theta,
     TransitionParams,
     ValidationError,
     breslow,
-    covariate_at,
     em_fit,
     estep_atoms,
-    hazard_eval,
-    last_index,
     partial_lik_fit,
     validate_dataset,
 )
-from coxjm.data import is_fully_observed
 
 GRID = MeasurementGrid((0.0, 1.0, 2.0))
 
@@ -103,18 +99,17 @@ HZ = SieveHazard((1.0, 2.0), (0.5, 1.0))
 
 
 def test_hazard_eval_examples():
-    assert hazard_eval(HZ, 0.5) == 0.0
-    assert hazard_eval(HZ, 1.0) == 0.5
-    assert hazard_eval(HZ, 3.0) == 1.5
+    assert HZ.evaluate(0.5) == 0.0
+    assert HZ.evaluate(1.0) == 0.5
+    assert HZ.evaluate(3.0) == 1.5
 
 
 def test_hazard_eval_properties():
-    assert hazard_eval(HZ, 0.0) == 0.0
+    assert HZ.evaluate(0.0) == 0.0
     ts = np.linspace(0, 3, 100)
     vals = HZ.evaluate(ts)
     assert np.all(np.diff(vals) >= 0)
-    with pytest.raises(ValidationError):
-        hazard_eval(HZ, -0.5)
+    assert HZ.evaluate(-0.5) == 0.0  # no jump at or before a negative time
 
 
 def test_hazard_validation():
@@ -126,19 +121,8 @@ def test_hazard_validation():
         SieveHazard((1.0, 2.0), (0.1,))
 
 
-def test_subject_validation():
-    with pytest.raises(ValidationError):
-        Subject(id=1, x=0.0, delta=1, measurements=(0.0,))
-    with pytest.raises(ValidationError):
-        Subject(id=1, x=1.0, delta=2, measurements=(0.0,))
-    with pytest.raises(ValidationError):
-        Subject(id=1, x=1.0, delta=0, measurements=())
-    with pytest.raises(ValidationError):
-        Subject(id=1, x=1.0, delta=0, measurements=(math.nan,))
-
-
 def _dataset(subjects):
-    return Dataset(grid=GRID, subjects=tuple(subjects), tau=3.0)
+    return dataset_of(GRID, subjects, 3.0)
 
 
 def test_dataset_measurement_count():
@@ -176,12 +160,12 @@ def test_tied_events_rejected_then_jittered():
         with pytest.raises(ValidationError, match=r"^tied uncensored event times at \[1\.5\]"):
             call(ds)
     fixed = validate_dataset(ds, jitter_ties=True)
-    xs = sorted(s.x for s in fixed.subjects)
+    xs = sorted(fixed.x.tolist())
     assert xs[0] != xs[1]
     assert xs[0] == pytest.approx(1.5, abs=1e-8)
     # deterministic: same input gives the same jitter
     again = validate_dataset(ds, jitter_ties=True)
-    assert [s.x for s in again.subjects] == [s.x for s in fixed.subjects]
+    assert again.x.tolist() == fixed.x.tolist()
 
 
 def test_tied_censoring_is_fine():
@@ -201,7 +185,7 @@ def test_dataset_layout_matches_per_subject_functions(data, steps):
         delta = 0 if x == tau else data.draw(st.integers(0, 1))
         count = last_index(x, grid) + 1 + data.draw(st.integers(0, 1))
         subjects.append(Subject(id=i, x=x, delta=delta, measurements=(0.5,) * count))
-    ds = Dataset(grid=grid, subjects=tuple(subjects), tau=tau)
+    ds = dataset_of(grid, subjects, tau)
     assert ds.x.tolist() == [s.x for s in subjects]
     assert ds.delta.tolist() == [s.delta for s in subjects]
     assert ds.a_x.tolist() == [last_index(s.x, grid) for s in subjects]
@@ -210,7 +194,7 @@ def test_dataset_layout_matches_per_subject_functions(data, steps):
 
 def test_dataset_layout_is_read_only():
     ds = _dataset([Subject(id=1, x=1.7, delta=1, measurements=(0.0, 1.0))])
-    for v in (ds.x, ds.delta, ds.a_x, ds.has_extra):
+    for v in (ds.x, ds.delta, ds.offsets, ds.values, ds.a_x, ds.has_extra):
         with pytest.raises(ValueError, match="read-only"):
             v[0] = 0
 
@@ -219,10 +203,35 @@ def test_dataset_layout_is_read_only():
     (dict(x=3.5), "x exceeds tau"),
     (dict(x=3.0, delta=1), "events at tau are not allowed"),
     (dict(measurements=(0.0,)), r"expected 3 measurements \(or 4 in the full-information form\), got 1"),
+    (dict(x=0.0), "follow-up time must be finite and > 0"),
+    (dict(x=math.inf), "follow-up time must be finite and > 0"),
+    (dict(delta=2), "delta must be 0 or 1"),
+    (dict(delta=1.7), "delta must be 0 or 1"),
+    (dict(measurements=()), "entry measurement z_0 is required"),
+    (dict(measurements=(0.0, math.nan, 2.0)), "measurements must be finite"),
+    (dict(x="abc"), "could not convert string to float: 'abc'"),
+    (dict(measurements=(0.0, 10**400, 2.0)), "int too large to convert to float"),
 ])
 def test_dataset_error_names_first_bad_subject(bad, message):
-    # the later bad subject fails the first check, so a check-by-check scan would name it
+    # the later bad subject fails the first check (an entry that is not a number), so a
+    # check-by-check scan would name it
     ok = Subject(id="ok", x=2.5, delta=0, measurements=(0.0, 1.0, 2.0))
-    subjects = [ok, replace(ok, id="first", **bad), replace(ok, id="ok2"), replace(ok, id="second", x=3.5)]
+    subjects = [ok, replace(ok, id="first", **bad), replace(ok, id="ok2"), replace(ok, id="second", x="abc")]
     with pytest.raises(ValidationError, match=f"^subject 'first': {message}"):
         _dataset(subjects)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(offsets=[1, 2, 3]),  # does not start at 0
+    dict(offsets=[0, 4, 3]),  # decreases
+    dict(offsets=[0, 2, 4]),  # does not end at len(values)
+    dict(x=[1.7]),  # columns of unequal length
+    dict(delta=[1, 0, 0]),
+    dict(offsets=[0, 3]),
+])
+def test_dataset_inconsistent_layout_is_refused(bad):
+    cols = dict(grid=GRID, tau=3.0, ids=[1, 2], x=[1.7, 0.5], delta=[1, 0], offsets=[0, 2, 3],
+                values=[0.0, 1.0, 2.0])
+    Dataset(**cols)
+    with pytest.raises(ValidationError, match="^inconsistent dataset layout"):
+        Dataset(**(cols | bad))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import (
     ExponentSplit,
     PosteriorAtoms,
+    Subject,
     cond_exp,
     exponent_split,
     log_unnormalized_posterior,
@@ -20,7 +21,6 @@ from coxjm import (
     MeasurementGrid,
     ModeSearchError,
     SieveHazard,
-    Subject,
     Theta,
     TransitionParams,
     ValidationError,

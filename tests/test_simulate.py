@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import piecewise_exp_time, scalar_gen_dataset
+from oracles import last_index, piecewise_exp_time, scalar_gen_dataset, subjects_of
 
-from coxjm import (
-    MeasurementGrid,
-    Subject,
-    TransitionParams,
-    ValidationError,
-    last_index,
-)
+from coxjm import MeasurementGrid, TransitionParams, ValidationError
 from coxjm.baseline import nelson_aalen
 from coxjm.data import Theta
 from coxjm.fit import estep_atoms
@@ -126,7 +120,7 @@ def test_gen_dataset_deterministic():
 
 def test_administrative_censoring_only():
     ds, truths = gen_dataset(_cfg(n=200, seed=1))
-    for s in ds.subjects:
+    for s in subjects_of(ds):
         if s.delta == 0:
             assert s.x == ds.tau
     # censoring times never depend on the covariate: all equal tau here
@@ -135,7 +129,7 @@ def test_administrative_censoring_only():
 
 def test_measurement_counts_and_latent_consistency():
     ds, truths = gen_dataset(_cfg(n=100, seed=2, censor_rate=0.3))
-    for s, t in zip(ds.subjects, truths):
+    for s, t in zip(subjects_of(ds), truths):
         a_x = last_index(s.x, ds.grid)
         assert len(s.measurements) == a_x + 1
         assert all(gt < s.x for gt in ds.grid.times[: a_x + 1])
@@ -179,7 +173,7 @@ def test_event_fraction_binomial_oracle():
 def test_survival_curve_ks():
     cfg = _cfg(n=10000, seed=6, beta0=0.0, lambda0=1.0, tau=3.0)
     ds, _ = gen_dataset(cfg)
-    xs = np.sort([s.x for s in ds.subjects])
+    xs = np.sort(ds.x)
     # for t < tau, X <= t iff T <= t; compare the edf against 1 - e^{-t}
     grid = np.linspace(1e-3, 2.999, 500)
     edf = np.searchsorted(xs, grid, side="right") / len(xs)
@@ -189,7 +183,7 @@ def test_survival_curve_ks():
 
 def test_at_risk_at_tau_positive():
     ds, _ = gen_dataset(_cfg(n=500, seed=7, censor_rate=0.2))
-    assert sum(1 for s in ds.subjects if s.x >= ds.tau) > 0
+    assert np.sum(ds.x >= ds.tau) > 0
 
 
 def test_censoring_independent_permutation_check():
@@ -199,7 +193,7 @@ def test_censoring_independent_permutation_check():
     cfg = _cfg(n=4000, seed=8, censor_rate=0.5)
     _, truths = gen_dataset(cfg)
     ds, _ = gen_dataset(cfg)
-    z0 = np.array([s.measurements[0] for s in ds.subjects])
+    z0 = ds.values[ds.offsets[:-1]]
     c = np.array([t.censor_time for t in truths])
     mask = c < cfg.tau
     r = np.corrcoef(z0[mask], c[mask])[0, 1]
@@ -212,14 +206,14 @@ def test_subject_draws_do_not_depend_on_n(truncate_at):
     # whatever the number of subjects drawn after them
     small, small_truths = gen_dataset(_cfg(n=5, censor_rate=0.3, truncate_at=truncate_at))
     large, large_truths = gen_dataset(_cfg(n=12, censor_rate=0.3, truncate_at=truncate_at))
-    assert small.subjects == large.subjects[:5]
+    assert subjects_of(small) == subjects_of(large)[:5]
     assert small_truths == large_truths[:5]
 
 
 def test_fullinfo_dataset_appends_latent():
     ds, truths = gen_dataset(_cfg(n=30, seed=9, censor_rate=0.3))
     full = fullinfo_dataset(ds, truths)
-    for s, f, t in zip(ds.subjects, full.subjects, truths):
+    for s, f, t in zip(subjects_of(ds), subjects_of(full), truths):
         assert f.measurements == s.measurements + (t.latent_z,)
     # idempotent
     again = fullinfo_dataset(full, truths)
@@ -243,7 +237,7 @@ def test_fullinfo_misalignment_error():
 def test_truncation_bound_applied():
     cfg = _cfg(n=200, seed=11, truncate_at=1.0)
     ds, truths = gen_dataset(cfg)
-    for s, t in zip(ds.subjects, truths):
+    for s, t in zip(subjects_of(ds), truths):
         assert all(abs(z) <= 1.0 for z in s.measurements)
         assert abs(t.latent_z) <= 1.0
 
@@ -256,8 +250,8 @@ def test_gen_dataset_matches_scalar_draws(seed, grid_step, censor_rate, truncate
     # nonzero intercepts, so that a change in how a draw is combined with its mean shows
     cfg = _cfg(n=25, seed=seed, grid_step=grid_step, censor_rate=censor_rate, truncate_at=truncate_at,
                alpha0=TransitionParams(0.3, 1.2, 0.17, 0.7, 0.25))
-    got, want = gen_dataset(cfg), scalar_gen_dataset(cfg)
-    assert repr(got) == repr(want)
+    (got, got_truths), (want, want_truths) = gen_dataset(cfg), scalar_gen_dataset(cfg)
+    assert repr((subjects_of(got), got_truths)) == repr((subjects_of(want), want_truths))
 
 
 @pytest.mark.parametrize("censor_rate", [0, 0.3, 1])
@@ -266,7 +260,7 @@ def test_gen_dataset_with_integer_tau_and_grid_step(censor_rate, truncate_at):
     # integers, as a JSON config may give them: the censoring times must stay real numbers
     cfg = _cfg(n=40, grid_step=1, tau=3, censor_rate=censor_rate, truncate_at=truncate_at)
     (got, got_truths), (want, want_truths) = gen_dataset(cfg), scalar_gen_dataset(cfg)
-    assert repr(got) == repr(want)
+    assert repr(subjects_of(got)) == repr(subjects_of(want))
     assert got_truths == want_truths  # the scalar code keeps an int tau as the censoring time
     assert all(type(v) is float for t in got_truths for v in (t.latent_z, t.event_time, t.censor_time))
     if censor_rate:

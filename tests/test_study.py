@@ -165,9 +165,7 @@ def test_posterior_of_another_dataset_refused(tmp_path):
     ds, _ = gen_dataset(_study(n=40).sim)
     fit = em_fit(ds)
     th, post = fit.theta_hat, fit.posterior
-    s0 = ds.subjects[0]
-    other = replace(ds, subjects=(replace(s0, measurements=(s0.measurements[0] + 1.0,) + s0.measurements[1:]),)
-                    + ds.subjects[1:])
+    other = replace(ds, values=ds.values + np.eye(1, ds.values.size)[0])
     calls = [lambda d: lambda_update(d, post, th.beta), lambda d: w_n(th.hazard.times[0], d, post, th.beta),
              lambda d: score_full(d, th, (None, 1.0, None), atoms=post), lambda d: weighted_mle_alpha(d, post),
              lambda d: var_beta_simple(d, th, post), lambda d: build_sigma_hat(d, th, post),

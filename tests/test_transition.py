@@ -7,25 +7,32 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import hessian_alpha, log_joint_density, score_alpha, stack_atoms
+from oracles import (
+    Subject,
+    cond_latent_params,
+    dataset_of,
+    hessian_alpha,
+    log_joint_density,
+    observed_history,
+    score_alpha,
+    stack_atoms,
+    subjects_of,
+)
 
 from coxjm import (
     AlphaBox,
-    Dataset,
     InsufficientDataError,
     MeasurementGrid,
-    Subject,
     Theta,
     TransitionParams,
     ValidationError,
-    cond_latent_params,
     estep_atoms,
     nelson_aalen,
     weighted_mle_alpha,
 )
 from coxjm.fit import _estep, _Workspace
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
-from coxjm.transition import VAR_FLOOR, TransitionStats, gauss_logpdf, observed_history
+from coxjm.transition import VAR_FLOOR, TransitionStats, gauss_logpdf
 
 LN_NORM_0 = -0.5 * math.log(2 * math.pi)  # ln N(0; 0, 1)
 
@@ -150,7 +157,7 @@ def _dataset_with(measurements_list, xs=None, deltas=None):
     subs = []
     for i, (m, x, d) in enumerate(zip(measurements_list, xs, deltas)):
         subs.append(Subject(id=i, x=x, delta=d, measurements=tuple(m)))
-    return Dataset(grid=GRID1, subjects=tuple(subs), tau=3.0)
+    return dataset_of(GRID1, subs, 3.0)
 
 
 def test_weighted_mle_two_point_example():
@@ -204,7 +211,7 @@ def test_weighted_mle_degenerate_equals_complete_mle():
 def _weighted_objective(ds, atoms, vec):
     a = TransitionParams.from_array(vec)
     out = 0.0
-    for s, nodes, weights in zip(ds.subjects, atoms.nodes, atoms.weights):
+    for s, nodes, weights in zip(subjects_of(ds), atoms.nodes, atoms.weights):
         hist = list(s.measurements)
         out += log_joint_density(hist, a)
         mean, var = cond_latent_params(hist, a)
@@ -234,7 +241,7 @@ def test_weighted_mle_matches_numerical_optimizer():
     assert np.allclose(got.as_array(), res.x, atol=1e-6)
     # stationarity: atom-weighted score sums to ~0 at the interior solution
     total = np.zeros(5)
-    for s, nodes, weights in zip(ds.subjects, atoms.nodes, atoms.weights):
+    for s, nodes, weights in zip(subjects_of(ds), atoms.nodes, atoms.weights):
         for z, w in zip(nodes, weights):
             total += w * score_alpha(list(s.measurements) + [float(z)], got)
     assert np.max(np.abs(total)) < 1e-6 * n
@@ -271,8 +278,8 @@ def _mixed_named():
     ds, truths = gen_dataset(SimConfig(n=30, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
                                        lambda0=0.3, censor_rate=0.2, seed=13))
     full = fullinfo_dataset(ds, truths)
-    return replace(ds, subjects=tuple(replace(f if i % 2 == 0 else s, id=f"s{i:02d}")
-                                      for i, (s, f) in enumerate(zip(ds.subjects, full.subjects))))
+    return dataset_of(ds.grid, [replace(f if i % 2 == 0 else s, id=f"s{i:02d}")
+                                for i, (s, f) in enumerate(zip(subjects_of(ds), subjects_of(full)))], ds.tau)
 
 
 def test_transition_stats_match_per_subject_oracles():
@@ -284,7 +291,7 @@ def test_transition_stats_match_per_subject_oracles():
     stats = ws.transition_stats(est)
     alpha = TransitionParams(0.3, 0.8, -0.2, 0.5, 0.4)  # away from the maximizer
     obj, g, H = 0.0, np.zeros(5), np.zeros((5, 5))
-    for i, s in enumerate(ds.subjects):
+    for i, s in enumerate(subjects_of(ds)):
         hist = list(observed_history(s, ds.grid))
         for z, w in zip(est.nodes[i], est.weights[i]):
             obj += w * log_joint_density(hist + [z], alpha)

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from oracles import dense_operator, stack_atoms
+from oracles import Subject, dataset_of, dense_operator, last_index, stack_atoms
 
 from coxjm import (
-    Dataset,
     DiscretizedOperator,
     FitConfig,
     MeasurementGrid,
     Probe,
     SingularOperatorError,
-    Subject,
     Theta,
     TransitionParams,
     ValidationError,
@@ -28,7 +26,7 @@ from coxjm import (
     var_estimate,
     variance_report,
 )
-from coxjm.data import SieveHazard, last_index
+from coxjm.data import SieveHazard
 from coxjm.simulate import SimConfig, gen_dataset
 from coxjm.variance import COND_LIMIT, apply_operator, beta_probe, lambda_band, z_quantile
 
@@ -62,7 +60,7 @@ def test_sigma3_at_risk_fraction_constant_covariate():
     c = 1.3
     subs = tuple(Subject(id=i, x=x, delta=d, measurements=(c,))
                  for i, (x, d) in enumerate([(0.5, 1), (1.0, 1), (1.8, 0), (2.2, 1)]))
-    ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
+    ds = dataset_of(GRID0, subs, 3.0)
     from coxjm.baseline import nelson_aalen
 
     th = Theta(alpha=ALPHA0, beta=0.0, hazard=nelson_aalen(ds))
@@ -177,7 +175,7 @@ def test_single_subject_toy_variances():
     # so the closed form refuses, and the (h2,h3) block is exactly rank one,
     # so the full inversion refuses too
     subj = Subject(id=1, x=0.8, delta=1, measurements=(0.0, 2.0))
-    ds = Dataset(grid=GRID0, subjects=(subj,), tau=3.0)
+    ds = dataset_of(GRID0, (subj,), 3.0)
     beta = 0.4
     th = Theta(alpha=ALPHA0, beta=beta,
                hazard=SieveHazard((0.8,), (math.exp(-beta * 2.0),)))
@@ -193,8 +191,7 @@ def test_single_subject_toy_variances():
     # holds both values, Breslow jump 1 / (1 + e) with e = e^{2 beta}, and the
     # curvature dL (D - C^2/W) = 2 e / (1 + e)^2 per subject (the classical
     # Cox information 4 p (1 - p), p = e / (1 + e), over n = 2)
-    ds = Dataset(grid=GRID0, subjects=(subj, Subject(id=2, x=1.5, delta=0, measurements=(0.0, 0.0))),
-                 tau=3.0)
+    ds = dataset_of(GRID0, (subj, Subject(id=2, x=1.5, delta=0, measurements=(0.0, 0.0))), 3.0)
     e = math.exp(2.0 * beta)
     th = Theta(alpha=ALPHA0, beta=beta, hazard=SieveHazard((0.8,), (1.0 / (1.0 + e),)))
     atoms = estep_atoms(ds, th)
@@ -210,7 +207,7 @@ def test_var_beta_simple_latent_toy():
     subs = (Subject(id=0, x=0.5, delta=1, measurements=(0.0,)),
             Subject(id=1, x=1.0, delta=1, measurements=(0.0, 1.0)),
             Subject(id=2, x=2.0, delta=0, measurements=(0.0, -1.0)))
-    ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
+    ds = dataset_of(GRID0, subs, 3.0)
     th = Theta(alpha=ALPHA0, beta=0.0, hazard=SieveHazard((0.5, 1.0), (1 / 3, 1 / 2)))
     atoms = estep_atoms(ds, th)
     assert var_beta_simple(ds, th, atoms) == pytest.approx(1 / (7 / 12 - 1 / 27), rel=1e-10)
@@ -222,7 +219,7 @@ def test_var_beta_simple_constant_covariate():
     c = 1.5
     subs = tuple(Subject(id=i, x=x, delta=d, measurements=(c,))
                  for i, (x, d) in enumerate([(0.5, 1), (1.1, 1), (2.0, 0)]))
-    ds = Dataset(grid=GRID0, subjects=subs, tau=3.0)
+    ds = dataset_of(GRID0, subs, 3.0)
     from coxjm.baseline import nelson_aalen
 
     th = Theta(alpha=ALPHA0, beta=0.0, hazard=nelson_aalen(ds))
@@ -341,7 +338,7 @@ def test_variance_report_degenerate_data(tmp_path):
     from coxjm.io import save_json
 
     subj = Subject(id=1, x=0.8, delta=1, measurements=(0.0, 2.0))
-    ds = Dataset(grid=GRID0, subjects=(subj,), tau=3.0)
+    ds = dataset_of(GRID0, (subj,), 3.0)
     th = Theta(alpha=ALPHA0, beta=0.4, hazard=SieveHazard((0.8,), (math.exp(-0.8),)))
     rep = variance_report(ds, th, estep_atoms(ds, th), None)
     assert rep["var_beta_simple"] is None
