@@ -95,7 +95,7 @@ def partial_lik_fit(
         new = float(np.clip(beta + step, -beta_box, beta_box))
         ll_new, sc_new, info_new = _pl_parts(*parts, new)
         halved = 0
-        while ll_new < loglik - 1e-12 and halved < 60:
+        while ll_new < loglik - 1e-13 * (1 + abs(loglik)) and halved < 60:  # rounding grows with |loglik|
             new = beta + (new - beta) * 0.5
             ll_new, sc_new, info_new = _pl_parts(*parts, new)
             halved += 1

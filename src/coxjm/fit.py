@@ -149,9 +149,14 @@ class _Workspace:
     The covariate path is a step function on the grid, so risk-set sums
     collapse onto the J grid intervals (t_j, t_{j+1}] (the last one ends at
     tau).  Subject i is at risk at every event of an interval j < a_x(i), an
-    observed entry (`t_sub`, `t_int`) with the value `t_next` = z_{j+1}; in its
+    observed entry of subject `t_sub` with the value `t_next` = z_{j+1}; in its
     terminal interval a_x(i) only at events <= x_i, with the value z_extra when
     the dataset stores it (full-information form) and the latent value otherwise.
+
+    The observed entries are stored interval-major, `t_count` of them per interval,
+    so each interval is one contiguous segment and each subject's entries come in
+    increasing j.  Interval j holds the subjects with a_x > j, in order of decreasing
+    a_x; these counts never rise with j, so the intervals without entries are a suffix.
     """
 
     def __init__(self, dataset: Dataset):
@@ -167,31 +172,36 @@ class _Workspace:
             raise InsufficientDataError("no uncensored subjects")
         self.J = J = len(dataset.grid)
         self.a_e = self.a_x[self.ev_row]
-        # the zero-padded measurement matrix: its observed entries are also the observed
-        # transitions z_j -> z_{j+1}, j < a_x (the atoms carry the terminal step)
-        Z = np.zeros((n, J + 1))
-        Z[np.arange(J + 1) <= (self.a_x + self.has_extra)[:, None]] = dataset.values
-        self.t_sub, self.t_int = np.nonzero(np.arange(J) < self.a_x[:, None])
+        # subject i's measurement z_j is values[first[i] + j]; its observed entries are
+        # also its observed transitions z_j -> z_{j+1}, j < a_x (the atoms carry the
+        # terminal step)
+        first, values = dataset.offsets[:-1], dataset.values
         self.extra_rows = np.flatnonzero(self.has_extra)
-        self.z0 = Z[:, 0].copy()
-        rows = np.arange(n)
-        self.z_pred, self.z_extra = Z[rows, self.a_x], Z[rows, self.a_x + 1]  # z_extra 0 where not stored
-        self.t_prev, self.t_next = Z[self.t_sub, self.t_int], Z[self.t_sub, self.t_int + 1]
+        self.z0, self.z_pred = values[first], values[first + self.a_x]
+        self.z_extra = np.zeros(n)  # 0 where not stored
+        self.z_extra[self.extra_rows] = values[first[self.extra_rows] + self.a_x[self.extra_rows] + 1]
+        self.t_count = count = n - np.cumsum(np.bincount(self.a_x, minlength=J))
+        start = np.cumsum(count) - count
+        by_a_x = np.argsort(-self.a_x, kind="stable")  # interval j holds the first count[j]
+        self.t_sub = by_a_x[np.arange(count.sum()) - np.repeat(start, count)]
+        at = first[self.t_sub] + np.repeat(np.arange(J), count)
+        self.t_prev, self.t_next = values[at], values[at + 1]
+        self._segments = start[count > 0]
         self.obs = TransitionStats.of(self.z0, self.t_prev, self.t_next)
         self._obs_beta = None
-        # Events, then subjects, in one time order (an event before a subject
-        # leaving at its time, who is at risk there) in a zero-padded array with
-        # one row per grid interval: running sums along a row stay within the
-        # interval, so a late small sum is never a difference of large totals.
-        order = np.lexsort((np.arange(self.K + n) >= self.K, np.concatenate([self.xe, self.x])))
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.size)
+        # Running sums within each grid interval, over a (J, 1 + most events in an
+        # interval) pad: the event of rank r in its interval sits in column r + 1, a
+        # subject in the column of the number of its interval's events at or before its
+        # time (so an event comes before a subject leaving at its time, who is at risk
+        # there).  A late small sum is never a difference of large totals.
+        e_count = np.bincount(self.a_e, minlength=J)
+        e_first = np.cumsum(e_count) - e_count
+        self._pad = (J, 1 + int(e_count.max()))
         row = np.concatenate([self.a_e, self.a_x])
-        counts = np.bincount(row, minlength=J)
-        col = pos - (np.cumsum(counts) - counts)[row]
-        self._rows = (J, int(counts.max()))
-        # each item's cell as a flat index into the padded rows, and with mirrored columns
-        self._cell = (row * self._rows[1] + col, (row + 1) * self._rows[1] - 1 - col)
+        col = np.concatenate([np.arange(self.K) - e_first[self.a_e] + 1,
+                              np.searchsorted(self.xe, self.x, side="right") - e_first[self.a_x]])
+        # each item's cell (events, then subjects) as a flat index into the pad, and with mirrored columns
+        self._cell = (row * self._pad[1] + col, (row + 1) * self._pad[1] - 1 - col)
 
     def transition_stats(self, est: "Posterior") -> TransitionStats:
         """The observed histories' statistics merged with the terminal transitions
@@ -200,9 +210,21 @@ class _Workspace:
 
     def interval_sums(self, v: np.ndarray, beta: float):
         """e^{beta v} of values v on the observed entries, and per grid interval
-        the sums of v^m e^{beta v}, m = 0, 1, 2 (J x 3)."""
-        E = _exp_powers(v, beta)
-        return E[0], np.stack([np.bincount(self.t_int, F, self.J) for F in E], axis=1)
+        the sums of v^m e^{beta v}, m = 0, 1, 2 (J x 3), each a reduction over the
+        interval's segment (0 for an interval without entries)."""
+        e = exp_clipped(np.multiply(v, beta))
+        f = v * e
+        S = [self._segment_sums(e), self._segment_sums(f)]
+        f *= v
+        S.append(self._segment_sums(f))
+        return e, np.stack(S, axis=1)
+
+    def _segment_sums(self, f: np.ndarray) -> np.ndarray:
+        """Per grid interval, the sum of f over its observed entries."""
+        out = np.zeros(self.J)
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, without a warning
+            out[: self._segments.size] = np.add.reduceat(f, self._segments)
+        return out
 
     def obs_mats(self, beta: float):
         """`interval_sums` of the observed values, kept for the last beta (an EM
@@ -211,29 +233,21 @@ class _Workspace:
             self._obs_beta, self._obs = beta, self.interval_sums(self.t_next, beta)
         return self._obs
 
-    def _running(self, v: np.ndarray, reverse: bool = False) -> np.ndarray:
-        """Running sums within each grid interval over its items in time order: per
-        subject, the sum of the events' values v (K) up to it; if reverse, per event, the
-        sum of the subjects' values v (n, optional trailing axes) from it on.  The reverse
-        sum runs forward over mirrored columns, adding in the same order."""
-        cell = self._cell[reverse]
-        put, take = (cell[self.K:], cell[: self.K]) if reverse else (cell[: self.K], cell[self.K:])
-        pad = np.zeros((self._rows[0] * self._rows[1],) + v.shape[1:])
-        pad[put] = v
-        rows = pad.reshape(self._rows + v.shape[1:])
-        np.cumsum(rows, axis=1, out=rows)
-        return pad[take]
-
     def masses(self, dL: np.ndarray):
-        """Hazard mass of each grid interval (J) and of each subject's terminal window (n)."""
+        """Hazard mass of each grid interval (J) and of each subject's terminal window (n):
+        the running sum over its interval's events up to the subject."""
+        pad = np.zeros(self._pad[0] * self._pad[1])
+        pad[self._cell[0][: self.K]] = dL
+        rows = pad.reshape(self._pad)
+        np.cumsum(rows, axis=1, out=rows)
         return (np.bincount(self.a_e, weights=dL, minlength=self.J),
-                self._running(dL))
+                pad[self._cell[0][self.K:]])
 
     def splits(self, beta: float, dL: np.ndarray):
         """Per subject: hazard mass times e^{beta z} where z is observed (a_obs), latent mass (a_lat)."""
         H, P = self.masses(dL)
         # (astype: bincount returns integers when there is no observed entry)
-        h = np.take(H, self.t_int)
+        h = np.repeat(H, self.t_count)
         h *= self.obs_mats(beta)[0]
         a_obs = np.bincount(self.t_sub, h, self.n).astype(float, copy=False)
         x = self.extra_rows
@@ -243,8 +257,18 @@ class _Workspace:
     def cols(self, S, g) -> np.ndarray:
         """Per event time, the sum over its risk set of each subject's value there: S (J,
         optional trailing axes; None for zero) sums per interval the values of the
-        subjects at risk past it, g (n, same trailing axes) holds their terminal values."""
-        out = self._running(g, reverse=True)
+        subjects at risk past it, g (n, same trailing axes) holds their terminal values.
+
+        The subjects' values are summed per cell of the pad, then run forward over its
+        mirrored columns: each event gets the sum over its interval's subjects from it on."""
+        cell, size = self._cell[1], self._pad[0] * self._pad[1]
+        w = g.reshape(self.n, -1).T
+        pad = np.empty((len(w), size))
+        for p, v in zip(pad, w):
+            p[:] = np.bincount(cell[self.K:], v, size)
+        rows = pad.reshape(-1, *self._pad)
+        np.cumsum(rows, axis=2, out=rows)
+        out = pad[:, cell[: self.K]].T.reshape((self.K,) + g.shape[1:])
         if S is not None:
             out += np.take(S, self.a_e, axis=0)
         return out
@@ -444,7 +468,7 @@ def _init_theta(ws: _Workspace, init: Theta | None, cfg: FitConfig):
             if floored:
                 _warnings.warn(FLOOR_MESSAGE, RuntimeWarning)
         beta = 0.0
-        dL = 1.0 / ws.cols(np.bincount(ws.t_int, minlength=ws.J), np.ones(ws.n))  # Nelson-Aalen jumps
+        dL = 1.0 / ws.cols(ws.t_count, np.ones(ws.n))  # Nelson-Aalen jumps
         return alpha, beta, dL
     alpha = TransitionParams.from_array(cfg.alpha_box.project(init.alpha.as_array()))
     beta = float(np.clip(init.beta, -cfg.beta_box, cfg.beta_box))
@@ -458,7 +482,7 @@ def _boundedness_check(ws, est, dL, cfg, warn: list):
         return
     # the observed values at risk at some event (z_extra is 0 where not stored), and the atoms
     zmax = float(np.max(np.abs(np.concatenate([
-        ws.t_next[np.bincount(ws.a_e, minlength=ws.J)[ws.t_int] > 0],
+        ws.t_next[np.repeat(np.bincount(ws.a_e, minlength=ws.J) > 0, ws.t_count)],
         ws.z_extra * (ws.masses(np.ones(ws.K))[1] > 0), [est.nodes.min(), est.nodes.max()]]))))
     m = math.exp(-cfg.beta_box * zmax) if cfg.beta_box * zmax < EXP_CLIP else 0.0
     if m <= 0:

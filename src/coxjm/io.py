@@ -37,10 +37,16 @@ def dataset_to_dict(dataset: Dataset) -> dict:
 def dataset_from_dict(d: dict) -> Dataset:
     with reading("dataset document"):
         subjects = d["subjects"]
-        meas = [s["measurements"] for s in subjects]
-        return Dataset(grid=MeasurementGrid(tuple(d["grid"])), tau=d["tau"], ids=[s["id"] for s in subjects],
+        ids, meas = [s["id"] for s in subjects], [s["measurements"] for s in subjects]
+        try:
+            count = [len(m) for m in meas]
+        except TypeError:
+            i = next(i for i, m in enumerate(meas) if not hasattr(m, "__len__"))
+            raise ValidationError(f"subject {ids[i]!r}: measurements must be a list, "
+                                  f"got {type(meas[i]).__name__}") from None
+        return Dataset(grid=MeasurementGrid(tuple(d["grid"])), tau=d["tau"], ids=ids,
                        x=[s["x"] for s in subjects], delta=[s["delta"] for s in subjects],
-                       offsets=np.cumsum([0, *map(len, meas)]), values=list(itertools.chain.from_iterable(meas)))
+                       offsets=np.cumsum([0, *count]), values=list(itertools.chain.from_iterable(meas)))
 
 
 def save_dataset_json(dataset: Dataset, path) -> None:

@@ -161,3 +161,14 @@ def test_partial_lik_fit_converges_at_large_n():
     fit = partial_lik_fit(ds)
     assert fit.converged and fit.iterations < 10 and not fit.flags
     assert fit.score * fit.score <= 1e-24 * fit.information
+
+
+@pytest.mark.slow
+def test_partial_lik_fit_converges_on_a_fine_grid_at_large_n():
+    # |loglik| ~ 76,500 on the 0.02 grid, where one ulp is 1.5e-11: the step-halving guard
+    # is relative, as an absolute 1e-12 refused converged steps for 60 halvings each
+    cfg = SimConfig(n=16000, grid_step=0.02, tau=3.0, alpha0=ALPHA0, beta0=1.0,
+                    lambda0=0.3, censor_rate=0.2, seed=1)
+    ds, _ = gen_dataset(cfg)
+    fit = partial_lik_fit(ds)
+    assert fit.converged and fit.iterations <= 5 and not fit.flags

@@ -198,7 +198,8 @@ def test_cli_validation_exit_codes(tmp_path):
     assert main(["simulate", "--config", str(bad_grid), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("case", ["fit-config-key", "study-sim-key", "subject-x", "subject-delta", "invalid-json"])
+@pytest.mark.parametrize("case", ["fit-config-key", "study-sim-key", "subject-x", "subject-delta",
+                                  "subject-measurements", "invalid-json"])
 def test_cli_malformed_document_exits_2_naming_the_key(case, dataset, tmp_path, capsys):
     data, doc = tmp_path / "d.json", tmp_path / "doc.json"
     cio.save_dataset_json(dataset, data)
@@ -221,6 +222,11 @@ def test_cli_malformed_document_exits_2_naming_the_key(case, dataset, tmp_path, 
         d["subjects"][3]["delta"] = 1.7
         doc.write_text(json.dumps(d))
         argv, named = ["fit", "--data", str(doc), "--method", "lvcf"], "subject 3: delta must be 0 or 1"
+    elif case == "subject-measurements":
+        d = cio.dataset_to_dict(dataset)
+        d["subjects"][3]["measurements"] = 5
+        doc.write_text(json.dumps(d))
+        argv, named = ["fit", "--data", str(doc), "--method", "lvcf"], "subject 3: measurements must be a list"
     else:
         doc.write_text('{"n": 25,')
         argv, named = ["simulate", "--config", str(doc)], "doc.json"

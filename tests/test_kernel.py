@@ -188,11 +188,30 @@ def _mixed(grid_step, every):
                                 for i, (s, f) in enumerate(zip(subjects_of(ds), subjects_of(full)))], ds.tau)
 
 
-@pytest.mark.parametrize("make", [_hand_built, lambda: _mixed(0.02, 2), lambda: _mixed(0.25, 1)],
-                         ids=["hand-built", "fine-grid-mixed", "fully-observed"])
+def _tau_heavy():
+    # the 0.02 grid with 30 of 48 subjects censored at tau, filling the last interval, which
+    # also holds three events; six subjects are censored at event times, and every third
+    # subject's terminal value is stored
+    grid = MeasurementGrid(tuple(k * 0.02 for k in range(150)))
+    events = [0.33, 1.05, 2.5, 2.985, 2.99, 2.995]
+    rows = ([(x, 1) for x in events] + [(x, 0) for x in events] + [(TAU, 0)] * 30
+            + [(0.71, 0), (1.5, 0), (2.3, 0), (2.97, 0), (2.981, 0), (2.999, 0)])
+    rng = np.random.default_rng(7)
+    return dataset_of(grid, [
+        Subject(id=i, x=x, delta=d, measurements=tuple(rng.uniform(-2.5, 2.5, last_index(x, grid) + 1 + (i % 3 == 0))))
+        for i, (x, d) in enumerate(rows)], TAU)
+
+
+@pytest.mark.parametrize("make", [_hand_built, lambda: _mixed(0.02, 2), lambda: _mixed(0.25, 1), _tau_heavy],
+                         ids=["hand-built", "fine-grid-mixed", "fully-observed", "fine-grid-tau-heavy"])
 @pytest.mark.parametrize("beta", [-1.3, 0.0, 0.8])
 def test_kernel_matches_dense_oracle_fixed(make, beta):
-    check_against_oracle(make(), beta, np.random.default_rng(5))
+    ds = make()
+    check_against_oracle(ds, beta, np.random.default_rng(5))
+    # the running sums' pad has one row per grid interval and one column more than the
+    # largest number of events in one interval, however many subjects an interval holds
+    most = np.bincount([last_index(x, ds.grid) for x in ds.event_times()]).max()
+    assert _Workspace(ds)._pad == (len(ds.grid), 1 + most)
 
 
 def _mixed_named():
@@ -294,7 +313,14 @@ def test_interval_sums_clip_matches_unfused(beta, clipped):
     e, S = ws.interval_sums(v, beta)
     F = _powers(v, beta, 1.0)
     assert np.array_equal(e, F[0])
-    assert np.array_equal(S, np.stack([np.bincount(ws.t_int, f, ws.J) for f in F], axis=1))
+    # the same segment reduction over the unfused powers: the entries are interval-major,
+    # t_count per interval, and an interval without entries sums to 0
+    seen = np.flatnonzero(ws.t_count)
+    want = np.zeros((ws.J, 3))
+    with np.errstate(over="ignore"):
+        want[seen] = np.column_stack([np.add.reduceat(f, (np.cumsum(ws.t_count) - ws.t_count)[seen]) for f in F])
+    assert 0 < seen.size < ws.J and np.array_equal(S, want)
+    assert bool(np.any(np.isinf(S))) == clipped  # an overflowing sum is inf, without a warning
 
 
 def test_estep_allocates_few_quadrature_arrays():
