@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: validation problems exit 2, numerical /
 convergence failures exit 3, I/O problems exit 4.
 """
 
+import math
+import numbers
 from contextlib import contextmanager
 
 
@@ -25,6 +27,21 @@ def reading(what: str):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
+def check_fields(obj, integers=(), finite=(), least=None):
+    """Refuse, naming the field, an attribute of `obj` named in `integers` that is not an
+    integer, one named in `finite` that is not a finite number, or one below its bound in
+    the dict `least`."""
+    for name in integers:
+        if not isinstance(getattr(obj, name), numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+    for name in finite:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValidationError(f"{name} must be finite, got {getattr(obj, name)!r}")
+    for name, low in (least or {}).items():
+        if getattr(obj, name) < low:
+            raise ValidationError(f"{name} must be >= {low}, got {getattr(obj, name)!r}")
 
 
 class InsufficientDataError(ValidationError):

@@ -35,6 +35,7 @@ from .exceptions import (
     InsufficientDataError,
     ModeSearchError,
     ValidationError,
+    check_fields,
     reading,
 )
 from .posterior import EXP_CLIP, batch_posterior, exp_clipped, gauss_logpdf
@@ -71,34 +72,22 @@ class FitConfig:
     var_floor: float = VAR_FLOOR
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be >= 1")
-        if self.tol_param <= 0 or self.tol_score <= 0 or self.id_tol <= 0:
+        check_fields(self, ("Q", "max_iter", "inner_cycles", "step_halving_max"),
+                     ("tol_param", "tol_score", "id_tol", "beta_box", "var_floor"),
+                     {"Q": 2, "max_iter": 1, "inner_cycles": 1, "step_halving_max": 0,
+                      "beta_box": 0, "var_floor": VAR_FLOOR})
+        if min(self.tol_param, self.tol_score, self.id_tol) <= 0:
             raise ValidationError("tolerances must be > 0")
-        if self.inner_cycles < 1:
-            raise ValidationError("inner_cycles must be >= 1")
-        if self.beta_box < 0:
-            raise ValidationError("beta_box must be >= 0")
-        if self.Q < 2:
-            raise ValidationError("quadrature order must be >= 2")
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "Q", "max_iter", "tol_param", "tol_score", "id_tol", "inner_cycles",
-            "beta_box", "step_halving_max", "var_floor")}
-        d["alpha_box"] = {k: list(getattr(self.alpha_box, k))
-                          for k in ("mu0", "s0sq", "a", "b", "ssq")}
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "FitConfig":
         with reading("fit config"):
             d = dict(d)
-            box = d.pop("alpha_box", None)
-            cfg = FitConfig(**d)
-            if box is not None:
-                cfg.alpha_box = AlphaBox(**{k: tuple(v) for k, v in box.items()})
-        return cfg
+            box = dict(d.pop("alpha_box", None) or {})
+            return FitConfig(**d, alpha_box=AlphaBox(**{k: tuple(v) for k, v in box.items()}))
 
 
 @dataclass(frozen=True)
@@ -385,10 +374,8 @@ def _free_directions(cfg: FitConfig):
 def _certificate(ws, est, alpha, beta, dL, cfg: FitConfig):
     """Fixed-point residual and score norm over the canonical probe basis."""
     R = _risk_cols(ws, est, beta)
-    wn = R[:, 0] / ws.n
-    id_resid = float(np.max(np.abs(dL * wn - 1.0 / ws.n)))
-    s3 = 1.0 / ws.n - dL * wn
-    score_norm = float(np.max(np.abs(s3)))
+    # the hazard score 1/n - dL_k W_n(x_k) is the fixed-point residual
+    score_norm = id_resid = float(np.max(np.abs(dL * (R[:, 0] / ws.n) - 1.0 / ws.n)))
     alpha_free, beta_free = _free_directions(cfg)
     if np.any(alpha_free):
         s1 = ws.transition_stats(est).score(alpha) / ws.n
@@ -413,44 +400,58 @@ def _mstep(ws, est, alpha, beta, cfg: FitConfig, warn: list):
     q_min = q - 1e-13 * (1 + abs(q))  # rounding in q grows with its magnitude
     if stats.objective(alpha_new) < q_min:
         # projection onto the box can break ascent; backtrack toward the old value
-        ok = False
         va, vn = alpha.as_array(), alpha_new.as_array()
         for j in range(1, cfg.step_halving_max + 1):
-            cand = TransitionParams.from_array(va + (vn - va) * 0.5**j)
-            if stats.objective(cand) >= q_min:
-                alpha_new, ok = cand, True
+            alpha_new = TransitionParams.from_array(va + (vn - va) * 0.5**j)
+            if stats.objective(alpha_new) >= q_min:
                 break
-        if not ok:
+        else:
             alpha_new = alpha
 
-    # (beta, hazard): step-halved Newton ascent on the EM objective profiled over the
-    # hazard, l_p(beta) = (beta sum_i delta_i E_i[Z] - sum_k log W_k(beta)) / n, whose
-    # maximizing hazard is dL_k = 1 / W_k; its curvature is centred on each risk set
+    # (beta, hazard): at most `inner_cycles` Newton steps on the EM objective profiled over
+    # the hazard, whose maximizing hazard is dL_k = 1 / W_k at the accepted beta
     dE = float(np.sum(ws.delta * est.E1))
     R = _risk_cols(ws, est, beta)
     _check_wn(ws, R[:, 0])
-    lp = (beta * dE - float(np.sum(np.log(R[:, 0])))) / ws.n
+    prof = _profile(R, dE, beta, ws.n)
     for _ in range(cfg.inner_cycles):
-        m1 = R[:, 1] / R[:, 0]
-        score = (dE - float(np.sum(m1))) / ws.n
-        info = float(np.sum(R[:, 2] / R[:, 0] - m1 * m1)) / ws.n
-        if info <= 0 or abs(score) < 0.05 * cfg.tol_score:
+        if prof[2] <= 0 or abs(prof[1]) < 0.05 * cfg.tol_score:
             break
-        for j in range(cfg.step_halving_max + 1):
-            cand = float(np.clip(beta + score / info * 0.5**j, -cfg.beta_box, cfg.beta_box))
-            if cand == beta:
-                break
-            R_c = _risk_cols(ws, est, cand)
-            lp_c = (cand * dE - float(np.sum(np.log(R_c[:, 0])))) / ws.n
-            if lp_c >= lp - 1e-13 * (1 + abs(lp)):
-                break
-        else:
-            break  # no halving ascends
-        if cand == beta:
-            break  # pinned at the box, or the step no longer moves beta
-        beta, R, lp = cand, R_c, lp_c
+        step = _newton_step(lambda b: _risk_cols(ws, est, b), dE, ws.n, beta, prof,
+                            cfg.beta_box, cfg.step_halving_max)
+        if step is None:
+            break
+        beta, R, prof = step
     _check_wn(ws, R[:, 0])
     return alpha_new, beta, 1.0 / R[:, 0]
+
+
+def _profile(R, dE: float, beta: float, n: int):
+    """The EM objective profiled over the hazard, l_p(beta) = (beta dE - sum_k log W_k) / n,
+    its score and its curvature centred on each risk set, from the risk-set sums W, C, D
+    (K x 3, `_risk_cols`) at beta, where dE = sum_i delta_i E_i[Z].  At atoms pinned at
+    imputed covariate values n l_p is Cox's log partial likelihood (Johansen 1983)."""
+    m1 = R[:, 1] / R[:, 0]
+    return ((beta * dE - float(np.sum(np.log(R[:, 0])))) / n,
+            (dE - float(np.sum(m1))) / n,
+            float(np.sum(R[:, 2] / R[:, 0] - m1 * m1)) / n)
+
+
+def _newton_step(sums, dE: float, n: int, beta: float, prof, box: float, halvings: int):
+    """One step-halved Newton step on l_p from beta, where prof is `_profile` at beta and
+    sums(b) gives the risk-set sums at b: the first of the steps halved 0..halvings times
+    and clipped into [-box, box] that does not lower l_p beyond its rounding, with its sums
+    and profile; None when none does or the step no longer moves beta."""
+    lp, score, info = prof
+    for j in range(halvings + 1):
+        cand = float(np.clip(beta + score / info * 0.5**j, -box, box))
+        if cand == beta:
+            return None
+        R = sums(cand)
+        p = _profile(R, dE, cand, n)
+        if p[0] >= lp - 1e-13 * (1 + abs(lp)):  # rounding in l_p grows with its magnitude
+            return cand, R, p
+    return None
 
 
 def _init_theta(ws: _Workspace, init: Theta | None, cfg: FitConfig):

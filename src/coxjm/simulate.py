@@ -13,13 +13,12 @@ order-independent and bitwise reproducible.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, MeasurementGrid, validate_dataset
-from .exceptions import ValidationError, reading
+from .exceptions import ValidationError, check_fields, reading
 from .transition import TransitionParams
 
 
@@ -36,17 +35,12 @@ class SimConfig:
     truncate_at: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
-        for name in ("grid_step", "tau", "beta0", "lambda0", "censor_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        check_fields(self, ("n",), ("grid_step", "tau", "beta0", "lambda0", "censor_rate"),
+                     {"n": 1, "censor_rate": 0})
         if self.grid_step <= 0:
             raise ValidationError("grid_step must be > 0")
         if self.lambda0 <= 0:
             raise ValidationError("lambda0 must be > 0")
-        if self.censor_rate < 0:
-            raise ValidationError("censor_rate must be >= 0")
         m = self.tau / self.grid_step
         if abs(m - round(m)) > 1e-9 * max(1.0, m) or round(m) < 1:
             raise ValidationError("tau must be a positive multiple of grid_step")

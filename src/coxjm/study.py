@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baseline import partial_lik_fit
-from .exceptions import CoxjmError, SingularOperatorError, ValidationError, reading
+from .exceptions import CoxjmError, SingularOperatorError, ValidationError, check_fields, reading
 from .fit import FitConfig, em_fit
 from .simulate import SimConfig, gen_dataset
 from .variance import BETA_UNIDENTIFIED, _information, beta_probe, var_estimate, z_quantile
@@ -50,15 +50,12 @@ class StudyConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValidationError("replications must be >= 1")
+        check_fields(self, ("replications", "workers"), (), {"replications": 1, "workers": 1})
         if not 0 < self.ci_level < 1:
             raise ValidationError("ci_level must be in (0, 1)")
         bad = set(self.estimators) - set(ESTIMATORS)
         if bad:
             raise ValidationError(f"unknown estimators: {sorted(bad)}")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -76,17 +73,17 @@ class StudyConfig:
         with reading("study config"):
             d = dict(d)
             d["sim"] = SimConfig.from_dict(d["sim"])
-            if "fit" in d and d["fit"] is not None:
-                d["fit"] = FitConfig.from_dict(d["fit"])
-            else:
-                d.pop("fit", None)
+            d["fit"] = FitConfig.from_dict(d.get("fit") or {})
             if "estimators" in d:
                 d["estimators"] = tuple(d["estimators"])
             return StudyConfig(**d)
 
 
 def config_hash(config: StudyConfig) -> str:
-    payload = json.dumps(config.to_dict(), sort_keys=True)
+    """A digest of what fixes the study's rows: not `workers` or `output_dir`."""
+    d = config.to_dict()
+    payload = json.dumps({k: d[k] for k in ("sim", "fit", "replications", "estimators", "ci_level")},
+                         sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -155,13 +152,12 @@ class StudyReport:
     wall_time_s: float
 
 
-def run_study(config: StudyConfig, workers: int | None = None) -> StudyReport:
-    """Run all replications and aggregate per-estimator summary rows."""
+def run_study(config: StudyConfig) -> StudyReport:
+    """Run all replications on `config.workers` processes and aggregate per-estimator summary rows."""
     t0 = time.perf_counter()
-    n_workers = workers if workers is not None else config.workers
     reps = range(config.replications)
-    if n_workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+    if config.workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
             per_rep = list(pool.map(_run_one, [config] * config.replications, reps, chunksize=4))
     else:
         per_rep = [_run_one(config, r) for r in reps]

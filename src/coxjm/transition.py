@@ -40,6 +40,11 @@ class AlphaBox:
     b: tuple[float, float] = (-10.0, 10.0)
     ssq: tuple[float, float] = (VAR_FLOOR, 100.0)
 
+    def __post_init__(self):
+        for name, (lo, hi) in zip(PARAM_NAMES, self.bounds()):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValidationError(f"alpha_box.{name} must be finite with lo <= hi, got {getattr(self, name)!r}")
+
     def bounds(self) -> np.ndarray:
         return np.array([self.mu0, self.s0sq, self.a, self.b, self.ssq], dtype=float)
 

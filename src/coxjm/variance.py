@@ -403,8 +403,8 @@ def var_beta_simple(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> flo
 def ci(fit: FitResult, var_est: float, level: float) -> tuple[float, float]:
     """Wald interval for beta from a variance estimate of sqrt(n)(beta-hat - beta0)."""
     q = z_quantile(level)
-    if var_est <= 0:
-        raise ValidationError("variance estimate must be > 0")
+    if not 0 < var_est < math.inf:
+        raise ValidationError(f"variance estimate must be finite and > 0, got {var_est!r}")
     hw = q * math.sqrt(var_est / fit.n_subjects)
     return fit.theta_hat.beta - hw, fit.theta_hat.beta + hw
 

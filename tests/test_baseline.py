@@ -7,6 +7,7 @@ from oracles import Subject, dataset_of, lvcf_value, stack_atoms, subjects_of
 
 from coxjm import (
     DegenerateRiskSetError,
+    FitConfig,
     MeasurementGrid,
     TransitionParams,
     ValidationError,
@@ -14,8 +15,8 @@ from coxjm import (
     nelson_aalen,
     partial_lik_fit,
 )
-from coxjm.fit import lambda_update
-from coxjm.simulate import SimConfig, gen_dataset
+from coxjm.fit import _mstep, lambda_update
+from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 
 GRID = MeasurementGrid((0.0, 1.0, 2.0))
 GRID0 = MeasurementGrid((0.0,))
@@ -113,6 +114,35 @@ def test_breslow_matches_lambda_update_with_degenerate_atoms():
     hz_em = lambda_update(ds, atoms, beta)
     hz_bl = breslow(ds, beta)
     assert np.allclose(hz_em.jumps, hz_bl.jumps, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_partial_lik_fit_hazard_is_breslow_at_its_beta(seed):
+    # the fit's jumps come from the risk-set sums of its last Newton step, not from a pass of their own
+    cfg = SimConfig(n=200, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
+                    lambda0=0.3, censor_rate=0.2, seed=seed)
+    ds, truths = gen_dataset(cfg)
+    full = fullinfo_dataset(ds, truths)
+    for data, imputation in ((ds, "lvcf"), (full, "lvcf"), (full, "next")):
+        fit = partial_lik_fit(data, imputation=imputation)
+        assert fit.converged and fit.iterations > 1
+        assert fit.breslow == breslow(data, fit.beta_pl, imputation=imputation)
+
+
+def test_mstep_at_point_atoms_is_the_partial_likelihood_fit():
+    # single-point grid, atoms pinned at the LVCF values: the EM objective profiled over the
+    # hazard is the log partial likelihood over n, so the M-step's Newton steps reach the
+    # partial-likelihood beta, and its hazard is Breslow's at the beta it returns
+    cfg = SimConfig(n=200, grid_step=3.0, tau=3.0, alpha0=ALPHA0, beta0=0.7,
+                    lambda0=0.4, censor_rate=0.2, seed=23)
+    ds, _ = gen_dataset(cfg)
+    atoms = stack_atoms(ds, np.array([[lvcf_value(s, s.x, ds.grid)] for s in subjects_of(ds)]),
+                        np.ones((ds.n, 1)))
+    _, beta, dL = _mstep(atoms.ws, atoms, ALPHA0, 0.0, FitConfig(inner_cycles=50, tol_score=1e-12), [])
+    fit = partial_lik_fit(ds)
+    assert fit.converged and abs(fit.beta_pl - 0.7) < 0.5
+    assert abs(beta - fit.beta_pl) <= 1e-10
+    assert tuple(dL) == breslow(ds, beta).jumps
 
 
 def test_partial_lik_boundary_flag():

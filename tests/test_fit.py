@@ -239,6 +239,24 @@ def test_em_fit_fullinfo_matches_partial_likelihood():
     assert dl.max() <= 1e-8
 
 
+@pytest.mark.parametrize("field, value", [
+    ("Q", 20.5), ("max_iter", 2.5), ("inner_cycles", 1.5), ("step_halving_max", -3),
+    ("step_halving_max", 2.0), ("tol_param", math.nan), ("tol_score", math.inf), ("id_tol", math.nan),
+    ("beta_box", math.nan), ("var_floor", 1e-9), ("var_floor", math.nan),
+    ("alpha_box", {"mu0": [-1.0, math.nan]}), ("alpha_box", {"b": [1.0, -1.0]}),
+])
+def test_fit_config_refuses_values_it_cannot_honour(field, value):
+    # the fit would run on them: a NaN beta_box pins beta at 0, a NaN tol_param runs every
+    # map, a negative step_halving_max freezes beta, a fractional Q fails inside the rule
+    with pytest.raises(ValidationError, match=f"^{field}"):
+        FitConfig.from_dict({field: value})
+
+
+def test_fit_config_refuses_an_alpha_box_that_is_not_a_mapping():
+    with pytest.raises(ValidationError, match="^malformed fit config"):
+        FitConfig.from_dict({"alpha_box": [-1.0, 1.0]})
+
+
 def test_em_fit_requires_events():
     subs = (Subject(id=1, x=3.0, delta=0, measurements=(0.0,)),)
     ds = dataset_of(GRID0, subs, 3.0)

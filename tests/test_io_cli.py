@@ -199,13 +199,17 @@ def test_cli_validation_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["fit-config-key", "study-sim-key", "subject-x", "subject-delta",
-                                  "subject-measurements", "invalid-json"])
+                                  "subject-measurements", "fit-config-value", "invalid-json"])
 def test_cli_malformed_document_exits_2_naming_the_key(case, dataset, tmp_path, capsys):
     data, doc = tmp_path / "d.json", tmp_path / "doc.json"
     cio.save_dataset_json(dataset, data)
     if case == "fit-config-key":
         doc.write_text(json.dumps({"max_iters": 5}))
         argv, named = ["fit", "--data", str(data), "--method", "npml", "--config", str(doc)], "max_iters"
+    elif case == "fit-config-value":
+        # a fractional quadrature order is refused before the fit, naming the field
+        doc.write_text(json.dumps({"Q": 20.5}))
+        argv, named = ["fit", "--data", str(data), "--method", "npml", "--config", str(doc)], "Q must be an integer"
     elif case == "study-sim-key":
         sim = _sim_cfg_dict()
         del sim["alpha0"]

@@ -120,14 +120,14 @@ def check_against_oracle(ds, beta, rng):
             assert bool(warn) == warned
 
     # the LVCF comparator's S0, S1, S2, and imputation "next" where the values at risk are observed
-    _close(_risk_sums(*_imputed(ds, "lvcf"), beta), lvcf_risk_sums(ds, lvcf_value, beta),
+    _close(_risk_sums(*_imputed(ds, "lvcf"), beta).T, lvcf_risk_sums(ds, lvcf_value, beta),
            lvcf_risk_sums(ds, lvcf_value, beta, absolute=True))
     if D.lat_mask.any():
         with pytest.raises(ValidationError, match="latent value at risk"):
             _imputed(ds, "next")
     else:
         # every value at risk is stored, so the covariate path is the value due at each interval's end
-        _close(_risk_sums(*_imputed(ds, "next"), beta), lvcf_risk_sums(ds, covariate_at, beta),
+        _close(_risk_sums(*_imputed(ds, "next"), beta).T, lvcf_risk_sums(ds, covariate_at, beta),
                lvcf_risk_sums(ds, covariate_at, beta, absolute=True))
 
 

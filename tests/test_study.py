@@ -102,10 +102,15 @@ def test_study_report_json(tmp_path):
 
 
 def test_workers_give_same_rows():
+    # config_hash included: the worker count does not change what the study computes
     cfg = _study(reps=4, estimators=("npml",))
-    a = run_study(cfg, workers=1)
-    b = run_study(cfg, workers=2)
-    assert a.rows == b.rows
+    assert run_study(cfg).rows == run_study(replace(cfg, workers=2)).rows
+
+
+@pytest.mark.parametrize("field, value", [("replications", 2.5), ("workers", 1.5), ("replications", 0)])
+def test_study_config_refuses_counts_it_cannot_honour(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        replace(_study(), **{field: value})
 
 
 def test_cli_mc_study_and_compare(tmp_path, capsys):

@@ -263,6 +263,12 @@ def test_ci_examples(fitted):
         ci(fit, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("var", [math.nan, math.inf, 0.0, -1.0])
+def test_ci_refuses_a_variance_that_is_not_finite_and_positive(fitted, var):
+    with pytest.raises(ValidationError, match="^variance estimate must be finite and > 0"):
+        ci(fitted[1], var, 0.95)
+
+
 @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
 def test_z_quantile_matches_ndtri(level):
     # the stdlib normal quantile against scipy's ndtri; at 0.95 it gives 1.9599639845400536,
