@@ -54,7 +54,7 @@ def _imputed(dataset: Dataset, imputation: str):
 
 def _risk_sums(ws, v, z, beta):
     """S0, S1, S2 (K x 3): sums of v^m e^{beta v} over each event's risk set."""
-    S = ws.cols(ws.interval_sums(v, beta)[1], np.column_stack(_exp_powers(z, beta)))
+    S = ws.cols(ws.interval_sums(v, beta), np.column_stack(_exp_powers(z, beta)))
     _check_wn(ws, S[:, 0])
     return S
 
@@ -68,8 +68,9 @@ def partial_lik_fit(dataset: Dataset, imputation: str = "lvcf", beta_box: float 
     non-converged.  Newton stops, after at most 100 steps, when the decrement
     |score| / sqrt(info), the next step in standard errors of beta, is at most 1e-12; its
     rounding floor grows like sqrt(K), the score's (a sum) like K.  `loglik`, `score` and
-    `information` are sums over the events.
+    `information` are sums over the events.  `beta_box` must be finite and >= 0.
     """
+    halvings = FitConfig(beta_box=beta_box).step_halving_max  # refuses a box FitConfig refuses
     ws, v, z = _imputed(dataset, imputation)
     sums = partial(_risk_sums, ws, v, z)
     n, dE = ws.n, float(np.sum(ws.delta * z))
@@ -80,7 +81,7 @@ def partial_lik_fit(dataset: Dataset, imputation: str = "lvcf", beta_box: float 
     for it in range(1, 101):
         if prof[2] <= 0:
             raise ValidationError("log partial likelihood is not concave at an iterate")
-        step = _newton_step(sums, dE, n, beta, prof, beta_box, FitConfig.step_halving_max)
+        step = _newton_step(sums, dE, n, beta, prof, beta_box, halvings)
         if step is not None:
             beta, R, prof = step
         converged = n * prof[1] * prof[1] <= 1e-24 * prof[2]

@@ -194,19 +194,17 @@ class _Workspace:
 
     def transition_stats(self, est: "Posterior") -> TransitionStats:
         """The observed histories' statistics merged with the terminal transitions
-        z_pred -> latent value, integrated over `est`'s atoms."""
-        return self.obs.merge(TransitionStats.of((), self.z_pred, est.E1, est.V))
+        z_pred -> latent value, integrated over `est`'s atoms (kept on `est`)."""
+        if est._stats is None:
+            est._stats = self.obs.merge(TransitionStats.of((), self.z_pred, est.E1, est.V))
+        return est._stats
 
-    def interval_sums(self, v: np.ndarray, beta: float):
-        """e^{beta v} of values v on the observed entries, and per grid interval
-        the sums of v^m e^{beta v}, m = 0, 1, 2 (J x 3), each a reduction over the
-        interval's segment (0 for an interval without entries)."""
-        e = exp_clipped(np.multiply(v, beta))
-        f = v * e
-        S = [self._segment_sums(e), self._segment_sums(f)]
-        f *= v
-        S.append(self._segment_sums(f))
-        return e, np.stack(S, axis=1)
+    def interval_sums(self, v: np.ndarray, beta: float) -> np.ndarray:
+        """Per grid interval, the sums of v^m e^{beta v}, m = 0, 1, 2 (J x 3), of values v
+        on the observed entries, each a reduction over the interval's segment (0 for an
+        interval without entries)."""
+        f = exp_clipped(np.multiply(v, beta))  # times v in place: v e^{beta v}, then v^2 e^{beta v}
+        return np.stack([self._segment_sums(np.multiply(f, v, out=f) if m else f) for m in range(3)], axis=1)
 
     def _segment_sums(self, f: np.ndarray) -> np.ndarray:
         """Per grid interval, the sum of f over its observed entries."""
@@ -215,11 +213,12 @@ class _Workspace:
             out[: self._segments.size] = np.add.reduceat(f, self._segments)
         return out
 
-    def obs_mats(self, beta: float):
+    def obs_mats(self, beta: float) -> np.ndarray:
         """`interval_sums` of the observed values, kept for the last beta (an EM
         iteration asks for one beta from the E-step, the M-step and the certificate)."""
         if beta != self._obs_beta:
             self._obs_beta, self._obs = beta, self.interval_sums(self.t_next, beta)
+            self._obs.flags.writeable = False  # shared by every caller at this beta
         return self._obs
 
     def masses(self, dL: np.ndarray):
@@ -232,15 +231,13 @@ class _Workspace:
         return (np.bincount(self.a_e, weights=dL, minlength=self.J),
                 pad[self._cell[0][self.K:]])
 
-    def splits(self, beta: float, dL: np.ndarray):
-        """Per subject: hazard mass times e^{beta z} where z is observed (a_obs), latent mass (a_lat)."""
+    def mass_split(self, beta: float, dL: np.ndarray):
+        """The hazard mass times e^{beta z} where z is observed, summed over the subjects
+        (sum_j H_j S_j0, plus e^{beta z_extra} P where stored), and each subject's latent mass."""
         H, P = self.masses(dL)
-        # (astype: bincount returns integers when there is no observed entry)
-        h = np.repeat(H, self.t_count)
-        h *= self.obs_mats(beta)[0]
-        a_obs = np.bincount(self.t_sub, h, self.n).astype(float, copy=False)
-        x = self.extra_rows
-        a_obs[x] += exp_clipped(beta * self.z_extra[x]) * P[x]
+        x, m = self.extra_rows, self._segments.size  # entries lie in j < m: no 0 * inf past them
+        with np.errstate(over="ignore"):  # an overflowing mass is inf; `_loglik` names its subject
+            a_obs = float(H[:m] @ self.obs_mats(beta)[:m, 0]) + float(exp_clipped(beta * self.z_extra[x]) @ P[x])
         return a_obs, np.where(self.has_extra, 0.0, P)
 
     def cols(self, S, g) -> np.ndarray:
@@ -269,13 +266,14 @@ class Posterior:
 
     `nodes` and `weights` (n x Q) are the atoms: mode-recentred Gauss-Hermite nodes, or a
     stored terminal value repeated with weight one on the first.  `log_norm` is the log of
-    each subject's integral factor, `a_obs` and `a_lat` its hazard mass on observed and
-    latent values, `E1` and `V` the posterior mean and variance.  Sums over nodes run along
-    the subjects of the transposes.
+    each subject's integral factor, `a_lat` its hazard mass on latent values, `a_obs` the total
+    over subjects of hazard mass times e^{beta z} on observed values, `E1` and `V` the posterior
+    mean and variance.  Sums over nodes run along the subjects of the transposes.  The
+    exponential moments and risk-set sums are kept read-only for the last beta asked.
     """
 
     __slots__ = ("ws", "nodes", "weights", "log_norm", "a_obs", "a_lat", "E1", "V", "mode", "sd",
-                 "_moments_beta", "_moments")
+                 "_moments_beta", "_moments", "_risk_beta", "_risk", "_stats")
 
     def __init__(self, ws, nodes, weights, log_norm, a_obs, a_lat, mode=None, sd=None):
         self.ws = ws
@@ -290,7 +288,7 @@ class Posterior:
         self.E1 = np.sum(wz, axis=0)
         # posterior variance E[Z^2] - E[Z]^2: the cancellation stays within one subject's term
         self.V = np.sum(np.multiply(wz, nodes.T, out=wz), axis=0) - self.E1**2
-        self._moments_beta = None
+        self._moments_beta = self._risk_beta = self._stats = None
 
     def exp_moments(self, beta: float) -> np.ndarray:
         """E[Z^m e^{bZ}], m = 0, 1, 2 (n x 3) at the current beta (kept for the last beta)."""
@@ -303,6 +301,7 @@ class Posterior:
                 if j:
                     t *= z
                 m[:, j] = np.sum(t, axis=0)
+            m.flags.writeable = False
             self._moments_beta, self._moments = beta, m
         return self._moments
 
@@ -311,7 +310,7 @@ def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray,
            modes=None) -> Posterior:
     """The E-step at (alpha, beta, dL) with a Q-node rule; `modes`, the (mode, sd) of a
     posterior at the same parameter, skips the mode search."""
-    a_obs, a_lat = ws.splits(beta, dL)
+    a_obs, a_lat = ws.mass_split(beta, dL)
     mean = alpha.a + alpha.b * ws.z_pred
     nodes, weights, mode, sd, log_norm = batch_posterior(ws.delta, a_lat, mean, alpha.ssq, beta, Q,
                                                          ids=ws.ids, modes=modes)
@@ -324,12 +323,17 @@ def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray,
     return Posterior(ws, nodes, weights, log_norm, a_obs, a_lat, mode, sd)
 
 
-def _loglik(ws: _Workspace, alpha: TransitionParams, dL: np.ndarray, est: Posterior) -> float:
+def _loglik(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray, est: Posterior) -> float:
     out = float(np.sum(np.log(dL)))
-    out += float(np.sum(-est.a_obs + est.log_norm))
+    out += float(np.sum(est.log_norm)) - est.a_obs
     out += ws.obs.objective(alpha)
     if not math.isfinite(out):
-        bad = np.flatnonzero(~np.isfinite(-est.a_obs + est.log_norm))
+        # the observed mass per subject, derived only here, to name the first subject at fault
+        H, P = ws.masses(dL)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_obs = np.where(ws.has_extra, exp_clipped(beta * ws.z_extra) * P, 0.0)
+            a_obs += np.bincount(ws.t_sub, np.repeat(H, ws.t_count) * exp_clipped(beta * ws.t_next), ws.n)
+            bad = np.flatnonzero(~np.isfinite(est.log_norm - a_obs))
         sid = ws.ids[bad[0]] if bad.size else "?"
         raise ValidationError(f"non-finite log likelihood (subject {sid!r})")
     return out
@@ -355,7 +359,7 @@ def _quadrature_check(ws, state, Q: int) -> QuadratureCheck:
     return QuadratureCheck(
         order=2 * Q,
         log_norm=float(np.max(np.abs(fine.log_norm - est.log_norm))),
-        loglik=_loglik(ws, alpha, dL, fine) - ll,
+        loglik=_loglik(ws, alpha, beta, dL, fine) - ll,
         score_beta=(_score_beta(ws, fine, _risk_cols(ws, fine, beta), dL)
                     - _score_beta(ws, est, _risk_cols(ws, est, beta), dL)),
     )
@@ -386,8 +390,12 @@ def _certificate(ws, est, alpha, beta, dL, cfg: FitConfig):
 
 
 def _risk_cols(ws, est, beta):
-    """Per event time, the risk-set sums W, C, D of E[Z^m e^{beta Z}], m = 0, 1, 2 (K x 3)."""
-    return ws.cols(ws.obs_mats(beta)[1], est.exp_moments(beta))
+    """Per event time, the risk-set sums W, C, D of E[Z^m e^{beta Z}], m = 0, 1, 2 (K x 3),
+    kept on `est` for the last beta (the certificate's sums serve the next M-step)."""
+    if beta != est._risk_beta:
+        est._risk_beta, est._risk = beta, ws.cols(ws.obs_mats(beta), est.exp_moments(beta))
+        est._risk.flags.writeable = False
+    return est._risk
 
 
 def _mstep(ws, est, alpha, beta, cfg: FitConfig, warn: list):
@@ -500,7 +508,7 @@ def _em_map(ws, state, cfg: FitConfig, warn: list, it: int):
     alpha, beta, dL, est, ll = state
     a_new, b_new, dL_new = _mstep(ws, est, alpha, beta, cfg, warn)
     est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
-    ll_new = _loglik(ws, a_new, dL_new, est_new)
+    ll_new = _loglik(ws, a_new, b_new, dL_new, est_new)
     if ll_new < ll - ASCENT_TOL:
         quad = _quadrature_check(ws, (a_new, b_new, dL_new, est_new, ll_new), cfg.Q)
         raise AscentError(f"observed log likelihood dropped by {ll - ll_new:.6g} "
@@ -543,7 +551,7 @@ def _extrapolate(ws, cycle, ll: float, cfg: FitConfig):
     dL = np.exp(x[6:])
     try:
         est = _estep(ws, alpha, beta, dL, cfg.Q)
-        ll_x = _loglik(ws, alpha, dL, est)
+        ll_x = _loglik(ws, alpha, beta, dL, est)
     except (ModeSearchError, ValidationError):  # a non-finite mode or loglik
         return None
     return (alpha, beta, dL, est, ll_x) if ll_x >= ll - ASCENT_TOL else None
@@ -560,7 +568,7 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
 
     alpha, beta, dL = _init_theta(ws, init, cfg)
     est = _estep(ws, alpha, beta, dL, cfg.Q)
-    state = (alpha, beta, dL, est, _loglik(ws, alpha, dL, est))
+    state = (alpha, beta, dL, est, _loglik(ws, alpha, beta, dL, est))
     trace = [state[4]]
     converged = False
     score_norm = math.inf
@@ -662,7 +670,7 @@ def estep_atoms(dataset: Dataset, theta: Theta, Q: int = Q_DEFAULT) -> Posterior
 def observed_loglik(dataset: Dataset, theta: Theta, Q: int = Q_DEFAULT) -> float:
     """Observed-data log likelihood of theta, by mode-recentered quadrature."""
     post = estep_atoms(dataset, theta, Q)
-    return _loglik(post.ws, theta.alpha, np.asarray(theta.hazard.jumps, dtype=float), post)
+    return _loglik(post.ws, theta.alpha, theta.beta, np.asarray(theta.hazard.jumps, dtype=float), post)
 
 
 def score_full(dataset: Dataset, theta: Theta, h, Q: int = Q_DEFAULT, atoms: Posterior | None = None) -> float:

@@ -128,9 +128,9 @@ def fit_to_dict(fit: FitResult, method: str = "npml") -> dict:
 
 def baseline_fit_to_dict(bl: BaselineFit, n_subjects: int) -> dict:
     """An LVCF partial-likelihood fit in the same layout, with no transition parameters and
-    no quadrature."""
+    no quadrature; its `score_norm` is |score| / n, per subject as the NPML fit's."""
     return _fit_doc("lvcf-cox", None, bl.beta_pl, bl.breslow, [bl.loglik], bl.converged,
-                    abs(bl.score), bl.iterations, n_subjects, bl.flags, None)
+                    abs(bl.score) / n_subjects, bl.iterations, n_subjects, bl.flags, None)
 
 
 def _fit_doc(method, alpha, beta, hazard, trace, converged, score_norm, iterations, n_subjects,

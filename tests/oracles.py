@@ -424,11 +424,12 @@ def oracle_moments(subject: Subject, theta: Theta, g, resolution: int,
 
 def stack_atoms(dataset, nodes, weights, beta=0.0, dL=None) -> Posterior:
     """A `Posterior` on a new workspace of `dataset` from hand-made atoms (n x Q nodes and
-    weights, one row per subject), with the hazard splits at (beta, dL) (dL zero if None)."""
+    weights, one row per subject), with the observed total and latent hazard masses at
+    (beta, dL) (dL zero if None)."""
     ws = _Workspace(dataset)
     dL = np.zeros(ws.K) if dL is None else np.asarray(dL, dtype=float)
     nodes, weights = (np.asarray(v, dtype=float) for v in (nodes, weights))
-    return Posterior(ws, nodes, weights, np.zeros(ws.n), *ws.splits(beta, dL))
+    return Posterior(ws, nodes, weights, np.zeros(ws.n), *ws.mass_split(beta, dL))
 
 
 def dense_operator(op) -> np.ndarray:

@@ -174,6 +174,16 @@ def test_partial_lik_degenerate_risk_set_names_event_time():
     assert exc.value.time == 1.5
 
 
+@pytest.mark.parametrize("box", [math.nan, math.inf, -1.0])
+def test_partial_lik_fit_refuses_a_bad_beta_box(box):
+    # refused as FitConfig refuses it; unchecked, nan failed at the first event time as a
+    # degenerate risk set and -1 returned beta 0
+    ds, _ = gen_dataset(SimConfig(n=200, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
+                                  lambda0=0.3, censor_rate=0.2, seed=0))
+    with pytest.raises(ValidationError, match="beta_box"):
+        partial_lik_fit(ds, beta_box=box)
+
+
 def test_imputation_must_be_lvcf_or_next():
     ds = dataset_of(GRID0, [Subject(id=1, x=0.5, delta=1, measurements=(0.3,))], 3.0)
     with pytest.raises(ValidationError, match="^imputation must be 'lvcf' or 'next', got 'locf'"):

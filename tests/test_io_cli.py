@@ -141,7 +141,7 @@ def test_cli_lvcf_fit_document(dataset, tmp_path):
         "method": "lvcf-cox", "alpha": None, "beta": bl.beta_pl,
         "hazard": {"times": list(bl.breslow.times), "jumps": list(bl.breslow.jumps)},
         "loglik_trace": [bl.loglik], "loglik": bl.loglik, "converged": True,
-        "score_norm": abs(bl.score), "iterations": bl.iterations, "n_subjects": dataset.n,
+        "score_norm": abs(bl.score) / dataset.n, "iterations": bl.iterations, "n_subjects": dataset.n,
         "warnings": [], "quadrature": None,
     }
     assert list(doc) == list(cio.fit_to_dict(em_fit(dataset)))

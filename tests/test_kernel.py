@@ -37,10 +37,11 @@ from coxjm import (
     nelson_aalen,
 )
 from coxjm.baseline import _imputed, _risk_sums
-from coxjm.fit import (Q_DEFAULT, _Workspace, _boundedness_check, _estep, _init_theta, _risk_cols,
-                       _score_beta, estep_atoms)
+from coxjm.fit import (Q_DEFAULT, _Workspace, _boundedness_check, _estep, _init_theta, _mstep,
+                       _risk_cols, _score_beta, estep_atoms, observed_loglik)
 from coxjm.posterior import EXP_CLIP
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
+from coxjm.transition import TransitionStats
 from coxjm.variance import _information, _latent_covariances
 
 TAU = 3.0
@@ -61,7 +62,7 @@ def _close(got, want, scale):
 
 
 def _atoms(rng, ds, beta, dL, Q=3):
-    """Random atoms, one row of Q per subject, with the hazard splits at (beta, dL); a stored
+    """Random atoms, one row of Q per subject, with the hazard masses at (beta, dL); a stored
     terminal value is one atom of weight one, as `_estep` writes it."""
     nodes, weights = np.empty((ds.n, Q)), np.empty((ds.n, Q))
     for i, s in enumerate(subjects_of(ds)):
@@ -79,9 +80,10 @@ def check_against_oracle(ds, beta, rng):
     est = _atoms(rng, ds, beta, dL)
     ws = est.ws
 
-    # row sums: each subject's observed and latent hazard mass
+    # row sums: each subject's latent hazard mass, and the observed mass summed over subjects
     a_obs, a_lat = D.splits(beta, dL)
-    _close(est.a_obs, a_obs, a_obs)
+    assert np.ndim(est.a_obs) == 0
+    _close(est.a_obs, a_obs.sum(), a_obs.sum())
     _close(est.a_lat, a_lat, a_lat)
 
     # column sums W_n, C_n, D_n, and the beta score and objective terms
@@ -247,24 +249,77 @@ def test_estep_matches_per_subject_atoms(beta):
 
 
 def test_estep_mode_search_error_names_subject():
-    ds = _mixed_named()
-    ws = _Workspace(ds)
+    # the tau-heavy dataset's last interval holds events but no observed entry: an infinite
+    # jump there must meet no 0 * inf in the observed total
+    for ds in (_mixed_named(), _tau_heavy()):
+        ws = _Workspace(ds)
+        jumps = np.asarray(nelson_aalen(ds).jumps)
+        subjects = subjects_of(ds)
+        for k in range(ws.K):
+            # an infinite jump gives every subject whose latent window holds it an infinite
+            # latent mass, and so a non-finite mode; the error names the first of them.  A
+            # stored terminal value has no latent mass, so with none latent there is no error
+            t = ws.xe[k]
+            latent = [s.id for s in subjects if t <= s.x and covariate_at(s, t, ds.grid) is None]
+            dL = jumps.copy()
+            dL[k] = np.inf
+            if not latent:
+                assert np.all(np.isfinite(_estep(ws, ALPHA0, 0.8, dL, 40).a_lat))
+                continue
+            with pytest.raises(ModeSearchError) as err:
+                _estep(ws, ALPHA0, 0.8, dL, 40)
+            assert err.value.subject_id == latent[0] != ds.ids[0]
+
+
+def test_loglik_error_names_subject_whose_observed_mass_overflows():
+    # every terminal value stored, so there is no latent mass: a jump of 1e308 overflows the
+    # observed mass of the subjects whose observed values at risk there are large enough,
+    # and the error names the first of them, as the dense oracle's per-subject masses give
+    # it; when only their sum overflows, no one subject is named
+    ds = replace(_mixed(0.25, 1), ids=[f"s{i:02d}" for i in range(40)])
     jumps = np.asarray(nelson_aalen(ds).jumps)
-    subjects = subjects_of(ds)
-    for k in range(ws.K):
-        # an infinite jump gives every subject whose latent window holds it an infinite
-        # latent mass, and so a non-finite mode; the error names the first of them.  A
-        # stored terminal value has no latent mass, so with none latent there is no error
-        t = ws.xe[k]
-        latent = [s.id for s in subjects if t <= s.x and covariate_at(s, t, ds.grid) is None]
+    named = []
+    for k in range(jumps.size):
         dL = jumps.copy()
-        dL[k] = np.inf
-        if not latent:
-            assert np.all(np.isfinite(_estep(ws, ALPHA0, 0.8, dL, 40).a_lat))
-            continue
-        with pytest.raises(ModeSearchError) as err:
-            _estep(ws, ALPHA0, 0.8, dL, 40)
-        assert err.value.subject_id == latent[0] != ds.ids[0]
+        dL[k] = 1e308
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~np.isfinite(DenseRisk(ds).splits(0.8, dL)[0]))
+        want = ds.ids[bad[0]] if bad.size else "?"
+        theta = Theta(alpha=ALPHA0, beta=0.8, hazard=SieveHazard(ds.event_times(), tuple(dL)))
+        try:
+            ll = observed_loglik(ds, theta)
+        except ValidationError as err:
+            assert str(err) == f"non-finite log likelihood (subject {want!r})"
+            named.append(want)
+        else:
+            assert not bad.size and math.isfinite(ll)
+    assert len(set(named) - {"?"}) > 1
+
+
+def test_posterior_keeps_risk_sums_for_its_last_beta():
+    # the risk-set sums and transition statistics are kept on the posterior, read-only; the
+    # M-step's Newton candidates ask for other betas, after which each beta's sums are again
+    # those computed afresh
+    ds, _ = _sim(200, 0.25, seed=3)
+    ws, cfg = _Workspace(ds), FitConfig()
+    alpha, beta, dL = _init_theta(ws, None, cfg)
+    est = _estep(ws, alpha, beta, dL, cfg.Q)
+
+    def fresh(b):
+        return ws.cols(ws.interval_sums(ws.t_next, b), latent_moments(est.nodes, est.weights, b))
+
+    R = _risk_cols(ws, est, beta)
+    assert _risk_cols(ws, est, beta) is R and np.array_equal(R, fresh(beta))
+    for cached in (R, ws.obs_mats(beta), est.exp_moments(beta)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
+    b_new = _mstep(ws, est, alpha, beta, cfg, [])[1]
+    assert b_new != beta
+    for b in (b_new, beta, b_new):
+        assert np.array_equal(_risk_cols(ws, est, b), fresh(b))
+    stats = ws.transition_stats(est)
+    assert ws.transition_stats(est) is stats
+    assert stats == ws.obs.merge(TransitionStats.of((), ws.z_pred, est.E1, est.V))
 
 
 def test_em_fit_invariant_under_subject_permutation():
@@ -310,9 +365,8 @@ def test_interval_sums_clip_matches_unfused(beta, clipped):
     v = ws.t_next.copy()
     v[::5] = 75.0
     assert bool(np.any(beta * v > EXP_CLIP)) == clipped
-    e, S = ws.interval_sums(v, beta)
+    S = ws.interval_sums(v, beta)
     F = _powers(v, beta, 1.0)
-    assert np.array_equal(e, F[0])
     # the same segment reduction over the unfused powers: the entries are interval-major,
     # t_count per interval, and an interval without entries sums to 0
     seen = np.flatnonzero(ws.t_count)
