@@ -331,9 +331,16 @@ def _loglik(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray
         # the observed mass per subject, derived only here, to name the first subject at fault
         H, P = ws.masses(dL)
         with np.errstate(over="ignore", invalid="ignore"):
-            a_obs = np.where(ws.has_extra, exp_clipped(beta * ws.z_extra) * P, 0.0)
+            g = np.where(ws.has_extra, exp_clipped(beta * ws.z_extra), 0.0)
+            a_obs = np.where(ws.has_extra, g * P, 0.0)
             a_obs += np.bincount(ws.t_sub, np.repeat(H, ws.t_count) * exp_clipped(beta * ws.t_next), ws.n)
             bad = np.flatnonzero(~np.isfinite(est.log_norm - a_obs))
+            if not bad.size and not math.isfinite(est.a_obs):
+                # every subject's mass is finite but not their total: name the event time
+                # whose jump times its risk set's observed e^{beta z} is largest
+                k = int(np.argmax(dL * ws.cols(ws.obs_mats(beta)[:, 0], g)))
+                raise ValidationError(f"non-finite log likelihood (observed hazard mass overflows at "
+                                      f"event time {float(ws.xe[k])!r})")
         sid = ws.ids[bad[0]] if bad.size else "?"
         raise ValidationError(f"non-finite log likelihood (subject {sid!r})")
     return out

@@ -101,22 +101,16 @@ def load_dataset_csv(subjects_path, measurements_path, grid_times, tau) -> Datas
     return dataset_from_dict({"grid": grid_times, "tau": tau, "subjects": subjects})
 
 
-def save_truths_csv(truths, path) -> None:
+def save_truths_csv(truths: SimTruth, path) -> None:
+    cols = (map(repr, v.tolist()) for v in (truths.latent_z, truths.event_time, truths.censor_time))
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "latent_z", "T", "C"])
-        for t in truths:
-            w.writerow([t.subject_id, repr(float(t.latent_z)),
-                        repr(float(t.event_time)), repr(float(t.censor_time))])
+        csv.writer(f).writerows([("id", "latent_z", "T", "C"), *zip(truths.ids, *cols)])
 
 
-def load_truths_csv(path) -> tuple[SimTruth, ...]:
-    out = []
+def load_truths_csv(path) -> SimTruth:
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            out.append(SimTruth(subject_id=_csv_id(row["id"]), latent_z=float(row["latent_z"]),
-                                event_time=float(row["T"]), censor_time=float(row["C"])))
-    return tuple(out)
+        rows = list(csv.DictReader(f))
+    return SimTruth([_csv_id(r["id"]) for r in rows], *([float(r[k]) for r in rows] for k in ("latent_z", "T", "C")))
 
 
 def fit_to_dict(fit: FitResult, method: str = "npml") -> dict:

@@ -9,8 +9,9 @@ the risk indicator, its observed and latent parts, and the observed covariate
 value.  It takes O(n K) memory, so it serves small test datasets only.
 `lvcf_risk_sums` evaluates the comparator's imputation one (subject, event
 time) pair at a time through the scalar value functions.  `scalar_gen_dataset`
-is the simulator drawn one `rng.normal` call per chain value, with each event
-time inverted interval by interval (`piecewise_exp_time`).
+is the simulator drawn one `rng.normal` call per chain value, each subject from
+its own `SeedSequence` (`subject_stream`), with each event time inverted interval
+by interval (`piecewise_exp_time`).
 `log_joint_density`, `score_alpha` and `hessian_alpha` are the transition
 model's log density and its derivatives for one measurement sequence, written
 out residual by residual.  `batch_loglik` is the observed-data log likelihood
@@ -34,7 +35,7 @@ from coxjm.exceptions import ValidationError
 from coxjm.fit import Posterior, _Workspace
 from coxjm.io import dataset_from_dict
 from coxjm.posterior import EXP_CLIP, _batch_modes, batch_posterior
-from coxjm.simulate import SimTruth, make_grid, subject_stream
+from coxjm.simulate import SimTruth, make_grid
 from coxjm.transition import TransitionParams, gauss_logpdf
 
 
@@ -226,6 +227,11 @@ def piecewise_exp_time(e: float, rates, step: float, tau: float) -> float:
     return math.inf
 
 
+def subject_stream(seed: int, index: int) -> np.random.Generator:
+    """Subject `index`'s stream: NumPy's SeedSequence spawned at the index."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
 def scalar_gen_dataset(config):
     """gen_dataset with one rng.normal call per chain value, subject by subject."""
     subjects, truths = [], []
@@ -242,8 +248,10 @@ def scalar_gen_dataset(config):
         x = min(t, c)
         a_x = last_index(x, make_grid(config))
         subjects.append(Subject(id=i, x=x, delta=int(t <= c), measurements=tuple(z[: a_x + 1])))
-        truths.append(SimTruth(subject_id=i, latent_z=float(z[a_x + 1]), event_time=t, censor_time=c))
-    return validate_dataset(dataset_of(make_grid(config), subjects, config.tau), jitter_ties=True), tuple(truths)
+        truths.append((float(z[a_x + 1]), t, c))
+    latent_z, event_time, censor_time = zip(*truths)
+    return (validate_dataset(dataset_of(make_grid(config), subjects, config.tau), jitter_ties=True),
+            SimTruth(ids=range(config.n), latent_z=latent_z, event_time=event_time, censor_time=censor_time))
 
 
 def log_joint_density(values, alpha) -> float:

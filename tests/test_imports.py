@@ -1,4 +1,5 @@
-"""Import footprint: what importing and running coxjm loads of scipy.
+"""Import footprint: what importing and running coxjm loads of scipy, and that importing
+it does not load numpy.random (the simulator loads it at its first call).
 
 Each check runs in a fresh interpreter, since the test process itself has
 imported scipy.  scipy.linalg is loaded only when a variance operator is
@@ -24,6 +25,7 @@ def loaded():
 stages = {}
 import coxjm, coxjm.cli, coxjm.io, coxjm.study
 stages["import"] = loaded()
+stages["numpy.random at import"] = "numpy.random" in sys.modules
 from coxjm import SimConfig, TransitionParams, em_fit, gen_dataset, partial_lik_fit, variance_report
 cfg = SimConfig(n=60, grid_step=0.25, tau=3.0, alpha0=TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25),
                 beta0=1.0, lambda0=0.3, censor_rate=0.2, seed=3)
@@ -50,7 +52,7 @@ def _stages(tmp_path) -> dict:
 
 def test_scipy_is_loaded_only_by_the_variance(tmp_path):
     stages = _stages(tmp_path)
-    assert stages["import"] == []
+    assert stages["import"] == [] and not stages["numpy.random at import"]
     assert stages["simulate, JSON round trip, lvcf"] == []
     late = stages["npml and variance"]
     assert "scipy.linalg" in late

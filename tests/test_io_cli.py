@@ -18,7 +18,7 @@ from coxjm import (
 )
 from coxjm import io as cio
 from coxjm.cli import main
-from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
+from coxjm.simulate import SimConfig, SimTruth, fullinfo_dataset, gen_dataset
 
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
 
@@ -97,10 +97,20 @@ def test_truths_csv_round_trip(tmp_path):
     p = tmp_path / "truths.csv"
     cio.save_truths_csv(truths, p)
     back = cio.load_truths_csv(p)
-    assert [t.subject_id for t in back] == [t.subject_id for t in truths]
-    for a, b in zip(back, truths):
-        assert a.latent_z == b.latent_z
-        assert a.event_time == b.event_time or (math.isinf(a.event_time) and math.isinf(b.event_time))
+    assert back == truths and back.ids == ds.ids
+    assert np.any(np.isinf(back.event_time))
+    cio.save_truths_csv(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == p.read_bytes()
+
+
+def test_truths_csv_layout(tmp_path):
+    # one row per subject: its id, then each value's shortest round-trip repr
+    truths = SimTruth(ids=(0, "a7"), latent_z=[0.1, -2.0], event_time=[math.inf, 1.5], censor_time=[3, 0.25])
+    cio.save_truths_csv(truths, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == b"id,latent_z,T,C\r\n0,0.1,inf,3.0\r\na7,-2.0,1.5,0.25\r\n"
+    assert cio.load_truths_csv(tmp_path / "t.csv") == truths
+    # equality is exact, value by value
+    assert truths != replace(truths, latent_z=[0.1, math.nextafter(-2.0, 0.0)])
 
 
 def test_json_dataset_with_csv_truths(tmp_path):
@@ -196,6 +206,14 @@ def test_cli_validation_exit_codes(tmp_path):
     bad_grid = tmp_path / "bad_grid.json"
     bad_grid.write_text(json.dumps(_sim_cfg_dict(tau=1.1)))
     assert main(["simulate", "--config", str(bad_grid), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_cli_simulate_refuses_a_bad_seed(seed, tmp_path, capsys):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps(_sim_cfg_dict(seed=seed)))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "seed must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["fit-config-key", "study-sim-key", "subject-x", "subject-delta",

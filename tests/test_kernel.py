@@ -275,25 +275,31 @@ def test_loglik_error_names_subject_whose_observed_mass_overflows():
     # every terminal value stored, so there is no latent mass: a jump of 1e308 overflows the
     # observed mass of the subjects whose observed values at risk there are large enough,
     # and the error names the first of them, as the dense oracle's per-subject masses give
-    # it; when only their sum overflows, no one subject is named
-    ds = replace(_mixed(0.25, 1), ids=[f"s{i:02d}" for i in range(40)])
-    jumps = np.asarray(nelson_aalen(ds).jumps)
-    named = []
-    for k in range(jumps.size):
-        dL = jumps.copy()
-        dL[k] = 1e308
-        with np.errstate(over="ignore"):
-            bad = np.flatnonzero(~np.isfinite(DenseRisk(ds).splits(0.8, dL)[0]))
-        want = ds.ids[bad[0]] if bad.size else "?"
-        theta = Theta(alpha=ALPHA0, beta=0.8, hazard=SieveHazard(ds.event_times(), tuple(dL)))
-        try:
-            ll = observed_loglik(ds, theta)
-        except ValidationError as err:
-            assert str(err) == f"non-finite log likelihood (subject {want!r})"
-            named.append(want)
-        else:
-            assert not bad.size and math.isfinite(ll)
-    assert len(set(named) - {"?"}) > 1
+    # it; when only their sum overflows, it names the event time whose jump times its risk
+    # set's observed e^{beta z} is largest, the one given the large jump.  In the tau-heavy
+    # dataset the last interval's events reach only stored terminal values.
+    named = {}
+    for ds, big in ((replace(_mixed(0.25, 1), ids=[f"s{i:02d}" for i in range(40)]), 1e308), (_tau_heavy(), 3e307)):
+        jumps = np.asarray(nelson_aalen(ds).jumps)
+        dense = DenseRisk(ds)
+        for k in range(jumps.size):
+            dL = jumps.copy()
+            dL[k] = big
+            with np.errstate(over="ignore"):
+                bad = np.flatnonzero(~np.isfinite(dense.splits(0.8, dL)[0]))
+                assert int(np.argmax(dL * dense.cols(0.8, np.zeros((ds.n, 3)))[:, 0])) == k
+            want = (f"subject {ds.ids[bad[0]]!r}" if bad.size
+                    else f"observed hazard mass overflows at event time {float(dense.xe[k])!r}")
+            theta = Theta(alpha=ALPHA0, beta=0.8, hazard=SieveHazard(ds.event_times(), tuple(dL)))
+            try:
+                ll = observed_loglik(ds, theta)
+            except ValidationError as err:
+                assert str(err) == f"non-finite log likelihood ({want})"
+                named.setdefault(big, []).append(want)
+            else:
+                assert not bad.size and math.isfinite(ll)
+    assert sum(w.startswith("subject") for w in set(named[1e308])) > 1
+    assert all(any(w.startswith("observed") for w in v) for v in named.values())
 
 
 def test_posterior_keeps_risk_sums_for_its_last_beta():

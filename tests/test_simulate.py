@@ -11,7 +11,8 @@ from coxjm import MeasurementGrid, TransitionParams, ValidationError
 from coxjm.baseline import nelson_aalen
 from coxjm.data import Theta
 from coxjm.fit import estep_atoms
-from coxjm.simulate import SimConfig, _event_times, fullinfo_dataset, gen_dataset, make_grid
+from coxjm.simulate import SimConfig, SimTruth, _event_times, fullinfo_dataset, gen_dataset, make_grid, stream_words
+from coxjm.study import derive_rep_seed
 
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
 
@@ -21,6 +22,11 @@ def _cfg(**kw):
                 lambda0=0.3, censor_rate=0.0, seed=0)
     base.update(kw)
     return SimConfig(**base)
+
+
+def _rows(truths, rows):
+    """The truths of the subjects `rows` (a slice)."""
+    return SimTruth(truths.ids[rows], truths.latent_z[rows], truths.event_time[rows], truths.censor_time[rows])
 
 
 def test_config_validation():
@@ -38,6 +44,7 @@ def test_config_validation():
     ("lambda0", math.nan), ("lambda0", math.inf), ("beta0", math.nan), ("beta0", -math.inf),
     ("censor_rate", math.nan), ("censor_rate", math.inf), ("grid_step", math.nan),
     ("grid_step", math.inf), ("tau", math.nan), ("tau", math.inf), ("n", 2.5), ("n", "3"),
+    ("seed", -1), ("seed", 1.5), ("seed", "3"), ("seed", None),
 ])
 def test_config_rejects_non_finite_and_non_integer_values(field, value):
     with pytest.raises(ValidationError, match=f"^{field} must be"):
@@ -45,6 +52,37 @@ def test_config_rejects_non_finite_and_non_integer_values(field, value):
     # the same message through the config document the CLI reads
     with pytest.raises(ValidationError, match=f"^{field} must be"):
         SimConfig.from_dict({**_cfg().to_dict(), field: value})
+
+
+def _seed_sequence_words(seed, i):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128]),
+                      st.integers(0, 2**32 - 1), st.integers(2**128, 2**300),
+                      st.builds(derive_rep_seed, st.integers(0, 2**64), st.integers(0, 10**6))),
+       n=st.integers(1, 3000), data=st.data())
+def test_stream_words_match_seed_sequence(seed, n, data):
+    # subject i's state words are those of SeedSequence(entropy=seed, spawn_key=(i,)),
+    # for one-word seeds, seeds longer than the 4-word pool, and the study's replication seeds
+    words = stream_words(seed, n)
+    assert words.shape == (n, 4) and words.dtype == np.uint64
+    rows = {0, n - 1, *data.draw(st.lists(st.integers(0, n - 1), max_size=5))}
+    for i in sorted(rows):
+        assert np.array_equal(words[i], _seed_sequence_words(seed, i)), i
+
+
+def test_stream_words_match_seed_sequence_for_every_large_n_subject():
+    # every subject of the n = 64000, seed 1 dataset that the large-n end-to-end check writes
+    words = stream_words(1, 64000)
+    want = np.stack([_seed_sequence_words(1, i) for i in range(64000)])
+    assert np.array_equal(words, want)
+
+
+def test_truths_refuse_a_column_of_another_length():
+    with pytest.raises(ValidationError, match="^truths need one event_time per id$"):
+        SimTruth(ids=(0, 1), latent_z=[0.1, 0.2], event_time=[1.0], censor_time=[3.0, 3.0])
 
 
 def test_make_grid():
@@ -124,28 +162,29 @@ def test_administrative_censoring_only():
         if s.delta == 0:
             assert s.x == ds.tau
     # censoring times never depend on the covariate: all equal tau here
-    assert {t.censor_time for t in truths} == {3.0}
+    assert set(truths.censor_time.tolist()) == {3.0}
 
 
 def test_measurement_counts_and_latent_consistency():
     ds, truths = gen_dataset(_cfg(n=100, seed=2, censor_rate=0.3))
-    for s, t in zip(subjects_of(ds), truths):
+    for s, latent_z, event_time, censor_time in zip(subjects_of(ds), truths.latent_z, truths.event_time,
+                                                    truths.censor_time):
         a_x = last_index(s.x, ds.grid)
         assert len(s.measurements) == a_x + 1
         assert all(gt < s.x for gt in ds.grid.times[: a_x + 1])
-        assert math.isfinite(t.latent_z)
+        assert math.isfinite(latent_z)
         if s.delta == 1:
-            assert t.event_time == pytest.approx(s.x)
+            assert event_time == pytest.approx(s.x)
         else:
-            assert t.censor_time == pytest.approx(s.x)
-            assert t.event_time > s.x or t.event_time == math.inf
+            assert censor_time == pytest.approx(s.x)
+            assert event_time > s.x or event_time == math.inf
 
 
 def test_event_time_median_exponential():
     # beta0=0, lambda0=1: T ~ Exp(1), median ln 2
     cfg = _cfg(n=20000, seed=3, beta0=0.0, lambda0=1.0, tau=50.0, grid_step=0.5)
     ds, truths = gen_dataset(cfg)
-    ts = np.array([t.event_time for t in truths])
+    ts = truths.event_time
     assert np.median(ts) == pytest.approx(math.log(2), abs=0.02)
 
 
@@ -154,7 +193,7 @@ def test_truncated_mean_oracle():
     tau = 5.0
     cfg = _cfg(n=100000, seed=4, beta0=0.0, lambda0=1.0, tau=tau, grid_step=0.5)
     ds, truths = gen_dataset(cfg)
-    xs = np.array([min(t.event_time, tau) for t in truths])
+    xs = np.minimum(truths.event_time, tau)
     want = 1.0 - math.exp(-tau)
     ex2 = 2.0 * (1.0 - (tau + 1.0) * math.exp(-tau))
     se = math.sqrt((ex2 - want**2) / len(xs))
@@ -194,7 +233,7 @@ def test_censoring_independent_permutation_check():
     _, truths = gen_dataset(cfg)
     ds, _ = gen_dataset(cfg)
     z0 = ds.values[ds.offsets[:-1]]
-    c = np.array([t.censor_time for t in truths])
+    c = truths.censor_time
     mask = c < cfg.tau
     r = np.corrcoef(z0[mask], c[mask])[0, 1]
     assert abs(r) < 3.0 / math.sqrt(mask.sum())
@@ -207,21 +246,21 @@ def test_subject_draws_do_not_depend_on_n(truncate_at):
     small, small_truths = gen_dataset(_cfg(n=5, censor_rate=0.3, truncate_at=truncate_at))
     large, large_truths = gen_dataset(_cfg(n=12, censor_rate=0.3, truncate_at=truncate_at))
     assert subjects_of(small) == subjects_of(large)[:5]
-    assert small_truths == large_truths[:5]
+    assert small_truths == _rows(large_truths, slice(5))
 
 
 def test_fullinfo_dataset_appends_latent():
     ds, truths = gen_dataset(_cfg(n=30, seed=9, censor_rate=0.3))
     full = fullinfo_dataset(ds, truths)
-    for s, f, t in zip(subjects_of(ds), subjects_of(full), truths):
-        assert f.measurements == s.measurements + (t.latent_z,)
+    for s, f, latent_z in zip(subjects_of(ds), subjects_of(full), truths.latent_z.tolist()):
+        assert f.measurements == s.measurements + (latent_z,)
     # idempotent
     again = fullinfo_dataset(full, truths)
     assert again == full
     # degenerate atoms downstream: each stored value is one atom of weight one
     th = Theta(alpha=ALPHA0, beta=0.5, hazard=nelson_aalen(full))
     atoms = estep_atoms(full, th)
-    latent = np.array([t.latent_z for t in truths])
+    latent = truths.latent_z
     assert np.array_equal(atoms.nodes, np.repeat(latent[:, None], atoms.nodes.shape[1], axis=1))
     assert np.array_equal(atoms.weights[:, 0], np.ones(full.n)) and not np.any(atoms.weights[:, 1:])
 
@@ -229,20 +268,20 @@ def test_fullinfo_dataset_appends_latent():
 def test_fullinfo_misalignment_error():
     ds, truths = gen_dataset(_cfg(n=5, seed=10))
     with pytest.raises(ValidationError):
-        fullinfo_dataset(ds, truths[:-1])
-    with pytest.raises(ValidationError):
-        fullinfo_dataset(ds, tuple(reversed(truths)))
+        fullinfo_dataset(ds, _rows(truths, slice(-1)))
+    with pytest.raises(ValidationError, match="^truth/subject id mismatch: 4 vs 0$"):
+        fullinfo_dataset(ds, _rows(truths, slice(None, None, -1)))
 
 
 def test_truncation_bound_applied():
     cfg = _cfg(n=200, seed=11, truncate_at=1.0)
     ds, truths = gen_dataset(cfg)
-    for s, t in zip(subjects_of(ds), truths):
+    for s in subjects_of(ds):
         assert all(abs(z) <= 1.0 for z in s.measurements)
-        assert abs(t.latent_z) <= 1.0
+    assert np.all(np.abs(truths.latent_z) <= 1.0)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2, 2**128 + 7])
 @pytest.mark.parametrize("grid_step", [0.25, 0.02])
 @pytest.mark.parametrize("censor_rate", [0.0, 0.3])
 @pytest.mark.parametrize("truncate_at", [None, 1.2])
@@ -252,16 +291,18 @@ def test_gen_dataset_matches_scalar_draws(seed, grid_step, censor_rate, truncate
                alpha0=TransitionParams(0.3, 1.2, 0.17, 0.7, 0.25))
     (got, got_truths), (want, want_truths) = gen_dataset(cfg), scalar_gen_dataset(cfg)
     assert repr((subjects_of(got), got_truths)) == repr((subjects_of(want), want_truths))
+    assert got_truths == want_truths
 
 
-@pytest.mark.parametrize("censor_rate", [0, 0.3, 1])
+@pytest.mark.parametrize("censor_rate", [0, 0.3, 1, 0.2])
 @pytest.mark.parametrize("truncate_at", [None, 1.2])
 def test_gen_dataset_with_integer_tau_and_grid_step(censor_rate, truncate_at):
     # integers, as a JSON config may give them: the censoring times must stay real numbers
+    # (at rate 0.2, x / rate and (1 / rate) * x differ in the last bit for about a third of x)
     cfg = _cfg(n=40, grid_step=1, tau=3, censor_rate=censor_rate, truncate_at=truncate_at)
     (got, got_truths), (want, want_truths) = gen_dataset(cfg), scalar_gen_dataset(cfg)
     assert repr(subjects_of(got)) == repr(subjects_of(want))
-    assert got_truths == want_truths  # the scalar code keeps an int tau as the censoring time
-    assert all(type(v) is float for t in got_truths for v in (t.latent_z, t.event_time, t.censor_time))
+    assert got_truths == want_truths
+    assert all(v.dtype == np.float64 for v in (got_truths.latent_z, got_truths.event_time, got_truths.censor_time))
     if censor_rate:
-        assert any(0 < t.censor_time < 3 and t.censor_time % 1 for t in got_truths)
+        assert np.any((0 < got_truths.censor_time) & (got_truths.censor_time < 3) & (got_truths.censor_time % 1 != 0))
