@@ -20,7 +20,8 @@ import numpy as np
 
 from .data import Dataset, SieveHazard
 from .exceptions import ValidationError
-from .fit import FitConfig, _check_wn, _exp_powers, _newton_step, _profile, _Workspace
+from .fit import FitConfig, _check_wn, _exp_powers, _newton_step, _profile
+from .workspace import _Workspace
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def breslow(dataset: Dataset, beta: float, imputation: str = "lvcf") -> SieveHaz
 
 def _hazard(ws, S) -> SieveHazard:
     """Breslow's jumps 1 / S0 from the risk-set sums S at one beta."""
-    return SieveHazard(tuple(ws.xe), tuple(1.0 / S[:, 0]))
+    return SieveHazard(ws.xe, 1.0 / S[:, 0])
 
 
 def nelson_aalen(dataset: Dataset) -> SieveHazard:

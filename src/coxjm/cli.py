@@ -73,7 +73,8 @@ def cmd_fit(args) -> int:
                     f.write(f"{sid},{float(node)!r},{float(weight)!r}\n")
     if not fit.converged:
         raise NonConvergenceError(
-            f"EM did not converge in {fit.iterations} iterations (score_norm={fit.score_norm:.3e})")
+            f"the fit did not converge in {fit.iterations} iterations ({fit.newton_steps} of them "
+            f"Newton steps; score_norm={fit.score_norm:.3e})")
     return EXIT_OK
 
 

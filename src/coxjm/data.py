@@ -71,17 +71,19 @@ class SieveHazard:
     jumps: tuple[float, ...]
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        jumps = tuple(float(j) for j in self.jumps)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "jumps", jumps)
-        if len(times) != len(jumps):
+        # validated as arrays, kept as tuples of Python floats
+        times, jumps = np.asarray(self.times, dtype=float), np.asarray(self.jumps, dtype=float)
+        if times.ndim != 1 or jumps.ndim != 1:
+            raise ValidationError("hazard times and jumps must be one-dimensional")
+        object.__setattr__(self, "times", tuple(times.tolist()))
+        object.__setattr__(self, "jumps", tuple(jumps.tolist()))
+        if times.size != jumps.size:
             raise ValidationError("hazard times and jumps must have equal length")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if np.any(times[1:] <= times[:-1]):
             raise ValidationError("hazard jump times must be strictly increasing")
-        if any(t <= 0 or not math.isfinite(t) for t in times):
+        if np.any((times <= 0) | ~np.isfinite(times)):
             raise ValidationError("hazard jump times must be finite and > 0")
-        if any(j < 0 or not math.isfinite(j) for j in jumps):
+        if np.any((jumps < 0) | ~np.isfinite(jumps)):
             raise ValidationError("hazard jumps must be finite and >= 0")
 
     def evaluate(self, t):

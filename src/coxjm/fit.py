@@ -1,4 +1,4 @@
-"""EM maximizer of the joint pseudo likelihood over the step-hazard sieve.
+"""Maximizer of the joint pseudo likelihood over the step-hazard sieve: EM, then Newton.
 
 One EM map: (E) posterior atoms for every subject at the current theta;
 (M) closed-form transition-parameter update, then at most `inner_cycles`
@@ -8,11 +8,16 @@ the accepted beta).  Every update increases the EM objective, so the observed
 log likelihood is nondecreasing up to quadrature error; a drop beyond
 ASCENT_TOL raises AscentError.
 
-The maps are accelerated by SQUAREM: after two maps the parameters are
-extrapolated along their differences, and the extrapolated point is kept (and
-followed by one more map) only if its log likelihood has not dropped.
+After EM_MAPS such maps the fit takes Newton steps on the observed log
+likelihood (Lange 1995, JRSS-B 57:425; Jamshidian & Jennrich 1997, JRSS-B
+59:569): the step solves M h = g, with M the observed information operator of
+`variance` (Louis 1982, JRSS-B 44:226) and g the score representer, and moves
+alpha by h1, beta by h2 and log dL by h3.  A step is halved until the log
+likelihood does not drop beyond its rounding; where the operator is singular,
+the step is no ascent direction or leaves the boxes, its E-step fails, or
+NEWTON_HALVINGS halvings do not ascend, the fit takes one EM map instead.
 
-Convergence requires one map to move the parameters less than `tol_param`, a
+Convergence requires one update to move the parameters less than `tol_param`, a
 small score over the canonical probe directions, and the hazard fixed-point
 identity dL_k * W_n(x_k) = 1/n holding at freshly computed atoms.
 
@@ -28,36 +33,46 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, SieveHazard, Theta, validate_dataset
+from .data import Dataset, SieveHazard, Theta
 from .exceptions import (
     AscentError,
     DegenerateRiskSetError,
     InsufficientDataError,
     ModeSearchError,
+    SingularOperatorError,
     ValidationError,
     check_fields,
     reading,
 )
-from .posterior import EXP_CLIP, batch_posterior, exp_clipped, gauss_logpdf
-from .transition import (
-    FLOOR_MESSAGE,
-    VAR_FLOOR,
-    AlphaBox,
-    TransitionParams,
-    TransitionStats,
+from .posterior import EXP_CLIP, exp_clipped
+from .transition import FLOOR_MESSAGE, VAR_FLOOR, AlphaBox, TransitionParams
+from .variance import _operator
+from .workspace import (
+    Posterior,
+    _estep,
+    _hazard_jumps,
+    _loglik,
+    _risk_cols,
+    _score,
+    _score_beta,
+    _Workspace,
+    _workspace_of,
 )
 
 ASCENT_TOL = 1e-8
+EM_MAPS = 3  # plain EM maps before the Newton steps
+NEWTON_HALVINGS = 3  # a Newton step halved more often than this gives way to an EM map
 Q_DEFAULT = 20  # the E-step's Gauss-Hermite order, unless a config or a call gives one
 
 
 @dataclass
 class FitConfig:
-    """Knobs of the EM fitter; all runs with the same config are deterministic.
+    """Knobs of the fitter; all runs with the same config are deterministic.
 
     `Q` is the order of the mode-recentred Gauss-Hermite rule of every E-step; the fit
     checks it against a 2Q rule at the end (`FitResult.quadrature`).  `max_iter` caps the
-    EM maps; `inner_cycles` caps the M-step's Newton steps in beta.
+    parameter updates, EM maps and Newton steps together; `inner_cycles` caps the M-step's
+    Newton steps in beta.
     """
 
     Q: int = Q_DEFAULT
@@ -107,12 +122,15 @@ class QuadratureCheck:
 
 @dataclass
 class FitResult:
-    """`posterior` is the final E-step, the posterior at theta_hat on the fit's workspace;
-    `quadrature` compares it with a rule of twice its nodes."""
+    """`iterations` counts the parameter updates, EM maps and Newton steps, and
+    `newton_steps` the Newton steps among them; `posterior` is the final E-step, the
+    posterior at theta_hat on the fit's workspace; `quadrature` compares it with a rule of
+    twice its nodes."""
 
     theta_hat: Theta
     loglik_trace: list[float]
     iterations: int
+    newton_steps: int
     converged: bool
     score_norm: float
     warnings: list[str]
@@ -132,230 +150,10 @@ def _exp_powers(v: np.ndarray, beta: float):
     return e, ve, v * ve
 
 
-class _Workspace:
-    """Per-dataset arrays behind every risk-set sum, in O(n J + K) memory.
-
-    The covariate path is a step function on the grid, so risk-set sums
-    collapse onto the J grid intervals (t_j, t_{j+1}] (the last one ends at
-    tau).  Subject i is at risk at every event of an interval j < a_x(i), an
-    observed entry of subject `t_sub` with the value `t_next` = z_{j+1}; in its
-    terminal interval a_x(i) only at events <= x_i, with the value z_extra when
-    the dataset stores it (full-information form) and the latent value otherwise.
-
-    The observed entries are stored interval-major, `t_count` of them per interval,
-    so each interval is one contiguous segment and each subject's entries come in
-    increasing j.  Interval j holds the subjects with a_x > j, in order of decreasing
-    a_x; these counts never rise with j, so the intervals without entries are a suffix.
-    """
-
-    def __init__(self, dataset: Dataset):
-        self.dataset = validate_dataset(dataset)
-        n = self.n = dataset.n
-        self.ids = dataset.ids
-        self.x, self.delta, self.a_x, self.has_extra = dataset.x, dataset.delta, dataset.a_x, dataset.has_extra
-        ev = np.flatnonzero(self.delta)
-        self.ev_row = ev[np.argsort(self.x[ev], kind="stable")]
-        self.xe = self.x[self.ev_row]
-        self.K = len(self.xe)
-        if self.K == 0:
-            raise InsufficientDataError("no uncensored subjects")
-        self.J = J = len(dataset.grid)
-        self.a_e = self.a_x[self.ev_row]
-        # subject i's measurement z_j is values[first[i] + j]; its observed entries are
-        # also its observed transitions z_j -> z_{j+1}, j < a_x (the atoms carry the
-        # terminal step)
-        first, values = dataset.offsets[:-1], dataset.values
-        self.extra_rows = np.flatnonzero(self.has_extra)
-        self.z0, self.z_pred = values[first], values[first + self.a_x]
-        self.z_extra = np.zeros(n)  # 0 where not stored
-        self.z_extra[self.extra_rows] = values[first[self.extra_rows] + self.a_x[self.extra_rows] + 1]
-        self.t_count = count = n - np.cumsum(np.bincount(self.a_x, minlength=J))
-        start = np.cumsum(count) - count
-        by_a_x = np.argsort(-self.a_x, kind="stable")  # interval j holds the first count[j]
-        self.t_sub = by_a_x[np.arange(count.sum()) - np.repeat(start, count)]
-        at = first[self.t_sub] + np.repeat(np.arange(J), count)
-        self.t_prev, self.t_next = values[at], values[at + 1]
-        self._segments = start[count > 0]
-        self.obs = TransitionStats.of(self.z0, self.t_prev, self.t_next)
-        self._obs_beta = None
-        # Running sums within each grid interval, over a (J, 1 + most events in an
-        # interval) pad: the event of rank r in its interval sits in column r + 1, a
-        # subject in the column of the number of its interval's events at or before its
-        # time (so an event comes before a subject leaving at its time, who is at risk
-        # there).  A late small sum is never a difference of large totals.
-        e_count = np.bincount(self.a_e, minlength=J)
-        e_first = np.cumsum(e_count) - e_count
-        self._pad = (J, 1 + int(e_count.max()))
-        row = np.concatenate([self.a_e, self.a_x])
-        col = np.concatenate([np.arange(self.K) - e_first[self.a_e] + 1,
-                              np.searchsorted(self.xe, self.x, side="right") - e_first[self.a_x]])
-        # each item's cell (events, then subjects) as a flat index into the pad, and with mirrored columns
-        self._cell = (row * self._pad[1] + col, (row + 1) * self._pad[1] - 1 - col)
-
-    def transition_stats(self, est: "Posterior") -> TransitionStats:
-        """The observed histories' statistics merged with the terminal transitions
-        z_pred -> latent value, integrated over `est`'s atoms (kept on `est`)."""
-        if est._stats is None:
-            est._stats = self.obs.merge(TransitionStats.of((), self.z_pred, est.E1, est.V))
-        return est._stats
-
-    def interval_sums(self, v: np.ndarray, beta: float) -> np.ndarray:
-        """Per grid interval, the sums of v^m e^{beta v}, m = 0, 1, 2 (J x 3), of values v
-        on the observed entries, each a reduction over the interval's segment (0 for an
-        interval without entries)."""
-        f = exp_clipped(np.multiply(v, beta))  # times v in place: v e^{beta v}, then v^2 e^{beta v}
-        return np.stack([self._segment_sums(np.multiply(f, v, out=f) if m else f) for m in range(3)], axis=1)
-
-    def _segment_sums(self, f: np.ndarray) -> np.ndarray:
-        """Per grid interval, the sum of f over its observed entries."""
-        out = np.zeros(self.J)
-        with np.errstate(over="ignore"):  # an overflowing sum is inf, without a warning
-            out[: self._segments.size] = np.add.reduceat(f, self._segments)
-        return out
-
-    def obs_mats(self, beta: float) -> np.ndarray:
-        """`interval_sums` of the observed values, kept for the last beta (an EM
-        iteration asks for one beta from the E-step, the M-step and the certificate)."""
-        if beta != self._obs_beta:
-            self._obs_beta, self._obs = beta, self.interval_sums(self.t_next, beta)
-            self._obs.flags.writeable = False  # shared by every caller at this beta
-        return self._obs
-
-    def masses(self, dL: np.ndarray):
-        """Hazard mass of each grid interval (J) and of each subject's terminal window (n):
-        the running sum over its interval's events up to the subject."""
-        pad = np.zeros(self._pad[0] * self._pad[1])
-        pad[self._cell[0][: self.K]] = dL
-        rows = pad.reshape(self._pad)
-        np.cumsum(rows, axis=1, out=rows)
-        return (np.bincount(self.a_e, weights=dL, minlength=self.J),
-                pad[self._cell[0][self.K:]])
-
-    def mass_split(self, beta: float, dL: np.ndarray):
-        """The hazard mass times e^{beta z} where z is observed, summed over the subjects
-        (sum_j H_j S_j0, plus e^{beta z_extra} P where stored), and each subject's latent mass."""
-        H, P = self.masses(dL)
-        x, m = self.extra_rows, self._segments.size  # entries lie in j < m: no 0 * inf past them
-        with np.errstate(over="ignore"):  # an overflowing mass is inf; `_loglik` names its subject
-            a_obs = float(H[:m] @ self.obs_mats(beta)[:m, 0]) + float(exp_clipped(beta * self.z_extra[x]) @ P[x])
-        return a_obs, np.where(self.has_extra, 0.0, P)
-
-    def cols(self, S, g) -> np.ndarray:
-        """Per event time, the sum over its risk set of each subject's value there: S (J,
-        optional trailing axes; None for zero) sums per interval the values of the
-        subjects at risk past it, g (n, same trailing axes) holds their terminal values.
-
-        The subjects' values are summed per cell of the pad, then run forward over its
-        mirrored columns: each event gets the sum over its interval's subjects from it on."""
-        cell, size = self._cell[1], self._pad[0] * self._pad[1]
-        w = g.reshape(self.n, -1).T
-        pad = np.empty((len(w), size))
-        for p, v in zip(pad, w):
-            p[:] = np.bincount(cell[self.K:], v, size)
-        rows = pad.reshape(-1, *self._pad)
-        np.cumsum(rows, axis=2, out=rows)
-        out = pad[:, cell[: self.K]].T.reshape((self.K,) + g.shape[1:])
-        if S is not None:
-            out += np.take(S, self.a_e, axis=0)
-        return out
-
-
-class Posterior:
-    """The posterior of every subject's terminal value at one parameter, on the workspace
-    `ws` of the dataset it was computed on, which the calls that take it read.
-
-    `nodes` and `weights` (n x Q) are the atoms: mode-recentred Gauss-Hermite nodes, or a
-    stored terminal value repeated with weight one on the first.  `log_norm` is the log of
-    each subject's integral factor, `a_lat` its hazard mass on latent values, `a_obs` the total
-    over subjects of hazard mass times e^{beta z} on observed values, `E1` and `V` the posterior
-    mean and variance.  Sums over nodes run along the subjects of the transposes.  The
-    exponential moments and risk-set sums are kept read-only for the last beta asked.
-    """
-
-    __slots__ = ("ws", "nodes", "weights", "log_norm", "a_obs", "a_lat", "E1", "V", "mode", "sd",
-                 "_moments_beta", "_moments", "_risk_beta", "_risk", "_stats")
-
-    def __init__(self, ws, nodes, weights, log_norm, a_obs, a_lat, mode=None, sd=None):
-        self.ws = ws
-        self.nodes = nodes
-        self.weights = weights
-        self.log_norm = log_norm
-        self.a_obs = a_obs
-        self.a_lat = a_lat
-        self.mode = mode
-        self.sd = sd
-        wz = weights.T * nodes.T
-        self.E1 = np.sum(wz, axis=0)
-        # posterior variance E[Z^2] - E[Z]^2: the cancellation stays within one subject's term
-        self.V = np.sum(np.multiply(wz, nodes.T, out=wz), axis=0) - self.E1**2
-        self._moments_beta = self._risk_beta = self._stats = None
-
-    def exp_moments(self, beta: float) -> np.ndarray:
-        """E[Z^m e^{bZ}], m = 0, 1, 2 (n x 3) at the current beta (kept for the last beta)."""
-        if beta != self._moments_beta:
-            z = self.nodes.T
-            t = exp_clipped(np.multiply(z, beta))
-            t *= self.weights.T
-            m = np.empty((z.shape[1], 3))
-            for j in range(3):
-                if j:
-                    t *= z
-                m[:, j] = np.sum(t, axis=0)
-            m.flags.writeable = False
-            self._moments_beta, self._moments = beta, m
-        return self._moments
-
-
-def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray, Q: int,
-           modes=None) -> Posterior:
-    """The E-step at (alpha, beta, dL) with a Q-node rule; `modes`, the (mode, sd) of a
-    posterior at the same parameter, skips the mode search."""
-    a_obs, a_lat = ws.mass_split(beta, dL)
-    mean = alpha.a + alpha.b * ws.z_pred
-    nodes, weights, mode, sd, log_norm = batch_posterior(ws.delta, a_lat, mean, alpha.ssq, beta, Q,
-                                                         ids=ws.ids, modes=modes)
-    full = ws.extra_rows
-    if full.size:
-        # a stored terminal value is one atom, written over its quadrature row
-        zf = ws.z_extra[full]
-        nodes[full], weights[full], weights[full, 0], mode[full], sd[full] = zf[:, None], 0.0, 1.0, zf, 0.0
-        log_norm[full] = ws.delta[full] * beta * zf + gauss_logpdf(zf, mean[full], alpha.ssq)
-    return Posterior(ws, nodes, weights, log_norm, a_obs, a_lat, mode, sd)
-
-
-def _loglik(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray, est: Posterior) -> float:
-    out = float(np.sum(np.log(dL)))
-    out += float(np.sum(est.log_norm)) - est.a_obs
-    out += ws.obs.objective(alpha)
-    if not math.isfinite(out):
-        # the observed mass per subject, derived only here, to name the first subject at fault
-        H, P = ws.masses(dL)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = np.where(ws.has_extra, exp_clipped(beta * ws.z_extra), 0.0)
-            a_obs = np.where(ws.has_extra, g * P, 0.0)
-            a_obs += np.bincount(ws.t_sub, np.repeat(H, ws.t_count) * exp_clipped(beta * ws.t_next), ws.n)
-            bad = np.flatnonzero(~np.isfinite(est.log_norm - a_obs))
-            if not bad.size and not math.isfinite(est.a_obs):
-                # every subject's mass is finite but not their total: name the event time
-                # whose jump times its risk set's observed e^{beta z} is largest
-                k = int(np.argmax(dL * ws.cols(ws.obs_mats(beta)[:, 0], g)))
-                raise ValidationError(f"non-finite log likelihood (observed hazard mass overflows at "
-                                      f"event time {float(ws.xe[k])!r})")
-        sid = ws.ids[bad[0]] if bad.size else "?"
-        raise ValidationError(f"non-finite log likelihood (subject {sid!r})")
-    return out
-
-
 def _check_wn(ws: _Workspace, wn: np.ndarray) -> None:
     bad = ~(wn > 0) | ~np.isfinite(wn)
     if np.any(bad):
         raise DegenerateRiskSetError(float(ws.xe[int(np.argmax(bad))]))
-
-
-def _score_beta(ws, est, R, dL) -> float:
-    """(1/n) sum_i E_i[delta_i Z - int Z e^{beta Z} dL], the beta score at a fixed hazard,
-    from the risk-set sums R at beta (`_risk_cols`)."""
-    return (float(np.sum(ws.delta * est.E1)) - float(dL @ R[:, 1])) / ws.n
 
 
 def _quadrature_check(ws, state, Q: int) -> QuadratureCheck:
@@ -383,26 +181,17 @@ def _free_directions(cfg: FitConfig):
 
 
 def _certificate(ws, est, alpha, beta, dL, cfg: FitConfig):
-    """Fixed-point residual and score norm over the canonical probe basis."""
-    R = _risk_cols(ws, est, beta)
+    """Fixed-point residual and score norm over the canonical probe basis, and the score
+    along that basis (`workspace._score`)."""
+    s = _score(ws, est, alpha, beta, dL)
     # the hazard score 1/n - dL_k W_n(x_k) is the fixed-point residual
-    score_norm = id_resid = float(np.max(np.abs(dL * (R[:, 0] / ws.n) - 1.0 / ws.n)))
+    score_norm = id_resid = float(np.max(np.abs(s[6:])))
     alpha_free, beta_free = _free_directions(cfg)
     if np.any(alpha_free):
-        s1 = ws.transition_stats(est).score(alpha) / ws.n
-        score_norm = max(score_norm, float(np.max(np.abs(s1[alpha_free]))))
+        score_norm = max(score_norm, float(np.max(np.abs(s[:5][alpha_free]))))
     if beta_free:
-        score_norm = max(score_norm, abs(_score_beta(ws, est, R, dL)))
-    return id_resid, score_norm
-
-
-def _risk_cols(ws, est, beta):
-    """Per event time, the risk-set sums W, C, D of E[Z^m e^{beta Z}], m = 0, 1, 2 (K x 3),
-    kept on `est` for the last beta (the certificate's sums serve the next M-step)."""
-    if beta != est._risk_beta:
-        est._risk_beta, est._risk = beta, ws.cols(ws.obs_mats(beta), est.exp_moments(beta))
-        est._risk.flags.writeable = False
-    return est._risk
+        score_norm = max(score_norm, abs(s[5]))
+    return id_resid, score_norm, s
 
 
 def _mstep(ws, est, alpha, beta, cfg: FitConfig, warn: list):
@@ -510,8 +299,8 @@ def _boundedness_check(ws, est, dL, cfg, warn: list):
 
 def _em_map(ws, state, cfg: FitConfig, warn: list, it: int):
     """One EM map (M-step, then the E-step at its result) from state = (alpha, beta, dL,
-    E-step, loglik); returns the new state and the largest parameter move.  Every M-step
-    piece ascends the EM objective, so a loglik drop beyond ASCENT_TOL raises AscentError."""
+    E-step, loglik); returns the new state.  Every M-step piece ascends the EM objective,
+    so a loglik drop beyond ASCENT_TOL raises AscentError."""
     alpha, beta, dL, est, ll = state
     a_new, b_new, dL_new = _mstep(ws, est, alpha, beta, cfg, warn)
     est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
@@ -522,51 +311,62 @@ def _em_map(ws, state, cfg: FitConfig, warn: list, it: int):
                           f"({ll:.15g} -> {ll_new:.15g}; with {quad.order} nodes in place of "
                           f"Q={cfg.Q} the new value moves by {quad.loglik:.3g}, an estimate of "
                           f"the quadrature error) at iteration {it}")
-    change = max(
-        float(np.max(np.abs(a_new.as_array() - alpha.as_array()))),
-        abs(b_new - beta),
-        float(np.max(np.abs(dL_new - dL))),
-    )
-    return (a_new, b_new, dL_new, est_new, ll_new), change
+    return a_new, b_new, dL_new, est_new, ll_new
 
 
-def _coords(state) -> np.ndarray:
-    """(mu0, log s0sq, a, b, log ssq, beta, log dL) of a state: variances and jumps stay
-    positive along any line in these coordinates."""
-    v = state[0].as_array()
-    v[[1, 4]] = np.log(v[[1, 4]])
-    return np.concatenate([v, [state[1]], np.log(state[2])])
+def _move(old, new) -> float:
+    """The largest parameter move between two states."""
+    return max(float(np.max(np.abs(new[0].as_array() - old[0].as_array()))),
+               abs(new[1] - old[1]), float(np.max(np.abs(new[2] - old[2]))))
 
 
-def _extrapolate(ws, cycle, ll: float, cfg: FitConfig):
-    """SQUAREM step SqS3 (Varadhan & Roland 2008, Scand. J. Stat. 35:335) from the
-    coordinates of a state and of its next two EM maps, the last with loglik ll, projected
-    onto the boxes and the variance floor.  Returns the extrapolated state, or None when
-    the step length is -1 (the last map itself), the E-step fails there, or its loglik
-    falls below ll by more than ASCENT_TOL."""
-    x0, x1, x2 = cycle
-    r, v = x1 - x0, x2 - 2 * x1 + x0
-    nv = float(np.linalg.norm(v))
-    step = -float(np.linalg.norm(r)) / nv if nv > 0 else -1.0
-    if not step < -1.0:
-        return None
-    x = x0 - 2 * step * r + step * step * v
-    vec = x[:5].copy()
-    vec[[1, 4]] = np.exp(vec[[1, 4]])
-    alpha = cfg.alpha_box.clamp(vec, cfg.var_floor)
-    beta = float(np.clip(x[5], -cfg.beta_box, cfg.beta_box))
-    dL = np.exp(x[6:])
+def _newton(ws, state, s, cfg: FitConfig):
+    """A guarded Newton step on the observed log likelihood from state = (alpha, beta, dL,
+    E-step, loglik), where s is the score along the canonical probes (`_certificate`).
+
+    The step h solves M h = g, with M the observed information operator there and g the
+    score representer; it moves alpha by h1, beta by h2 and log dL by h3, and is halved
+    until the log likelihood does not drop beyond its rounding.  Returns the new state, or
+    None when the operator is singular, h is not finite or not an ascent direction
+    (<g, h> <= 0), the full step leaves the boxes, a trial E-step fails, or the step needs
+    more than NEWTON_HALVINGS halvings.  No condition estimate is taken: the halvings
+    guard the step, and the estimate costs about ten solves.
+    """
+    alpha, beta, dL, est, ll = state
+    op = _operator(ws, est, alpha, beta, dL)[0]
     try:
-        est = _estep(ws, alpha, beta, dL, cfg.Q)
-        ll_x = _loglik(ws, alpha, beta, dL, est)
-    except (ModeSearchError, ValidationError):  # a non-finite mode or loglik
+        h = op.solve(np.concatenate([s[:6], s[6:] / dL]))
+    except SingularOperatorError:
         return None
-    return (alpha, beta, dL, est, ll_x) if ll_x >= ll - ASCENT_TOL else None
+    if not (np.all(np.isfinite(h)) and float(s @ h) > 0):  # s @ h is <g, h>
+        return None
+    va = alpha.as_array()
+    lo, hi = cfg.alpha_box.bounds().T
+    top = va + h[:5]
+    with np.errstate(over="ignore", under="ignore"):
+        dL_top = dL * np.exp(h[6:])
+    if not (np.all((lo <= top) & (top <= hi)) and min(top[1], top[4]) >= cfg.var_floor
+            and abs(beta + h[5]) <= cfg.beta_box and np.all((dL_top > 0) & (dL_top < math.inf))):
+        return None
+    ll_min = ll - 1e-13 * (1 + abs(ll))  # rounding in ll grows with its magnitude
+    for j in range(NEWTON_HALVINGS + 1):
+        t = 0.5**j
+        a_new, b_new = TransitionParams.from_array(va + t * h[:5]), beta + t * h[5]
+        dL_new = dL * np.exp(t * h[6:]) if j else dL_top
+        try:
+            est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
+            ll_new = _loglik(ws, a_new, b_new, dL_new, est_new)
+        except (ModeSearchError, ValidationError):  # a non-finite mode or loglik
+            return None
+        if ll_new >= ll_min:
+            return a_new, b_new, dL_new, est_new, ll_new
+    return None
 
 
 def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None = None) -> FitResult:
-    """Maximize the joint pseudo likelihood by SQUAREM-accelerated EM with ascent safeguards;
-    `iterations` counts the EM maps."""
+    """Maximize the joint pseudo likelihood by EM_MAPS EM maps, then guarded Newton steps on
+    the observed information operator, each giving way to an EM map where it fails; every
+    update is an ascent up to rounding."""
     cfg = config or FitConfig()
     ws = _Workspace(dataset)
     warn: list[str] = []
@@ -579,35 +379,38 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
     trace = [state[4]]
     converged = False
     score_norm = math.inf
-    iterations = 0
-    cycle = [_coords(state)]  # coordinates of the states since the last extrapolation
+    iterations = newton_steps = 0
+    # a component pinned by its box admits no Newton step: such fits take EM maps only
+    alpha_free, beta_free = _free_directions(cfg)
+    all_free = bool(np.all(alpha_free)) and beta_free
 
     while not converged and iterations < cfg.max_iter:
         iterations += 1
-        state, change = _em_map(ws, state, cfg, warn, iterations)
+        new = _newton(ws, state, s, cfg) if all_free and iterations > EM_MAPS else None
+        if new is None:
+            new = _em_map(ws, state, cfg, warn, iterations)
+        else:
+            newton_steps += 1
+        change, state = _move(state, new), new
         trace.append(state[4])
-        id_resid, score_norm = _certificate(ws, state[3], *state[:3], cfg)
+        id_resid, score_norm, s = _certificate(ws, state[3], *state[:3], cfg)
         converged = change < cfg.tol_param and score_norm <= cfg.tol_score and id_resid <= cfg.id_tol
-        cycle.append(_coords(state))
-        if len(cycle) == 3 and not converged and iterations < cfg.max_iter:
-            ext = _extrapolate(ws, cycle, state[4], cfg)
-            # an accepted point is stabilised by the next map, whose result starts a cycle
-            state, cycle = (state, cycle[2:]) if ext is None else (ext, [])
 
     alpha, beta, dL, est = state[:4]
     quad = _quadrature_check(ws, state, cfg.Q)
-    if abs(quad.score_beta) > cfg.tol_score and _free_directions(cfg)[1]:
+    if abs(quad.score_beta) > cfg.tol_score and beta_free:
         warn.append(f"quadrature error: with {quad.order} nodes in place of Q={cfg.Q} the beta "
                     f"score moves by {quad.score_beta:.3g}, more than tol_score {cfg.tol_score:g}; "
                     "raise Q")
     _boundedness_check(ws, est, dL, cfg, warn)
     if abs(beta) >= cfg.beta_box and cfg.beta_box > 0:
         warn.append("beta at the box boundary")
-    theta = Theta(alpha=alpha, beta=beta, hazard=SieveHazard(tuple(ws.xe), tuple(dL)))
+    theta = Theta(alpha=alpha, beta=beta, hazard=SieveHazard(ws.xe, dL))
     return FitResult(
         theta_hat=theta,
         loglik_trace=trace,
         iterations=iterations,
+        newton_steps=newton_steps,
         converged=converged,
         score_norm=float(score_norm),
         warnings=warn,
@@ -621,22 +424,6 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
 # Public single-shot operations (thin wrappers over the vectorized kernels); those
 # that take a posterior read its workspace
 # ---------------------------------------------------------------------------
-
-def _hazard_jumps(times: np.ndarray, hazard: SieveHazard) -> np.ndarray:
-    ht = np.asarray(hazard.times)
-    if ht.size != times.size or not np.all(np.abs(ht - times) <= 1e-12):
-        raise ValidationError("hazard must jump exactly at the dataset event times")
-    return np.asarray(hazard.jumps, dtype=float)
-
-
-def _workspace_of(dataset: Dataset, atoms: Posterior) -> _Workspace:
-    """The workspace `atoms` was computed on, refused unless it belongs to `dataset`."""
-    if not isinstance(atoms, Posterior):
-        raise ValidationError("atoms must be a Posterior (estep_atoms or FitResult.posterior)")
-    if atoms.ws.dataset is not dataset and atoms.ws.dataset != dataset:
-        raise ValidationError("the posterior was computed on a different dataset")
-    return atoms.ws
-
 
 def w_n(u: float, dataset: Dataset, atoms: Posterior, beta: float) -> float:
     """W_n(u) = (1/n) sum_i E[e^{beta Z(u)} 1{u <= X_i} | y_i] at an event time u."""
@@ -652,7 +439,7 @@ def lambda_update(dataset: Dataset, atoms: Posterior, beta: float) -> SieveHazar
     ws = _workspace_of(dataset, atoms)
     wn = _risk_cols(ws, atoms, beta)[:, 0] / ws.n
     _check_wn(ws, wn)
-    return SieveHazard(tuple(ws.xe), tuple(1.0 / (ws.n * wn)))
+    return SieveHazard(ws.xe, 1.0 / (ws.n * wn))
 
 
 def weighted_mle_alpha(dataset: Dataset, atoms: Posterior, box: AlphaBox | None = None,

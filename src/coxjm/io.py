@@ -116,19 +116,20 @@ def load_truths_csv(path) -> SimTruth:
 def fit_to_dict(fit: FitResult, method: str = "npml") -> dict:
     th = fit.theta_hat
     return _fit_doc(method, th.alpha.to_dict(), th.beta, th.hazard, fit.loglik_trace, fit.converged,
-                    fit.score_norm, fit.iterations, fit.n_subjects, fit.warnings,
+                    fit.score_norm, fit.iterations, fit.newton_steps, fit.n_subjects, fit.warnings,
                     fit.quadrature.to_dict())
 
 
 def baseline_fit_to_dict(bl: BaselineFit, n_subjects: int) -> dict:
-    """An LVCF partial-likelihood fit in the same layout, with no transition parameters and
-    no quadrature; its `score_norm` is |score| / n, per subject as the NPML fit's."""
+    """An LVCF partial-likelihood fit in the same layout, with no transition parameters, no
+    Newton steps on the information operator and no quadrature; its `score_norm` is
+    |score| / n, per subject as the NPML fit's."""
     return _fit_doc("lvcf-cox", None, bl.beta_pl, bl.breslow, [bl.loglik], bl.converged,
-                    abs(bl.score) / n_subjects, bl.iterations, n_subjects, bl.flags, None)
+                    abs(bl.score) / n_subjects, bl.iterations, None, n_subjects, bl.flags, None)
 
 
-def _fit_doc(method, alpha, beta, hazard, trace, converged, score_norm, iterations, n_subjects,
-             warnings, quadrature) -> dict:
+def _fit_doc(method, alpha, beta, hazard, trace, converged, score_norm, iterations, newton_steps,
+             n_subjects, warnings, quadrature) -> dict:
     return {
         "method": method,
         "alpha": alpha,
@@ -139,6 +140,7 @@ def _fit_doc(method, alpha, beta, hazard, trace, converged, score_norm, iteratio
         "converged": converged,
         "score_norm": score_norm,
         "iterations": iterations,
+        "newton_steps": newton_steps,
         "n_subjects": n_subjects,
         "warnings": list(warnings),
         "quadrature": quadrature,
@@ -156,7 +158,7 @@ def theta_from_fit_dict(d: dict) -> Theta:
         raise ValidationError(f"a {d.get('method')!r} fit has no transition parameters, so no theta")
     with reading("fit document"):
         alpha = TransitionParams.from_dict(d["alpha"])
-        hz = SieveHazard(tuple(d["hazard"]["times"]), tuple(d["hazard"]["jumps"]))
+        hz = SieveHazard(d["hazard"]["times"], d["hazard"]["jumps"])
         return Theta(alpha=alpha, beta=float(d["beta"]), hazard=hz)
 
 

@@ -39,13 +39,17 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 from statistics import NormalDist
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import Dataset, SieveHazard, Theta
 from .exceptions import SingularOperatorError, ValidationError
-from .fit import FitResult, Posterior, _hazard_jumps, _risk_cols, _workspace_of
 from .posterior import exp_clipped
+from .workspace import Posterior, _hazard_jumps, _risk_cols, _score, _workspace_of
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .fit import FitResult
 
 COND_LIMIT = 1e12
 # the largest normwise backward error a solve may leave
@@ -282,22 +286,22 @@ def _latent_covariances(ws, est, alpha, beta: float) -> np.ndarray:
     return F @ F.transpose(0, 2, 1)
 
 
-def _information(dataset: Dataset, theta_hat: Theta, atoms: Posterior
-                 ) -> tuple[DiscretizedOperator, float | None]:
-    """The observed information operator at a fit with its atoms, and the closed-form
-    beta variance (`var_beta_simple`), None where its curvature is not positive."""
-    ws = _workspace_of(dataset, atoms)
-    dL = _hazard_jumps(ws.xe, theta_hat.hazard)
-    beta, n = theta_hat.beta, ws.n
-    cov = _latent_covariances(ws, atoms, theta_hat.alpha, beta)
+def _operator(ws, est, alpha, beta: float, dL: np.ndarray) -> tuple[DiscretizedOperator, float | None]:
+    """The observed information operator at (alpha, beta, dL), `est` being the E-step there
+    (its risk-set sums at beta are reused), and the closed-form beta variance
+    (`var_beta_simple`), None where its curvature is not positive.  It holds away from the
+    maximizer as well: P M is then minus the Hessian of the observed log likelihood / n in
+    (alpha, beta, log dL), which the fit's Newton steps use."""
+    n = ws.n
+    cov = _latent_covariances(ws, est, alpha, beta)
     # W_n, C_n, D_n: (1/n) sum_i E_i[Z^m e^{bZ} 1{x_k <= X_i}], m = 0, 1, 2
-    w, c, d = _risk_cols(ws, atoms, beta).T / n
+    w, c, d = _risk_cols(ws, est, beta).T / n
     # per x_k, (1/n) sum over the latent windows holding it of Cov_i[term j, e^{bZ}]
     lat = ws.cols(None, np.where(ws.has_extra[:, None], 0.0, cov[:, :, 4])) / n
     miss = np.sum(cov[:, :4, :4], axis=0) / n
     miss = 0.5 * (miss + miss.T)
     E = np.zeros((6, 6))
-    E[:5, :5] = -ws.transition_stats(atoms).hessian(theta_hat.alpha) / n
+    E[:5, :5] = -ws.transition_stats(est).hessian(alpha) / n
     E[2:5, 2:5] -= miss[:3, :3]
     E[2:5, 5] = E[5, 2:5] = -miss[:3, 3]
     E[5, 5] = float(np.dot(d, dL)) - miss[3, 3]
@@ -313,6 +317,13 @@ def _information(dataset: Dataset, theta_hat: Theta, atoms: Posterior
                              interval=ws.a_e)
     curvature = float(np.dot(d - c**2 / w, dL) - miss[3, 3])
     return op, 1.0 / curvature if curvature > SIMPLE_RTOL * float(np.dot(d, dL)) else None
+
+
+def _information(dataset: Dataset, theta_hat: Theta, atoms: Posterior
+                 ) -> tuple[DiscretizedOperator, float | None]:
+    """`_operator` at a fit with its atoms."""
+    ws = _workspace_of(dataset, atoms)
+    return _operator(ws, atoms, theta_hat.alpha, theta_hat.beta, _hazard_jumps(ws.xe, theta_hat.hazard))
 
 
 def build_sigma_hat(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> DiscretizedOperator:
@@ -443,8 +454,16 @@ def variance_report(dataset: Dataset, theta_hat: Theta, atoms: Posterior, fit: F
     is not identified, and `var_beta_full`, every `var_alpha` entry and
     `lambda_band` when the operator is numerically singular.  An empty
     `t_grid` gives an empty `lambda_band`.
+
+    The fit's optimisation error is stated as the Newton step h solving M h = g at the
+    fit, g being the score representer: `newton_beta_step` is h_beta, an estimate of the
+    distance of beta-hat from the maximizer, and `newton_decrement` is <g, h>, twice the
+    gain in log likelihood per subject that a full step predicts.  Both are None where the
+    operator is numerically singular.
     """
-    op, simple = _information(dataset, theta_hat, atoms)
+    ws = _workspace_of(dataset, atoms)
+    dL = _hazard_jumps(ws.xe, theta_hat.hazard)
+    op, simple = _operator(ws, atoms, theta_hat.alpha, theta_hat.beta, dL)
     report: dict = {"var_beta_simple": simple, "cond_B": op.cond}
     try:
         report["var_beta_full"] = var_estimate(op, theta_hat.hazard, beta_probe(op.K))
@@ -453,6 +472,12 @@ def variance_report(dataset: Dataset, theta_hat: Theta, atoms: Posterior, fit: F
     except SingularOperatorError:
         report["var_beta_full"] = None
         report["var_alpha"] = [None] * 5
+    try:
+        s = _score(ws, atoms, theta_hat.alpha, theta_hat.beta, dL)
+        h = _solve(op, np.concatenate([s[:6], s[6:] / dL]))
+        report["newton_beta_step"], report["newton_decrement"] = float(h[5]), float(s @ h)
+    except SingularOperatorError:
+        report["newton_beta_step"] = report["newton_decrement"] = None
     if t_grid is None:
         t_grid = np.linspace(0.0, dataset.tau, 11)[1:]
     try:

@@ -32,11 +32,11 @@ import numpy as np
 
 from coxjm.data import Dataset, MeasurementGrid, SieveHazard, Theta, validate_dataset
 from coxjm.exceptions import ValidationError
-from coxjm.fit import Posterior, _Workspace
 from coxjm.io import dataset_from_dict
 from coxjm.posterior import EXP_CLIP, _batch_modes, batch_posterior
 from coxjm.simulate import SimTruth, make_grid
 from coxjm.transition import TransitionParams, gauss_logpdf
+from coxjm.workspace import Posterior, _Workspace
 
 
 @dataclass(frozen=True)

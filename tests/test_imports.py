@@ -2,8 +2,9 @@
 it does not load numpy.random (the simulator loads it at its first call).
 
 Each check runs in a fresh interpreter, since the test process itself has
-imported scipy.  scipy.linalg is loaded only when a variance operator is
-first factorised; nothing loads scipy.special.
+imported scipy.  scipy.linalg is loaded only when an information operator is
+first factorised: at the fit's first Newton step, or else at the first
+variance call; nothing loads scipy.special.
 """
 
 import json

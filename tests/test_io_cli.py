@@ -136,6 +136,7 @@ def test_fit_json_round_trip_loglik(dataset, tmp_path):
     assert doc["converged"] is True
     assert doc["quadrature"] == fit.quadrature.to_dict()
     assert doc["quadrature"]["order"] == 2 * FitConfig().Q
+    assert doc["iterations"] == fit.iterations and doc["newton_steps"] == fit.newton_steps > 0
 
 
 def test_cli_lvcf_fit_document(dataset, tmp_path):
@@ -151,8 +152,8 @@ def test_cli_lvcf_fit_document(dataset, tmp_path):
         "method": "lvcf-cox", "alpha": None, "beta": bl.beta_pl,
         "hazard": {"times": list(bl.breslow.times), "jumps": list(bl.breslow.jumps)},
         "loglik_trace": [bl.loglik], "loglik": bl.loglik, "converged": True,
-        "score_norm": abs(bl.score) / dataset.n, "iterations": bl.iterations, "n_subjects": dataset.n,
-        "warnings": [], "quadrature": None,
+        "score_norm": abs(bl.score) / dataset.n, "iterations": bl.iterations, "newton_steps": None,
+        "n_subjects": dataset.n, "warnings": [], "quadrature": None,
     }
     assert list(doc) == list(cio.fit_to_dict(em_fit(dataset)))
     assert text == json.dumps(doc, indent=1) + "\n"
@@ -183,6 +184,8 @@ def test_cli_simulate_fit_round_trip(tmp_path):
     assert fit_doc["method"] == "npml"
     var_doc = json.loads((fit_out / "variance.json").read_text())
     assert var_doc["var_beta_simple"] > 0
+    assert fit_doc["converged"] and fit_doc["newton_steps"] > 0
+    assert abs(var_doc["newton_beta_step"]) <= 1e-9 and abs(var_doc["newton_decrement"]) <= 1e-18
 
     lv_out = tmp_path / "lv_out"
     assert main(["fit", "--data", str(out1 / "dataset.json"), "--method", "lvcf",

@@ -37,12 +37,12 @@ from coxjm import (
     nelson_aalen,
 )
 from coxjm.baseline import _imputed, _risk_sums
-from coxjm.fit import (Q_DEFAULT, _Workspace, _boundedness_check, _estep, _init_theta, _mstep,
-                       _risk_cols, _score_beta, estep_atoms, observed_loglik)
+from coxjm.fit import Q_DEFAULT, _boundedness_check, _init_theta, _mstep, estep_atoms, observed_loglik
 from coxjm.posterior import EXP_CLIP
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.transition import TransitionStats
 from coxjm.variance import _information, _latent_covariances
+from coxjm.workspace import _estep, _risk_cols, _score_beta, _Workspace
 
 TAU = 3.0
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
@@ -341,15 +341,16 @@ def test_em_fit_invariant_under_subject_permutation():
 
 
 def test_em_fit_memory_is_linear_in_n():
-    # K is about 10400 here: one n x K float array alone would take about 1.5 GiB
+    # K is about 10400 here: one n x K float array alone would take about 1.5 GiB; the
+    # three updates past the EM maps are Newton steps, which build the information operator
     ds, _ = _sim(20000, 0.25, seed=0)
     tracemalloc.start()
     try:
-        em_fit(ds, config=FitConfig(max_iter=2))
+        fit = em_fit(ds, config=FitConfig(max_iter=6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 256 * 2**20
+    assert fit.newton_steps > 0 and peak < 256 * 2**20
 
 
 @pytest.mark.parametrize("beta, clipped", [(10.0, True), (1.0, False)])

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,34 @@ def test_hazard_validation():
         SieveHazard((1.0,), (-0.1,))
     with pytest.raises(ValidationError):
         SieveHazard((1.0, 2.0), (0.1,))
+
+
+@pytest.mark.parametrize("times, jumps, message", [
+    ((1.0, 2.0), (0.1,), "hazard times and jumps must have equal length"),
+    ((1.0, 1.0), (0.1, 0.1), "hazard jump times must be strictly increasing"),
+    ((2.0, 1.0), (0.1, 0.1), "hazard jump times must be strictly increasing"),
+    ((0.0, 1.0), (0.1, 0.1), "hazard jump times must be finite and > 0"),
+    ((-1.0,), (0.1,), "hazard jump times must be finite and > 0"),
+    ((1.0, math.nan), (0.1, 0.1), "hazard jump times must be finite and > 0"),
+    ((1.0, math.inf), (0.1, 0.1), "hazard jump times must be finite and > 0"),
+    ((1.0,), (-0.1,), "hazard jumps must be finite and >= 0"),
+    ((1.0,), (math.nan,), "hazard jumps must be finite and >= 0"),
+    ((1.0,), (math.inf,), "hazard jumps must be finite and >= 0"),
+    (((1.0, 2.0),), ((0.1, 0.2),), "hazard times and jumps must be one-dimensional"),
+    (1.0, 0.1, "hazard times and jumps must be one-dimensional"),
+])
+def test_hazard_validation_messages(times, jumps, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SieveHazard(times, jumps)
+
+
+def test_hazard_keeps_python_floats():
+    # any sequence of numbers is kept as a tuple of the floats float() gives its entries
+    times, jumps = np.array([0.5, 1.25, 3.0]), [np.float32(0.1), 2, 0.3]
+    hz = SieveHazard(times, jumps)
+    assert hz.times == tuple(float(t) for t in times) and hz.jumps == tuple(float(j) for j in jumps)
+    assert all(type(v) is float for v in hz.times + hz.jumps)
+    assert SieveHazard((), ()).times == ()
 
 
 def _dataset(subjects):

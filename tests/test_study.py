@@ -148,8 +148,16 @@ def test_study_rows_equal_public_calls(seed):
 
 def test_replication_builds_two_workspaces_and_one_information(monkeypatch):
     # one workspace for the NPML fit, whose posterior carries it to both variances
-    # through one operator build, and one for the LVCF comparator
+    # through one operator build past those of the fit's Newton steps, and one for the
+    # LVCF comparator
+    from coxjm import study as study_mod
+
     counts = {"workspace": 0, "operator": 0}
+    fits = []
+
+    def recorded(*args, **kwargs):
+        fits.append(fit_mod.em_fit(*args, **kwargs))
+        return fits[-1]
 
     def counted(key, init):
         def init_and_count(self, *args, **kwargs):
@@ -160,9 +168,11 @@ def test_replication_builds_two_workspaces_and_one_information(monkeypatch):
     monkeypatch.setattr(fit_mod._Workspace, "__init__", counted("workspace", fit_mod._Workspace.__init__))
     monkeypatch.setattr(variance_mod.DiscretizedOperator, "__init__",
                         counted("operator", variance_mod.DiscretizedOperator.__init__))
+    monkeypatch.setattr(study_mod, "em_fit", recorded)
     rows = _run_one(_study(n=200, reps=1), 0)
     assert [(r["estimator"], r["error"]) for r in rows] == [("npml", None), ("lvcf", None)]
-    assert counts == {"workspace": 2, "operator": 1}
+    assert fits[0].newton_steps > 0
+    assert counts == {"workspace": 2, "operator": 1 + fits[0].newton_steps}
 
 
 def test_posterior_of_another_dataset_refused(tmp_path):

@@ -30,9 +30,9 @@ from coxjm import (
     nelson_aalen,
     weighted_mle_alpha,
 )
-from coxjm.fit import _estep, _Workspace
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.transition import VAR_FLOOR, TransitionStats, gauss_logpdf
+from coxjm.workspace import _estep, _Workspace
 
 LN_NORM_0 = -0.5 * math.log(2 * math.pi)  # ln N(0; 0, 1)
 

@@ -32,6 +32,7 @@ from coxjm.variance import COND_LIMIT, apply_operator, beta_probe, lambda_band, 
 
 GRID0 = MeasurementGrid((0.0,))
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
+HIGH_MISSING = TransitionParams(0.0, 1.0, 0.0, 0.3, 1.0)  # b = 0.3, ssq = 1: a noisy latent value
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,24 @@ def test_operator_matches_score_finite_differences(fitted):
     # operator entries are minus the directional derivatives of the observed-
     # data score (atoms recomputed at each theta); h3 rows are scaled by 1/dL_k
     ds, fit, atoms, op = fitted
+    _check_operator_against_score(ds, fit.theta_hat, op)
+
+
+@pytest.mark.parametrize("n, seed, alpha0", [(200, 0, ALPHA0), (200, 3, HIGH_MISSING)],
+                         ids=["n200-seed0", "n200-seed3-b0.3-ssq1"])
+def test_operator_matches_score_finite_differences_away_from_optimum(n, seed, alpha0):
+    # the fit's Newton steps solve with the operator from the fourth update on: after the
+    # three plain EM maps it is still minus the derivative of the observed score
+    cfg = SimConfig(n=n, grid_step=0.25, tau=3.0, alpha0=alpha0, beta0=1.0,
+                    lambda0=0.3, censor_rate=0.2, seed=seed)
+    ds, _ = gen_dataset(cfg)
+    fit = em_fit(ds, config=FitConfig(max_iter=3))
+    assert fit.newton_steps == 0 and not fit.converged and fit.score_norm > 1e-4
     th = fit.theta_hat
+    _check_operator_against_score(ds, th, build_sigma_hat(ds, th, estep_atoms(ds, th)))
+
+
+def _check_operator_against_score(ds, th, op):
     K = op.K
     M = dense_operator(op)
     dL = np.asarray(th.hazard.jumps)
@@ -292,7 +310,8 @@ def test_lambda_band_and_report(fitted):
     assert all(v > 0 for _, v in band)
     assert band[0][1] < band[2][1]  # variance grows with t
     rep = variance_report(ds, fit.theta_hat, atoms, fit)
-    assert set(rep) >= {"var_beta_simple", "var_beta_full", "var_alpha", "lambda_band", "cond_B"}
+    assert set(rep) >= {"var_beta_simple", "var_beta_full", "var_alpha", "lambda_band", "cond_B",
+                        "newton_beta_step", "newton_decrement"}
     assert rep["var_beta_simple"] > 0
     assert rep["var_beta_full"] > 0
     assert len(rep["var_alpha"]) == 5
@@ -351,7 +370,26 @@ def test_variance_report_degenerate_data(tmp_path):
     assert rep["var_beta_full"] is None
     assert rep["var_alpha"] == [None] * 5
     assert rep["lambda_band"] is None
+    assert rep["newton_beta_step"] is None and rep["newton_decrement"] is None
     save_json(rep, tmp_path / "variance.json")
+
+
+def test_variance_report_states_the_optimisation_error():
+    # h_beta of the Newton step at the fit is the distance of beta-hat from the maximizer:
+    # after 3 EM maps and 2 Newton steps it is 5.43e-5, estimated to 7e-5 relative; at the
+    # converged fit both it and the decrement <g, h> fall to rounding (5e-16 and 6e-31)
+    cfg = SimConfig(n=200, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
+                    lambda0=0.3, censor_rate=0.2, seed=0)
+    ds, _ = gen_dataset(cfg)
+    tight = em_fit(ds, config=FitConfig(tol_param=1e-11, tol_score=1e-11))
+    early, fit = em_fit(ds, config=FitConfig(max_iter=5)), em_fit(ds)
+    assert (early.newton_steps, early.converged, fit.converged) == (2, False, True)
+    rep = variance_report(ds, early.theta_hat, early.posterior, early)
+    err = tight.theta_hat.beta - early.theta_hat.beta
+    assert abs(err) > 1e-5 and rep["newton_beta_step"] == pytest.approx(err, rel=1e-3)
+    assert rep["newton_decrement"] > 0
+    rep = variance_report(ds, fit.theta_hat, fit.posterior, fit)
+    assert abs(rep["newton_beta_step"]) <= 1e-12 and abs(rep["newton_decrement"]) <= 1e-20
 
 
 def test_probe_length_validated(fitted):
