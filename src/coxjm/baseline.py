@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, SieveHazard
 from .exceptions import ValidationError
-from .fit import FitConfig, _check_wn, _exp_powers, _newton_step, _profile
+from .fit import BETA_HALVINGS, FitConfig, _check_wn, _exp_powers, _newton_step, _profile
 from .workspace import _Workspace
 
 
@@ -71,7 +71,7 @@ def partial_lik_fit(dataset: Dataset, imputation: str = "lvcf", beta_box: float 
     rounding floor grows like sqrt(K), the score's (a sum) like K.  `loglik`, `score` and
     `information` are sums over the events.  `beta_box` must be finite and >= 0.
     """
-    halvings = FitConfig(beta_box=beta_box).step_halving_max  # refuses a box FitConfig refuses
+    FitConfig(beta_box=beta_box)  # refuses a box FitConfig refuses
     ws, v, z = _imputed(dataset, imputation)
     sums = partial(_risk_sums, ws, v, z)
     n, dE = ws.n, float(np.sum(ws.delta * z))
@@ -82,7 +82,7 @@ def partial_lik_fit(dataset: Dataset, imputation: str = "lvcf", beta_box: float 
     for it in range(1, 101):
         if prof[2] <= 0:
             raise ValidationError("log partial likelihood is not concave at an iterate")
-        step = _newton_step(sums, dE, n, beta, prof, beta_box, halvings)
+        step = _newton_step(sums, dE, n, beta, prof, beta_box, BETA_HALVINGS)
         if step is not None:
             beta, R, prof = step
         converged = n * prof[1] * prof[1] <= 1e-24 * prof[2]

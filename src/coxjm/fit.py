@@ -1,11 +1,11 @@
 """Maximizer of the joint pseudo likelihood over the step-hazard sieve: EM, then Newton.
 
 One EM map: (E) posterior atoms for every subject at the current theta;
-(M) closed-form transition-parameter update, then at most `inner_cycles`
-step-halved Newton steps in beta on the EM objective profiled over the hazard
-(whose maximizing hazard is the closed form dL_k = (1/n) / W_n(x_k), taken at
-the accepted beta).  Every update increases the EM objective, so the observed
-log likelihood is nondecreasing up to quadrature error; a drop beyond
+(M) the transition parameters' exact maximizer over their box, then at most
+INNER_CYCLES step-halved Newton steps in beta on the EM objective profiled over
+the hazard (whose maximizing hazard is the closed form dL_k = (1/n) / W_n(x_k),
+taken at the accepted beta).  Every update increases the EM objective, so the
+observed log likelihood is nondecreasing up to quadrature error; a drop beyond
 ASCENT_TOL raises AscentError.
 
 After EM_MAPS such maps the fit takes Newton steps on the observed log
@@ -62,6 +62,8 @@ from .workspace import (
 ASCENT_TOL = 1e-8
 EM_MAPS = 3  # plain EM maps before the Newton steps
 NEWTON_HALVINGS = 3  # a Newton step halved more often than this gives way to an EM map
+INNER_CYCLES = 3  # the M-step's Newton steps in beta
+BETA_HALVINGS = 30  # a Newton step in beta halved more often than this is refused
 Q_DEFAULT = 20  # the E-step's Gauss-Hermite order, unless a config or a call gives one
 
 
@@ -71,8 +73,7 @@ class FitConfig:
 
     `Q` is the order of the mode-recentred Gauss-Hermite rule of every E-step; the fit
     checks it against a 2Q rule at the end (`FitResult.quadrature`).  `max_iter` caps the
-    parameter updates, EM maps and Newton steps together; `inner_cycles` caps the M-step's
-    Newton steps in beta.
+    parameter updates, EM maps and Newton steps together.
     """
 
     Q: int = Q_DEFAULT
@@ -80,17 +81,13 @@ class FitConfig:
     tol_param: float = 1e-7
     tol_score: float = 1e-6
     id_tol: float = 1e-11
-    inner_cycles: int = 3
     beta_box: float = 10.0
     alpha_box: AlphaBox = field(default_factory=AlphaBox)
-    step_halving_max: int = 30
     var_floor: float = VAR_FLOOR
 
     def __post_init__(self):
-        check_fields(self, ("Q", "max_iter", "inner_cycles", "step_halving_max"),
-                     ("tol_param", "tol_score", "id_tol", "beta_box", "var_floor"),
-                     {"Q": 2, "max_iter": 1, "inner_cycles": 1, "step_halving_max": 0,
-                      "beta_box": 0, "var_floor": VAR_FLOOR})
+        check_fields(self, ("Q", "max_iter"), ("tol_param", "tol_score", "id_tol", "beta_box", "var_floor"),
+                     {"Q": 2, "max_iter": 1, "beta_box": 0, "var_floor": VAR_FLOOR})
         if min(self.tol_param, self.tol_score, self.id_tol) <= 0:
             raise ValidationError("tolerances must be > 0")
 
@@ -194,35 +191,23 @@ def _certificate(ws, est, alpha, beta, dL, cfg: FitConfig):
     return id_resid, score_norm, s
 
 
-def _mstep(ws, est, alpha, beta, cfg: FitConfig, warn: list):
-    # conditional maximization in alpha (closed form, ascent-safeguarded)
-    stats = ws.transition_stats(est)
-    alpha_new, floored = stats.mle(cfg.alpha_box, cfg.var_floor)
+def _mstep(ws, est, beta, cfg: FitConfig, warn: list):
+    # alpha: the maximizer over the box, which ascends from every feasible alpha
+    alpha_new, floored = ws.transition_stats(est).mle(cfg.alpha_box, cfg.var_floor)
     if floored and FLOOR_MESSAGE not in warn:
         warn.append(FLOOR_MESSAGE)
-    q = stats.objective(alpha)
-    q_min = q - 1e-13 * (1 + abs(q))  # rounding in q grows with its magnitude
-    if stats.objective(alpha_new) < q_min:
-        # projection onto the box can break ascent; backtrack toward the old value
-        va, vn = alpha.as_array(), alpha_new.as_array()
-        for j in range(1, cfg.step_halving_max + 1):
-            alpha_new = TransitionParams.from_array(va + (vn - va) * 0.5**j)
-            if stats.objective(alpha_new) >= q_min:
-                break
-        else:
-            alpha_new = alpha
 
-    # (beta, hazard): at most `inner_cycles` Newton steps on the EM objective profiled over
+    # (beta, hazard): at most INNER_CYCLES Newton steps on the EM objective profiled over
     # the hazard, whose maximizing hazard is dL_k = 1 / W_k at the accepted beta
     dE = float(np.sum(ws.delta * est.E1))
     R = _risk_cols(ws, est, beta)
     _check_wn(ws, R[:, 0])
     prof = _profile(R, dE, beta, ws.n)
-    for _ in range(cfg.inner_cycles):
+    for _ in range(INNER_CYCLES):
         if prof[2] <= 0 or abs(prof[1]) < 0.05 * cfg.tol_score:
             break
         step = _newton_step(lambda b: _risk_cols(ws, est, b), dE, ws.n, beta, prof,
-                            cfg.beta_box, cfg.step_halving_max)
+                            cfg.beta_box, BETA_HALVINGS)
         if step is None:
             break
         beta, R, prof = step
@@ -275,7 +260,7 @@ def _init_theta(ws: _Workspace, init: Theta | None, cfg: FitConfig):
         beta = 0.0
         dL = 1.0 / ws.cols(ws.t_count, np.ones(ws.n))  # Nelson-Aalen jumps
         return alpha, beta, dL
-    alpha = TransitionParams.from_array(cfg.alpha_box.project(init.alpha.as_array()))
+    alpha = cfg.alpha_box.clamp(init.alpha.as_array(), cfg.var_floor)
     beta = float(np.clip(init.beta, -cfg.beta_box, cfg.beta_box))
     dL = np.maximum(_hazard_jumps(ws.xe, init.hazard), 1e-300)
     return alpha, beta, dL
@@ -301,8 +286,8 @@ def _em_map(ws, state, cfg: FitConfig, warn: list, it: int):
     """One EM map (M-step, then the E-step at its result) from state = (alpha, beta, dL,
     E-step, loglik); returns the new state.  Every M-step piece ascends the EM objective,
     so a loglik drop beyond ASCENT_TOL raises AscentError."""
-    alpha, beta, dL, est, ll = state
-    a_new, b_new, dL_new = _mstep(ws, est, alpha, beta, cfg, warn)
+    _, beta, _, est, ll = state
+    a_new, b_new, dL_new = _mstep(ws, est, beta, cfg, warn)
     est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
     ll_new = _loglik(ws, a_new, b_new, dL_new, est_new)
     if ll_new < ll - ASCENT_TOL:
@@ -444,8 +429,8 @@ def lambda_update(dataset: Dataset, atoms: Posterior, beta: float) -> SieveHazar
 
 def weighted_mle_alpha(dataset: Dataset, atoms: Posterior, box: AlphaBox | None = None,
                        var_floor: float = VAR_FLOOR) -> TransitionParams:
-    """Expected complete-data Gaussian MLE of alpha under `atoms` (the M-step's alpha
-    update, before its ascent guard); raises InsufficientDataError for fewer than two subjects."""
+    """Expected complete-data Gaussian MLE of alpha over `box` under `atoms` (the M-step's
+    alpha update); raises InsufficientDataError for fewer than two subjects."""
     ws = _workspace_of(dataset, atoms)
     if ws.n < 2:
         raise InsufficientDataError("weighted MLE needs at least 2 subjects")
@@ -468,7 +453,8 @@ def observed_loglik(dataset: Dataset, theta: Theta, Q: int = Q_DEFAULT) -> float
 
 
 def score_full(dataset: Dataset, theta: Theta, h, Q: int = Q_DEFAULT, atoms: Posterior | None = None) -> float:
-    """Empirical score along the probe h = (h1, h2, h3-at-event-times).
+    """Empirical score along the probe h = (h1, h2, h3-at-event-times), the dot product
+    of h with `workspace._score`; a None part of h is 0.
 
     With `atoms` given, expectations are frozen at the atoms' parameter
     (the two-argument score of the EM construction); otherwise the atoms are
@@ -477,10 +463,8 @@ def score_full(dataset: Dataset, theta: Theta, h, Q: int = Q_DEFAULT, atoms: Pos
     h1, h2, h3 = h
     est = estep_atoms(dataset, theta, Q) if atoms is None else atoms
     ws = _workspace_of(dataset, est)
-    dL = _hazard_jumps(ws.xe, theta.hazard)
-    h1 = np.zeros(5) if h1 is None else np.asarray(h1, dtype=float)
-    h3 = np.zeros(ws.K) if h3 is None else np.asarray(h3, dtype=float) * np.ones(ws.K)
-    s1 = ws.transition_stats(est).score(theta.alpha) / ws.n
-    R = _risk_cols(ws, est, theta.beta)
-    s3 = float(np.sum(h3 * (1.0 / ws.n - dL * (R[:, 0] / ws.n))))
-    return float(h1 @ s1) + float(h2) * _score_beta(ws, est, R, dL) + s3
+    probe = np.zeros(6 + ws.K)
+    probe[:5] = 0.0 if h1 is None else h1
+    probe[5] = h2
+    probe[6:] = 0.0 if h3 is None else h3
+    return float(probe @ _score(ws, est, theta.alpha, theta.beta, _hazard_jumps(ws.xe, theta.hazard)))

@@ -6,8 +6,8 @@ subject's terminal window is one more transition step from the last observed
 measurement.  The five parameters alpha = (mu0, s0sq, a, b, ssq) live in a
 configurable compact box; variances are floored at VAR_FLOOR.
 
-The model's log density, its score, Hessian and closed-form MLE over many
-subjects depend on the data only through `TransitionStats`: the entry values'
+The model's log density, its score, Hessian and exact maximizer over the box
+depend on the data only through `TransitionStats`: the entry values'
 and the transitions' means and centred cross-products, merged pairwise when
 the observed histories and the latent terminal steps combine.  The fitter,
 the convergence certificate and the variance operator all read them there.
@@ -198,14 +198,24 @@ class TransitionStats:
         return H
 
     def mle(self, box: AlphaBox, var_floor: float) -> tuple[TransitionParams, bool]:
-        """The box-projected maximizer of `objective` with variances floored at
-        var_floor, and whether a variance was below the floor."""
-        if self.Cpp > 1e-12 * max(1.0, self.Cpp + self.N * self.pbar**2):
-            b = self.Cpn / self.Cpp
-        else:
-            # all predecessors (numerically) equal: slope is unidentified, take 0
-            b = 0.0
+        """The maximizer of `objective` over the box with variances floored at var_floor, and
+        whether a variance was below the floor.  The entry and transition parts separate.  A
+        mean's optimum does not depend on its variance, whose objective is unimodal, so clipping
+        each in turn is exact; the residual sum of squares, a convex quadratic in (a, b), is
+        least on the rectangle at its unconstrained minimum or else on an edge."""
+        (mu_lo, mu_hi), _, (a_lo, a_hi), (b_lo, b_hi), _ = box.bounds().tolist()
+        mu0 = min(max(self.z0bar, mu_lo), mu_hi)
+        curv = self.Cpp + self.N * self.pbar**2  # half the curvature of the sum of squares in b
+        # all predecessors (numerically) equal: slope is unidentified, take 0
+        b = self.Cpn / self.Cpp if self.Cpp > 1e-12 * max(1.0, curv) else 0.0
         a = self.nbar - b * self.pbar
-        s0sq, ssq = self.M2_0 / self.n0, self._sse(a, b) / self.N
-        alpha = box.clamp(np.array([self.z0bar, s0sq, a, b, ssq]), var_floor)
+        if not (a_lo <= a <= a_hi and b_lo <= b <= b_hi):
+            # each edge's clipped minimum: on b = c at a = nbar - c pbar, on a = c at the b
+            # solving b curv = Cpn + N pbar (nbar - c), or at any b where curv is 0
+            edges = [(min(max(self.nbar - c * self.pbar, a_lo), a_hi), c) for c in (b_lo, b_hi)] + [
+                (c, min(max((self.Cpn + self.N * self.pbar * (self.nbar - c)) / curv if curv > 0 else 0.0,
+                            b_lo), b_hi)) for c in (a_lo, a_hi)]
+            a, b = min(edges, key=lambda ab: self._sse(*ab))
+        s0sq, ssq = self._entry_ss(mu0) / self.n0, self._sse(a, b) / self.N
+        alpha = box.clamp(np.array([mu0, s0sq, a, b, ssq]), var_floor)
         return alpha, s0sq < var_floor or ssq < var_floor

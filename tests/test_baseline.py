@@ -15,7 +15,7 @@ from coxjm import (
     nelson_aalen,
     partial_lik_fit,
 )
-from coxjm.fit import _mstep, lambda_update
+from coxjm.fit import INNER_CYCLES, _mstep, lambda_update
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 
 GRID = MeasurementGrid((0.0, 1.0, 2.0))
@@ -132,13 +132,16 @@ def test_partial_lik_fit_hazard_is_breslow_at_its_beta(seed):
 def test_mstep_at_point_atoms_is_the_partial_likelihood_fit():
     # single-point grid, atoms pinned at the LVCF values: the EM objective profiled over the
     # hazard is the log partial likelihood over n, so the M-step's Newton steps reach the
-    # partial-likelihood beta, and its hazard is Breslow's at the beta it returns
+    # partial-likelihood beta, and its hazard is Breslow's at the beta it returns (M-steps
+    # repeated from their own beta, up to 50 Newton steps in all)
     cfg = SimConfig(n=200, grid_step=3.0, tau=3.0, alpha0=ALPHA0, beta0=0.7,
                     lambda0=0.4, censor_rate=0.2, seed=23)
     ds, _ = gen_dataset(cfg)
     atoms = stack_atoms(ds, np.array([[lvcf_value(s, s.x, ds.grid)] for s in subjects_of(ds)]),
                         np.ones((ds.n, 1)))
-    _, beta, dL = _mstep(atoms.ws, atoms, ALPHA0, 0.0, FitConfig(inner_cycles=50, tol_score=1e-12), [])
+    beta = 0.0
+    for _ in range(math.ceil(50 / INNER_CYCLES)):
+        _, beta, dL = _mstep(atoms.ws, atoms, beta, FitConfig(tol_score=1e-12), [])
     fit = partial_lik_fit(ds)
     assert fit.converged and abs(fit.beta_pl - 0.7) < 0.5
     assert abs(beta - fit.beta_pl) <= 1e-10

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
 )
 
 from coxjm import (
+    AlphaBox,
     FitConfig,
     InsufficientDataError,
     MeasurementGrid,
@@ -240,14 +242,14 @@ def test_em_fit_fullinfo_matches_partial_likelihood():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("Q", 20.5), ("max_iter", 2.5), ("inner_cycles", 1.5), ("step_halving_max", -3),
-    ("step_halving_max", 2.0), ("tol_param", math.nan), ("tol_score", math.inf), ("id_tol", math.nan),
+    ("Q", 20.5), ("max_iter", 2.5), ("Q", 1), ("max_iter", 0),
+    ("beta_box", -1.0), ("tol_param", math.nan), ("tol_score", math.inf), ("id_tol", math.nan),
     ("beta_box", math.nan), ("var_floor", 1e-9), ("var_floor", math.nan),
     ("alpha_box", {"mu0": [-1.0, math.nan]}), ("alpha_box", {"b": [1.0, -1.0]}),
 ])
 def test_fit_config_refuses_values_it_cannot_honour(field, value):
     # the fit would run on them: a NaN beta_box pins beta at 0, a NaN tol_param runs every
-    # map, a negative step_halving_max freezes beta, a fractional Q fails inside the rule
+    # map, a fractional Q fails inside the rule
     with pytest.raises(ValidationError, match=f"^{field}"):
         FitConfig.from_dict({field: value})
 
@@ -418,8 +420,8 @@ def test_em_fit_raises_on_loglik_drop(monkeypatch):
 
     mstep = fit_mod._mstep
 
-    def descending(ws, est, alpha, beta, cfg, warn):
-        a, b, dL = mstep(ws, est, alpha, beta, cfg, warn)
+    def descending(ws, est, beta, cfg, warn):
+        a, b, dL = mstep(ws, est, beta, cfg, warn)
         return a, b - 3.0, dL
 
     monkeypatch.setattr(fit_mod, "_mstep", descending)
@@ -456,16 +458,19 @@ def test_em_fit_tight_tolerances_converge_on_long_histories():
 def test_mstep_reaches_profiled_maximizer(seed, n, beta):
     # at fixed atoms the M-step maximizes the EM objective jointly over (beta, hazard):
     # the beta score vanishes at the returned beta with the hazard dL = 1/(n W_n) there
-    # (its Newton steps stop once the score is below 0.05 tol_score)
-    from coxjm.fit import _mstep
+    # (its Newton steps stop once the score is below 0.05 tol_score); M-steps are repeated
+    # from their own beta, up to 20 Newton steps in all
+    from coxjm.fit import INNER_CYCLES, _mstep
     from coxjm.workspace import _estep, _score_beta, _Workspace
 
     ds, _ = _sim(n, seed=seed)
     ws = _Workspace(ds)
     dL = np.asarray(nelson_aalen(ds).jumps)
     est = _estep(ws, ALPHA0, beta, dL, 40)
-    cfg = FitConfig(inner_cycles=20, tol_score=1e-9)
-    alpha_new, beta_new, dL_new = _mstep(ws, est, ALPHA0, beta, cfg, [])
+    cfg = FitConfig(tol_score=1e-9)
+    beta_new = beta
+    for _ in range(math.ceil(20 / INNER_CYCLES)):
+        alpha_new, beta_new, dL_new = _mstep(ws, est, beta_new, cfg, [])
 
     def objective(alpha, b, jumps):
         cox = np.sum(np.log(jumps)) + b * np.sum(ws.delta * est.E1) - jumps @ _risk_cols(ws, est, b)[:, 0]
@@ -480,19 +485,50 @@ def test_mstep_reaches_profiled_maximizer(seed, n, beta):
 
 def test_mstep_keeps_beta_when_no_halving_ascends():
     # with no halving allowed, a full Newton step that lowers the profiled objective is
-    # refused: beta stays, with the hazard that maximizes the objective there (at seed 0 the
-    # step from -3 goes to 3.04, where the objective is lower by 0.47)
-    from coxjm.fit import _mstep
+    # refused (at seed 0 the step from -3 goes to 3.04, where the objective is lower by 0.47);
+    # halving the same step ascends, and the M-step returns the hazard that maximizes the
+    # objective at the beta it accepts
+    from coxjm.fit import BETA_HALVINGS, _mstep, _newton_step, _profile
     from coxjm.workspace import _estep, _Workspace
 
     ds, _ = _sim(40, seed=0)
     ws = _Workspace(ds)
     est = _estep(ws, ALPHA0, -3.0, np.asarray(nelson_aalen(ds).jumps), 20)
-    _, beta, dL = _mstep(ws, est, ALPHA0, -3.0, FitConfig(step_halving_max=0, inner_cycles=1), [])
-    assert beta == -3.0
-    np.testing.assert_array_equal(dL, 1.0 / _risk_cols(ws, est, -3.0)[:, 0])
-    # halving the same step ascends
-    assert _mstep(ws, est, ALPHA0, -3.0, FitConfig(inner_cycles=1), [])[1] > -3.0
+    dE = float(np.sum(ws.delta * est.E1))
+    prof = _profile(_risk_cols(ws, est, -3.0), dE, -3.0, ws.n)
+    step = partial(_newton_step, lambda b: _risk_cols(ws, est, b), dE, ws.n, -3.0, prof, FitConfig().beta_box)
+    assert step(0) is None
+    assert step(BETA_HALVINGS)[0] > -3.0
+    _, beta, dL = _mstep(ws, est, -3.0, FitConfig(), [])
+    assert beta > -3.0
+    np.testing.assert_array_equal(dL, 1.0 / _risk_cols(ws, est, beta)[:, 0])
+
+
+@pytest.mark.parametrize("box", [AlphaBox(b=(0.7, 0.7)), AlphaBox(mu0=(0.5, 0.5))], ids=["b", "mu0"])
+def test_em_fit_converges_with_a_pinned_transition_parameter(box):
+    # with one component pinned, the M-step refits the others at its value, so their score
+    # vanishes and the certificate holds (30 and 31 maps on this dataset); a pinned box
+    # takes EM maps only
+    ds, _ = _sim(200, seed=0)
+    fit = em_fit(ds, config=FitConfig(alpha_box=box))
+    assert fit.converged and fit.newton_steps == 0
+    lo, hi = box.bounds().T
+    assert np.array_equal(fit.theta_hat.alpha.as_array()[lo == hi], lo[lo == hi])
+    tr = np.asarray(fit.loglik_trace)
+    assert np.all(np.diff(tr) >= -4 * np.spacing(np.abs(tr[1:])))
+
+
+def test_em_fit_clamps_a_warm_start_to_the_variance_floor():
+    # a given init enters the box with its variances floored, as every M-step's alpha does:
+    # from the default fit (ssq 0.245) a fit with var_floor 0.5 starts at ssq = 0.5 and
+    # ascends from there, where an init below the floor would make the first map descend
+    ds, _ = _sim(200, seed=0)
+    init = em_fit(ds).theta_hat
+    fit = em_fit(ds, init=init, config=FitConfig(var_floor=0.5, max_iter=20))
+    assert init.alpha.ssq < 0.5 and fit.theta_hat.alpha.ssq == 0.5
+    assert fit.loglik_trace[0] == observed_loglik(ds, replace(init, alpha=replace(init.alpha, ssq=0.5)))
+    tr = np.asarray(fit.loglik_trace)
+    assert np.all(np.diff(tr) >= -4 * np.spacing(np.abs(tr[1:])))
 
 
 def test_quadrature_check_matches_public_calls():

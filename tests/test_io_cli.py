@@ -219,14 +219,18 @@ def test_cli_simulate_refuses_a_bad_seed(seed, tmp_path, capsys):
     assert "seed must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["fit-config-key", "study-sim-key", "subject-x", "subject-delta",
-                                  "subject-measurements", "fit-config-value", "invalid-json"])
+@pytest.mark.parametrize("case", ["fit-config-key", "fit-config-removed-key", "study-sim-key", "subject-x",
+                                  "subject-delta", "subject-measurements", "fit-config-value", "invalid-json"])
 def test_cli_malformed_document_exits_2_naming_the_key(case, dataset, tmp_path, capsys):
     data, doc = tmp_path / "d.json", tmp_path / "doc.json"
     cio.save_dataset_json(dataset, data)
     if case == "fit-config-key":
         doc.write_text(json.dumps({"max_iters": 5}))
         argv, named = ["fit", "--data", str(data), "--method", "npml", "--config", str(doc)], "max_iters"
+    elif case == "fit-config-removed-key":
+        # a key the fit config no longer has is refused, not ignored
+        doc.write_text(json.dumps({"inner_cycles": 3}))
+        argv, named = ["fit", "--data", str(data), "--method", "npml", "--config", str(doc)], "inner_cycles"
     elif case == "fit-config-value":
         # a fractional quadrature order is refused before the fit, naming the field
         doc.write_text(json.dumps({"Q": 20.5}))

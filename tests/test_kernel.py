@@ -319,7 +319,7 @@ def test_posterior_keeps_risk_sums_for_its_last_beta():
     for cached in (R, ws.obs_mats(beta), est.exp_moments(beta)):
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0] = 1.0
-    b_new = _mstep(ws, est, alpha, beta, cfg, [])[1]
+    b_new = _mstep(ws, est, beta, cfg, [])[1]
     assert b_new != beta
     for b in (b_new, beta, b_new):
         assert np.array_equal(_risk_cols(ws, est, b), fresh(b))

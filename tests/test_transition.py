@@ -332,6 +332,54 @@ def test_transition_stats_merge_equals_whole(seed, n0, N, cut, offset):
     np.testing.assert_allclose(merged, whole, rtol=1e-12, atol=1e-12 * np.max(np.abs(whole)))
 
 
+def _side(draw, lo_min, lo_max):
+    """One side of a box: a bound pair, equal bounds (a pinned component) one time in four."""
+    lo = draw(st.floats(lo_min, lo_max))
+    return lo, lo if draw(st.integers(0, 3)) == 0 else lo + draw(st.floats(0.0, 2.0))
+
+
+@st.composite
+def _stats_and_box(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n0, N = draw(st.integers(2, 20)), draw(st.integers(1, 40))
+    z0 = draw(st.floats(-3.0, 3.0)) + draw(st.floats(0.0, 2.0)) * rng.normal(size=n0)
+    # all predecessors equal one time in four: the slope's curvature is 0
+    prev = np.full(N, draw(st.floats(-2.0, 2.0))) if draw(st.integers(0, 3)) == 0 else rng.normal(size=N)
+    nxt = draw(st.floats(-1.0, 1.0)) + draw(st.floats(-1.5, 1.5)) * prev + draw(st.floats(0.0, 1.0)) * rng.normal(size=N)
+    stats = TransitionStats.of(z0, prev, nxt, rng.uniform(0.0, draw(st.floats(0.0, 0.5)), size=N))
+    box = AlphaBox(mu0=_side(draw, -3.0, 3.0), s0sq=_side(draw, VAR_FLOOR, 1.0), a=_side(draw, -2.0, 2.0),
+                   b=_side(draw, -2.0, 2.0), ssq=_side(draw, VAR_FLOOR, 1.0))
+    return stats, box, draw(st.sampled_from([VAR_FLOOR, 0.1, 0.5]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_stats_and_box())
+def test_transition_stats_mle_is_the_maximizer_over_the_box(case):
+    # against L-BFGS-B over the same box, variances in logs, started from the unconstrained
+    # maximizer projected one coordinate at a time (the optimizer must not end above it)
+    stats, box, var_floor = case
+    got, free = stats.mle(box, var_floor)[0], stats.mle(AlphaBox(), VAR_FLOOR)[0]
+    logs, (lo, hi) = [1, 4], box.bounds().T
+    lo[logs], hi[logs] = np.maximum(lo[logs], var_floor), np.maximum(hi[logs], var_floor)
+    assert np.all((lo <= got.as_array()) & (got.as_array() <= hi))
+    start = box.clamp(free.as_array(), var_floor).as_array()
+
+    def alpha_of(v):
+        v = np.array(v, dtype=float)
+        v[logs] = np.clip(np.exp(v[logs]), lo[logs], hi[logs])  # exp(log) may round below the floor
+        return TransitionParams.from_array(v)
+
+    start[logs], bounds = np.log(start[logs]), np.column_stack([lo, hi])
+    bounds[logs] = np.log(bounds[logs])
+    res = scipy.optimize.minimize(lambda v: -stats.objective(alpha_of(v)), start, method="L-BFGS-B",
+                                  bounds=bounds.tolist(), options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 1000})
+    best = -float(res.fun)
+    assert stats.objective(got) >= best - 1e-12 * (1 + abs(best))
+    # the unconstrained maximizer, when it lies in the box, is returned as it is
+    if box.contains(free) and min(free.s0sq, free.ssq) >= var_floor:
+        assert got == free
+
+
 def test_alpha_box_projection():
     box = AlphaBox(mu0=(-1.0, 1.0))
     vec = box.project(np.array([5.0, 1.0, 0.0, 0.0, 1.0]))
