@@ -14,12 +14,14 @@ likelihood (Lange 1995, JRSS-B 57:425; Jamshidian & Jennrich 1997, JRSS-B
 `variance` (Louis 1982, JRSS-B 44:226) and g the score representer, and moves
 alpha by h1, beta by h2 and log dL by h3.  A step is halved until the log
 likelihood does not drop beyond its rounding; where the operator is singular,
-the step is no ascent direction or leaves the boxes, its E-step fails, or
-NEWTON_HALVINGS halvings do not ascend, the fit takes one EM map instead.
+the step is no ascent direction or leaves the feasible set, its E-step fails, or
+NEWTON_HALVINGS halvings do not ascend, the fit takes one EM map instead.  Both
+keep (alpha, beta) in one feasible set, `_bounds`, and the Newton steps hold its
+active components (projected Newton, Bertsekas 1982, SIAM J. Control Optim. 20:221).
 
 Convergence requires one update to move the parameters less than `tol_param`, a
-small score over the canonical probe directions, and the hazard fixed-point
-identity dL_k * W_n(x_k) = 1/n holding at freshly computed atoms.
+small score over the canonical probe directions that are not active (KKT), and the
+hazard fixed-point identity dL_k * W_n(x_k) = 1/n holding at freshly computed atoms.
 
 The fit then states its quadrature error: one E-step at the final parameter with
 twice the nodes (Gauss-Hermite rules are not nested), compared with the fit's own.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -73,7 +75,8 @@ class FitConfig:
 
     `Q` is the order of the mode-recentred Gauss-Hermite rule of every E-step; the fit
     checks it against a 2Q rule at the end (`FitResult.quadrature`).  `max_iter` caps the
-    parameter updates, EM maps and Newton steps together.
+    parameter updates, EM maps and Newton steps together.  `var_floor` raises the variance
+    lower bounds of `alpha_box` (`_bounds`) and may not exceed their upper bounds.
     """
 
     Q: int = Q_DEFAULT
@@ -90,6 +93,9 @@ class FitConfig:
                      {"Q": 2, "max_iter": 1, "beta_box": 0, "var_floor": VAR_FLOOR})
         if min(self.tol_param, self.tol_score, self.id_tol) <= 0:
             raise ValidationError("tolerances must be > 0")
+        for name, (_, hi) in (("s0sq", self.alpha_box.s0sq), ("ssq", self.alpha_box.ssq)):
+            if self.var_floor > hi:
+                raise ValidationError(f"var_floor {self.var_floor!r} exceeds alpha_box.{name}'s upper bound {hi!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -167,33 +173,31 @@ def _quadrature_check(ws, state, Q: int) -> QuadratureCheck:
     )
 
 
-def _free_directions(cfg: FitConfig):
-    """Probe directions along which the constrained maximizer must be stationary.
-
-    Components pinned by a degenerate box are not part of the sieve, so their
-    score need not vanish and they drop out of the convergence certificate.
-    """
-    lo, hi = cfg.alpha_box.bounds().T
-    return lo < hi, cfg.beta_box > 0
+def _bounds(cfg: FitConfig) -> np.ndarray:
+    """The feasible set as (lo, hi) rows over (mu0, s0sq, a, b, ssq, beta): the alpha box
+    with var_floor raised into its variance lower bounds, and [-beta_box, beta_box]."""
+    bounds = np.vstack([cfg.alpha_box.bounds(), [-cfg.beta_box, cfg.beta_box]])
+    bounds[[1, 4], 0] = np.maximum(bounds[[1, 4], 0], cfg.var_floor)
+    return bounds
 
 
-def _certificate(ws, est, alpha, beta, dL, cfg: FitConfig):
-    """Fixed-point residual and score norm over the canonical probe basis, and the score
-    along that basis (`workspace._score`)."""
+def _certificate(ws, est, alpha, beta, dL, bounds):
+    """Fixed-point residual and score norm over the canonical probe basis, the score along
+    that basis (`workspace._score`), and the active components of (alpha, beta), whose
+    score drops out of the norm: those the bounds pin, and alpha ones at a bound whose score
+    points out of the box (KKT).  The beta box is a safeguard: beta on it is not active."""
     s = _score(ws, est, alpha, beta, dL)
+    lo, hi = bounds.T
+    x, sa = np.append(alpha.as_array(), beta), np.append(s[:5], 0.0)
+    active = (lo == hi) | ((x <= lo) & (sa < 0)) | ((x >= hi) & (sa > 0))
     # the hazard score 1/n - dL_k W_n(x_k) is the fixed-point residual
-    score_norm = id_resid = float(np.max(np.abs(s[6:])))
-    alpha_free, beta_free = _free_directions(cfg)
-    if np.any(alpha_free):
-        score_norm = max(score_norm, float(np.max(np.abs(s[:5][alpha_free]))))
-    if beta_free:
-        score_norm = max(score_norm, abs(s[5]))
-    return id_resid, score_norm, s
+    id_resid = float(np.max(np.abs(s[6:])))
+    return id_resid, max(id_resid, float(np.max(np.abs(s[:6][~active]), initial=0.0))), s, active
 
 
-def _mstep(ws, est, beta, cfg: FitConfig, warn: list):
+def _mstep(ws, est, beta, cfg: FitConfig, bounds, warn: list):
     # alpha: the maximizer over the box, which ascends from every feasible alpha
-    alpha_new, floored = ws.transition_stats(est).mle(cfg.alpha_box, cfg.var_floor)
+    alpha_new, floored = ws.transition_stats(est).mle(bounds)
     if floored and FLOOR_MESSAGE not in warn:
         warn.append(FLOOR_MESSAGE)
 
@@ -207,7 +211,7 @@ def _mstep(ws, est, beta, cfg: FitConfig, warn: list):
         if prof[2] <= 0 or abs(prof[1]) < 0.05 * cfg.tol_score:
             break
         step = _newton_step(lambda b: _risk_cols(ws, est, b), dE, ws.n, beta, prof,
-                            cfg.beta_box, BETA_HALVINGS)
+                            bounds[5, 1], BETA_HALVINGS)
         if step is None:
             break
         beta, R, prof = step
@@ -243,27 +247,23 @@ def _newton_step(sums, dE: float, n: int, beta: float, prof, box: float, halving
     return None
 
 
-def _init_theta(ws: _Workspace, init: Theta | None, cfg: FitConfig):
+def _init_theta(ws: _Workspace, init: Theta | None, bounds, warn: list):
+    lo, hi = bounds.T
     if init is None:
         # Gaussian MLE from the observed transitions only
         if ws.n < 2:
             raise InsufficientDataError("need at least 2 subjects")
         if ws.obs.N < 1:
             # no observed transitions at all: fall back to the entry distribution
-            mu0 = ws.obs.z0bar
-            s0sq = max(ws.obs.M2_0 / ws.obs.n0, cfg.var_floor)
-            alpha = cfg.alpha_box.clamp(np.array([mu0, s0sq, mu0, 0.0, s0sq]), cfg.var_floor)
+            mu0, s0sq = ws.obs.z0bar, ws.obs.M2_0 / ws.obs.n0
+            alpha = TransitionParams.from_array(np.clip([mu0, s0sq, mu0, 0.0, s0sq], lo[:5], hi[:5]))
         else:
-            alpha, floored = ws.obs.mle(cfg.alpha_box, cfg.var_floor)
+            alpha, floored = ws.obs.mle(bounds)
             if floored:
-                _warnings.warn(FLOOR_MESSAGE, RuntimeWarning)
-        beta = 0.0
-        dL = 1.0 / ws.cols(ws.t_count, np.ones(ws.n))  # Nelson-Aalen jumps
-        return alpha, beta, dL
-    alpha = cfg.alpha_box.clamp(init.alpha.as_array(), cfg.var_floor)
-    beta = float(np.clip(init.beta, -cfg.beta_box, cfg.beta_box))
-    dL = np.maximum(_hazard_jumps(ws.xe, init.hazard), 1e-300)
-    return alpha, beta, dL
+                warn.append(FLOOR_MESSAGE)
+        return alpha, 0.0, 1.0 / ws.cols(ws.t_count, np.ones(ws.n))  # Nelson-Aalen jumps
+    x = np.clip(np.append(init.alpha.as_array(), init.beta), lo, hi)
+    return TransitionParams.from_array(x[:5]), float(x[5]), np.maximum(_hazard_jumps(ws.xe, init.hazard), 1e-300)
 
 
 def _boundedness_check(ws, est, dL, cfg, warn: list):
@@ -282,12 +282,12 @@ def _boundedness_check(ws, est, dL, cfg, warn: list):
         warn.append(f"hazard mass {float(np.sum(dL)):.6g} exceeds the boundedness bound {bound:.6g}")
 
 
-def _em_map(ws, state, cfg: FitConfig, warn: list, it: int):
+def _em_map(ws, state, cfg: FitConfig, bounds, warn: list, it: int):
     """One EM map (M-step, then the E-step at its result) from state = (alpha, beta, dL,
     E-step, loglik); returns the new state.  Every M-step piece ascends the EM objective,
     so a loglik drop beyond ASCENT_TOL raises AscentError."""
     _, beta, _, est, ll = state
-    a_new, b_new, dL_new = _mstep(ws, est, beta, cfg, warn)
+    a_new, b_new, dL_new = _mstep(ws, est, beta, cfg, bounds, warn)
     est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
     ll_new = _loglik(ws, a_new, b_new, dL_new, est_new)
     if ll_new < ll - ASCENT_TOL:
@@ -305,33 +305,38 @@ def _move(old, new) -> float:
                abs(new[1] - old[1]), float(np.max(np.abs(new[2] - old[2]))))
 
 
-def _newton(ws, state, s, cfg: FitConfig):
+def _newton(ws, state, s, active, bounds, cfg: FitConfig):
     """A guarded Newton step on the observed log likelihood from state = (alpha, beta, dL,
-    E-step, loglik), where s is the score along the canonical probes (`_certificate`).
+    E-step, loglik), where s is the score along the canonical probes and `active` marks the
+    components of (alpha, beta) held at their bounds (`_certificate`).
 
     The step h solves M h = g, with M the observed information operator there and g the
-    score representer; it moves alpha by h1, beta by h2 and log dL by h3, and is halved
-    until the log likelihood does not drop beyond its rounding.  Returns the new state, or
-    None when the operator is singular, h is not finite or not an ascent direction
-    (<g, h> <= 0), the full step leaves the boxes, a trial E-step fails, or the step needs
-    more than NEWTON_HALVINGS halvings.  No condition estimate is taken: the halvings
-    guard the step, and the estimate costs about ten solves.
+    score representer, and h_j = 0 for each active j (unit rows and columns in the border
+    E, zero columns in G and a zero right-hand side); it moves alpha by h1, beta by h2 and
+    log dL by h3, and is halved until the log likelihood does not drop beyond its rounding.
+    Returns the new state, or None when the operator is singular, h is not finite or not an
+    ascent direction (<g, h> <= 0), the full step leaves the bounds, a trial E-step fails,
+    or the step needs more than NEWTON_HALVINGS halvings.  No condition estimate is taken:
+    the halvings guard the step, and the estimate costs about ten solves.
     """
     alpha, beta, dL, est, ll = state
     op = _operator(ws, est, alpha, beta, dL)[0]
+    g = np.concatenate([s[:6], s[6:] / dL])
+    if np.any(active):
+        keep = ~active
+        op = replace(op, E=op.E * np.outer(keep, keep) + np.diag(1.0 * active), G=op.G * keep)
+        g[:6] *= keep
     try:
-        h = op.solve(np.concatenate([s[:6], s[6:] / dL]))
+        h = op.solve(g)
     except SingularOperatorError:
         return None
     if not (np.all(np.isfinite(h)) and float(s @ h) > 0):  # s @ h is <g, h>
         return None
     va = alpha.as_array()
-    lo, hi = cfg.alpha_box.bounds().T
-    top = va + h[:5]
+    top = np.append(va, beta) + h[:6]
     with np.errstate(over="ignore", under="ignore"):
         dL_top = dL * np.exp(h[6:])
-    if not (np.all((lo <= top) & (top <= hi)) and min(top[1], top[4]) >= cfg.var_floor
-            and abs(beta + h[5]) <= cfg.beta_box and np.all((dL_top > 0) & (dL_top < math.inf))):
+    if not (np.all((bounds[:, 0] <= top) & (top <= bounds[:, 1])) and np.all((dL_top > 0) & (dL_top < math.inf))):
         return None
     ll_min = ll - 1e-13 * (1 + abs(ll))  # rounding in ll grows with its magnitude
     for j in range(NEWTON_HALVINGS + 1):
@@ -349,41 +354,39 @@ def _newton(ws, state, s, cfg: FitConfig):
 
 
 def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None = None) -> FitResult:
-    """Maximize the joint pseudo likelihood by EM_MAPS EM maps, then guarded Newton steps on
-    the observed information operator, each giving way to an EM map where it fails; every
-    update is an ascent up to rounding."""
+    """Maximize the joint pseudo likelihood over the feasible set `_bounds` by EM_MAPS EM maps,
+    then guarded Newton steps on the observed information operator, which hold the active
+    components, each giving way to an EM map where it fails; every update ascends up to rounding."""
     cfg = config or FitConfig()
+    bounds = _bounds(cfg)
     ws = _Workspace(dataset)
     warn: list[str] = []
     if not np.any(ws.a_x + ws.has_extra):  # every subject has one measurement
         warn.append("identifiability: no subject has two or more measurements")
 
-    alpha, beta, dL = _init_theta(ws, init, cfg)
+    alpha, beta, dL = _init_theta(ws, init, bounds, warn)
     est = _estep(ws, alpha, beta, dL, cfg.Q)
     state = (alpha, beta, dL, est, _loglik(ws, alpha, beta, dL, est))
     trace = [state[4]]
     converged = False
     score_norm = math.inf
     iterations = newton_steps = 0
-    # a component pinned by its box admits no Newton step: such fits take EM maps only
-    alpha_free, beta_free = _free_directions(cfg)
-    all_free = bool(np.all(alpha_free)) and beta_free
 
     while not converged and iterations < cfg.max_iter:
         iterations += 1
-        new = _newton(ws, state, s, cfg) if all_free and iterations > EM_MAPS else None
+        new = _newton(ws, state, s, active, bounds, cfg) if iterations > EM_MAPS else None
         if new is None:
-            new = _em_map(ws, state, cfg, warn, iterations)
+            new = _em_map(ws, state, cfg, bounds, warn, iterations)
         else:
             newton_steps += 1
         change, state = _move(state, new), new
         trace.append(state[4])
-        id_resid, score_norm, s = _certificate(ws, state[3], *state[:3], cfg)
+        id_resid, score_norm, s, active = _certificate(ws, state[3], *state[:3], bounds)
         converged = change < cfg.tol_param and score_norm <= cfg.tol_score and id_resid <= cfg.id_tol
 
     alpha, beta, dL, est = state[:4]
     quad = _quadrature_check(ws, state, cfg.Q)
-    if abs(quad.score_beta) > cfg.tol_score and beta_free:
+    if abs(quad.score_beta) > cfg.tol_score and cfg.beta_box > 0:
         warn.append(f"quadrature error: with {quad.order} nodes in place of Q={cfg.Q} the beta "
                     f"score moves by {quad.score_beta:.3g}, more than tol_score {cfg.tol_score:g}; "
                     "raise Q")
@@ -429,12 +432,13 @@ def lambda_update(dataset: Dataset, atoms: Posterior, beta: float) -> SieveHazar
 
 def weighted_mle_alpha(dataset: Dataset, atoms: Posterior, box: AlphaBox | None = None,
                        var_floor: float = VAR_FLOOR) -> TransitionParams:
-    """Expected complete-data Gaussian MLE of alpha over `box` under `atoms` (the M-step's
-    alpha update); raises InsufficientDataError for fewer than two subjects."""
+    """Expected complete-data Gaussian MLE of alpha over `box` floored at var_floor under `atoms`
+    (the M-step's alpha update); refuses what `FitConfig` refuses, and fewer than two subjects."""
+    bounds = _bounds(FitConfig(alpha_box=box or AlphaBox(), var_floor=var_floor))
     ws = _workspace_of(dataset, atoms)
     if ws.n < 2:
         raise InsufficientDataError("weighted MLE needs at least 2 subjects")
-    alpha, floored = ws.transition_stats(atoms).mle(box or AlphaBox(), var_floor)
+    alpha, floored = ws.transition_stats(atoms).mle(bounds)
     if floored:
         _warnings.warn(FLOOR_MESSAGE, RuntimeWarning)
     return alpha

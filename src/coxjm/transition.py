@@ -52,12 +52,6 @@ class AlphaBox:
         lo, hi = self.bounds().T
         return np.clip(np.asarray(vec, dtype=float), lo, hi)
 
-    def clamp(self, vec: np.ndarray, var_floor: float) -> "TransitionParams":
-        """The parameters `vec` projected onto the box, with the variances floored at var_floor."""
-        vec = self.project(vec)
-        vec[[1, 4]] = np.maximum(vec[[1, 4]], var_floor)
-        return TransitionParams.from_array(vec)
-
     def contains(self, params: "TransitionParams", margin: float = 0.0) -> bool:
         vec = params.as_array()
         lo, hi = self.bounds().T
@@ -197,13 +191,14 @@ class TransitionStats:
         H[4, 4] = (0.5 * self.N - self._sse(alpha.a, alpha.b) / s) / s**2
         return H
 
-    def mle(self, box: AlphaBox, var_floor: float) -> tuple[TransitionParams, bool]:
-        """The maximizer of `objective` over the box with variances floored at var_floor, and
-        whether a variance was below the floor.  The entry and transition parts separate.  A
-        mean's optimum does not depend on its variance, whose objective is unimodal, so clipping
-        each in turn is exact; the residual sum of squares, a convex quadratic in (a, b), is
-        least on the rectangle at its unconstrained minimum or else on an edge."""
-        (mu_lo, mu_hi), _, (a_lo, a_hi), (b_lo, b_hi), _ = box.bounds().tolist()
+    def mle(self, bounds: np.ndarray) -> tuple[TransitionParams, bool]:
+        """The maximizer of `objective` over the box whose (lo, hi) rows for (mu0, s0sq, a, b,
+        ssq) lead `bounds`, and whether a variance was raised to its lower bound.  The entry and
+        transition parts separate.  A mean's optimum does not depend on its variance, whose
+        objective is unimodal, so clipping each in turn is exact; the residual sum of squares, a
+        convex quadratic in (a, b), is least on the rectangle at its unconstrained minimum or
+        else on an edge."""
+        (mu_lo, mu_hi), (s0_lo, s0_hi), (a_lo, a_hi), (b_lo, b_hi), (s_lo, s_hi) = bounds[:5].tolist()
         mu0 = min(max(self.z0bar, mu_lo), mu_hi)
         curv = self.Cpp + self.N * self.pbar**2  # half the curvature of the sum of squares in b
         # all predecessors (numerically) equal: slope is unidentified, take 0
@@ -217,5 +212,5 @@ class TransitionStats:
                             b_lo), b_hi)) for c in (a_lo, a_hi)]
             a, b = min(edges, key=lambda ab: self._sse(*ab))
         s0sq, ssq = self._entry_ss(mu0) / self.n0, self._sse(a, b) / self.N
-        alpha = box.clamp(np.array([mu0, s0sq, a, b, ssq]), var_floor)
-        return alpha, s0sq < var_floor or ssq < var_floor
+        alpha = TransitionParams.from_array((mu0, min(max(s0sq, s0_lo), s0_hi), a, b, min(max(ssq, s_lo), s_hi)))
+        return alpha, s0sq < s0_lo or ssq < s_lo

@@ -15,7 +15,7 @@ from coxjm import (
     nelson_aalen,
     partial_lik_fit,
 )
-from coxjm.fit import INNER_CYCLES, _mstep, lambda_update
+from coxjm.fit import INNER_CYCLES, _bounds, _mstep, lambda_update
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 
 GRID = MeasurementGrid((0.0, 1.0, 2.0))
@@ -139,9 +139,9 @@ def test_mstep_at_point_atoms_is_the_partial_likelihood_fit():
     ds, _ = gen_dataset(cfg)
     atoms = stack_atoms(ds, np.array([[lvcf_value(s, s.x, ds.grid)] for s in subjects_of(ds)]),
                         np.ones((ds.n, 1)))
-    beta = 0.0
+    beta, fit_cfg = 0.0, FitConfig(tol_score=1e-12)
     for _ in range(math.ceil(50 / INNER_CYCLES)):
-        _, beta, dL = _mstep(atoms.ws, atoms, beta, FitConfig(tol_score=1e-12), [])
+        _, beta, dL = _mstep(atoms.ws, atoms, beta, fit_cfg, _bounds(fit_cfg), [])
     fit = partial_lik_fit(ds)
     assert fit.converged and abs(fit.beta_pl - 0.7) < 0.5
     assert abs(beta - fit.beta_pl) <= 1e-10

@@ -38,6 +38,7 @@ from coxjm import (
     w_n,
 )
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
+from coxjm.transition import FLOOR_MESSAGE, VAR_FLOOR
 from coxjm.workspace import _risk_cols
 
 GRID0 = MeasurementGrid((0.0,))
@@ -245,11 +246,12 @@ def test_em_fit_fullinfo_matches_partial_likelihood():
     ("Q", 20.5), ("max_iter", 2.5), ("Q", 1), ("max_iter", 0),
     ("beta_box", -1.0), ("tol_param", math.nan), ("tol_score", math.inf), ("id_tol", math.nan),
     ("beta_box", math.nan), ("var_floor", 1e-9), ("var_floor", math.nan),
-    ("alpha_box", {"mu0": [-1.0, math.nan]}), ("alpha_box", {"b": [1.0, -1.0]}),
+    ("alpha_box", {"mu0": [-1.0, math.nan]}), ("alpha_box", {"b": [1.0, -1.0]}), ("var_floor", 200.0),
 ])
 def test_fit_config_refuses_values_it_cannot_honour(field, value):
     # the fit would run on them: a NaN beta_box pins beta at 0, a NaN tol_param runs every
-    # map, a fractional Q fails inside the rule
+    # map, a fractional Q fails inside the rule, a var_floor above the variances' upper
+    # bounds (100) puts alpha outside its box
     with pytest.raises(ValidationError, match=f"^{field}"):
         FitConfig.from_dict({field: value})
 
@@ -420,8 +422,8 @@ def test_em_fit_raises_on_loglik_drop(monkeypatch):
 
     mstep = fit_mod._mstep
 
-    def descending(ws, est, beta, cfg, warn):
-        a, b, dL = mstep(ws, est, beta, cfg, warn)
+    def descending(*args):
+        a, b, dL = mstep(*args)
         return a, b - 3.0, dL
 
     monkeypatch.setattr(fit_mod, "_mstep", descending)
@@ -460,7 +462,7 @@ def test_mstep_reaches_profiled_maximizer(seed, n, beta):
     # the beta score vanishes at the returned beta with the hazard dL = 1/(n W_n) there
     # (its Newton steps stop once the score is below 0.05 tol_score); M-steps are repeated
     # from their own beta, up to 20 Newton steps in all
-    from coxjm.fit import INNER_CYCLES, _mstep
+    from coxjm.fit import INNER_CYCLES, _bounds, _mstep
     from coxjm.workspace import _estep, _score_beta, _Workspace
 
     ds, _ = _sim(n, seed=seed)
@@ -470,7 +472,7 @@ def test_mstep_reaches_profiled_maximizer(seed, n, beta):
     cfg = FitConfig(tol_score=1e-9)
     beta_new = beta
     for _ in range(math.ceil(20 / INNER_CYCLES)):
-        alpha_new, beta_new, dL_new = _mstep(ws, est, beta_new, cfg, [])
+        alpha_new, beta_new, dL_new = _mstep(ws, est, beta_new, cfg, _bounds(cfg), [])
 
     def objective(alpha, b, jumps):
         cox = np.sum(np.log(jumps)) + b * np.sum(ws.delta * est.E1) - jumps @ _risk_cols(ws, est, b)[:, 0]
@@ -488,7 +490,7 @@ def test_mstep_keeps_beta_when_no_halving_ascends():
     # refused (at seed 0 the step from -3 goes to 3.04, where the objective is lower by 0.47);
     # halving the same step ascends, and the M-step returns the hazard that maximizes the
     # objective at the beta it accepts
-    from coxjm.fit import BETA_HALVINGS, _mstep, _newton_step, _profile
+    from coxjm.fit import BETA_HALVINGS, _bounds, _mstep, _newton_step, _profile
     from coxjm.workspace import _estep, _Workspace
 
     ds, _ = _sim(40, seed=0)
@@ -499,19 +501,19 @@ def test_mstep_keeps_beta_when_no_halving_ascends():
     step = partial(_newton_step, lambda b: _risk_cols(ws, est, b), dE, ws.n, -3.0, prof, FitConfig().beta_box)
     assert step(0) is None
     assert step(BETA_HALVINGS)[0] > -3.0
-    _, beta, dL = _mstep(ws, est, -3.0, FitConfig(), [])
+    _, beta, dL = _mstep(ws, est, -3.0, FitConfig(), _bounds(FitConfig()), [])
     assert beta > -3.0
     np.testing.assert_array_equal(dL, 1.0 / _risk_cols(ws, est, beta)[:, 0])
 
 
 @pytest.mark.parametrize("box", [AlphaBox(b=(0.7, 0.7)), AlphaBox(mu0=(0.5, 0.5))], ids=["b", "mu0"])
 def test_em_fit_converges_with_a_pinned_transition_parameter(box):
-    # with one component pinned, the M-step refits the others at its value, so their score
-    # vanishes and the certificate holds (30 and 31 maps on this dataset); a pinned box
-    # takes EM maps only
+    # with one component pinned, the M-step refits the others at its value and the Newton
+    # steps hold it (3 maps and 4 Newton steps on this dataset, where EM maps alone took 30
+    # and 31), so the other scores vanish and the certificate holds
     ds, _ = _sim(200, seed=0)
     fit = em_fit(ds, config=FitConfig(alpha_box=box))
-    assert fit.converged and fit.newton_steps == 0
+    assert fit.converged and fit.newton_steps >= 1 and fit.iterations <= 10
     lo, hi = box.bounds().T
     assert np.array_equal(fit.theta_hat.alpha.as_array()[lo == hi], lo[lo == hi])
     tr = np.asarray(fit.loglik_trace)
@@ -529,6 +531,46 @@ def test_em_fit_clamps_a_warm_start_to_the_variance_floor():
     assert fit.loglik_trace[0] == observed_loglik(ds, replace(init, alpha=replace(init.alpha, ssq=0.5)))
     tr = np.asarray(fit.loglik_trace)
     assert np.all(np.diff(tr) >= -4 * np.spacing(np.abs(tr[1:])))
+
+
+@pytest.mark.parametrize("config, warm, j, bound, ll_em", [
+    (FitConfig(alpha_box=AlphaBox(a=(0.05, 1.0))), False, 2, 0.05, -1667.6348785574946),
+    (FitConfig(var_floor=0.5), True, 4, 0.5, -1754.7249675928304),
+], ids=["a-lower-bound", "var-floor-warm-start"])
+def test_em_fit_certifies_an_active_bound(config, warm, j, bound, ll_em):
+    # an alpha component at a bound whose score points out of the box is active (the KKT
+    # condition): the certificate drops its score and the Newton steps hold it, so the fit
+    # converges (7 and 8 updates).  A certificate asking that score to vanish ran 500 maps
+    # unconverged, ending at log likelihood ll_em
+    ds, _ = _sim(200, seed=0)
+    fit = em_fit(ds, init=em_fit(ds).theta_hat if warm else None, config=config)
+    th = fit.theta_hat
+    assert fit.converged and fit.newton_steps >= 1 and th.alpha.as_array()[j] == bound
+    assert score_full(ds, th, (np.eye(5)[j], 0.0, None)) < 0  # it points below the lower bound
+    assert fit.loglik >= ll_em
+    tr = np.asarray(fit.loglik_trace)
+    assert np.all(np.diff(tr) >= -4 * np.spacing(np.abs(tr[1:])))
+
+
+def test_em_fit_ending_at_the_beta_box_is_not_converged():
+    # the beta box is a safeguard, not an active bound: a fit that ends on it stays
+    # unconverged, with its warning
+    ds, _ = _sim(200, seed=0)
+    fit = em_fit(ds, config=FitConfig(beta_box=0.5, max_iter=50))
+    assert not fit.converged and fit.theta_hat.beta == 0.5
+    assert "beta at the box boundary" in fit.warnings
+
+
+def test_em_fit_reports_a_floored_start_once():
+    # values 0.1 j + 0.01 (i mod 7) make every observed transition exact: the start's residual
+    # variance is raised to its lower bound, which the fit's warnings state once, as the
+    # M-step's do, with no RuntimeWarning (an error under this suite's filterwarnings).  Two
+    # updates: the third map lowers the log likelihood by 1.4e-6 at ssq = 1e-8, past ASCENT_TOL
+    ds, _ = _sim(200, seed=0)
+    i = np.repeat(np.arange(ds.n), np.diff(ds.offsets))
+    flat = replace(ds, values=0.1 * (np.arange(ds.values.size) - ds.offsets[i]) + 0.01 * (i % 7))
+    fit = em_fit(flat, config=FitConfig(max_iter=2))
+    assert fit.warnings.count(FLOOR_MESSAGE) == 1 and fit.theta_hat.alpha.ssq == VAR_FLOOR
 
 
 def test_quadrature_check_matches_public_calls():

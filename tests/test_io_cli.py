@@ -220,7 +220,8 @@ def test_cli_simulate_refuses_a_bad_seed(seed, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["fit-config-key", "fit-config-removed-key", "study-sim-key", "subject-x",
-                                  "subject-delta", "subject-measurements", "fit-config-value", "invalid-json"])
+                                  "subject-delta", "subject-measurements", "fit-config-value",
+                                  "fit-config-var-floor", "invalid-json"])
 def test_cli_malformed_document_exits_2_naming_the_key(case, dataset, tmp_path, capsys):
     data, doc = tmp_path / "d.json", tmp_path / "doc.json"
     cio.save_dataset_json(dataset, data)
@@ -235,6 +236,11 @@ def test_cli_malformed_document_exits_2_naming_the_key(case, dataset, tmp_path, 
         # a fractional quadrature order is refused before the fit, naming the field
         doc.write_text(json.dumps({"Q": 20.5}))
         argv, named = ["fit", "--data", str(data), "--method", "npml", "--config", str(doc)], "Q must be an integer"
+    elif case == "fit-config-var-floor":
+        # a variance floor above the variance's box would put alpha outside its own box
+        doc.write_text(json.dumps({"var_floor": 0.5, "alpha_box": {"ssq": [1e-8, 0.1]}}))
+        argv = ["fit", "--data", str(data), "--method", "npml", "--config", str(doc)]
+        named = "var_floor 0.5 exceeds alpha_box.ssq's upper bound 0.1"
     elif case == "study-sim-key":
         sim = _sim_cfg_dict()
         del sim["alpha0"]

@@ -37,7 +37,7 @@ from coxjm import (
     nelson_aalen,
 )
 from coxjm.baseline import _imputed, _risk_sums
-from coxjm.fit import Q_DEFAULT, _boundedness_check, _init_theta, _mstep, estep_atoms, observed_loglik
+from coxjm.fit import Q_DEFAULT, _boundedness_check, _bounds, _init_theta, _mstep, estep_atoms, observed_loglik
 from coxjm.posterior import EXP_CLIP
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.transition import TransitionStats
@@ -108,7 +108,7 @@ def check_against_oracle(ds, beta, rng):
     _close(op.v, lat[:, 4], lat_mag[:, 4])
 
     # the fit's Nelson-Aalen start: exact risk-set counts
-    assert np.array_equal(_init_theta(ws, None, FitConfig())[2], 1.0 / D.risk.sum(axis=0))
+    assert np.array_equal(_init_theta(ws, None, _bounds(FitConfig()), [])[2], 1.0 / D.risk.sum(axis=0))
 
     # boundedness warning: its bound uses the largest observed value at risk
     at_tau = int(np.sum(D.x >= TAU))
@@ -308,7 +308,7 @@ def test_posterior_keeps_risk_sums_for_its_last_beta():
     # those computed afresh
     ds, _ = _sim(200, 0.25, seed=3)
     ws, cfg = _Workspace(ds), FitConfig()
-    alpha, beta, dL = _init_theta(ws, None, cfg)
+    alpha, beta, dL = _init_theta(ws, None, _bounds(cfg), [])
     est = _estep(ws, alpha, beta, dL, cfg.Q)
 
     def fresh(b):
@@ -319,7 +319,7 @@ def test_posterior_keeps_risk_sums_for_its_last_beta():
     for cached in (R, ws.obs_mats(beta), est.exp_moments(beta)):
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0] = 1.0
-    b_new = _mstep(ws, est, beta, cfg, [])[1]
+    b_new = _mstep(ws, est, beta, cfg, _bounds(cfg), [])[1]
     assert b_new != beta
     for b in (b_new, beta, b_new):
         assert np.array_equal(_risk_cols(ws, est, b), fresh(b))
@@ -390,7 +390,7 @@ def test_estep_allocates_few_quadrature_arrays():
     # one, bounded by one and a half
     ds, _ = _sim(2000, 0.25, seed=0)
     ws, cfg = _Workspace(ds), FitConfig()
-    alpha, _, dL = _init_theta(ws, None, cfg)
+    alpha, _, dL = _init_theta(ws, None, _bounds(cfg), [])
     size = cfg.Q * ws.n * 8
     tracemalloc.start()
     try:

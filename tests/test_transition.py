@@ -21,6 +21,7 @@ from oracles import (
 
 from coxjm import (
     AlphaBox,
+    FitConfig,
     InsufficientDataError,
     MeasurementGrid,
     Theta,
@@ -30,6 +31,7 @@ from coxjm import (
     nelson_aalen,
     weighted_mle_alpha,
 )
+from coxjm.fit import _bounds
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.transition import VAR_FLOOR, TransitionStats, gauss_logpdf
 from coxjm.workspace import _estep, _Workspace
@@ -179,6 +181,13 @@ def test_weighted_mle_floor_warns():
         weighted_mle_alpha(ds, atoms)
 
 
+def test_weighted_mle_refuses_a_floor_above_the_variance_box():
+    # as FitConfig does: the floored variance would lie outside the box it is asked for
+    ds = _dataset_with([(0.0, 1.0), (1.0, 1.0)])
+    with pytest.raises(ValidationError, match=r"^var_floor 0.5 exceeds alpha_box.s0sq's upper bound 0.1$"):
+        weighted_mle_alpha(ds, _atoms(ds, [1.0, 1.0]), AlphaBox(s0sq=(1e-8, 0.1)), var_floor=0.5)
+
+
 def test_weighted_mle_insufficient_data():
     ds = _dataset_with([(0.0, 1.0)])
     with pytest.raises(InsufficientDataError):
@@ -302,7 +311,7 @@ def test_transition_stats_match_per_subject_oracles():
     np.testing.assert_allclose(stats.hessian(alpha), H, rtol=1e-12)
     # the public call on a fresh posterior gives the same statistics' MLE
     got = weighted_mle_alpha(ds, estep_atoms(ds, theta))
-    np.testing.assert_allclose(got.as_array(), stats.mle(AlphaBox(), VAR_FLOOR)[0].as_array(), rtol=1e-12)
+    np.testing.assert_allclose(got.as_array(), stats.mle(AlphaBox().bounds())[0].as_array(), rtol=1e-12)
 
 
 def test_transition_stats_score_vanishes_at_interior_mle():
@@ -310,7 +319,7 @@ def test_transition_stats_score_vanishes_at_interior_mle():
     ws = _Workspace(ds)
     est = _estep(ws, ALPHA0, 0.8, np.asarray(nelson_aalen(ds).jumps), 40)
     stats = ws.transition_stats(est)
-    alpha, floored = stats.mle(AlphaBox(), VAR_FLOOR)
+    alpha, floored = stats.mle(AlphaBox().bounds())
     assert not floored and AlphaBox().contains(alpha, margin=1e-3)
     assert np.max(np.abs(stats.score(alpha))) <= 1e-12 * (stats.n0 + stats.N)
     assert np.max(np.linalg.eigvalsh(stats.hessian(alpha))) < 0
@@ -358,11 +367,17 @@ def test_transition_stats_mle_is_the_maximizer_over_the_box(case):
     # against L-BFGS-B over the same box, variances in logs, started from the unconstrained
     # maximizer projected one coordinate at a time (the optimizer must not end above it)
     stats, box, var_floor = case
-    got, free = stats.mle(box, var_floor)[0], stats.mle(AlphaBox(), VAR_FLOOR)[0]
-    logs, (lo, hi) = [1, 4], box.bounds().T
-    lo[logs], hi[logs] = np.maximum(lo[logs], var_floor), np.maximum(hi[logs], var_floor)
+    if var_floor > min(box.s0sq[1], box.ssq[1]):
+        # the floor would put alpha outside its own box: the fit's config refuses it
+        with pytest.raises(ValidationError, match="^var_floor"):
+            FitConfig(alpha_box=box, var_floor=var_floor)
+        return
+    # the feasible set: the box with var_floor raised into its variance lower bounds
+    bounds = _bounds(FitConfig(alpha_box=box, var_floor=var_floor))
+    got, free = stats.mle(bounds)[0], stats.mle(AlphaBox().bounds())[0]
+    logs, (lo, hi) = [1, 4], bounds[:5].T
     assert np.all((lo <= got.as_array()) & (got.as_array() <= hi))
-    start = box.clamp(free.as_array(), var_floor).as_array()
+    start = np.clip(free.as_array(), lo, hi)
 
     def alpha_of(v):
         v = np.array(v, dtype=float)
@@ -376,7 +391,7 @@ def test_transition_stats_mle_is_the_maximizer_over_the_box(case):
     best = -float(res.fun)
     assert stats.objective(got) >= best - 1e-12 * (1 + abs(best))
     # the unconstrained maximizer, when it lies in the box, is returned as it is
-    if box.contains(free) and min(free.s0sq, free.ssq) >= var_floor:
+    if np.all((lo <= free.as_array()) & (free.as_array() <= hi)):
         assert got == free
 
 
