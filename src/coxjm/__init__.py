@@ -31,17 +31,14 @@ from .fit import (
     lambda_update,
     observed_loglik,
     score_full,
-    w_n,
     weighted_mle_alpha,
 )
 from .simulate import SimConfig, SimTruth, fullinfo_dataset, gen_dataset
 from .transition import AlphaBox, TransitionParams
 from .variance import (
     DiscretizedOperator,
-    Probe,
     build_sigma_hat,
     ci,
-    invert_apply,
     var_beta_simple,
     var_estimate,
     variance_report,

@@ -413,15 +413,6 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
 # that take a posterior read its workspace
 # ---------------------------------------------------------------------------
 
-def w_n(u: float, dataset: Dataset, atoms: Posterior, beta: float) -> float:
-    """W_n(u) = (1/n) sum_i E[e^{beta Z(u)} 1{u <= X_i} | y_i] at an event time u."""
-    ws = _workspace_of(dataset, atoms)
-    k = int(np.argmin(np.abs(ws.xe - u)))
-    if abs(ws.xe[k] - u) > 1e-12:
-        raise ValidationError(f"u={u!r} is not an event time of the dataset")
-    return float(_risk_cols(ws, atoms, beta)[k, 0] / ws.n)
-
-
 def lambda_update(dataset: Dataset, atoms: Posterior, beta: float) -> SieveHazard:
     """Closed-form hazard update: dL_k = (1/n) / W_n(x_k)."""
     ws = _workspace_of(dataset, atoms)
@@ -458,17 +449,20 @@ def observed_loglik(dataset: Dataset, theta: Theta, Q: int = Q_DEFAULT) -> float
 
 def score_full(dataset: Dataset, theta: Theta, h, Q: int = Q_DEFAULT, atoms: Posterior | None = None) -> float:
     """Empirical score along the probe h = (h1, h2, h3-at-event-times), the dot product
-    of h with `workspace._score`; a None part of h is 0.
+    of h with `workspace._score`; a None part of h is 0, and a part of the wrong length
+    is refused.
 
     With `atoms` given, expectations are frozen at the atoms' parameter
     (the two-argument score of the EM construction); otherwise the atoms are
     recomputed at theta itself.
     """
-    h1, h2, h3 = h
     est = estep_atoms(dataset, theta, Q) if atoms is None else atoms
     ws = _workspace_of(dataset, est)
     probe = np.zeros(6 + ws.K)
-    probe[:5] = 0.0 if h1 is None else h1
-    probe[5] = h2
-    probe[6:] = 0.0 if h3 is None else h3
+    for name, part, sl in zip(("h1", "h2", "h3"), h, (slice(0, 5), slice(5, 6), slice(6, None))):
+        if part is not None:
+            part = np.ravel(part)
+            if part.size != probe[sl].size:
+                raise ValidationError(f"probe {name} has {part.size} values; the score needs {probe[sl].size}")
+            probe[sl] = part
     return float(probe @ _score(ws, est, theta.alpha, theta.beta, _hazard_jumps(ws.xe, theta.hazard)))

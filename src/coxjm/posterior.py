@@ -19,6 +19,7 @@ tests.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -128,8 +129,8 @@ def batch_posterior(delta, a_lat, mean, var, beta, order, ids=None, modes=None):
     (mode, curvature_sd) of the same batch, skips the mode search: neither
     depends on the order.  A zero sd there gives a log_norm of -inf.
     """
-    if order < 2:
-        raise ValidationError("quadrature order must be >= 2")
+    if not isinstance(order, numbers.Integral) or order < 2:
+        raise ValidationError(f"quadrature order must be an integer >= 2, got {order!r}")
     delta, a_lat, mean, var = (np.asarray(v, dtype=float) for v in (delta, a_lat, mean, var))
     mode, sd = _batch_modes(delta, a_lat, mean, var, beta, ids=ids) if modes is None else modes
     xg, wg = _gh(order)

@@ -48,15 +48,6 @@ class AlphaBox:
     def bounds(self) -> np.ndarray:
         return np.array([self.mu0, self.s0sq, self.a, self.b, self.ssq], dtype=float)
 
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        lo, hi = self.bounds().T
-        return np.clip(np.asarray(vec, dtype=float), lo, hi)
-
-    def contains(self, params: "TransitionParams", margin: float = 0.0) -> bool:
-        vec = params.as_array()
-        lo, hi = self.bounds().T
-        return bool(np.all(vec >= lo + margin) and np.all(vec <= hi - margin))
-
 
 @dataclass(frozen=True)
 class TransitionParams:

@@ -1,9 +1,10 @@
 """Asymptotic variance estimation via the discretized observed information operator.
 
-Probes are h = (h1, h2, h3) with h1 a 5-vector for the transition parameters,
-h2 scalar for the regression coefficient and h3 a function carried by its
-values at the event times (the estimated hazard charges nothing else).  The
-estimator is an NPMLE, so the operator is the observed-data information.  By
+A probe h = (h1, h2, h3) is one array of length 6 + K in the operator's layout:
+h1, the five transition-parameter entries, then h2, the regression
+coefficient's, then h3, a function carried by its values at the K event times
+(the estimated hazard charges nothing else).  The estimator is an NPMLE, so
+the operator is the observed-data information.  By
 Louis's identity (Louis 1982, JRSS-B 44:226) that is the conditional expected
 complete-data curvature minus (1/n) sum_i Cov_i[complete-data score | y_i].
 The latent terminal value Z enters the alpha, beta and hazard scores alike,
@@ -59,23 +60,6 @@ SIMPLE_RTOL = 1e-10
 BETA_UNIDENTIFIED = "beta curvature is not positive (beta not identified); beta variance undefined"
 
 
-@dataclass(frozen=True)
-class Probe:
-    """A direction h = (h1, h2, h3-values-at-event-times)."""
-
-    h1: np.ndarray
-    h2: float
-    h3: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "h1", np.asarray(self.h1, dtype=float).reshape(5))
-        object.__setattr__(self, "h2", float(self.h2))
-        object.__setattr__(self, "h3", np.asarray(self.h3, dtype=float).ravel())
-        if not (np.all(np.isfinite(self.h1)) and math.isfinite(self.h2)
-                and np.all(np.isfinite(self.h3))):
-            raise ValidationError("probe components must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class DiscretizedOperator:
     """Finite representation of the estimated information operator.
@@ -125,11 +109,6 @@ class DiscretizedOperator:
     @property
     def K(self) -> int:
         return self.dL.size
-
-    @property
-    def A(self) -> np.ndarray:
-        """The 5x5 alpha block."""
-        return self.E[:5, :5]
 
     @cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,8 +239,9 @@ def _inverse_norm1(solve, solve_t, n: int) -> float:
     return max(est, 2.0 * float(np.abs(solve(alt)).sum()) / (3 * n))
 
 
-def beta_probe(K: int) -> Probe:
-    return Probe(np.zeros(5), 1.0, np.zeros(K))
+def beta_probe(K: int) -> np.ndarray:
+    """The probe of beta alone: the unit vector at index 5 of length 6 + K."""
+    return np.eye(1, 6 + K, 5)[0]
 
 
 def _latent_covariances(ws, est, alpha, beta: float) -> np.ndarray:
@@ -348,19 +328,6 @@ def _solve(op: DiscretizedOperator, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _h3(op: DiscretizedOperator, h: Probe) -> np.ndarray:
-    """The probe's h3 at the K event times; a single value stands for a constant h3."""
-    if h.h3.size == op.K:
-        return h.h3
-    if h.h3.size != 1:
-        raise ValidationError(f"probe h3 has length {h.h3.size}; the operator needs 1 or K = {op.K}")
-    return np.full(op.K, h.h3[0])
-
-
-def _stack(op: DiscretizedOperator, h: Probe) -> np.ndarray:
-    return np.concatenate([h.h1, [h.h2], _h3(op, h)])
-
-
 def _own_jumps(op: DiscretizedOperator, hazard: SieveHazard) -> np.ndarray:
     """The hazard's jumps, refused unless the hazard is the one the operator was built at."""
     dL = _hazard_jumps(op.times, hazard)
@@ -369,27 +336,22 @@ def _own_jumps(op: DiscretizedOperator, hazard: SieveHazard) -> np.ndarray:
     return dL
 
 
-def apply_operator(op: DiscretizedOperator, h: Probe) -> Probe:
-    """sigma-hat applied to a probe (g1, g2, g3-at-event-times)."""
-    out = op.matvec(_stack(op, h))
-    return Probe(out[:5], float(out[5]), out[6:])
-
-
-def invert_apply(op: DiscretizedOperator, g: Probe) -> Probe:
-    """Solve sigma-hat(h) = g; refuses numerically singular operators."""
-    v = _solve(op, _stack(op, g))
-    return Probe(v[:5], float(v[5]), v[6:])
-
-
-def var_estimate(op: DiscretizedOperator, hazard: SieveHazard, g: Probe) -> float:
-    """Quadratic-form variance of the estimator paired with the probe g.
+def var_estimate(op: DiscretizedOperator, hazard: SieveHazard, g: np.ndarray) -> float:
+    """Quadratic-form variance <g, h> of the estimator paired with the probe g, where
+    sigma-hat(h) = g; refuses a g that is not 6 + K finite values, and numerically
+    singular operators.
 
     `hazard` must be the one the operator was built at (its jumps weight the
     h3 part of the form).
     """
     dL = _own_jumps(op, hazard)
-    h = invert_apply(op, g)
-    out = float(np.dot(_h3(op, g) * h.h3, dL)) + h.h2 * g.h2 + float(h.h1 @ g.h1)
+    g = np.asarray(g, dtype=float)
+    if g.shape != (6 + op.K,):
+        raise ValidationError(f"probe has shape {g.shape}; the operator needs 6 + K = {6 + op.K} values")
+    if not np.all(np.isfinite(g)):
+        raise ValidationError("probe entries must be finite")
+    h = _solve(op, g)
+    out = float(np.dot(g[6:] * h[6:], dL)) + float(h[5] * g[5]) + float(h[:5] @ g[:5])
     if out < 0:
         warnings.warn(f"negative variance estimate {out:.6g} (finite-sample pathology)",
                       RuntimeWarning)

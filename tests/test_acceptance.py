@@ -20,22 +20,20 @@ from coxjm import (
     AlphaBox,
     FitConfig,
     MeasurementGrid,
-    Probe,
     Theta,
     TransitionParams,
     em_fit,
     estep_atoms,
-    invert_apply,
     lambda_update,
     nelson_aalen,
     observed_loglik,
     score_full,
-    w_n,
 )
 from coxjm.baseline import partial_lik_fit
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.study import StudyConfig, run_study
-from coxjm.variance import apply_operator, beta_probe, build_sigma_hat
+from coxjm.variance import _solve, build_sigma_hat
+from coxjm.workspace import _risk_cols, _workspace_of
 
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
 BETA0 = 1.0
@@ -120,8 +118,8 @@ def test_criterion_4_fixed_point_and_score_certificate(randomized_fits):
         th = fit.theta_hat
         atoms = estep_atoms(ds, th)
         K = len(th.hazard.times)
-        for t, dl in zip(th.hazard.times, th.hazard.jumps):
-            worst_id = max(worst_id, abs(dl * w_n(t, ds, atoms, th.beta) - 1.0 / ds.n))
+        wn = _risk_cols(_workspace_of(ds, atoms), atoms, th.beta)[:, 0] / ds.n
+        worst_id = max(worst_id, float(np.max(np.abs(np.asarray(th.hazard.jumps) * wn - 1.0 / ds.n))))
         probes = [(np.eye(5)[j], 0.0, np.zeros(K)) for j in range(5)]
         probes.append((np.zeros(5), 1.0, np.zeros(K)))
         probes.extend((np.zeros(5), 0.0, np.eye(K)[k]) for k in range(K))
@@ -299,22 +297,17 @@ def test_criterion_9_variance_operator_algebra():
         th = fit.theta_hat
         atoms = estep_atoms(ds, th)
         op = build_sigma_hat(ds, th, atoms)
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(op.A))))
+        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(op.E[:5, :5]))))
         if op_for_probes is None:
             op_for_probes, hz = op, th.hazard
     for _ in range(50):
-        g = Probe(rng.normal(size=5), rng.normal(), rng.normal(size=op_for_probes.K))
-        gs = Probe(rng.normal(size=5), rng.normal(), rng.normal(size=op_for_probes.K))
-        h = invert_apply(op_for_probes, g)
-        back = apply_operator(op_for_probes, h)
-        worst_rt = max(worst_rt,
-                       float(np.max(np.abs(back.h1 - g.h1))),
-                       abs(back.h2 - g.h2),
-                       float(np.max(np.abs(back.h3 - g.h3))))
+        g, gs = rng.normal(size=6 + op_for_probes.K), rng.normal(size=6 + op_for_probes.K)
+        back = op_for_probes.matvec(_solve(op_for_probes, g))
+        worst_rt = max(worst_rt, float(np.max(np.abs(back - g))))
 
         def q(a, b):
-            hb = invert_apply(op_for_probes, b)
-            return float(np.dot(a.h3 * hb.h3, op_for_probes.dL)) + a.h2 * hb.h2 + float(a.h1 @ hb.h1)
+            hb = _solve(op_for_probes, b)
+            return float(np.dot(a[6:] * hb[6:], op_for_probes.dL)) + float(a[5] * hb[5]) + float(a[:5] @ hb[:5])
 
         qa, qb = q(g, gs), q(gs, g)
         worst_sym = max(worst_sym, abs(qa - qb) / max(1.0, abs(qa)))

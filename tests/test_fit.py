@@ -35,11 +35,10 @@ from coxjm import (
     nelson_aalen,
     observed_loglik,
     score_full,
-    w_n,
 )
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.transition import FLOOR_MESSAGE, VAR_FLOOR
-from coxjm.workspace import _risk_cols
+from coxjm.workspace import _risk_cols, _workspace_of
 
 GRID0 = MeasurementGrid((0.0,))
 STD = TransitionParams(0.0, 1.0, 0.0, 0.0, 1.0)
@@ -57,6 +56,11 @@ def _score_beta(ds, atoms, beta, hazard):
     return score_full(ds, Theta(alpha=STD, beta=beta, hazard=hazard), (None, 1.0, None), atoms=atoms)
 
 
+def _wn(ds, atoms, beta):
+    """W_n(x_k) = (1/n) sum_i E[e^{beta Z(x_k)} 1{x_k <= X_i} | y_i] at the K event times."""
+    return _risk_cols(_workspace_of(ds, atoms), atoms, beta)[:, 0] / ds.n
+
+
 def _sim(n=40, seed=0, censor_rate=0.2, beta0=1.0, grid_step=0.25, alpha0=ALPHA0):
     cfg = SimConfig(n=n, grid_step=grid_step, tau=3.0, alpha0=alpha0, beta0=beta0,
                     lambda0=0.3, censor_rate=censor_rate, seed=seed)
@@ -66,29 +70,27 @@ def _sim(n=40, seed=0, censor_rate=0.2, beta0=1.0, grid_step=0.25, alpha0=ALPHA0
 def test_wn_at_risk_fraction_at_beta_zero():
     ds, _ = _sim(30, seed=1)
     atoms = _points(ds, [0.0] * ds.n)
-    for t in ds.event_times()[:5]:
+    for t, wn in zip(ds.event_times()[:5], _wn(ds, atoms, 0.0)):
         frac = np.sum(ds.x >= t) / ds.n
-        assert w_n(t, ds, atoms, 0.0) == pytest.approx(frac, abs=1e-12)
+        assert wn == pytest.approx(frac, abs=1e-12)
 
 
 def test_wn_single_subject():
     ds = dataset_of(GRID0, (Subject(id=1, x=0.8, delta=1, measurements=(0.4,)),), 3.0)
     atoms = _points(ds, [1.1])
-    assert w_n(0.8, ds, atoms, 0.7) == pytest.approx(math.exp(0.7 * 1.1), abs=1e-12)
-    with pytest.raises(ValidationError):
-        w_n(0.5, ds, atoms, 0.7)
+    assert _wn(ds, atoms, 0.7)[0] == pytest.approx(math.exp(0.7 * 1.1), abs=1e-12)
 
 
 def test_wn_fully_observed_classical_risk_sum():
     ds, truths = _sim(25, seed=2)
     full = fullinfo_dataset(ds, truths)
     atoms = estep_atoms(full, _theta_for(full, beta=0.8))
-    for t in full.event_times()[:5]:
+    for t, wn in zip(full.event_times()[:5], _wn(full, atoms, 0.8)):
         want = np.mean([
             math.exp(0.8 * covariate_at(s, t, full.grid)) if s.x >= t else 0.0
             for s in subjects_of(full)
         ])
-        assert w_n(t, full, atoms, 0.8) == pytest.approx(want, rel=1e-12)
+        assert wn == pytest.approx(want, rel=1e-12)
 
 
 def _theta_for(ds, beta=0.0, alpha=ALPHA0):
@@ -116,8 +118,8 @@ def test_lambda_update_fixed_point_identity():
     atoms = _points(ds, [rng.normal() for _ in range(ds.n)])
     beta = 0.6
     hz = lambda_update(ds, atoms, beta)
-    for t, dl in zip(hz.times, hz.jumps):
-        assert dl * w_n(t, ds, atoms, beta) == pytest.approx(1.0 / ds.n, abs=1e-12)
+    for dl, wn in zip(hz.jumps, _wn(ds, atoms, beta)):
+        assert dl * wn == pytest.approx(1.0 / ds.n, abs=1e-12)
 
 
 def test_score_beta_one_subject_degenerate():
@@ -217,8 +219,8 @@ def test_em_fit_ascent_and_certificates():
     assert fit.score_norm <= 1e-6
     th = fit.theta_hat
     atoms = estep_atoms(ds, th)
-    for t, dl in zip(th.hazard.times, th.hazard.jumps):
-        assert dl * w_n(t, ds, atoms, th.beta) == pytest.approx(1.0 / ds.n, abs=1e-10)
+    for dl, wn in zip(th.hazard.jumps, _wn(ds, atoms, th.beta)):
+        assert dl * wn == pytest.approx(1.0 / ds.n, abs=1e-10)
     assert all(math.isfinite(j) for j in th.hazard.jumps)
 
 
@@ -309,6 +311,33 @@ def test_score_full_probe_decomposition():
         assert abs(score_full(ds, th, (np.zeros(5), 0.0, e3))) <= 1e-6
 
 
+def test_score_full_none_part_is_zero_and_wrong_length_refused():
+    ds, _ = _sim(20, seed=12)
+    fit = em_fit(ds)
+    th, atoms = fit.theta_hat, fit.posterior
+    K = len(th.hazard.times)
+    zeros = (np.zeros(5), 0.0, np.zeros(K))
+    for probe in [(None, None, np.ones(K)), (None, 1.0, None)] + [(e, 0.0, None) for e in np.eye(5)]:
+        full = tuple(z if p is None else p for p, z in zip(probe, zeros))
+        got = score_full(ds, th, probe, atoms=atoms)
+        assert math.isfinite(got) and got == score_full(ds, th, full, atoms=atoms)
+    for probe, name in [((np.ones(4), 0.0, None), "h1"), ((None, [1.0, 2.0], None), "h2"),
+                        ((None, 0.0, np.ones(K + 1)), "h3")]:
+        with pytest.raises(ValidationError, match=f"^probe {name} has"):
+            score_full(ds, th, probe, atoms=atoms)
+
+
+@pytest.mark.parametrize("Q", [20.5, "a", 1, None])
+def test_single_shot_calls_refuse_a_bad_quadrature_order(Q):
+    ds, _ = _sim(20, seed=12)
+    th = _theta_for(ds, beta=0.5)
+    for call in (lambda: estep_atoms(ds, th, Q), lambda: observed_loglik(ds, th, Q),
+                 lambda: score_full(ds, th, (None, 1.0, None), Q)):
+        with pytest.raises(ValidationError, match="quadrature order must be an integer >= 2"):
+            call()
+    assert observed_loglik(ds, th, np.int64(8)) == observed_loglik(ds, th, 8)
+
+
 def test_em_fit_performance_smoke():
     import time
 
@@ -351,7 +380,8 @@ def test_em_fit_covariate_shift_invariance(seed, c):
     assert fit.converged and fit_c.converged
     al, th_c = fit.theta_hat.alpha, fit_c.theta_hat
     want = TransitionParams(al.mu0 + c, al.s0sq, al.a + c * (1 - al.b), al.b, al.ssq)
-    assert FitConfig().alpha_box.contains(want)
+    lo, hi = FitConfig().alpha_box.bounds().T
+    assert np.all(want.as_array() >= lo) and np.all(want.as_array() <= hi)
     np.testing.assert_allclose(th_c.alpha.as_array(), want.as_array(), rtol=1e-6, atol=1e-9)
     assert th_c.beta == pytest.approx(fit.theta_hat.beta, rel=1e-6)
     np.testing.assert_allclose(th_c.hazard.jumps, np.array(fit.theta_hat.hazard.jumps)
@@ -399,8 +429,8 @@ def test_em_fit_survives_failed_newton_steps(monkeypatch, failure):
     assert np.all(np.diff(fit.loglik_trace) >= -1e-8)
     th = fit.theta_hat
     atoms = estep_atoms(ds, th)
-    for t, dl in zip(th.hazard.times, th.hazard.jumps):
-        assert dl * w_n(t, ds, atoms, th.beta) == pytest.approx(1.0 / ds.n, abs=1e-11)
+    for dl, wn in zip(th.hazard.jumps, _wn(ds, atoms, th.beta)):
+        assert dl * wn == pytest.approx(1.0 / ds.n, abs=1e-11)
 
 
 def test_em_fit_reproducible_with_the_heap_shifted():

@@ -17,7 +17,6 @@ from coxjm import (
     var_beta_simple,
     var_estimate,
     variance_report,
-    w_n,
     weighted_mle_alpha,
 )
 from coxjm import fit as fit_mod
@@ -181,8 +180,8 @@ def test_posterior_of_another_dataset_refused(tmp_path):
     fit = em_fit(ds)
     th, post = fit.theta_hat, fit.posterior
     other = replace(ds, values=ds.values + np.eye(1, ds.values.size)[0])
-    calls = [lambda d: lambda_update(d, post, th.beta), lambda d: w_n(th.hazard.times[0], d, post, th.beta),
-             lambda d: score_full(d, th, (None, 1.0, None), atoms=post), lambda d: weighted_mle_alpha(d, post),
+    calls = [lambda d: lambda_update(d, post, th.beta), lambda d: score_full(d, th, (None, 1.0, None), atoms=post),
+             lambda d: weighted_mle_alpha(d, post),
              lambda d: var_beta_simple(d, th, post), lambda d: build_sigma_hat(d, th, post),
              lambda d: variance_report(d, th, post, fit)]
     for call in calls:

@@ -11,7 +11,6 @@ from coxjm import (
     DiscretizedOperator,
     FitConfig,
     MeasurementGrid,
-    Probe,
     SingularOperatorError,
     Theta,
     TransitionParams,
@@ -20,7 +19,6 @@ from coxjm import (
     ci,
     em_fit,
     estep_atoms,
-    invert_apply,
     score_full,
     var_beta_simple,
     var_estimate,
@@ -28,7 +26,7 @@ from coxjm import (
 )
 from coxjm.data import SieveHazard
 from coxjm.simulate import SimConfig, gen_dataset
-from coxjm.variance import COND_LIMIT, apply_operator, beta_probe, lambda_band, z_quantile
+from coxjm.variance import COND_LIMIT, _solve, beta_probe, lambda_band, z_quantile
 
 GRID0 = MeasurementGrid((0.0,))
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
@@ -49,11 +47,12 @@ def fitted():
 def test_operator_block_shapes(fitted):
     ds, fit, atoms, op = fitted
     K = len(fit.theta_hat.hazard.times)
-    assert op.A.shape == (5, 5)
     assert (op.E.shape, op.G.shape) == ((6, 6), (K, 6))
     assert dense_operator(op).shape == (6 + K, 6 + K)
-    assert np.array_equal(op.A, op.A.T)
-    assert np.min(np.linalg.eigvalsh(op.A)) > 0
+    A = op.E[:5, :5]
+    assert np.array_equal(A, A.T)
+    assert np.min(np.linalg.eigvalsh(A)) > 0
+    assert np.array_equal(beta_probe(K), np.eye(1, 6 + K, 5)[0])
 
 
 def test_sigma3_at_risk_fraction_constant_covariate():
@@ -137,8 +136,8 @@ def _check_operator_against_score(ds, th, op):
     assert want != 0.0
     assert minus_d(HZ + k + 1, HZ + k) == pytest.approx(want, rel=1e-4)
     # alpha block against the mu0 and `a` directions
-    assert minus_d(0, 0) == pytest.approx(op.A[0, 0], abs=1e-5)
-    assert minus_d(A_, A_) == pytest.approx(op.A[2, 2], abs=1e-5)
+    assert minus_d(0, 0) == pytest.approx(op.E[0, 0], abs=1e-5)
+    assert minus_d(A_, A_) == pytest.approx(op.E[2, 2], abs=1e-5)
     # alpha-beta cross entry: the `a` score along beta, and the beta score along `a`
     assert abs(M[A_, BETA]) > 1e-2
     assert minus_d(BETA, A_) == pytest.approx(M[A_, BETA], abs=1e-5)
@@ -149,12 +148,9 @@ def test_invert_apply_round_trip(fitted):
     ds, fit, atoms, op = fitted
     rng = np.random.default_rng(0)
     for _ in range(50):
-        g = Probe(rng.normal(size=5), rng.normal(), rng.normal(size=op.K))
-        h = invert_apply(op, g)
-        back = apply_operator(op, h)
-        assert np.allclose(back.h1, g.h1, atol=1e-8)
-        assert back.h2 == pytest.approx(g.h2, abs=1e-8)
-        assert np.allclose(back.h3, g.h3, atol=1e-8)
+        g = rng.normal(size=6 + op.K)
+        back = op.matvec(_solve(op, g))
+        assert np.allclose(back, g, atol=1e-8)
 
 
 def test_bilinear_form_symmetric(fitted):
@@ -163,12 +159,11 @@ def test_bilinear_form_symmetric(fitted):
     rng = np.random.default_rng(1)
 
     def q(g, gs):
-        h = invert_apply(op, gs)
-        return float(np.dot(g.h3 * h.h3, dL)) + g.h2 * h.h2 + float(g.h1 @ h.h1)
+        h = _solve(op, gs)
+        return float(np.dot(g[6:] * h[6:], dL)) + float(g[:6] @ h[:6])
 
     for _ in range(50):
-        g = Probe(rng.normal(size=5), rng.normal(), rng.normal(size=op.K))
-        gs = Probe(rng.normal(size=5), rng.normal(), rng.normal(size=op.K))
+        g, gs = rng.normal(size=6 + op.K), rng.normal(size=6 + op.K)
         a, b = q(g, gs), q(gs, g)
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
@@ -178,14 +173,12 @@ def test_var_estimate_alpha_block_decoupling(fitted):
     # operator; the latent terminal value couples (a, b, ssq) to (beta, Lambda)
     ds, fit, atoms, op = fitted
     joint = np.linalg.inv(dense_operator(op))
+    A_inv = np.linalg.inv(op.E[:5, :5])
     for j in range(5):
-        g1 = np.zeros(5)
-        g1[j] = 1.0
-        g = Probe(g1, 0.0, np.zeros(op.K))
-        got = var_estimate(op, fit.theta_hat.hazard, g)
-        want = float((np.linalg.inv(op.A) if j < 2 else joint)[j, j])
+        got = var_estimate(op, fit.theta_hat.hazard, np.eye(1, 6 + op.K, j)[0])
+        want = float((A_inv if j < 2 else joint)[j, j])
         assert got == pytest.approx(want, rel=1e-10)
-    assert joint[2, 2] > float(np.linalg.inv(op.A)[2, 2]) * (1 + 1e-3)
+    assert joint[2, 2] > float(A_inv[2, 2]) * (1 + 1e-3)
 
 
 def test_single_subject_toy_variances():
@@ -203,7 +196,7 @@ def test_single_subject_toy_variances():
     op = build_sigma_hat(ds, th, atoms)
     assert np.linalg.det(dense_operator(op)[5:, 5:]) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(SingularOperatorError):
-        invert_apply(op, beta_probe(op.K))
+        _solve(op, beta_probe(op.K))
 
     # add a fully observed z = 0 censored at 1.5: the one event's risk set
     # holds both values, Breslow jump 1 / (1 + e) with e = e^{2 beta}, and the
@@ -255,7 +248,7 @@ def test_var_estimate_negative_warns():
                              times=np.array([0.5, 1.0]), interval=np.array([0, 1]))
     hz = SieveHazard((0.5, 1.0), (0.1, 0.2))
     with pytest.warns(RuntimeWarning):
-        out = var_estimate(op, hz, Probe(np.zeros(5), 1.0, np.zeros(2)))
+        out = var_estimate(op, hz, beta_probe(2))
     assert out < 0
 
 
@@ -393,16 +386,14 @@ def test_variance_report_states_the_optimisation_error():
 
 
 def test_probe_length_validated(fitted):
-    # h3 holds one value per event time, or one value for a constant h3
+    # a probe holds h1, h2 and one h3 value per event time: 6 + K finite values
     ds, fit, atoms, op = fitted
-    bad = Probe(np.zeros(5), 1.0, np.zeros(op.K + 1))
-    for call in (lambda: apply_operator(op, bad), lambda: invert_apply(op, bad),
-                 lambda: var_estimate(op, fit.theta_hat.hazard, bad)):
-        with pytest.raises(ValidationError, match=rf"length {op.K + 1}\b.*K = {op.K}\b"):
-            call()
-    one = apply_operator(op, Probe(np.zeros(5), 0.0, [2.0]))
-    full = apply_operator(op, Probe(np.zeros(5), 0.0, np.full(op.K, 2.0)))
-    assert np.array_equal(one.h3, full.h3)
+    with pytest.raises(ValidationError, match=rf"shape \({op.K + 7},\).*6 \+ K = {op.K + 6}\b"):
+        var_estimate(op, fit.theta_hat.hazard, beta_probe(op.K + 1))
+    nan = beta_probe(op.K)
+    nan[7] = math.nan
+    with pytest.raises(ValidationError, match="finite"):
+        var_estimate(op, fit.theta_hat.hazard, nan)
 
 
 def test_time_grid_validated(fitted):
@@ -422,7 +413,7 @@ def test_var_estimate_refuses_foreign_hazard(fitted):
     # operator's own (same times, same jumps) is accepted
     ds, fit, atoms, op = fitted
     hz = fit.theta_hat.hazard
-    g = Probe(np.zeros(5), 0.0, (op.times <= 1.5).astype(float))
+    g = np.concatenate([np.zeros(6), op.times <= 1.5])
     assert var_estimate(op, hz, g) > 0
     doubled = SieveHazard(hz.times, tuple(2.0 * j for j in hz.jumps))
     shifted = SieveHazard(tuple(t + 1e-6 for t in hz.times), hz.jumps)
@@ -526,19 +517,17 @@ def _large_norm_operator():
     op = DiscretizedOperator(E=E + E.T + 2 * np.eye(6), G=rng.standard_normal((K, 6)) / dL[:, None] / K,
                              w=(10.0 + rng.random(K)) / dL, v=0.01 * rng.uniform(-1.0, 2.0, K) / dL**2,
                              dL=dL, times=np.arange(1.0, K + 1), interval=np.sort(rng.integers(0, 25, K)))
-    return op, Probe(rng.standard_normal(5), rng.standard_normal(), rng.standard_normal(K))
+    return op, rng.standard_normal(6 + K)
 
 
 def test_solve_gate_reads_backward_error_not_residual():
     # the residual grows with ||M||: relative to max(1, ||b||) it exceeds 1e-8 here, yet
     # the solve is backward stable, and the gate reads the normwise backward error
-    op, g = _large_norm_operator()
+    op, b = _large_norm_operator()
     assert op.norm1 > 1e10 and op.cond <= COND_LIMIT
-    b = np.concatenate([g.h1, [g.h2], g.h3])
     x = op.solve(b)
     assert np.linalg.norm(op.matvec(x) - b) / max(1.0, np.linalg.norm(b)) > 1e-8
-    h = invert_apply(op, g)
-    assert np.array_equal(np.concatenate([h.h1, [h.h2], h.h3]), x)
+    assert np.array_equal(_solve(op, b), x)
 
 
 def test_solve_gate_refuses_perturbed_solution(monkeypatch):
@@ -550,4 +539,4 @@ def test_solve_gate_refuses_perturbed_solution(monkeypatch):
     monkeypatch.setattr(DiscretizedOperator, "solve",
                         lambda self, rhs, trans=False: solve(self, rhs, trans) * (1 + 1e-8 * rng.standard_normal(rhs.shape)))
     with pytest.raises(SingularOperatorError, match="backward error too large"):
-        invert_apply(op, g)
+        _solve(op, g)
