@@ -368,8 +368,11 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
     est = _estep(ws, alpha, beta, dL, cfg.Q)
     state = (alpha, beta, dL, est, _loglik(ws, alpha, beta, dL, est))
     trace = [state[4]]
+    # the start's certificate: a first Newton step (EM_MAPS = 0) reads its score and active
+    # components, and the first M-step the risk-set sums and transition statistics it keeps
+    # on the posterior
+    score_norm, s, active = _certificate(ws, est, alpha, beta, dL, bounds)[1:]
     converged = False
-    score_norm = math.inf
     iterations = newton_steps = 0
 
     while not converged and iterations < cfg.max_iter:

@@ -27,6 +27,12 @@ and each block is a diagonal plus a semiseparable matrix (Vandebril, Van Barel
 `DiscretizedOperator` keeps M by these parts, never as a (6+K)x(6+K) array:
 its solves, products, 1-norm and condition estimate take O(K) time and memory.
 
+Louis's missing information needs, per subject, only the covariances of the score
+terms with e^{bZ}, and the (alpha, beta) block summed over the subjects.  Each is a
+weighted sum over the subject's quadrature nodes of a product of two factors centred
+within the subject (`_latent_covariances`), taken over blocks of subjects, so no score
+term is held at every node of every subject.
+
 A closed-form estimate for the beta variance is reported next to the full
 inversion: the beta curvature centred on each risk set, minus the beta
 missing information.  It ignores the coupling between event times and with
@@ -57,6 +63,13 @@ COND_LIMIT = 1e12
 SOLVE_TOL = 1e-12
 # the centred beta curvature must exceed this share of the uncentred one
 SIMPLE_RTOL = 1e-10
+# subjects per block of `_latent_covariances`.  A block's four Q x BLOCK factors (160 KiB
+# at Q = 20) stay in cache and are reused from the heap, whereas arrays over all subjects'
+# nodes are handed back to the OS and faulted in again at every Newton step's build.
+# Each block costs about thirty NumPy calls, so smaller blocks trade time for memory: at
+# n = 2000 a build with 96 takes about 1.4 times as long and peaks at 0.47 Q x n arrays
+# above its inputs, against 0.9 with 256
+BLOCK = 256
 BETA_UNIDENTIFIED = "beta curvature is not positive (beta not identified); beta variance undefined"
 
 
@@ -244,26 +257,74 @@ def beta_probe(K: int) -> np.ndarray:
     return np.eye(1, 6 + K, 5)[0]
 
 
-def _latent_covariances(ws, est, alpha, beta: float) -> np.ndarray:
-    """Per-subject posterior covariances of the Z-dependent complete-score terms.
+def _latent_covariances(ws, est, alpha, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The posterior covariances of the Z-dependent complete-score terms that `_operator`
+    reads: per subject, their covariances with e^{bZ} (4 x n: the a, ssq and beta terms'
+    and the variance of e^{bZ}; the b term's is z_pred times the a term's), and the 4 x 4
+    block of the first four terms summed over the subjects.
 
     The terms, in order: the a, b and ssq scores r/ssq, z_pred r/ssq and
     r^2/(2 ssq^2) with r = Z - a - b z_pred; the beta score
     delta Z - Z e^{bZ} A_i with A_i the hazard mass of the latent window; and
-    e^{bZ}, which times -dL_k is the hazard score at x_k in the window.
+    e^{bZ}, which times -dL_k is the hazard score at x_k in the window.  With d = Z - E[Z]
+    and c = E[Z] - a - b z_pred, r = d + c, so the transition terms less their means are
+    d/ssq, z_pred d/ssq and u/(2 ssq^2), u = d (d + 2c) less its mean.  Every entry is
+    then a weighted node sum of the product of two of d, u, the beta term t and e^{bZ},
+    times constants of the subject.  Each factor is centred within its subject before any
+    product is formed, so no covariance is a difference of large moments; e^{bZ} is first
+    taken less its value at E[Z], so that where it is constant over the nodes (beta = 0,
+    a stored value) it centres to exactly 0.  The subjects run in blocks of BLOCK, a
+    block's four factors in one 4 x Q x BLOCK array.
     """
-    Z, w = est.nodes, est.weights
-    r = Z - (alpha.a + alpha.b * ws.z_pred)[:, None]
-    e = exp_clipped(beta * Z)
-    F = np.empty((ws.n, 5, Z.shape[1]))
-    F[:, 0] = r / alpha.ssq
-    F[:, 1] = ws.z_pred[:, None] * r / alpha.ssq
-    F[:, 2] = r * r / (2 * alpha.ssq**2)
-    F[:, 3] = (ws.delta[:, None] - est.a_lat[:, None] * e) * Z
-    F[:, 4] = e
-    F -= np.einsum("iq,ifq->if", w, F)[:, :, None]
-    F *= np.sqrt(w)[:, None, :]  # w >= 0, so sum_q w_q f_q f_q' is G G' with G = F sqrt(w)
-    return F @ F.transpose(0, 2, 1)
+    n, s = ws.n, alpha.ssq
+    nodes, weights = est.nodes.T, est.weights.T
+    Q = nodes.shape[0]
+    # until its block overwrites them, cov holds per subject 2c, -A, e^{bZ} at Z = E[Z], and
+    # delta
+    cov = np.empty((4, n))
+    np.multiply(est.E1 - alpha.a - alpha.b * ws.z_pred, 2, out=cov[0])
+    np.negative(est.a_lat, out=cov[1])
+    exp_clipped(np.multiply(est.E1, beta, out=cov[2]))
+    cov[3] = ws.delta
+    X = np.empty(4 * Q * min(BLOCK, n))
+    # over the subjects, the 4 x 4 products of (d, u, t, e) weighted by 1, z_pred and z_pred^2
+    tot = np.zeros((16, 3))
+    zpow = np.ones((min(BLOCK, n), 3))
+    for lo in range(0, n, BLOCK):
+        sl = slice(lo, lo + BLOCK)
+        z, w, zp = nodes[:, sl], weights[:, sl], ws.z_pred[sl]
+        c2, neg_a, e_mean, delta = cov[:, sl]
+        x = X[: 4 * Q * zp.size].reshape(4, Q, -1)
+        d, u, t, e = x
+        # each pass reads at most one operand that is strided or broadcast
+        np.copyto(d, z)
+        d -= est.E1[sl]
+        np.add(d, c2, out=u)
+        u *= d
+        exp_clipped(np.multiply(z, beta, out=e))
+        np.multiply(e, neg_a, out=t)
+        t += delta
+        t *= z
+        e -= e_mean
+        for xk, mk in zip(x, np.einsum("qi,kqi->ki", w, x)):
+            xk -= mk
+        g = np.einsum("qi,kqi,lqi->kli", w, x, x)
+        cov[:, sl] = g[3]
+        P = zpow[: zp.size]
+        P[:, 1] = zp
+        np.multiply(zp, zp, out=P[:, 2])
+        tot += g.reshape(16, -1) @ P
+        del g
+    cov[0] /= s
+    cov[1] /= 2 * s * s
+    # term j is factor k_j times z_pred^p_j f_j, so miss[i, j] is the (k_i, k_j) product
+    # weighted by z_pred^(p_i + p_j), times f_i f_j; the upper triangle in k serves both
+    # (i, j) and (j, i), so miss is symmetric
+    k, p = np.array([0, 0, 1, 2]), np.array([0, 1, 0, 0])
+    f = np.array([1 / s, 1 / s, 1 / (2 * s * s), 1.0])
+    tot = tot.reshape(4, 4, 3)
+    miss = tot[np.minimum.outer(k, k), np.maximum.outer(k, k), np.add.outer(p, p)] * np.outer(f, f)
+    return cov, miss
 
 
 def _operator(ws, est, alpha, beta: float, dL: np.ndarray) -> tuple[DiscretizedOperator, float | None]:
@@ -271,15 +332,25 @@ def _operator(ws, est, alpha, beta: float, dL: np.ndarray) -> tuple[DiscretizedO
     (its risk-set sums at beta are reused), and the closed-form beta variance
     (`var_beta_simple`), None where its curvature is not positive.  It holds away from the
     maximizer as well: P M is then minus the Hessian of the observed log likelihood / n in
-    (alpha, beta, log dL), which the fit's Newton steps use."""
+    (alpha, beta, log dL), which the fit's Newton steps use.
+
+    The missing information comes from `_latent_covariances`: the (a, b, ssq, beta) block
+    summed over the subjects, and each subject's covariances with e^{bZ}, summed here over
+    the latent windows holding each event time one term at a time.  Besides its inputs a
+    build holds the 4 x n covariances, one block's factors and O(K) parts."""
     n = ws.n
-    cov = _latent_covariances(ws, est, alpha, beta)
+    cov, miss = _latent_covariances(ws, est, alpha, beta)
+    miss /= n
+    # per x_k, (1/n) sum over the latent windows holding it of Cov_i[term j, e^{bZ}], a term
+    # at a time, the b term's last (z_pred times the a term's).  A stored terminal value has
+    # no latent window: it is one atom, whose covariances are exactly 0
+    cov /= n
+    a_lat, ssq_lat, beta_lat, v = (ws.cols(None, row) for row in cov)
+    b_lat = ws.cols(None, np.multiply(cov[0], ws.z_pred, out=cov[0]))
+    del cov
     # W_n, C_n, D_n: (1/n) sum_i E_i[Z^m e^{bZ} 1{x_k <= X_i}], m = 0, 1, 2
     w, c, d = _risk_cols(ws, est, beta).T / n
-    # per x_k, (1/n) sum over the latent windows holding it of Cov_i[term j, e^{bZ}]
-    lat = ws.cols(None, np.where(ws.has_extra[:, None], 0.0, cov[:, :, 4])) / n
-    miss = np.sum(cov[:, :4, :4], axis=0) / n
-    miss = 0.5 * (miss + miss.T)
+    curvature = float(np.dot(d - c**2 / w, dL) - miss[3, 3])
     E = np.zeros((6, 6))
     E[:5, :5] = -ws.transition_stats(est).hessian(alpha) / n
     E[2:5, 2:5] -= miss[:3, :3]
@@ -287,15 +358,12 @@ def _operator(ws, est, alpha, beta: float, dL: np.ndarray) -> tuple[DiscretizedO
     E[5, 5] = float(np.dot(d, dL)) - miss[3, 3]
     # h3 rows: the (a, b, ssq) and beta scores against the hazard score -e^{bZ} dL_k
     G = np.zeros((ws.K, 6))
-    G[:, 2:5] = lat[:, :3]
-    G[:, 5] = c + lat[:, 3]
+    G[:, 2], G[:, 3], G[:, 4], G[:, 5] = a_lat, b_lat, ssq_lat, c + beta_lat
     # V diag(dL) is the hazard-hazard missing information: dL_l (1/n) sum over the
     # windows holding x_k and x_l of Var_i(e^{bZ}).  A latent window lies inside one
     # grid interval, so within an interval the windows holding both are those
     # holding the later, and their variance sum at the later time is V's generator
-    op = DiscretizedOperator(E=E, G=G, w=w, v=lat[:, 4], dL=dL.copy(), times=ws.xe.copy(),
-                             interval=ws.a_e)
-    curvature = float(np.dot(d - c**2 / w, dL) - miss[3, 3])
+    op = DiscretizedOperator(E=E, G=G, w=w, v=v, dL=dL.copy(), times=ws.xe.copy(), interval=ws.a_e)
     return op, 1.0 / curvature if curvature > SIMPLE_RTOL * float(np.dot(d, dL)) else None
 
 

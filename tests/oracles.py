@@ -19,7 +19,9 @@ at many (beta, hazard) points at once, from the dense risk matrices.
 `posterior_atoms` is one subject's posterior, with its hazard split
 (`exponent_split`) summed jump by jump; `cond_exp` integrates against its
 atoms and `oracle_moments` by the trapezoid rule.  `stack_atoms` builds a
-`Posterior` from hand-made atoms.
+`Posterior` from hand-made atoms.  `latent_covariances` is each subject's 5 x 5
+posterior covariance of the complete-score terms, from the n x 5 x Q array of
+the terms at every node.
 """
 
 from __future__ import annotations
@@ -438,6 +440,32 @@ def stack_atoms(dataset, nodes, weights, beta=0.0, dL=None) -> Posterior:
     dL = np.zeros(ws.K) if dL is None else np.asarray(dL, dtype=float)
     nodes, weights = (np.asarray(v, dtype=float) for v in (nodes, weights))
     return Posterior(ws, nodes, weights, np.zeros(ws.n), *ws.mass_split(beta, dL))
+
+
+def latent_covariances(ws, est, alpha, beta):
+    """Per-subject posterior covariances of the Z-dependent complete-score terms (n x 5 x 5).
+
+    The terms, in order: the a, b and ssq scores r/ssq, z_pred r/ssq and
+    r^2/(2 ssq^2) with r = Z - a - b z_pred; the beta score
+    delta Z - Z e^{bZ} A_i with A_i the hazard mass of the latent window; and
+    e^{bZ}, which times -dL_k is the hazard score at x_k in the window.  Also returns the
+    terms centred within each subject and the terms themselves (n x 5 x Q each), whose
+    weighted absolute products bound the rounding of each covariance.
+    """
+    def terms(Z):
+        r = Z - (alpha.a + alpha.b * ws.z_pred)[:, None]
+        e = np.exp(np.minimum(beta * Z, EXP_CLIP))
+        return np.stack([r / alpha.ssq, ws.z_pred[:, None] * r / alpha.ssq, r * r / (2 * alpha.ssq**2),
+                         (ws.delta[:, None] - est.a_lat[:, None] * e) * Z, e], axis=1)
+
+    w = est.weights
+    raw = terms(est.nodes)
+    # less the terms at the posterior mean first: a term constant over the nodes (e^{bZ} at
+    # beta = 0, a stored value) centres to exactly 0
+    F = raw - terms(est.E1[:, None])
+    F -= np.einsum("iq,ifq->if", w, F)[:, :, None]
+    G = F * np.sqrt(w)[:, None, :]  # w >= 0, so sum_q w_q f_q f_q' is G G'
+    return G @ G.transpose(0, 2, 1), F, raw
 
 
 def dense_operator(op) -> np.ndarray:

@@ -433,6 +433,19 @@ def test_em_fit_survives_failed_newton_steps(monkeypatch, failure):
         assert dl * wn == pytest.approx(1.0 / ds.n, abs=1e-11)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_em_fit_newton_from_the_start(monkeypatch, seed):
+    # with no plain EM map before them, the first update is a Newton step from the start,
+    # whose certificate the fit computes before the loop
+    from coxjm import fit as fit_mod
+
+    monkeypatch.setattr(fit_mod, "EM_MAPS", 0)
+    ds, _ = _sim(200, seed=seed)
+    fit = em_fit(ds)
+    assert fit.converged and fit.newton_steps > 0
+    assert np.all(np.diff(fit.loglik_trace) >= -1e-13 * (1 + np.abs(fit.loglik_trace[1:])))
+
+
 def test_em_fit_reproducible_with_the_heap_shifted():
     # the Newton steps' LAPACK and BLAS calls give the same bits wherever their arrays sit
     # (b = 0.3, ssq = 1, n = 200, seed 3: seven Newton steps, one of them halved)

@@ -17,6 +17,7 @@ from oracles import (
     dataset_of,
     is_fully_observed,
     last_index,
+    latent_covariances,
     latent_moments,
     lvcf_risk_sums,
     lvcf_value,
@@ -41,7 +42,7 @@ from coxjm.fit import Q_DEFAULT, _boundedness_check, _bounds, _init_theta, _mste
 from coxjm.posterior import EXP_CLIP
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.transition import TransitionStats
-from coxjm.variance import _information, _latent_covariances
+from coxjm.variance import BLOCK, _information, _latent_covariances, _operator
 from coxjm.workspace import _estep, _risk_cols, _score_beta, _Workspace
 
 TAU = 3.0
@@ -59,6 +60,17 @@ def _close(got, want, scale):
     got, want, scale = np.asarray(got), np.asarray(want), np.asarray(scale)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= RTOL * scale), (got, want)
+
+
+def _magnitudes(est, F, raw):
+    """Per subject, sum_q w_q |F_j - F_j bar| |F_l - F_l bar|: the magnitudes of the summands of
+    each posterior covariance, with F and raw the centred and the plain terms of
+    `oracles.latent_covariances`.  Centring leaves an error of a few eps times the plain term,
+    which sets the covariance's rounding where the nodes nearly coincide, so the plain terms'
+    products enter scaled by 16 eps / RTOL."""
+    A, B = (np.abs(v) * np.sqrt(est.weights)[:, None, :] for v in (F, raw))
+    AB = A @ B.transpose(0, 2, 1)
+    return A @ A.transpose(0, 2, 1) + 16 * np.finfo(float).eps / RTOL * (AB + AB.transpose(0, 2, 1))
 
 
 def _atoms(rng, ds, beta, dL, Q=3):
@@ -100,8 +112,8 @@ def check_against_oracle(ds, beta, rng):
     theta = Theta(alpha=ALPHA0, beta=beta, hazard=SieveHazard(tuple(D.xe), tuple(dL)))
     op = _information(ds, theta, est)[0]
     _close(op.w, cols[:, 0] / n, mag[:, 0] / n)
-    lat_cols = _latent_covariances(ws, est, ALPHA0, beta)[:, :, 4]
-    lat, lat_mag = D.lat_mask.T @ lat_cols / n, D.lat_mask.T @ np.abs(lat_cols) / n
+    cov, *terms = latent_covariances(ws, est, ALPHA0, beta)
+    lat, lat_mag = D.lat_mask.T @ cov[:, :, 4] / n, D.lat_mask.T @ _magnitudes(est, *terms)[:, :, 4] / n
     assert not np.any(op.G[:, :2])
     _close(op.G[:, 2:5], lat[:, :3], lat_mag[:, :3])
     _close(op.G[:, 5], cols[:, 1] / n + lat[:, 3], mag[:, 1] / n + lat_mag[:, 3])
@@ -170,6 +182,51 @@ def risk_cases(draw):
 @given(risk_cases())
 def test_kernel_matches_dense_oracle(case):
     check_against_oracle(*case)
+
+
+@st.composite
+def covariance_cases(draw):
+    """Simulated datasets below, at and past BLOCK subjects (n not a multiple of it too),
+    every k-th subject's terminal value stored (one atom), random atoms and transition parameters;
+    beta is 0, a draw, or 10 with a node of weight zero at 75, where e^{bZ} is clipped
+    (the E-step gives such a node weight zero)."""
+    n = draw(st.one_of(st.sampled_from([BLOCK - 1, BLOCK, 2 * BLOCK]), st.integers(20, 3 * BLOCK)))
+    seed = draw(st.integers(0, 2**16))
+    ds, truths = gen_dataset(SimConfig(n=n, grid_step=0.25, tau=TAU, alpha0=ALPHA0, beta0=1.0,
+                                       lambda0=0.3, censor_rate=0.2, seed=seed))
+    every = draw(st.integers(2, 6))
+    ds = dataset_of(ds.grid, [f if i % every == 0 else s for i, (s, f) in
+                              enumerate(zip(subjects_of(ds), subjects_of(fullinfo_dataset(ds, truths))))], ds.tau)
+    rng = np.random.default_rng(seed)
+    Q = draw(st.integers(2, 6))
+    beta = draw(st.sampled_from([0.0, 10.0, draw(st.floats(-2.0, 2.0))]))
+    nodes, weights = rng.uniform(-2.5, 2.5, (n, Q)), rng.uniform(0.05, 1.0, (n, Q))
+    stored = np.array([is_fully_observed(s, ds.grid) for s in subjects_of(ds)])
+    nodes[stored], weights[stored] = ds.values[ds.offsets[1:][stored] - 1, None], np.eye(1, Q)
+    if beta == 10.0:
+        clip = np.flatnonzero(~stored)[::7]
+        nodes[clip, 0], weights[clip, 0] = 75.0, 0.0
+    est = stack_atoms(ds, nodes, weights / weights.sum(axis=1, keepdims=True), beta,
+                      rng.uniform(1e-3, 0.5, len(ds.event_times())))
+    alpha = TransitionParams(0.0, 1.0, *rng.uniform([-1.0, -1.0, 0.1], [1.0, 1.0, 2.0]))
+    return est, alpha, beta
+
+
+@pytest.mark.filterwarnings("ignore:transition-model residual variance floored")
+@settings(max_examples=40, deadline=None)
+@given(covariance_cases())
+def test_latent_covariances_match_oracle(case):
+    # per subject, each term's covariance with e^{bZ}, and the 4 x 4 block summed over the
+    # subjects, within RTOL of the magnitudes of their summands
+    est, alpha, beta = case
+    cov, miss = _latent_covariances(est.ws, est, alpha, beta)
+    want, *terms = latent_covariances(est.ws, est, alpha, beta)
+    mag = _magnitudes(est, *terms)
+    assert bool(np.any(beta * est.nodes > EXP_CLIP)) == (beta == 10.0)
+    _close(cov, want[:, [0, 2, 3, 4], 4].T, mag[:, [0, 2, 3, 4], 4].T)
+    _close(est.ws.z_pred * cov[0], want[:, 1, 4], mag[:, 1, 4])
+    _close(miss, want[:, :4, :4].sum(axis=0), mag[:, :4, :4].sum(axis=0))
+    assert np.array_equal(miss, miss.T)
 
 
 def _hand_built():
@@ -404,3 +461,24 @@ def test_estep_allocates_few_quadrature_arrays():
         tracemalloc.stop()
     assert estep_peak <= 4 * size
     assert moments_peak <= 1.5 * size
+
+
+def test_operator_allocates_few_quadrature_arrays():
+    # above its inputs, the E-step with the risk-set sums and transition statistics a
+    # Newton step finds on it, the operator build holds the per-subject covariances with
+    # e^{bZ} (4 x n, 0.2 Q x n arrays), one block's four Q x BLOCK factors (0.5 at n = 2000)
+    # with NumPy's buffers, and O(K) parts: 0.9 Q x n arrays measured, where an n x 5 x Q
+    # array of the score terms would take about nine
+    ds, _ = _sim(2000, 0.25, seed=0)
+    ws, cfg = _Workspace(ds), FitConfig()
+    alpha, _, dL = _init_theta(ws, None, _bounds(cfg), [])
+    est = _estep(ws, alpha, 1.0, dL, cfg.Q)
+    _risk_cols(ws, est, 1.0)
+    ws.transition_stats(est)
+    tracemalloc.start()
+    try:
+        _operator(ws, est, alpha, 1.0, dL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * cfg.Q * ws.n * 8

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from coxjm import (
 )
 from coxjm.data import SieveHazard
 from coxjm.simulate import SimConfig, gen_dataset
-from coxjm.variance import COND_LIMIT, _solve, beta_probe, lambda_band, z_quantile
+from coxjm.variance import COND_LIMIT, _information, _solve, beta_probe, lambda_band, z_quantile
 
 GRID0 = MeasurementGrid((0.0,))
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
@@ -505,6 +506,53 @@ def test_variance_report_memory_is_linear_in_n():
         tracemalloc.stop()
     assert math.isfinite(rep["cond_B"])
     assert peak < 128 * 2**20
+
+
+@pytest.fixture(scope="module", params=[0, 3])
+def report_of_seed(request):
+    ds, _ = gen_dataset(SimConfig(n=200, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
+                                  lambda0=0.3, censor_rate=0.2, seed=request.param))
+    fit = em_fit(ds)
+    op = _information(ds, fit.theta_hat, fit.posterior)[0]
+    # the alpha block of the inverse operator, whose (a, b) entries the a variance needs
+    cov = _solve(op, np.eye(6 + op.K, 5))[:5]
+    return ds, variance_report(ds, fit.theta_hat, fit.posterior, fit), cov
+
+
+@pytest.mark.parametrize("c, d", [(2.0, 0.5), (-1.5, 0.3), (0.5, 0.0), (-3.0, -1.0)])
+def test_variance_report_equivariant_under_covariate_units(report_of_seed, c, d):
+    # Z -> cZ + d maps beta to beta / c and alpha to (c mu0 + d, c^2 s0sq, c a + d (1 - b), b,
+    # c^2 ssq), so the variances scale with it; a's mixes in b's through their covariance.
+    # At the default tolerances they move by at most 4.5e-15 relative.  cond_B and
+    # var_beta_simple are not equivariant
+    ds, rep, cov = report_of_seed
+    ds_c = replace(ds, values=c * ds.values + d)
+    fit = em_fit(ds_c)
+    got = variance_report(ds_c, fit.theta_hat, fit.posterior, fit)
+    assert fit.converged
+    assert got["var_beta_full"] * c * c == pytest.approx(rep["var_beta_full"], rel=1e-12)
+    var_a = c * c * cov[2, 2] - 2 * c * d * cov[2, 3] + d * d * cov[3, 3]
+    want = [rep["var_alpha"][0] * c**2, rep["var_alpha"][1] * c**4, var_a, rep["var_alpha"][3],
+            rep["var_alpha"][4] * c**4]
+    np.testing.assert_allclose(got["var_alpha"], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.slow
+def test_variance_report_allocates_few_quadrature_arrays():
+    # the report builds the operator once, whose Louis kernel runs the subjects in blocks:
+    # its traced peak at n = 16000 stays below 3.5 Q x n arrays, where an n x 5 x Q array
+    # of the score terms would take it to about nine
+    ds, _ = gen_dataset(SimConfig(n=16000, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
+                                  lambda0=0.3, censor_rate=0.2, seed=1))
+    fit = em_fit(ds)
+    tracemalloc.start()
+    try:
+        rep = variance_report(ds, fit.theta_hat, fit.posterior, fit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["var_beta_full"] is not None
+    assert peak <= 3.5 * FitConfig().Q * ds.n * 8
 
 
 def _large_norm_operator():
