@@ -74,8 +74,5 @@ class NonConvergenceError(CoxjmError):
 
 
 class SingularOperatorError(CoxjmError):
-    """Discretized information operator is numerically singular."""
-
-    def __init__(self, cond: float, message: str | None = None):
-        self.cond = cond
-        super().__init__(message or f"information operator numerically singular (cond={cond:.3e})")
+    """The discretized information operator is not positive definite, or a solve with it
+    leaves too large a backward error."""

@@ -13,8 +13,8 @@ likelihood (Lange 1995, JRSS-B 57:425; Jamshidian & Jennrich 1997, JRSS-B
 59:569): the step solves M h = g, with M the observed information operator of
 `variance` (Louis 1982, JRSS-B 44:226) and g the score representer, and moves
 alpha by h1, beta by h2 and log dL by h3.  A step is halved until the log
-likelihood does not drop beyond its rounding; where the operator is singular,
-the step is no ascent direction or leaves the feasible set, its E-step fails, or
+likelihood does not drop beyond its rounding; where the operator is not positive
+definite, the step is no ascent direction or leaves the feasible set, its E-step fails, or
 NEWTON_HALVINGS halvings do not ascend, the fit takes one EM map instead.  Both
 keep (alpha, beta) in one feasible set, `_bounds`, and the Newton steps hold its
 active components (projected Newton, Bertsekas 1982, SIAM J. Control Optim. 20:221).
@@ -314,10 +314,11 @@ def _newton(ws, state, s, active, bounds, cfg: FitConfig):
     score representer, and h_j = 0 for each active j (unit rows and columns in the border
     E, zero columns in G and a zero right-hand side); it moves alpha by h1, beta by h2 and
     log dL by h3, and is halved until the log likelihood does not drop beyond its rounding.
-    Returns the new state, or None when the operator is singular, h is not finite or not an
-    ascent direction (<g, h> <= 0), the full step leaves the bounds, a trial E-step fails,
-    or the step needs more than NEWTON_HALVINGS halvings.  No condition estimate is taken:
-    the halvings guard the step, and the estimate costs about ten solves.
+    Returns the new state, or None when the operator is not positive definite (its
+    factorisations fail: the quadratic model there is not strictly concave), h is not
+    finite or not an ascent direction (<g, h> <= 0), the full step leaves the bounds, a
+    trial E-step fails, or the step needs more than NEWTON_HALVINGS halvings.  The halvings
+    guard the step's length.
     """
     alpha, beta, dL, est, ll = state
     op = _operator(ws, est, alpha, beta, dL)[0]

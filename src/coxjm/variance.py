@@ -16,16 +16,17 @@ the quadratic form
     <g, h> = sum_k g3(x_k) h3(x_k) dL_k + g2 h2 + g1' h1,    where sigma-hat(h) = g.
 
 An observed information is self-adjoint in this inner product: with
-P = diag(1, ..., 1, dL_1, ..., dL_K), the matrix P M is symmetric.  So M is
-kept by the parts of P M, and M' needs no parts of its own:
-M'^{-1} = P M^{-1} P^{-1}.
+P = diag(1, ..., 1, dL_1, ..., dL_K), the matrix P M is symmetric, so M is
+kept by the parts of P M.  At a maximum P M is also positive definite, and
+the operator is refused where it is not, so the variance of an accepted
+operator, <g, h> = (P g)' (P M)^{-1} (P g), is positive.
 
 Each subject's latent window lies inside one grid interval, so the
 hazard-hazard part of the missing information is block diagonal by interval,
 and each block is a diagonal plus a semiseparable matrix (Vandebril, Van Barel
 & Mastronardi 2008, Matrix Computations and Semiseparable Matrices).
 `DiscretizedOperator` keeps M by these parts, never as a (6+K)x(6+K) array:
-its solves, products, 1-norm and condition estimate take O(K) time and memory.
+its factorisations, solves, products and 1-norm take O(K) time and memory.
 
 Louis's missing information needs, per subject, only the covariances of the score
 terms with e^{bZ}, and the (alpha, beta) block summed over the subjects.  Each is a
@@ -42,7 +43,6 @@ alpha, so the two agree only asymptotically.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 from statistics import NormalDist
@@ -58,7 +58,6 @@ from .workspace import Posterior, _hazard_jumps, _risk_cols, _score, _workspace_
 if TYPE_CHECKING:  # pragma: no cover
     from .fit import FitResult
 
-COND_LIMIT = 1e12
 # the largest normwise backward error a solve may leave
 SOLVE_TOL = 1e-12
 # the centred beta curvature must exceed this share of the uncentred one
@@ -93,9 +92,17 @@ class DiscretizedOperator:
 
     where T = U^{-1} diag(omega) U^{-T} - diag(delta) is symmetric tridiagonal
     (diagonal omega_k + omega_{k+1} - delta_k, off-diagonal -omega_{k+1}, both
-    omega_{k+1} terms zero where the interval ends).  One LU of T, the K x 6
-    Z = dL H^{-1} G and an LU of the symmetric 6x6 Schur complement E - G'Z
-    solve M in O(K) per right-hand side, and M' through M'^{-1} = P M^{-1} P^{-1}.
+    omega_{k+1} terms zero where the interval ends).  The L D L' factors of T,
+    the K x 6 Z = dL H^{-1} G and the Cholesky factor of the symmetric 6x6 Schur
+    complement E - G'Z solve M in O(K) per right-hand side.
+
+    Both factorisations test P M for positive definiteness.  On each interval
+    H = U T U' diag(dL), so the hazard block diag(dL) H of P M is congruent to T,
+    and E - G'Z is the Schur complement of that block in P M.  By Haynsworth's
+    inertia additivity (1968, Linear Algebra Appl. 1:73) P M is positive definite
+    exactly when T and E - G'Z are, that is when both factorisations succeed.
+    Otherwise `solve` refuses the operator, whatever the scale or origin of the
+    covariate.
     """
 
     E: np.ndarray          # symmetric 6x6 border on (h1, h2)
@@ -111,9 +118,9 @@ class DiscretizedOperator:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "interval", np.asarray(self.interval, dtype=int))
         K = self.dL.size
-        if (self.E.shape != (6, 6) or self.G.shape != (K, 6)
+        if (K == 0 or self.E.shape != (6, 6) or self.G.shape != (K, 6)
                 or any(a.shape != (K,) for a in (self.w, self.v, self.times, self.interval))):
-            raise ValidationError("operator parts do not match the hazard support")
+            raise ValidationError("operator parts do not match a hazard support of one or more event times")
         if not np.array_equal(self.E, self.E.T, equal_nan=True):
             raise ValidationError("operator border E must be symmetric")
         if np.any(np.diff(self.interval) < 0):
@@ -133,8 +140,9 @@ class DiscretizedOperator:
 
     @cached_property
     def _factors(self):
-        """The solve with T's LU (LAPACK dgttrs), Z = dL H^{-1} G and the solve with the
-        Schur complement's LU (dgetrs); None if singular.
+        """The solve with T's L D L' factors (LAPACK dpttrs), Z = dL H^{-1} G and the solve
+        with the Schur complement's Cholesky factor (dpotrs); None unless both
+        factorisations succeed, that is unless P M is positive definite.
 
         scipy.linalg is imported here, at the first factorisation, and nowhere else, so a
         process that computes no variance never loads it (lazy loading as in Scientific
@@ -146,42 +154,39 @@ class DiscretizedOperator:
         omega = self.w / self.dL
         nxt = np.append(omega[1:] * same, 0.0)   # omega_{k+1}, 0 where the interval ends
         diag = omega + nxt - self.v + np.append(self.v[1:] * same, 0.0)
-        # two decoupled unit rows: scipy's dgttrf wrapper refuses systems of order < 3
-        off = np.append(-nxt, 0.0)
-        *tri, info = lapack.dgttrf(off, np.append(diag, [1.0, 1.0]), off)
-        if info != 0 or not np.isfinite(np.concatenate(tri[:4])).all():
+        # a decoupled unit row: scipy's dpttrf wrapper refuses a system of order 1
+        *tri, info = lapack.dpttrf(np.append(diag, 1.0), -nxt)
+        if info != 0 or not np.isfinite(np.concatenate(tri)).all():
             return None
-        tsolve = partial(lapack.dgttrs, *tri)
+        tsolve = partial(lapack.dpttrs, *tri)
         Z = self._tsolve(tsolve, self.G)
-        lu, piv, info = lapack.dgetrf(self.E - self.G.T @ Z)
-        if info != 0 or not np.isfinite(lu).all():
+        chol, info = lapack.dpotrf(self.E - self.G.T @ Z)
+        if info != 0 or not np.isfinite(chol).all():
             return None
-        return tsolve, Z, partial(lapack.dgetrs, lu, piv)
+        return tsolve, Z, partial(lapack.dpotrs, chol)
 
     def _tsolve(self, tsolve, r: np.ndarray) -> np.ndarray:
         """U^{-T} T^{-1} U^{-1} r, which is dL H^{-1} r, for a K x m matrix r."""
         same = self._bounds[2]
-        u = np.zeros((r.shape[0] + 2, r.shape[1]))
-        u[:-2] = r
-        u[:-3] -= r[1:] * same
-        z = tsolve(u)[0][:-2]
+        u = np.zeros((r.shape[0] + 1, r.shape[1]))
+        u[:-1] = r
+        u[:-2] -= r[1:] * same
+        z = tsolve(u)[0][:-1]
         z[1:] -= z[:-1] * same
         return z
 
-    def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
-        """M^{-1} rhs, or M'^{-1} rhs = P M^{-1} P^{-1} rhs when trans, for a vector or the
-        columns of a matrix."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^{-1} rhs for a vector or the columns of a matrix, refused unless P M is positive
+        definite."""
         f = self._factors
         if f is None:
-            raise SingularOperatorError(math.inf)
+            raise SingularOperatorError("information operator is not positive definite")
         tsolve, Z, ssolve = f
         r = rhs.reshape(rhs.shape[0], -1)
-        dL = self.dL[:, None]
-        # block elimination: t = dL H^{-1} r_h3 with r = rhs, or P^{-1} rhs when trans
-        t = self._tsolve(tsolve, r[6:] / dL if trans else r[6:])
+        # block elimination: t = dL H^{-1} r_h3
+        t = self._tsolve(tsolve, r[6:])
         xb = ssolve(r[:6] - self.G.T @ t)[0]
-        xh = t - Z @ xb
-        return np.concatenate([xb, xh if trans else xh / dL]).reshape(rhs.shape)
+        return np.concatenate([xb, (t - Z @ xb) / self.dL[:, None]]).reshape(rhs.shape)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """M x for a vector or the columns of a matrix."""
@@ -210,46 +215,6 @@ class DiscretizedOperator:
         hz = np.abs(self.w - self.v * self.dL) + np.abs(self.dL) * (
             (np.arange(self.K) - lo) * av + cum[hi] - cum[1:] + np.abs(self.G).sum(1))
         return float(max(np.max(np.abs(self.E).sum(0) + np.abs(self.G).sum(0)), np.max(hz)))
-
-    @cached_property
-    def cond(self) -> float:
-        """1-norm condition number estimate of M: ||M||_1 times an estimate of ||M^{-1}||_1.
-
-        The inverse's norm is Hager's estimate (Hager 1984, SIAM J. Sci.
-        Stat. Comput. 5:311) in Higham's form, LAPACK dlacn2 (Higham 1988,
-        ACM TOMS 14:381), the iteration LAPACK gecon runs, here over the
-        structured solves of M and M'.  The result lies within a factor 6+K
-        of the 2-norm condition number; inf when T or the Schur complement
-        meets an exact zero pivot.  Its last bits can move with where BLAS
-        finds the arrays in memory, so it is rounded to 6 significant
-        digits, which keeps it reproducible.
-        """
-        if self._factors is None:
-            return math.inf
-        c = self.norm1 * _inverse_norm1(self.solve, lambda x: self.solve(x, trans=True), 6 + self.K)
-        return float(f"{c:.6g}") if 0 < c < math.inf else math.inf
-
-
-def _inverse_norm1(solve, solve_t, n: int) -> float:
-    """Hager's lower estimate of ||M^{-1}||_1 from solves with M and M', step by step as dlacn2."""
-    x = solve(np.full(n, 1.0 / n))
-    est = float(np.abs(x).sum())
-    sign = np.where(x >= 0, 1.0, -1.0)
-    j = int(np.argmax(np.abs(solve_t(sign))))
-    for _ in range(4):  # dlacn2's iteration counter runs from 2 to ITMAX = 5
-        x = solve(np.eye(1, n, j)[0])
-        est_old, est = est, float(np.abs(x).sum())
-        s = np.where(x >= 0, 1.0, -1.0)
-        if np.array_equal(s, sign) or est <= est_old:
-            break
-        sign = s
-        xt = solve_t(sign)
-        j_last, j = j, int(np.argmax(np.abs(xt)))
-        if xt[j_last] == abs(xt[j]):
-            break
-    alt = 1.0 + np.arange(n) / (n - 1)
-    alt[1::2] *= -1.0
-    return max(est, 2.0 * float(np.abs(solve(alt)).sum()) / (3 * n))
 
 
 def beta_probe(K: int) -> np.ndarray:
@@ -380,9 +345,8 @@ def build_sigma_hat(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> Dis
 
 
 def _solve(op: DiscretizedOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve the joint system for one or more right-hand sides (columns)."""
-    if not math.isfinite(op.cond) or op.cond > COND_LIMIT:
-        raise SingularOperatorError(op.cond)
+    """Solve the joint system for one or more right-hand sides (columns), refused unless P M
+    is positive definite and the backward error is at most SOLVE_TOL."""
     sol = op.solve(rhs)
     # per column, the normwise backward error ||Mx - b|| / (||M|| ||x|| + ||b||) in the 1-norm
     # (Rigal & Gaches 1967, J. ACM 14:543; Higham 2002, Accuracy and Stability of Numerical
@@ -392,7 +356,7 @@ def _solve(op: DiscretizedOperator, rhs: np.ndarray) -> np.ndarray:
     scale = op.norm1 * np.abs(sol).sum(axis=0) + np.abs(rhs).sum(axis=0)
     err = float(np.max(res / np.maximum(scale, np.finfo(float).tiny)))
     if not err <= SOLVE_TOL:
-        raise SingularOperatorError(op.cond, f"linear solve backward error too large ({err:.2e})")
+        raise SingularOperatorError(f"linear solve backward error too large ({err:.2e})")
     return sol
 
 
@@ -406,8 +370,9 @@ def _own_jumps(op: DiscretizedOperator, hazard: SieveHazard) -> np.ndarray:
 
 def var_estimate(op: DiscretizedOperator, hazard: SieveHazard, g: np.ndarray) -> float:
     """Quadratic-form variance <g, h> of the estimator paired with the probe g, where
-    sigma-hat(h) = g; refuses a g that is not 6 + K finite values, and numerically
-    singular operators.
+    sigma-hat(h) = g; refuses a g that is not 6 + K finite values, and operators that
+    are not positive definite or whose solve leaves a backward error above SOLVE_TOL.
+    On an operator it accepts the form is positive.
 
     `hazard` must be the one the operator was built at (its jumps weight the
     h3 part of the form).
@@ -419,11 +384,7 @@ def var_estimate(op: DiscretizedOperator, hazard: SieveHazard, g: np.ndarray) ->
     if not np.all(np.isfinite(g)):
         raise ValidationError("probe entries must be finite")
     h = _solve(op, g)
-    out = float(np.dot(g[6:] * h[6:], dL)) + float(h[5] * g[5]) + float(h[:5] @ g[:5])
-    if out < 0:
-        warnings.warn(f"negative variance estimate {out:.6g} (finite-sample pathology)",
-                      RuntimeWarning)
-    return out
+    return float(np.dot(g[6:] * h[6:], dL)) + float(h[5] * g[5]) + float(h[:5] @ g[:5])
 
 
 def var_beta_simple(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> float:
@@ -474,27 +435,23 @@ def variance_report(dataset: Dataset, theta_hat: Theta, atoms: Posterior, fit: F
                     t_grid=None) -> dict:
     """Side-by-side variance summary used by the CLI and the study harness.
 
-    `cond_B` is `DiscretizedOperator.cond`, the 1-norm condition number
-    estimate of the joint operator matrix (Hager's estimate of the inverse's
-    norm over structured solves, as LAPACK gecon computes it on a dense LU).
-    It agrees with the 2-norm condition number within a factor 6+K; the 1/dL
-    scaling of the hazard rows makes it the larger of the two in practice
-    (1.36e6 against 4.36e3 on a simulated fit with n=2000).  A variance that
-    is undefined at this fit is reported as None: `var_beta_simple` when beta
-    is not identified, and `var_beta_full`, every `var_alpha` entry and
-    `lambda_band` when the operator is numerically singular.  An empty
-    `t_grid` gives an empty `lambda_band`.
+    A variance that is undefined at this fit is reported as None:
+    `var_beta_simple` when beta is not identified, and `var_beta_full`, every
+    `var_alpha` entry and `lambda_band` when the operator is not positive
+    definite or a solve leaves a backward error above SOLVE_TOL.  A positive
+    definite but badly conditioned operator gives large finite variances.  An
+    empty `t_grid` gives an empty `lambda_band`.
 
     The fit's optimisation error is stated as the Newton step h solving M h = g at the
     fit, g being the score representer: `newton_beta_step` is h_beta, an estimate of the
     distance of beta-hat from the maximizer, and `newton_decrement` is <g, h>, twice the
     gain in log likelihood per subject that a full step predicts.  Both are None where the
-    operator is numerically singular.
+    operator is refused.
     """
     ws = _workspace_of(dataset, atoms)
     dL = _hazard_jumps(ws.xe, theta_hat.hazard)
     op, simple = _operator(ws, atoms, theta_hat.alpha, theta_hat.beta, dL)
-    report: dict = {"var_beta_simple": simple, "cond_B": op.cond}
+    report: dict = {"var_beta_simple": simple}
     try:
         report["var_beta_full"] = var_estimate(op, theta_hat.hazard, beta_probe(op.K))
         sol = _solve(op, np.eye(6 + op.K, 5))

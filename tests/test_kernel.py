@@ -39,7 +39,7 @@ from coxjm import (
 )
 from coxjm.baseline import _imputed, _risk_sums
 from coxjm.fit import Q_DEFAULT, _boundedness_check, _bounds, _init_theta, _mstep, estep_atoms, observed_loglik
-from coxjm.posterior import EXP_CLIP
+from coxjm.posterior import EXP_CLIP, _gh
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.transition import TransitionStats
 from coxjm.variance import BLOCK, _information, _latent_covariances, _operator
@@ -444,11 +444,14 @@ def test_interval_sums_clip_matches_unfused(beta, clipped):
 def test_estep_allocates_few_quadrature_arrays():
     # the kernels compute in place: an E-step holds three Q x n arrays at once (nodes,
     # weights and one scratch array), bounded here by four, and the exponential moments
-    # one, bounded by one and a half
+    # one, bounded by one and a half.  The Gauss-Hermite rule is built, and cached, before
+    # tracing: the first E-step with Q nodes in a process builds it, importing
+    # numpy.polynomial (about 0.7 MB), which took the peak from 3.5 to 5.6 Q x n
     ds, _ = _sim(2000, 0.25, seed=0)
     ws, cfg = _Workspace(ds), FitConfig()
     alpha, _, dL = _init_theta(ws, None, _bounds(cfg), [])
     size = cfg.Q * ws.n * 8
+    _gh(cfg.Q)
     tracemalloc.start()
     try:
         est = _estep(ws, alpha, 1.0, dL, cfg.Q)
