@@ -40,12 +40,12 @@ def _imputed(dataset: Dataset, imputation: str):
     """The risk-set workspace and the imputed values on the observed entries (subject i,
     interval j < a_x(i)) and in each terminal interval (n): "lvcf" takes measurement
     min(j, a_x), "next" the value due at the interval's end, which must be stored."""
-    ws = _Workspace(dataset)
+    ws = _Workspace.of(dataset)
     if imputation == "lvcf":
         return ws, ws.t_prev, ws.z_pred
     if imputation != "next":
         raise ValidationError(f"imputation must be 'lvcf' or 'next', got {imputation!r}")
-    short = ~ws.has_extra & (ws.masses(np.ones(ws.K))[1] > 0)
+    short = ~ws.has_extra & ws.terminal_at_risk
     if np.any(short):
         raise ValidationError(
             f"subject {dataset.ids[int(np.argmax(short))]!r} has a latent value at risk; "

@@ -191,6 +191,10 @@ class Dataset:
         return (isinstance(other, Dataset) and (self.grid, self.tau, self.ids) == (other.grid, other.tau, other.ids)
                 and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in ("x", "delta", "offsets", "values")))
 
+    def __getstate__(self) -> dict:
+        # a pickled or copied dataset leaves its live workspace (`_Workspace.of`) behind
+        return {k: v for k, v in self.__dict__.items() if k != "_workspace"}
+
     @property
     def n(self) -> int:
         return len(self.ids)

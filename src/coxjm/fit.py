@@ -270,10 +270,8 @@ def _boundedness_check(ws, est, dL, cfg, warn: list):
     at_tau = int(np.sum(ws.x >= ws.dataset.tau))
     if at_tau == 0:
         return
-    # the observed values at risk at some event (z_extra is 0 where not stored), and the atoms
-    zmax = float(np.max(np.abs(np.concatenate([
-        ws.t_next[np.repeat(np.bincount(ws.a_e, minlength=ws.J) > 0, ws.t_count)],
-        ws.z_extra * (ws.masses(np.ones(ws.K))[1] > 0), [est.nodes.min(), est.nodes.max()]]))))
+    # the largest |z| at risk at some event: observed (`zmax_obs`) or an atom
+    zmax = float(np.max(np.abs([ws.zmax_obs, est.nodes.min(), est.nodes.max()])))
     m = math.exp(-cfg.beta_box * zmax) if cfg.beta_box * zmax < EXP_CLIP else 0.0
     if m <= 0:
         return
@@ -360,7 +358,7 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
     components, each giving way to an EM map where it fails; every update ascends up to rounding."""
     cfg = config or FitConfig()
     bounds = _bounds(cfg)
-    ws = _Workspace(dataset)
+    ws = _Workspace.of(dataset)
     warn: list[str] = []
     if not np.any(ws.a_x + ws.has_extra):  # every subject has one measurement
         warn.append("identifiability: no subject has two or more measurements")
@@ -440,8 +438,9 @@ def weighted_mle_alpha(dataset: Dataset, atoms: Posterior, box: AlphaBox | None 
 
 
 def estep_atoms(dataset: Dataset, theta: Theta, Q: int = Q_DEFAULT) -> Posterior:
-    """The posterior of every subject's terminal value at theta, on a new workspace."""
-    ws = _Workspace(dataset)
+    """The posterior of every subject's terminal value at theta, on the dataset's live
+    workspace (`_Workspace.of`: a fit's, while the fit is held)."""
+    ws = _Workspace.of(dataset)
     return _estep(ws, theta.alpha, theta.beta, _hazard_jumps(ws.xe, theta.hazard), Q)
 
 

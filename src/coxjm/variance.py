@@ -301,17 +301,16 @@ def _operator(ws, est, alpha, beta: float, dL: np.ndarray) -> tuple[DiscretizedO
 
     The missing information comes from `_latent_covariances`: the (a, b, ssq, beta) block
     summed over the subjects, and each subject's covariances with e^{bZ}, summed here over
-    the latent windows holding each event time one term at a time.  Besides its inputs a
-    build holds the 4 x n covariances, one block's factors and O(K) parts."""
+    the latent windows holding each event time in one risk-set pass.  Besides its inputs a
+    build holds the 4 x n covariances, their 5 x n stack, one block's factors and O(K) parts."""
     n = ws.n
     cov, miss = _latent_covariances(ws, est, alpha, beta)
     miss /= n
-    # per x_k, (1/n) sum over the latent windows holding it of Cov_i[term j, e^{bZ}], a term
-    # at a time, the b term's last (z_pred times the a term's).  A stored terminal value has
-    # no latent window: it is one atom, whose covariances are exactly 0
+    # per x_k, (1/n) sum over the latent windows holding it of Cov_i[term j, e^{bZ}], the
+    # five terms in one pass, the b term's last (z_pred times the a term's).  A stored
+    # terminal value has no latent window: it is one atom, whose covariances are exactly 0
     cov /= n
-    a_lat, ssq_lat, beta_lat, v = (ws.cols(None, row) for row in cov)
-    b_lat = ws.cols(None, np.multiply(cov[0], ws.z_pred, out=cov[0]))
+    a_lat, ssq_lat, beta_lat, v, b_lat = ws.cols(None, np.vstack([cov, cov[0] * ws.z_pred]).T).T
     del cov
     # W_n, C_n, D_n: (1/n) sum_i E_i[Z^m e^{bZ} 1{x_k <= X_i}], m = 0, 1, 2
     w, c, d = _risk_cols(ws, est, beta).T / n

@@ -9,6 +9,8 @@ fitter (`fit`) and the variance operator (`variance`) both read them here.
 from __future__ import annotations
 
 import math
+import weakref
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +34,24 @@ class _Workspace:
     so each interval is one contiguous segment and each subject's entries come in
     increasing j.  Interval j holds the subjects with a_x > j, in order of decreasing
     a_x; these counts never rise with j, so the intervals without entries are a suffix.
+
+    A dataset has at most one live workspace (`of`), which callers may share across
+    threads.  Past the build it only caches: `terminal_at_risk` and `zmax_obs`, computed
+    on first use, and the observed interval sums of the last beta asked, kept as one
+    (beta, sums) pair so that no thread pairs one beta with another beta's sums.
     """
+
+    @classmethod
+    def of(cls, dataset: Dataset) -> "_Workspace":
+        """The dataset's live workspace, held by a posterior, a fit or a caller, or else a
+        new one.  The dataset points to it by a weak reference, so it lives no longer than
+        its holders and forms no cycle with its `dataset`; a copy of the dataset gets its own."""
+        ref = getattr(dataset, "_workspace", None)
+        ws = ref() if ref is not None else None
+        if ws is None:
+            ws = cls(dataset)
+            object.__setattr__(dataset, "_workspace", weakref.ref(ws))
+        return ws
 
     def __init__(self, dataset: Dataset):
         self.dataset = validate_dataset(dataset)
@@ -63,7 +82,7 @@ class _Workspace:
         self.t_prev, self.t_next = values[at], values[at + 1]
         self._segments = start[count > 0]
         self.obs = TransitionStats.of(self.z0, self.t_prev, self.t_next)
-        self._obs_beta = None
+        self._obs = (None, None)
         # Running sums within each grid interval, over a (J, 1 + most events in an
         # interval) pad: the event of rank r in its interval sits in column r + 1, a
         # subject in the column of the number of its interval's events at or before its
@@ -102,10 +121,25 @@ class _Workspace:
     def obs_mats(self, beta: float) -> np.ndarray:
         """`interval_sums` of the observed values, kept for the last beta (an EM
         iteration asks for one beta from the E-step, the M-step and the certificate)."""
-        if beta != self._obs_beta:
-            self._obs_beta, self._obs = beta, self.interval_sums(self.t_next, beta)
-            self._obs.flags.writeable = False  # shared by every caller at this beta
-        return self._obs
+        kept = self._obs  # one read: another thread may replace the pair meanwhile
+        if beta != kept[0]:
+            kept = (beta, self.interval_sums(self.t_next, beta))
+            kept[1].flags.writeable = False  # shared by every caller at this beta
+            self._obs = kept
+        return kept[1]
+
+    @cached_property
+    def terminal_at_risk(self) -> np.ndarray:
+        """Whether each subject's terminal window holds an event time, at which its
+        terminal value (latent, or stored) is at risk."""
+        return self.masses(np.ones(self.K))[1] > 0
+
+    @cached_property
+    def zmax_obs(self) -> float:
+        """The largest |z| of the observed values at risk at some event: the entries of
+        the intervals holding events, and the stored terminal values at risk."""
+        held = np.repeat(np.bincount(self.a_e, minlength=self.J) > 0, self.t_count)
+        return float(np.max(np.abs(np.concatenate([self.t_next[held], self.z_extra * self.terminal_at_risk]))))
 
     def masses(self, dL: np.ndarray):
         """Hazard mass of each grid interval (J) and of each subject's terminal window (n):
@@ -148,7 +182,8 @@ class _Workspace:
 
 class Posterior:
     """The posterior of every subject's terminal value at one parameter, on the workspace
-    `ws` of the dataset it was computed on, which the calls that take it read.
+    `ws` it was computed on (the dataset's live one, `_Workspace.of`), which the calls
+    that take it read.
 
     `nodes` and `weights` (n x Q) are the atoms: mode-recentred Gauss-Hermite nodes, or a
     stored terminal value repeated with weight one on the first.  `log_norm` is the log of

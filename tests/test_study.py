@@ -145,10 +145,10 @@ def test_study_rows_equal_public_calls(seed):
     assert row["se_full"] == math.sqrt(var_estimate(op, th.hazard, beta_probe(op.K)) / ds.n)
 
 
-def test_replication_builds_two_workspaces_and_one_information(monkeypatch):
+def test_replication_builds_one_workspace_and_one_information(monkeypatch):
     # one workspace for the NPML fit, whose posterior carries it to both variances
-    # through one operator build past those of the fit's Newton steps, and one for the
-    # LVCF comparator
+    # through one operator build past those of the fit's Newton steps; the LVCF
+    # comparator reads the same workspace, which the fit still holds
     from coxjm import study as study_mod
 
     counts = {"workspace": 0, "operator": 0}
@@ -171,7 +171,7 @@ def test_replication_builds_two_workspaces_and_one_information(monkeypatch):
     rows = _run_one(_study(n=200, reps=1), 0)
     assert [(r["estimator"], r["error"]) for r in rows] == [("npml", None), ("lvcf", None)]
     assert fits[0].newton_steps > 0
-    assert counts == {"workspace": 2, "operator": 1 + fits[0].newton_steps}
+    assert counts == {"workspace": 1, "operator": 1 + fits[0].newton_steps}
 
 
 def test_posterior_of_another_dataset_refused(tmp_path):
