@@ -1,23 +1,21 @@
-"""Maximizer of the joint pseudo likelihood over the step-hazard sieve: EM, then Newton.
+"""Maximizer of the joint pseudo likelihood over the step-hazard sieve by guarded Newton steps.
 
-One EM map: (E) posterior atoms for every subject at the current theta;
-(M) the transition parameters' exact maximizer over their box, then at most
-INNER_CYCLES step-halved Newton steps in beta on the EM objective profiled over
-the hazard (whose maximizing hazard is the closed form dL_k = (1/n) / W_n(x_k),
-taken at the accepted beta).  Every update increases the EM objective, so the
-observed log likelihood is nondecreasing up to quadrature error; a drop beyond
-ASCENT_TOL raises AscentError.
+Every update is a Newton step on the observed log likelihood (Lange 1995, JRSS-B 57:425;
+Jamshidian & Jennrich 1997, JRSS-B 59:569): it solves M h = g, with M the observed
+information operator of `variance` (Louis 1982, JRSS-B 44:226) and g the score
+representer, moves alpha by h1, beta by h2 and log dL by h3, and is halved until the log
+likelihood does not drop beyond its rounding.  Where the operator is not positive
+definite, the step is no ascent direction or leaves the feasible set, its E-step fails,
+or NEWTON_HALVINGS halvings do not ascend, the fit takes one EM map instead.  Both keep
+(alpha, beta) in one feasible set, `_bounds`, and the Newton steps hold its active
+components (projected Newton, Bertsekas 1982, SIAM J. Control Optim. 20:221).
 
-After EM_MAPS such maps the fit takes Newton steps on the observed log
-likelihood (Lange 1995, JRSS-B 57:425; Jamshidian & Jennrich 1997, JRSS-B
-59:569): the step solves M h = g, with M the observed information operator of
-`variance` (Louis 1982, JRSS-B 44:226) and g the score representer, and moves
-alpha by h1, beta by h2 and log dL by h3.  A step is halved until the log
-likelihood does not drop beyond its rounding; where the operator is not positive
-definite, the step is no ascent direction or leaves the feasible set, its E-step fails, or
-NEWTON_HALVINGS halvings do not ascend, the fit takes one EM map instead.  Both
-keep (alpha, beta) in one feasible set, `_bounds`, and the Newton steps hold its
-active components (projected Newton, Bertsekas 1982, SIAM J. Control Optim. 20:221).
+One EM map: (E) posterior atoms for every subject at the current theta; (M) the
+transition parameters' exact maximizer over their box, then at most INNER_CYCLES
+step-halved Newton steps in beta on the EM objective profiled over the hazard (whose
+maximizing hazard is the closed form dL_k = (1/n) / W_n(x_k), taken at the accepted
+beta).  A map increases the EM objective, so the observed log likelihood is nondecreasing
+up to quadrature error; a drop beyond ASCENT_TOL raises AscentError.
 
 Convergence requires one update to move the parameters less than `tol_param`, a
 small score over the canonical probe directions that are not active (KKT), and the
@@ -62,7 +60,6 @@ from .workspace import (
 )
 
 ASCENT_TOL = 1e-8
-EM_MAPS = 3  # plain EM maps before the Newton steps
 NEWTON_HALVINGS = 3  # a Newton step halved more often than this gives way to an EM map
 INNER_CYCLES = 3  # the M-step's Newton steps in beta
 BETA_HALVINGS = 30  # a Newton step in beta halved more often than this is refused
@@ -125,10 +122,10 @@ class QuadratureCheck:
 
 @dataclass
 class FitResult:
-    """`iterations` counts the parameter updates, EM maps and Newton steps, and
-    `newton_steps` the Newton steps among them; `posterior` is the final E-step, the
-    posterior at theta_hat on the fit's workspace; `quadrature` compares it with a rule of
-    twice its nodes."""
+    """`iterations` counts the parameter updates and `newton_steps` the Newton steps among
+    them, the rest being EM maps taken where a step failed; `posterior` is the final E-step,
+    the posterior at theta_hat on the fit's workspace; `quadrature` compares it with a rule
+    of twice its nodes."""
 
     theta_hat: Theta
     loglik_trace: list[float]
@@ -340,7 +337,7 @@ def _newton(ws, state, s, active, bounds, cfg: FitConfig):
     ll_min = ll - 1e-13 * (1 + abs(ll))  # rounding in ll grows with its magnitude
     for j in range(NEWTON_HALVINGS + 1):
         t = 0.5**j
-        a_new, b_new = TransitionParams.from_array(va + t * h[:5]), beta + t * h[5]
+        a_new, b_new = TransitionParams.from_array(va + t * h[:5]), float(beta + t * h[5])
         dL_new = dL * np.exp(t * h[6:]) if j else dL_top
         try:
             est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
@@ -353,9 +350,9 @@ def _newton(ws, state, s, active, bounds, cfg: FitConfig):
 
 
 def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None = None) -> FitResult:
-    """Maximize the joint pseudo likelihood over the feasible set `_bounds` by EM_MAPS EM maps,
-    then guarded Newton steps on the observed information operator, which hold the active
-    components, each giving way to an EM map where it fails; every update ascends up to rounding."""
+    """Maximize the joint pseudo likelihood over the feasible set `_bounds` by guarded Newton
+    steps on the observed information operator, which hold the active components, each
+    giving way to an EM map where it fails; every update ascends up to rounding."""
     cfg = config or FitConfig()
     bounds = _bounds(cfg)
     ws = _Workspace.of(dataset)
@@ -367,16 +364,15 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
     est = _estep(ws, alpha, beta, dL, cfg.Q)
     state = (alpha, beta, dL, est, _loglik(ws, alpha, beta, dL, est))
     trace = [state[4]]
-    # the start's certificate: a first Newton step (EM_MAPS = 0) reads its score and active
-    # components, and the first M-step the risk-set sums and transition statistics it keeps
-    # on the posterior
+    # the start's certificate: the first Newton step reads its score and active components,
+    # and a fallback M-step the risk-set sums and transition statistics it keeps on the posterior
     score_norm, s, active = _certificate(ws, est, alpha, beta, dL, bounds)[1:]
     converged = False
     iterations = newton_steps = 0
 
     while not converged and iterations < cfg.max_iter:
         iterations += 1
-        new = _newton(ws, state, s, active, bounds, cfg) if iterations > EM_MAPS else None
+        new = _newton(ws, state, s, active, bounds, cfg)
         if new is None:
             new = _em_map(ws, state, cfg, bounds, warn, iterations)
         else:

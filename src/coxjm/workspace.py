@@ -190,11 +190,11 @@ class Posterior:
     each subject's integral factor, `a_lat` its hazard mass on latent values, `a_obs` the total
     over subjects of hazard mass times e^{beta z} on observed values, `E1` and `V` the posterior
     mean and variance.  Sums over nodes run along the subjects of the transposes.  The
-    exponential moments and risk-set sums are kept read-only for the last beta asked.
+    risk-set sums are kept read-only for the last beta asked (`_risk_cols`).
     """
 
     __slots__ = ("ws", "nodes", "weights", "log_norm", "a_obs", "a_lat", "E1", "V", "mode", "sd",
-                 "_moments_beta", "_moments", "_risk_beta", "_risk", "_stats")
+                 "_risk_beta", "_risk", "_stats")
 
     def __init__(self, ws, nodes, weights, log_norm, a_obs, a_lat, mode=None, sd=None):
         self.ws = ws
@@ -209,22 +209,19 @@ class Posterior:
         self.E1 = np.sum(wz, axis=0)
         # posterior variance E[Z^2] - E[Z]^2: the cancellation stays within one subject's term
         self.V = np.sum(np.multiply(wz, nodes.T, out=wz), axis=0) - self.E1**2
-        self._moments_beta = self._risk_beta = self._stats = None
+        self._risk_beta = self._stats = None
 
     def exp_moments(self, beta: float) -> np.ndarray:
-        """E[Z^m e^{bZ}], m = 0, 1, 2 (n x 3) at the current beta (kept for the last beta)."""
-        if beta != self._moments_beta:
-            z = self.nodes.T
-            t = exp_clipped(np.multiply(z, beta))
-            t *= self.weights.T
-            m = np.empty((z.shape[1], 3))
-            for j in range(3):
-                if j:
-                    t *= z
-                m[:, j] = np.sum(t, axis=0)
-            m.flags.writeable = False
-            self._moments_beta, self._moments = beta, m
-        return self._moments
+        """E[Z^m e^{bZ}], m = 0, 1, 2 (n x 3) at beta."""
+        z = self.nodes.T
+        t = exp_clipped(np.multiply(z, beta))
+        t *= self.weights.T
+        m = np.empty((z.shape[1], 3))
+        for j in range(3):
+            if j:
+                t *= z
+            m[:, j] = np.sum(t, axis=0)
+        return m
 
 
 def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray, Q: int,

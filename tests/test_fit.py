@@ -424,8 +424,8 @@ def test_em_fit_survives_failed_newton_steps(monkeypatch, failure):
     ds, _ = _sim(100, seed=0)
     fit = em_fit(ds)
     assert fit.converged and fit.score_norm <= 1e-6 and fit.newton_steps == 0
-    # one failed step for every update after the plain EM maps
-    assert len(failed) == fit.iterations - fit_mod.EM_MAPS > 0
+    # one failed step for every update
+    assert len(failed) == fit.iterations > 0
     assert np.all(np.diff(fit.loglik_trace) >= -1e-8)
     th = fit.theta_hat
     atoms = estep_atoms(ds, th)
@@ -433,17 +433,35 @@ def test_em_fit_survives_failed_newton_steps(monkeypatch, failure):
         assert dl * wn == pytest.approx(1.0 / ds.n, abs=1e-11)
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_em_fit_newton_from_the_start(monkeypatch, seed):
-    # with no plain EM map before them, the first update is a Newton step from the start,
-    # whose certificate the fit computes before the loop
+@pytest.mark.parametrize("seed, alpha0", [(seed, ALPHA0) for seed in range(8)] + [
+    (seed, HIGH_MISSING) for seed in range(4)], ids=[*map(str, range(8)), *(f"{s}-b0.3-ssq1" for s in range(4))])
+def test_em_fit_newton_from_the_start(seed, alpha0):
+    # the first update is a Newton step from the start, whose certificate the fit computes
+    # before the loop, and no step gives way to an EM map (5-6 updates with alpha0, 6-7
+    # with b = 0.3, ssq = 1), as simulated and in full-information form; there the fit stops
+    # within 1e-14 in beta of a tight fit, where two EM maps stopped up to 2.1e-8 short
+    ds, truths = _sim(200, seed=seed, alpha0=alpha0)
+    full = fullinfo_dataset(ds, truths)
+    fits = em_fit(ds), em_fit(full)
+    for fit in fits:
+        assert fit.converged and fit.iterations == fit.newton_steps
+        assert np.all(np.diff(fit.loglik_trace) >= -1e-13 * (1 + np.abs(fit.loglik_trace[1:])))
+    tight = em_fit(full, config=FitConfig(tol_param=1e-11, tol_score=1e-11))
+    assert abs(fits[1].theta_hat.beta - tight.theta_hat.beta) <= 1e-10
+
+
+def test_em_fit_stopped_by_max_iter_states_a_bool(monkeypatch):
+    # `converged` is a Python bool, which json writes, when max_iter stops the fit after a
+    # Newton step (whose beta was a NumPy scalar, so that `converged` could be numpy.bool_)
+    # and after an EM map
     from coxjm import fit as fit_mod
 
-    monkeypatch.setattr(fit_mod, "EM_MAPS", 0)
-    ds, _ = _sim(200, seed=seed)
-    fit = em_fit(ds)
-    assert fit.converged and fit.newton_steps > 0
-    assert np.all(np.diff(fit.loglik_trace) >= -1e-13 * (1 + np.abs(fit.loglik_trace[1:])))
+    ds, _ = _sim(200, seed=7)
+    fit = em_fit(ds, config=FitConfig(max_iter=4))
+    assert fit.converged is False and fit.newton_steps == 4
+    monkeypatch.setattr(fit_mod, "_newton", lambda *args: None)
+    fit = em_fit(ds, config=FitConfig(max_iter=4))
+    assert fit.converged is False and fit.newton_steps == 0
 
 
 def test_em_fit_reproducible_with_the_heap_shifted():
@@ -459,7 +477,8 @@ def test_em_fit_reproducible_with_the_heap_shifted():
 
 
 def test_em_fit_raises_on_loglik_drop(monkeypatch):
-    # an M-step whose point lowers the observed log likelihood is refused, with the drop and the map
+    # an M-step whose point lowers the observed log likelihood is refused, with the drop and
+    # the map; the Newton steps fail, so the first update is an EM map
     from coxjm import AscentError
     from coxjm import fit as fit_mod
 
@@ -470,6 +489,7 @@ def test_em_fit_raises_on_loglik_drop(monkeypatch):
         return a, b - 3.0, dL
 
     monkeypatch.setattr(fit_mod, "_mstep", descending)
+    monkeypatch.setattr(fit_mod, "_newton", lambda *args: None)
     ds, _ = _sim(40, seed=8)
     with pytest.raises(AscentError, match=r"dropped by \d.* at iteration 1$"):
         em_fit(ds)
@@ -480,7 +500,7 @@ def test_em_fit_raises_on_loglik_drop(monkeypatch):
 def test_em_fit_matches_tight_fit(seed, alpha0, bound):
     # the Newton steps stop within `bound` in beta of a fit run far past the tolerances with a
     # finer rule: measured at most 2.7e-14 with alpha0, and 3.5e-10 with b = 0.3, ssq = 1,
-    # where the gap is the change of the maximizer from Q = 20 to Q = 80 (it is 1e-15 against
+    # where the gap is the change of the maximizer from Q = 20 to Q = 80 (it is 3e-15 against
     # a tight fit with Q = 20)
     ds, _ = _sim(200, seed=seed, alpha0=alpha0)
     fit = em_fit(ds)
@@ -551,9 +571,9 @@ def test_mstep_keeps_beta_when_no_halving_ascends():
 
 @pytest.mark.parametrize("box", [AlphaBox(b=(0.7, 0.7)), AlphaBox(mu0=(0.5, 0.5))], ids=["b", "mu0"])
 def test_em_fit_converges_with_a_pinned_transition_parameter(box):
-    # with one component pinned, the M-step refits the others at its value and the Newton
-    # steps hold it (3 maps and 4 Newton steps on this dataset, where EM maps alone took 30
-    # and 31), so the other scores vanish and the certificate holds
+    # with one component pinned, the Newton steps hold it and move the others (6 steps on
+    # this dataset, where EM maps alone took 30 and 31), so the other scores vanish and the
+    # certificate holds
     ds, _ = _sim(200, seed=0)
     fit = em_fit(ds, config=FitConfig(alpha_box=box))
     assert fit.converged and fit.newton_steps >= 1 and fit.iterations <= 10
@@ -566,7 +586,7 @@ def test_em_fit_converges_with_a_pinned_transition_parameter(box):
 def test_em_fit_clamps_a_warm_start_to_the_variance_floor():
     # a given init enters the box with its variances floored, as every M-step's alpha does:
     # from the default fit (ssq 0.245) a fit with var_floor 0.5 starts at ssq = 0.5 and
-    # ascends from there, where an init below the floor would make the first map descend
+    # ascends from there, where an init below the floor would make the first update descend
     ds, _ = _sim(200, seed=0)
     init = em_fit(ds).theta_hat
     fit = em_fit(ds, init=init, config=FitConfig(var_floor=0.5, max_iter=20))
@@ -583,7 +603,7 @@ def test_em_fit_clamps_a_warm_start_to_the_variance_floor():
 def test_em_fit_certifies_an_active_bound(config, warm, j, bound, ll_em):
     # an alpha component at a bound whose score points out of the box is active (the KKT
     # condition): the certificate drops its score and the Newton steps hold it, so the fit
-    # converges (7 and 8 updates).  A certificate asking that score to vanish ran 500 maps
+    # converges (6 and 7 updates).  A certificate asking that score to vanish ran 500 maps
     # unconverged, ending at log likelihood ll_em
     ds, _ = _sim(200, seed=0)
     fit = em_fit(ds, init=em_fit(ds).theta_hat if warm else None, config=config)
@@ -604,16 +624,23 @@ def test_em_fit_ending_at_the_beta_box_is_not_converged():
     assert "beta at the box boundary" in fit.warnings
 
 
-def test_em_fit_reports_a_floored_start_once():
+def test_em_fit_reports_a_floored_start_once(monkeypatch):
     # values 0.1 j + 0.01 (i mod 7) make every observed transition exact: the start's residual
     # variance is raised to its lower bound, which the fit's warnings state once, as the
-    # M-step's do, with no RuntimeWarning (an error under this suite's filterwarnings).  Two
-    # updates: the third map lowers the log likelihood by 1.4e-6 at ssq = 1e-8, past ASCENT_TOL
+    # M-step's do, with no RuntimeWarning (an error under this suite's filterwarnings).  One
+    # update, a Newton step that holds ssq at its bound or, with the steps failing, an EM map;
+    # the second update, a failed step's map, lowers the log likelihood by 1.3e-6 at
+    # ssq = 1e-8, past ASCENT_TOL
+    from coxjm import fit as fit_mod
+
     ds, _ = _sim(200, seed=0)
     i = np.repeat(np.arange(ds.n), np.diff(ds.offsets))
     flat = replace(ds, values=0.1 * (np.arange(ds.values.size) - ds.offsets[i]) + 0.01 * (i % 7))
-    fit = em_fit(flat, config=FitConfig(max_iter=2))
-    assert fit.warnings.count(FLOOR_MESSAGE) == 1 and fit.theta_hat.alpha.ssq == VAR_FLOOR
+    for newton_steps in (1, 0):
+        fit = em_fit(flat, config=FitConfig(max_iter=1))
+        assert fit.newton_steps == newton_steps
+        assert fit.warnings.count(FLOOR_MESSAGE) == 1 and fit.theta_hat.alpha.ssq == VAR_FLOOR
+        monkeypatch.setattr(fit_mod, "_newton", lambda *args: None)
 
 
 def test_quadrature_check_matches_public_calls():
@@ -660,7 +687,7 @@ def test_quadrature_check_warns_on_a_coarse_rule():
 
 
 def test_ascent_error_quotes_the_quadrature_error():
-    # Q = 3 with b = 0.3, ssq = 1, n = 200, seed 3: at update 9 no halved Newton step ascends,
+    # Q = 3 with b = 0.3, ssq = 1, n = 200, seed 3: at update 7 no halved Newton step ascends,
     # and the EM map taken in its place lowers the log likelihood by far less than a 6-node
     # rule moves it at the new point (at Q = 4 the fit converges)
     from coxjm import AscentError

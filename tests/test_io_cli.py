@@ -287,15 +287,18 @@ def test_cli_lvcf_with_frozen_beta_is_usage_error(tmp_path):
 
 
 def test_cli_nonconvergence_exit_code(tmp_path):
+    # n = 200, seed 7: stopped after 4 updates the fit once stated `converged` as a
+    # numpy.bool_, which json refused, so the command crashed with no fit.json
     cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps(_sim_cfg_dict(seed=7)))
+    cfg.write_text(json.dumps(_sim_cfg_dict(n=200, seed=7)))
     out = tmp_path / "sim_out"
     main(["simulate", "--config", str(cfg), "--out", str(out)])
     fcfg = tmp_path / "fit.json"
-    fcfg.write_text(json.dumps({"max_iter": 1}))
-    code = main(["fit", "--data", str(out / "dataset.json"), "--method", "npml",
-                 "--config", str(fcfg), "--out", str(tmp_path / "f")])
-    assert code == 3
-    # partial output still written, flagged not converged
-    doc = json.loads((tmp_path / "f" / "fit.json").read_text())
-    assert doc["converged"] is False
+    for max_iter in (1, 4):
+        fcfg.write_text(json.dumps({"max_iter": max_iter}))
+        code = main(["fit", "--data", str(out / "dataset.json"), "--method", "npml",
+                     "--config", str(fcfg), "--out", str(tmp_path / f"f{max_iter}")])
+        assert code == 3
+        # partial output still written, flagged not converged
+        doc = json.loads((tmp_path / f"f{max_iter}" / "fit.json").read_text())
+        assert doc["converged"] is False and doc["iterations"] == max_iter

@@ -373,7 +373,7 @@ def test_posterior_keeps_risk_sums_for_its_last_beta():
 
     R = _risk_cols(ws, est, beta)
     assert _risk_cols(ws, est, beta) is R and np.array_equal(R, fresh(beta))
-    for cached in (R, ws.obs_mats(beta), est.exp_moments(beta)):
+    for cached in (R, ws.obs_mats(beta)):
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0] = 1.0
     b_new = _mstep(ws, est, beta, cfg, _bounds(cfg), [])[1]
@@ -399,7 +399,7 @@ def test_em_fit_invariant_under_subject_permutation():
 
 def test_em_fit_memory_is_linear_in_n():
     # K is about 10400 here: one n x K float array alone would take about 1.5 GiB; the
-    # three updates past the EM maps are Newton steps, which build the information operator
+    # updates are Newton steps, which build the information operator
     ds, _ = _sim(20000, 0.25, seed=0)
     tracemalloc.start()
     try:
