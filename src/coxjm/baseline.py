@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, SieveHazard
 from .exceptions import ValidationError
-from .fit import BETA_HALVINGS, FitConfig, _check_wn, _exp_powers, _newton_step, _profile
+from .fit import FitConfig, _check_wn, _exp_powers, _newton_step, _profile
 from .workspace import _Workspace
 
 
@@ -82,7 +82,7 @@ def partial_lik_fit(dataset: Dataset, imputation: str = "lvcf", beta_box: float 
     for it in range(1, 101):
         if prof[2] <= 0:
             raise ValidationError("log partial likelihood is not concave at an iterate")
-        step = _newton_step(sums, dE, n, beta, prof, beta_box, BETA_HALVINGS)
+        step = _newton_step(sums, dE, n, beta, prof, beta_box)
         if step is not None:
             beta, R, prof = step
         converged = n * prof[1] * prof[1] <= 1e-24 * prof[2]

@@ -60,7 +60,7 @@ def cmd_fit(args) -> int:
             raise NonConvergenceError("partial-likelihood fit did not converge")
         return EXIT_OK
     fit = em_fit(dataset, config=fit_cfg)
-    cio.save_fit_json(fit, out / "fit.json", method="npml")
+    cio.save_fit_json(fit, out / "fit.json")
     post = fit.posterior
     report = variance_report(dataset, fit.theta_hat, post, fit)
     cio.save_json(report, out / "variance.json")

@@ -10,12 +10,12 @@ or NEWTON_HALVINGS halvings do not ascend, the fit takes one EM map instead.  Bo
 (alpha, beta) in one feasible set, `_bounds`, and the Newton steps hold its active
 components (projected Newton, Bertsekas 1982, SIAM J. Control Optim. 20:221).
 
-One EM map: (E) posterior atoms for every subject at the current theta; (M) the
-transition parameters' exact maximizer over their box, then at most INNER_CYCLES
-step-halved Newton steps in beta on the EM objective profiled over the hazard (whose
-maximizing hazard is the closed form dL_k = (1/n) / W_n(x_k), taken at the accepted
-beta).  A map increases the EM objective, so the observed log likelihood is nondecreasing
-up to quadrature error; a drop beyond ASCENT_TOL raises AscentError.
+One EM map, a generalized one (Dempster, Laird & Rubin 1977, JRSS-B 39:1): (E) posterior
+atoms for every subject at the current theta; (M) the transition parameters' exact maximizer
+over their box, then one step-halved Newton step in beta on the EM objective profiled over
+the hazard (whose maximizing hazard is the closed form dL_k = (1/n) / W_n(x_k), taken at the
+accepted beta).  A map does not lower the EM objective, so the observed log likelihood does
+not drop beyond quadrature error; a drop past ASCENT_TOL plus rounding raises AscentError.
 
 Convergence requires one update to move the parameters less than `tol_param`, a
 small score over the canonical probe directions that are not active (KKT), and the
@@ -61,7 +61,6 @@ from .workspace import (
 
 ASCENT_TOL = 1e-8
 NEWTON_HALVINGS = 3  # a Newton step halved more often than this gives way to an EM map
-INNER_CYCLES = 3  # the M-step's Newton steps in beta
 BETA_HALVINGS = 30  # a Newton step in beta halved more often than this is refused
 Q_DEFAULT = 20  # the E-step's Gauss-Hermite order, unless a config or a call gives one
 
@@ -192,27 +191,21 @@ def _certificate(ws, est, alpha, beta, dL, bounds):
     return id_resid, max(id_resid, float(np.max(np.abs(s[:6][~active]), initial=0.0))), s, active
 
 
-def _mstep(ws, est, beta, cfg: FitConfig, bounds, warn: list):
-    # alpha: the maximizer over the box, which ascends from every feasible alpha
+def _mstep(ws, est, beta, bounds, warn: list):
+    # a generalized M-step, which need only not lower the EM objective: alpha's maximizer over
+    # the box, then one Newton step in beta (none at a curvature <= 0) on the objective profiled
+    # over the hazard, whose maximizing hazard dL_k = 1 / W_k is taken at the accepted beta
     alpha_new, floored = ws.transition_stats(est).mle(bounds)
     if floored and FLOOR_MESSAGE not in warn:
         warn.append(FLOOR_MESSAGE)
-
-    # (beta, hazard): at most INNER_CYCLES Newton steps on the EM objective profiled over
-    # the hazard, whose maximizing hazard is dL_k = 1 / W_k at the accepted beta
     dE = float(np.sum(ws.delta * est.E1))
     R = _risk_cols(ws, est, beta)
     _check_wn(ws, R[:, 0])
     prof = _profile(R, dE, beta, ws.n)
-    for _ in range(INNER_CYCLES):
-        if prof[2] <= 0 or abs(prof[1]) < 0.05 * cfg.tol_score:
-            break
-        step = _newton_step(lambda b: _risk_cols(ws, est, b), dE, ws.n, beta, prof,
-                            bounds[5, 1], BETA_HALVINGS)
-        if step is None:
-            break
-        beta, R, prof = step
-    _check_wn(ws, R[:, 0])
+    step = prof[2] > 0 and _newton_step(lambda b: _risk_cols(ws, est, b), dE, ws.n, beta, prof, bounds[5, 1])
+    if step:
+        beta, R = step[:2]
+        _check_wn(ws, R[:, 0])
     return alpha_new, beta, 1.0 / R[:, 0]
 
 
@@ -227,13 +220,13 @@ def _profile(R, dE: float, beta: float, n: int):
             float(np.sum(R[:, 2] / R[:, 0] - m1 * m1)) / n)
 
 
-def _newton_step(sums, dE: float, n: int, beta: float, prof, box: float, halvings: int):
+def _newton_step(sums, dE: float, n: int, beta: float, prof, box: float):
     """One step-halved Newton step on l_p from beta, where prof is `_profile` at beta and
-    sums(b) gives the risk-set sums at b: the first of the steps halved 0..halvings times
-    and clipped into [-box, box] that does not lower l_p beyond its rounding, with its sums
-    and profile; None when none does or the step no longer moves beta."""
+    sums(b) gives the risk-set sums at b: the first of the steps halved 0..BETA_HALVINGS
+    times and clipped into [-box, box] that does not lower l_p beyond its rounding, with its
+    sums and profile; None when none does or the step no longer moves beta."""
     lp, score, info = prof
-    for j in range(halvings + 1):
+    for j in range(BETA_HALVINGS + 1):
         cand = float(np.clip(beta + score / info * 0.5**j, -box, box))
         if cand == beta:
             return None
@@ -279,13 +272,13 @@ def _boundedness_check(ws, est, dL, cfg, warn: list):
 
 def _em_map(ws, state, cfg: FitConfig, bounds, warn: list, it: int):
     """One EM map (M-step, then the E-step at its result) from state = (alpha, beta, dL,
-    E-step, loglik); returns the new state.  Every M-step piece ascends the EM objective,
-    so a loglik drop beyond ASCENT_TOL raises AscentError."""
-    _, beta, _, est, ll = state
-    a_new, b_new, dL_new = _mstep(ws, est, beta, cfg, bounds, warn)
+    E-step, loglik); returns the new state.  No M-step piece lowers the EM objective, so a
+    loglik drop past ASCENT_TOL plus both transition objectives' rounding raises AscentError."""
+    alpha, beta, _, est, ll = state
+    a_new, b_new, dL_new = _mstep(ws, est, beta, bounds, warn)
     est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
     ll_new = _loglik(ws, a_new, b_new, dL_new, est_new)
-    if ll_new < ll - ASCENT_TOL:
+    if ll_new < ll - ASCENT_TOL - ws.obs.rounding(alpha) - ws.obs.rounding(a_new):
         quad = _quadrature_check(ws, (a_new, b_new, dL_new, est_new, ll_new), cfg.Q)
         raise AscentError(f"observed log likelihood dropped by {ll - ll_new:.6g} "
                           f"({ll:.15g} -> {ll_new:.15g}; with {quad.order} nodes in place of "

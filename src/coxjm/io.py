@@ -113,9 +113,9 @@ def load_truths_csv(path) -> SimTruth:
     return SimTruth([_csv_id(r["id"]) for r in rows], *([float(r[k]) for r in rows] for k in ("latent_z", "T", "C")))
 
 
-def fit_to_dict(fit: FitResult, method: str = "npml") -> dict:
+def fit_to_dict(fit: FitResult) -> dict:
     th = fit.theta_hat
-    return _fit_doc(method, th.alpha.to_dict(), th.beta, th.hazard, fit.loglik_trace, fit.converged,
+    return _fit_doc("npml", th.alpha.to_dict(), th.beta, th.hazard, fit.loglik_trace, fit.converged,
                     fit.score_norm, fit.iterations, fit.newton_steps, fit.n_subjects, fit.warnings,
                     fit.quadrature.to_dict())
 
@@ -147,9 +147,9 @@ def _fit_doc(method, alpha, beta, hazard, trace, converged, score_norm, iteratio
     }
 
 
-def save_fit_json(fit: FitResult | dict, path, method: str = "npml") -> None:
+def save_fit_json(fit: FitResult | dict, path) -> None:
     """Write a fit, or a document from `baseline_fit_to_dict`."""
-    doc = fit if isinstance(fit, dict) else fit_to_dict(fit, method)
+    doc = fit if isinstance(fit, dict) else fit_to_dict(fit)
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
@@ -166,10 +166,6 @@ def load_json(path):
     """The JSON document in the file at `path`; text that is not JSON is a ValidationError."""
     with reading(f"JSON file {path}"):
         return json.loads(Path(path).read_text())
-
-
-def load_fit_json(path) -> dict:
-    return load_json(path)
 
 
 def save_json(obj, path) -> None:

@@ -190,11 +190,11 @@ class Posterior:
     each subject's integral factor, `a_lat` its hazard mass on latent values, `a_obs` the total
     over subjects of hazard mass times e^{beta z} on observed values, `E1` and `V` the posterior
     mean and variance.  Sums over nodes run along the subjects of the transposes.  The
-    risk-set sums are kept read-only for the last beta asked (`_risk_cols`).
+    risk-set sums are kept read-only for the last beta asked, one (beta, sums) pair (`_risk_cols`).
     """
 
     __slots__ = ("ws", "nodes", "weights", "log_norm", "a_obs", "a_lat", "E1", "V", "mode", "sd",
-                 "_risk_beta", "_risk", "_stats")
+                 "_risk", "_stats")
 
     def __init__(self, ws, nodes, weights, log_norm, a_obs, a_lat, mode=None, sd=None):
         self.ws = ws
@@ -209,7 +209,7 @@ class Posterior:
         self.E1 = np.sum(wz, axis=0)
         # posterior variance E[Z^2] - E[Z]^2: the cancellation stays within one subject's term
         self.V = np.sum(np.multiply(wz, nodes.T, out=wz), axis=0) - self.E1**2
-        self._risk_beta = self._stats = None
+        self._risk, self._stats = (None, None), None
 
     def exp_moments(self, beta: float) -> np.ndarray:
         """E[Z^m e^{bZ}], m = 0, 1, 2 (n x 3) at beta."""
@@ -287,10 +287,12 @@ def _score(ws, est, alpha: TransitionParams, beta: float, dL: np.ndarray) -> np.
 def _risk_cols(ws, est, beta):
     """Per event time, the risk-set sums W, C, D of E[Z^m e^{beta Z}], m = 0, 1, 2 (K x 3),
     kept on `est` for the last beta (the certificate's sums serve the next M-step)."""
-    if beta != est._risk_beta:
-        est._risk_beta, est._risk = beta, ws.cols(ws.obs_mats(beta), est.exp_moments(beta))
-        est._risk.flags.writeable = False
-    return est._risk
+    kept = est._risk  # one read: another thread may replace the pair meanwhile
+    if beta != kept[0]:
+        kept = (beta, ws.cols(ws.obs_mats(beta), est.exp_moments(beta)))
+        kept[1].flags.writeable = False
+        est._risk = kept
+    return kept[1]
 
 
 def _hazard_jumps(times: np.ndarray, hazard: SieveHazard) -> np.ndarray:

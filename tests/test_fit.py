@@ -522,20 +522,18 @@ def test_em_fit_tight_tolerances_converge_on_long_histories():
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(20, 40), beta=st.floats(-1.0, 1.5))
 def test_mstep_reaches_profiled_maximizer(seed, n, beta):
     # at fixed atoms the M-step maximizes the EM objective jointly over (beta, hazard):
-    # the beta score vanishes at the returned beta with the hazard dL = 1/(n W_n) there
-    # (its Newton steps stop once the score is below 0.05 tol_score); M-steps are repeated
-    # from their own beta, up to 20 Newton steps in all
-    from coxjm.fit import INNER_CYCLES, _bounds, _mstep
+    # the beta score vanishes at the returned beta with the hazard dL = 1/(n W_n) there;
+    # M-steps, one Newton step in beta each, are repeated from their own beta, 20 in all
+    from coxjm.fit import _bounds, _mstep
     from coxjm.workspace import _estep, _score_beta, _Workspace
 
     ds, _ = _sim(n, seed=seed)
     ws = _Workspace(ds)
     dL = np.asarray(nelson_aalen(ds).jumps)
     est = _estep(ws, ALPHA0, beta, dL, 40)
-    cfg = FitConfig(tol_score=1e-9)
     beta_new = beta
-    for _ in range(math.ceil(20 / INNER_CYCLES)):
-        alpha_new, beta_new, dL_new = _mstep(ws, est, beta_new, cfg, _bounds(cfg), [])
+    for _ in range(20):
+        alpha_new, beta_new, dL_new = _mstep(ws, est, beta_new, _bounds(FitConfig()), [])
 
     def objective(alpha, b, jumps):
         cox = np.sum(np.log(jumps)) + b * np.sum(ws.delta * est.E1) - jumps @ _risk_cols(ws, est, b)[:, 0]
@@ -548,12 +546,13 @@ def test_mstep_reaches_profiled_maximizer(seed, n, beta):
     assert new >= old - 1e-10 * (1 + abs(old))
 
 
-def test_mstep_keeps_beta_when_no_halving_ascends():
+def test_mstep_keeps_beta_when_no_halving_ascends(monkeypatch):
     # with no halving allowed, a full Newton step that lowers the profiled objective is
-    # refused (at seed 0 the step from -3 goes to 3.04, where the objective is lower by 0.47);
-    # halving the same step ascends, and the M-step returns the hazard that maximizes the
-    # objective at the beta it accepts
-    from coxjm.fit import BETA_HALVINGS, _bounds, _mstep, _newton_step, _profile
+    # refused (at seed 0 the step from -3 goes to 3.04, where the objective is lower by 0.47)
+    # and the M-step keeps beta; halving the same step ascends, and the M-step returns the
+    # hazard that maximizes the objective at the beta it accepts
+    from coxjm import fit as fit_mod
+    from coxjm.fit import _bounds, _mstep, _newton_step, _profile
     from coxjm.workspace import _estep, _Workspace
 
     ds, _ = _sim(40, seed=0)
@@ -562,11 +561,15 @@ def test_mstep_keeps_beta_when_no_halving_ascends():
     dE = float(np.sum(ws.delta * est.E1))
     prof = _profile(_risk_cols(ws, est, -3.0), dE, -3.0, ws.n)
     step = partial(_newton_step, lambda b: _risk_cols(ws, est, b), dE, ws.n, -3.0, prof, FitConfig().beta_box)
-    assert step(0) is None
-    assert step(BETA_HALVINGS)[0] > -3.0
-    _, beta, dL = _mstep(ws, est, -3.0, FitConfig(), _bounds(FitConfig()), [])
+    assert step()[0] > -3.0
+    _, beta, dL = _mstep(ws, est, -3.0, _bounds(FitConfig()), [])
     assert beta > -3.0
     np.testing.assert_array_equal(dL, 1.0 / _risk_cols(ws, est, beta)[:, 0])
+    monkeypatch.setattr(fit_mod, "BETA_HALVINGS", 0)
+    assert step() is None
+    _, beta, dL = _mstep(ws, est, -3.0, _bounds(FitConfig()), [])
+    assert beta == -3.0
+    np.testing.assert_array_equal(dL, 1.0 / _risk_cols(ws, est, -3.0)[:, 0])
 
 
 @pytest.mark.parametrize("box", [AlphaBox(b=(0.7, 0.7)), AlphaBox(mu0=(0.5, 0.5))], ids=["b", "mu0"])
@@ -624,23 +627,61 @@ def test_em_fit_ending_at_the_beta_box_is_not_converged():
     assert "beta at the box boundary" in fit.warnings
 
 
+def _exact_transitions():
+    """The n = 200 seed 0 layout with every value 0.1 j + 0.01 (i mod 7): every observed
+    transition is exact, so the residual variance's MLE is 0."""
+    ds, _ = _sim(200, seed=0)
+    i = np.repeat(np.arange(ds.n), np.diff(ds.offsets))
+    return replace(ds, values=0.1 * (np.arange(ds.values.size) - ds.offsets[i]) + 0.01 * (i % 7))
+
+
 def test_em_fit_reports_a_floored_start_once(monkeypatch):
     # values 0.1 j + 0.01 (i mod 7) make every observed transition exact: the start's residual
     # variance is raised to its lower bound, which the fit's warnings state once, as the
     # M-step's do, with no RuntimeWarning (an error under this suite's filterwarnings).  One
-    # update, a Newton step that holds ssq at its bound or, with the steps failing, an EM map;
-    # the second update, a failed step's map, lowers the log likelihood by 1.3e-6 at
-    # ssq = 1e-8, past ASCENT_TOL
+    # update, a Newton step that holds ssq at its bound or, with the steps failing, an EM map
     from coxjm import fit as fit_mod
 
-    ds, _ = _sim(200, seed=0)
-    i = np.repeat(np.arange(ds.n), np.diff(ds.offsets))
-    flat = replace(ds, values=0.1 * (np.arange(ds.values.size) - ds.offsets[i]) + 0.01 * (i % 7))
+    flat = _exact_transitions()
     for newton_steps in (1, 0):
         fit = em_fit(flat, config=FitConfig(max_iter=1))
         assert fit.newton_steps == newton_steps
         assert fit.warnings.count(FLOOR_MESSAGE) == 1 and fit.theta_hat.alpha.ssq == VAR_FLOOR
         monkeypatch.setattr(fit_mod, "_newton", lambda *args: None)
+
+
+def test_em_fit_converges_with_exact_transitions(monkeypatch):
+    # with ssq at its floor 1e-8 the transition objective divides sums of squares of size
+    # ~400 that cancel to rounding (2.8e-14) by 2e-8, so an EM map's log likelihood moves by
+    # 1.3e-6 with no change of substance; the ascent guard allows for that rounding, where
+    # the absolute ASCENT_TOL alone raised AscentError at the second update.  The fit takes
+    # Newton steps and a fallback map, and EM maps alone converge too
+    from coxjm import fit as fit_mod
+
+    flat = _exact_transitions()
+    fits = [em_fit(flat)]
+    monkeypatch.setattr(fit_mod, "_newton", lambda *args: None)
+    fits.append(em_fit(flat))
+    for fit in fits:
+        assert fit.converged and fit.theta_hat.alpha.ssq == VAR_FLOOR
+        assert fit.warnings == [FLOOR_MESSAGE]
+    assert 0 < fits[0].newton_steps < fits[0].iterations and fits[1].newton_steps == 0
+
+
+def test_em_fit_runs_fallback_maps_on_a_monotone_likelihood():
+    # a monotone likelihood (Bryson & Johnson 1981): the profile likelihood in beta rises all
+    # the way to the box, so the MLE does not exist.  Each full Newton step leaves the beta
+    # box, so nearly every update is a fallback EM map; the fit stops at max_iter with beta on
+    # the box, unconverged, and the maps do not lower the log likelihood beyond its rounding
+    cfg = SimConfig(n=60, grid_step=0.05, tau=3.0, alpha0=TransitionParams(1.0, 0.5, 0.5, 0.95, 0.05),
+                    beta0=0.0, lambda0=0.3, censor_rate=0.0, seed=0, truncate_at=1.2)
+    ds, _ = gen_dataset(cfg)
+    fit = em_fit(ds)
+    assert (fit.iterations, fit.newton_steps, fit.converged) == (500, 2, False)
+    assert fit.theta_hat.beta == FitConfig().beta_box
+    assert fit.warnings == ["beta at the box boundary"]
+    trace = np.array(fit.loglik_trace)
+    assert np.all(np.diff(trace) >= -1e-13 * (1 + np.abs(trace[1:])))
 
 
 def test_quadrature_check_matches_public_calls():

@@ -129,7 +129,7 @@ def test_fit_json_round_trip_loglik(dataset, tmp_path):
     fit = em_fit(dataset)
     p = tmp_path / "fit.json"
     cio.save_fit_json(fit, p)
-    doc = cio.load_fit_json(p)
+    doc = cio.load_json(p)
     theta = cio.theta_from_fit_dict(doc)
     assert observed_loglik(dataset, theta) == pytest.approx(doc["loglik"], abs=1e-10)
     assert doc["method"] == "npml"

@@ -361,7 +361,7 @@ def test_loglik_error_names_subject_whose_observed_mass_overflows():
 
 def test_posterior_keeps_risk_sums_for_its_last_beta():
     # the risk-set sums and transition statistics are kept on the posterior, read-only; the
-    # M-step's Newton candidates ask for other betas, after which each beta's sums are again
+    # M-step's Newton candidate asks for another beta, after which each beta's sums are again
     # those computed afresh
     ds, _ = _sim(200, 0.25, seed=3)
     ws, cfg = _Workspace(ds), FitConfig()
@@ -376,7 +376,7 @@ def test_posterior_keeps_risk_sums_for_its_last_beta():
     for cached in (R, ws.obs_mats(beta)):
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0] = 1.0
-    b_new = _mstep(ws, est, beta, cfg, _bounds(cfg), [])[1]
+    b_new = _mstep(ws, est, beta, _bounds(cfg), [])[1]
     assert b_new != beta
     for b in (b_new, beta, b_new):
         assert np.array_equal(_risk_cols(ws, est, b), fresh(b))

@@ -20,6 +20,7 @@ from coxjm import (
     breslow,
     em_fit,
     estep_atoms,
+    lambda_update,
     observed_loglik,
     partial_lik_fit,
     score_full,
@@ -169,3 +170,40 @@ def test_threads_fitting_one_dataset_reproduce_sequential_fits():
         sys.setswitchinterval(interval)
     assert got == want
     assert ds._workspace() is held
+
+
+def test_threads_sharing_one_posterior_reproduce_sequential_results():
+    # hazard updates and frozen-atom beta scores from three threads on one posterior, running
+    # through the same betas in different orders: the posterior keeps its risk-set sums for the
+    # last beta asked, and no thread may read one beta paired with another beta's sums
+    ds, _ = _sim(n=200, seed=2)
+    fit = em_fit(ds)
+    atoms, th = fit.posterior, fit.theta_hat
+    betas = [th.beta + d for d in (-0.5, -0.2, 0.1, 0.4)]
+
+    def outcome(b):
+        theta = Theta(alpha=th.alpha, beta=b, hazard=th.hazard)
+        return repr((lambda_update(ds, atoms, b), score_full(ds, theta, (None, 1.0, None), atoms=atoms)))
+
+    want = {b: outcome(b) for b in betas}
+    orders = [betas, betas[::-1], betas[2:] + betas[:2]]
+    got = [[] for _ in orders]
+    start = threading.Barrier(len(orders))
+
+    def work(k):
+        start.wait()
+        for _ in range(25):
+            got[k] += [outcome(b) for b in orders[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so the calls interleave finely
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want[b] for b in order] * 25 for order in orders]
