@@ -12,7 +12,6 @@ consistency, normality and confidence-interval coverage empirically.
 from .baseline import BaselineFit, breslow, nelson_aalen, partial_lik_fit
 from .data import Dataset, MeasurementGrid, SieveHazard, Theta, validate_dataset
 from .exceptions import (
-    AscentError,
     CoxjmError,
     DegenerateRiskSetError,
     InsufficientDataError,

@@ -5,10 +5,10 @@ measured value at or before that time; Breslow's estimator then gives the
 cumulative baseline hazard.  `breslow(dataset, 0.0)` is exactly Nelson-Aalen.
 
 Cox's partial likelihood is the likelihood profiled over the baseline hazard
-(Johansen 1983, Int. Stat. Rev. 51:165): here it is n times the EM objective
-that the M-step profiles over the hazard (`fit._profile`), taken at point-mass
-atoms at the imputed values, and it is maximized by the M-step's step-halved
-Newton step (`fit._newton_step`).  Breslow's jumps are that profile's hazard.
+(Johansen 1983, Int. Stat. Rev. 51:165): `_profile` gives it over n, with its
+score and its risk-set-centred curvature, and `partial_lik_fit` maximizes it by
+step-halved Newton steps (`_newton_step`).  Breslow's jumps are that profile's
+hazard.
 """
 
 from __future__ import annotations
@@ -20,8 +20,11 @@ import numpy as np
 
 from .data import Dataset, SieveHazard
 from .exceptions import ValidationError
-from .fit import FitConfig, _check_wn, _exp_powers, _newton_step, _profile
+from .fit import FitConfig, _check_wn
+from .posterior import exp_clipped
 from .workspace import _Workspace
+
+BETA_HALVINGS = 30  # a Newton step in beta halved more often than this is refused
 
 
 @dataclass(frozen=True)
@@ -53,11 +56,45 @@ def _imputed(dataset: Dataset, imputation: str):
     return ws, ws.t_next, ws.z_extra
 
 
+def _exp_powers(v: np.ndarray, beta: float):
+    """e^{beta v}, v e^{beta v} and v^2 e^{beta v}."""
+    e = exp_clipped(np.multiply(v, beta))
+    ve = v * e
+    return e, ve, v * ve
+
+
 def _risk_sums(ws, v, z, beta):
     """S0, S1, S2 (K x 3): sums of v^m e^{beta v} over each event's risk set."""
     S = ws.cols(ws.interval_sums(v, beta), np.column_stack(_exp_powers(z, beta)))
     _check_wn(ws, S[:, 0])
     return S
+
+
+def _profile(R, dE: float, beta: float, n: int):
+    """The log partial likelihood over n, l_p(beta) = (beta dE - sum_k log W_k) / n, its
+    score and its curvature centred on each risk set, from the risk-set sums W, C, D (K x 3)
+    at beta, where dE = sum_i delta_i z_i(x_i)."""
+    m1 = R[:, 1] / R[:, 0]
+    return ((beta * dE - float(np.sum(np.log(R[:, 0])))) / n,
+            (dE - float(np.sum(m1))) / n,
+            float(np.sum(R[:, 2] / R[:, 0] - m1 * m1)) / n)
+
+
+def _newton_step(sums, dE: float, n: int, beta: float, prof, box: float):
+    """One step-halved Newton step on l_p from beta, where prof is `_profile` at beta and
+    sums(b) gives the risk-set sums at b: the first of the steps halved 0..BETA_HALVINGS
+    times and clipped into [-box, box] that does not lower l_p beyond its rounding, with its
+    sums and profile; None when none does or the step no longer moves beta."""
+    lp, score, info = prof
+    for j in range(BETA_HALVINGS + 1):
+        cand = float(np.clip(beta + score / info * 0.5**j, -box, box))
+        if cand == beta:
+            return None
+        R = sums(cand)
+        p = _profile(R, dE, cand, n)
+        if p[0] >= lp - 1e-13 * (1 + abs(lp)):  # rounding in l_p grows with its magnitude
+            return cand, R, p
+    return None
 
 
 def partial_lik_fit(dataset: Dataset, imputation: str = "lvcf", beta_box: float = 10.0) -> BaselineFit:

@@ -74,7 +74,7 @@ def cmd_fit(args) -> int:
     if not fit.converged:
         raise NonConvergenceError(
             f"the fit did not converge in {fit.iterations} iterations ({fit.newton_steps} of them "
-            f"Newton steps; score_norm={fit.score_norm:.3e})")
+            f"undamped; score_norm={fit.score_norm:.3e})")
     return EXIT_OK
 
 

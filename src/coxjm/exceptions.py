@@ -65,10 +65,6 @@ class ModeSearchError(CoxjmError):
         super().__init__(message or f"posterior mode not finite for subject {subject_id!r}")
 
 
-class AscentError(CoxjmError):
-    """An EM map lowered the observed log likelihood by more than the fit's ascent tolerance."""
-
-
 class NonConvergenceError(CoxjmError):
     """An iterative fit did not converge."""
 

@@ -1,21 +1,18 @@
-"""Maximizer of the joint pseudo likelihood over the step-hazard sieve by guarded Newton steps.
+"""Maximizer of the joint pseudo likelihood over the step-hazard sieve by damped, projected
+Newton steps.
 
 Every update is a Newton step on the observed log likelihood (Lange 1995, JRSS-B 57:425;
 Jamshidian & Jennrich 1997, JRSS-B 59:569): it solves M h = g, with M the observed
 information operator of `variance` (Louis 1982, JRSS-B 44:226) and g the score
 representer, moves alpha by h1, beta by h2 and log dL by h3, and is halved until the log
-likelihood does not drop beyond its rounding.  Where the operator is not positive
-definite, the step is no ascent direction or leaves the feasible set, its E-step fails,
-or NEWTON_HALVINGS halvings do not ascend, the fit takes one EM map instead.  Both keep
-(alpha, beta) in one feasible set, `_bounds`, and the Newton steps hold its active
-components (projected Newton, Bertsekas 1982, SIAM J. Control Optim. 20:221).
-
-One EM map, a generalized one (Dempster, Laird & Rubin 1977, JRSS-B 39:1): (E) posterior
-atoms for every subject at the current theta; (M) the transition parameters' exact maximizer
-over their box, then one step-halved Newton step in beta on the EM objective profiled over
-the hazard (whose maximizing hazard is the closed form dL_k = (1/n) / W_n(x_k), taken at the
-accepted beta).  A map does not lower the EM objective, so the observed log likelihood does
-not drop beyond quadrature error; a drop past ASCENT_TOL plus rounding raises AscentError.
+likelihood does not drop beyond its rounding.  Where that step is refused (the operator is
+not positive definite, h is no ascent direction, its E-step fails, or NEWTON_HALVINGS
+halvings do not ascend), the fit solves (M + mu D) h = g for the growing mu of DAMPING, D
+the diagonal of M (Levenberg-Marquardt; Moré 1978, LNM 630:105), and takes the first that
+ascends.  All steps keep (alpha, beta) in one feasible set, `_bounds`: they hold its
+active components and clip a component that would leave it onto its bound (projected
+Newton, Bertsekas 1982, SIAM J. Control Optim. 20:221).  Where no mu ascends, or a damped
+step no longer moves the parameters, the fit stops unconverged, with a warning.
 
 Convergence requires one update to move the parameters less than `tol_param`, a
 small score over the canonical probe directions that are not active (KKT), and the
@@ -35,7 +32,6 @@ import numpy as np
 
 from .data import Dataset, SieveHazard, Theta
 from .exceptions import (
-    AscentError,
     DegenerateRiskSetError,
     InsufficientDataError,
     ModeSearchError,
@@ -44,8 +40,8 @@ from .exceptions import (
     check_fields,
     reading,
 )
-from .posterior import EXP_CLIP, exp_clipped
-from .transition import FLOOR_MESSAGE, VAR_FLOOR, AlphaBox, TransitionParams
+from .posterior import EXP_CLIP
+from .transition import FLOOR_MESSAGE, PARAM_NAMES, VAR_FLOOR, AlphaBox, TransitionParams
 from .variance import _operator
 from .workspace import (
     Posterior,
@@ -59,9 +55,8 @@ from .workspace import (
     _workspace_of,
 )
 
-ASCENT_TOL = 1e-8
-NEWTON_HALVINGS = 3  # a Newton step halved more often than this gives way to an EM map
-BETA_HALVINGS = 30  # a Newton step in beta halved more often than this is refused
+NEWTON_HALVINGS = 3  # a Newton step halved more often than this is refused at its damping
+DAMPING = (0.0, *(10.0**k for k in range(-4, 9)))  # the Levenberg-Marquardt ladder of mu
 Q_DEFAULT = 20  # the E-step's Gauss-Hermite order, unless a config or a call gives one
 
 
@@ -71,8 +66,8 @@ class FitConfig:
 
     `Q` is the order of the mode-recentred Gauss-Hermite rule of every E-step; the fit
     checks it against a 2Q rule at the end (`FitResult.quadrature`).  `max_iter` caps the
-    parameter updates, EM maps and Newton steps together.  `var_floor` raises the variance
-    lower bounds of `alpha_box` (`_bounds`) and may not exceed their upper bounds.
+    parameter updates, damped or not.  `var_floor` raises the variance lower bounds of
+    `alpha_box` (`_bounds`) and may not exceed their upper bounds.
     """
 
     Q: int = Q_DEFAULT
@@ -121,8 +116,8 @@ class QuadratureCheck:
 
 @dataclass
 class FitResult:
-    """`iterations` counts the parameter updates and `newton_steps` the Newton steps among
-    them, the rest being EM maps taken where a step failed; `posterior` is the final E-step,
+    """`iterations` counts the parameter updates and `newton_steps` the undamped Newton
+    steps among them, the rest being damped ones; `posterior` is the final E-step,
     the posterior at theta_hat on the fit's workspace; `quadrature` compares it with a rule
     of twice its nodes."""
 
@@ -140,13 +135,6 @@ class FitResult:
     @property
     def loglik(self) -> float:
         return self.loglik_trace[-1]
-
-
-def _exp_powers(v: np.ndarray, beta: float):
-    """e^{beta v}, v e^{beta v} and v^2 e^{beta v}."""
-    e = exp_clipped(np.multiply(v, beta))
-    ve = v * e
-    return e, ve, v * ve
 
 
 def _check_wn(ws: _Workspace, wn: np.ndarray) -> None:
@@ -180,61 +168,15 @@ def _bounds(cfg: FitConfig) -> np.ndarray:
 def _certificate(ws, est, alpha, beta, dL, bounds):
     """Fixed-point residual and score norm over the canonical probe basis, the score along
     that basis (`workspace._score`), and the active components of (alpha, beta), whose
-    score drops out of the norm: those the bounds pin, and alpha ones at a bound whose score
-    points out of the box (KKT).  The beta box is a safeguard: beta on it is not active."""
+    score drops out of the norm: those the bounds pin, and those at a bound whose score
+    points out of the box (KKT)."""
     s = _score(ws, est, alpha, beta, dL)
     lo, hi = bounds.T
-    x, sa = np.append(alpha.as_array(), beta), np.append(s[:5], 0.0)
-    active = (lo == hi) | ((x <= lo) & (sa < 0)) | ((x >= hi) & (sa > 0))
+    x = np.append(alpha.as_array(), beta)
+    active = (lo == hi) | ((x <= lo) & (s[:6] < 0)) | ((x >= hi) & (s[:6] > 0))
     # the hazard score 1/n - dL_k W_n(x_k) is the fixed-point residual
     id_resid = float(np.max(np.abs(s[6:])))
     return id_resid, max(id_resid, float(np.max(np.abs(s[:6][~active]), initial=0.0))), s, active
-
-
-def _mstep(ws, est, beta, bounds, warn: list):
-    # a generalized M-step, which need only not lower the EM objective: alpha's maximizer over
-    # the box, then one Newton step in beta (none at a curvature <= 0) on the objective profiled
-    # over the hazard, whose maximizing hazard dL_k = 1 / W_k is taken at the accepted beta
-    alpha_new, floored = ws.transition_stats(est).mle(bounds)
-    if floored and FLOOR_MESSAGE not in warn:
-        warn.append(FLOOR_MESSAGE)
-    dE = float(np.sum(ws.delta * est.E1))
-    R = _risk_cols(ws, est, beta)
-    _check_wn(ws, R[:, 0])
-    prof = _profile(R, dE, beta, ws.n)
-    step = prof[2] > 0 and _newton_step(lambda b: _risk_cols(ws, est, b), dE, ws.n, beta, prof, bounds[5, 1])
-    if step:
-        beta, R = step[:2]
-        _check_wn(ws, R[:, 0])
-    return alpha_new, beta, 1.0 / R[:, 0]
-
-
-def _profile(R, dE: float, beta: float, n: int):
-    """The EM objective profiled over the hazard, l_p(beta) = (beta dE - sum_k log W_k) / n,
-    its score and its curvature centred on each risk set, from the risk-set sums W, C, D
-    (K x 3, `_risk_cols`) at beta, where dE = sum_i delta_i E_i[Z].  At atoms pinned at
-    imputed covariate values n l_p is Cox's log partial likelihood (Johansen 1983)."""
-    m1 = R[:, 1] / R[:, 0]
-    return ((beta * dE - float(np.sum(np.log(R[:, 0])))) / n,
-            (dE - float(np.sum(m1))) / n,
-            float(np.sum(R[:, 2] / R[:, 0] - m1 * m1)) / n)
-
-
-def _newton_step(sums, dE: float, n: int, beta: float, prof, box: float):
-    """One step-halved Newton step on l_p from beta, where prof is `_profile` at beta and
-    sums(b) gives the risk-set sums at b: the first of the steps halved 0..BETA_HALVINGS
-    times and clipped into [-box, box] that does not lower l_p beyond its rounding, with its
-    sums and profile; None when none does or the step no longer moves beta."""
-    lp, score, info = prof
-    for j in range(BETA_HALVINGS + 1):
-        cand = float(np.clip(beta + score / info * 0.5**j, -box, box))
-        if cand == beta:
-            return None
-        R = sums(cand)
-        p = _profile(R, dE, cand, n)
-        if p[0] >= lp - 1e-13 * (1 + abs(lp)):  # rounding in l_p grows with its magnitude
-            return cand, R, p
-    return None
 
 
 def _init_theta(ws: _Workspace, init: Theta | None, bounds, warn: list):
@@ -270,23 +212,6 @@ def _boundedness_check(ws, est, dL, cfg, warn: list):
         warn.append(f"hazard mass {float(np.sum(dL)):.6g} exceeds the boundedness bound {bound:.6g}")
 
 
-def _em_map(ws, state, cfg: FitConfig, bounds, warn: list, it: int):
-    """One EM map (M-step, then the E-step at its result) from state = (alpha, beta, dL,
-    E-step, loglik); returns the new state.  No M-step piece lowers the EM objective, so a
-    loglik drop past ASCENT_TOL plus both transition objectives' rounding raises AscentError."""
-    alpha, beta, _, est, ll = state
-    a_new, b_new, dL_new = _mstep(ws, est, beta, bounds, warn)
-    est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
-    ll_new = _loglik(ws, a_new, b_new, dL_new, est_new)
-    if ll_new < ll - ASCENT_TOL - ws.obs.rounding(alpha) - ws.obs.rounding(a_new):
-        quad = _quadrature_check(ws, (a_new, b_new, dL_new, est_new, ll_new), cfg.Q)
-        raise AscentError(f"observed log likelihood dropped by {ll - ll_new:.6g} "
-                          f"({ll:.15g} -> {ll_new:.15g}; with {quad.order} nodes in place of "
-                          f"Q={cfg.Q} the new value moves by {quad.loglik:.3g}, an estimate of "
-                          f"the quadrature error) at iteration {it}")
-    return a_new, b_new, dL_new, est_new, ll_new
-
-
 def _move(old, new) -> float:
     """The largest parameter move between two states."""
     return max(float(np.max(np.abs(new[0].as_array() - old[0].as_array()))),
@@ -294,58 +219,91 @@ def _move(old, new) -> float:
 
 
 def _newton(ws, state, s, active, bounds, cfg: FitConfig):
-    """A guarded Newton step on the observed log likelihood from state = (alpha, beta, dL,
-    E-step, loglik), where s is the score along the canonical probes and `active` marks the
-    components of (alpha, beta) held at their bounds (`_certificate`).
+    """A damped, projected Newton step on the observed log likelihood from state = (alpha,
+    beta, dL, E-step, loglik), where s is the score along the canonical probes and `active`
+    marks the components of (alpha, beta) held at their bounds (`_certificate`).
 
-    The step h solves M h = g, with M the observed information operator there and g the
-    score representer, and h_j = 0 for each active j (unit rows and columns in the border
-    E, zero columns in G and a zero right-hand side); it moves alpha by h1, beta by h2 and
-    log dL by h3, and is halved until the log likelihood does not drop beyond its rounding.
-    Returns the new state, or None when the operator is not positive definite (its
-    factorisations fail: the quadratic model there is not strictly concave), h is not
-    finite or not an ascent direction (<g, h> <= 0), the full step leaves the bounds, a
-    trial E-step fails, or the step needs more than NEWTON_HALVINGS halvings.  The halvings
-    guard the step's length.
-    """
+    The step h solves (M + mu D) h = g, with M the observed information operator there and g
+    the score representer, and h_j = 0 for each active j (unit rows and columns in the
+    border E, zero columns in G and a zero right-hand side).  D = diag(d, w): d the absolute
+    diagonal of E, floored at 1e-8 of its largest entry over the free components, and w the
+    diagonal part of the hazard block H, so P (M + mu D) stays symmetric.  mu runs through
+    DAMPING; returns (the new state, mu) for the first mu whose step `_step` accepts, or the
+    reason the last one was refused."""
     alpha, beta, dL, est, ll = state
     op = _operator(ws, est, alpha, beta, dL)[0]
     g = np.concatenate([s[:6], s[6:] / dL])
+    d = np.abs(np.diag(op.E))
+    d = np.maximum(d, 1e-8 * np.max(d, where=~active, initial=0.0))  # near 0 where alpha has no information
     if np.any(active):
         keep = ~active
         op = replace(op, E=op.E * np.outer(keep, keep) + np.diag(1.0 * active), G=op.G * keep)
         g[:6] *= keep
+    for mu in DAMPING:
+        new = _step(ws, state, s, g, replace(op, E=op.E + mu * np.diag(d), w=op.w * (1 + mu)) if mu else op,
+                    bounds, cfg)
+        if not isinstance(new, str):
+            return new, mu
+    return new
+
+
+def _step(ws, state, s, g, op, bounds, cfg: FitConfig):
+    """The step h = op^{-1} g from state, with each component of (alpha, beta) that would
+    leave the bounds clipped onto its bound, halved until the log likelihood does not
+    drop beyond its rounding: the new state, or why it is refused (op is not positive
+    definite, so the quadratic model is not strictly concave; h is not finite or not an
+    ascent direction, <g, h> <= 0; the hazard step overflows; a trial E-step fails; or
+    NEWTON_HALVINGS halvings do not ascend).  The halvings guard the step's length."""
+    alpha, beta, dL, est, ll = state
     try:
         h = op.solve(g)
     except SingularOperatorError:
-        return None
+        return "the operator is not positive definite"
     if not (np.all(np.isfinite(h)) and float(s @ h) > 0):  # s @ h is <g, h>
-        return None
-    va = alpha.as_array()
-    top = np.append(va, beta) + h[:6]
+        return "the step is no ascent direction"
+    lo, hi = bounds.T
+    x = np.append(alpha.as_array(), beta)
+    top = x + h[:6]
+    out = (top < lo) | (top > hi)  # only these move, so a step inside the bounds keeps its bits
+    top[out] = np.clip(top[out], lo[out], hi[out])
+    h[:6][out] = top[out] - x[out]
     with np.errstate(over="ignore", under="ignore"):
         dL_top = dL * np.exp(h[6:])
-    if not (np.all((bounds[:, 0] <= top) & (top <= bounds[:, 1])) and np.all((dL_top > 0) & (dL_top < math.inf))):
-        return None
+    if not np.all((dL_top > 0) & (dL_top < math.inf)):
+        return "the hazard step overflows"
     ll_min = ll - 1e-13 * (1 + abs(ll))  # rounding in ll grows with its magnitude
     for j in range(NEWTON_HALVINGS + 1):
         t = 0.5**j
-        a_new, b_new = TransitionParams.from_array(va + t * h[:5]), float(beta + t * h[5])
+        xt = x + t * h[:6] if j else top
+        a_new, b_new = TransitionParams.from_array(xt[:5]), float(xt[5])
         dL_new = dL * np.exp(t * h[6:]) if j else dL_top
         try:
             est_new = _estep(ws, a_new, b_new, dL_new, cfg.Q)
             ll_new = _loglik(ws, a_new, b_new, dL_new, est_new)
         except (ModeSearchError, ValidationError):  # a non-finite mode or loglik
-            return None
+            return "a trial E-step fails"
         if ll_new >= ll_min:
             return a_new, b_new, dL_new, est_new, ll_new
-    return None
+    return f"{NEWTON_HALVINGS} halvings do not ascend"
+
+
+def _bound_warnings(x, active, bounds, warn: list):
+    """Name each alpha component that the bounds do not pin but that is active at the end,
+    and its bound; a variance on its lower bound gives FLOOR_MESSAGE instead."""
+    lo, hi = bounds.T
+    held = list(np.flatnonzero(active[:5] & (lo[:5] < hi[:5])))
+    floored = [j for j in held if j in (1, 4) and x[j] <= lo[j]]
+    if floored and FLOOR_MESSAGE not in warn:
+        warn.append(FLOOR_MESSAGE)
+    if len(held) > len(floored):
+        warn.append("held at a bound of the feasible set: " + ", ".join(
+            f"{PARAM_NAMES[j]} = {x[j]:g}" for j in held if j not in floored))
 
 
 def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None = None) -> FitResult:
-    """Maximize the joint pseudo likelihood over the feasible set `_bounds` by guarded Newton
-    steps on the observed information operator, which hold the active components, each
-    giving way to an EM map where it fails; every update ascends up to rounding."""
+    """Maximize the joint pseudo likelihood over the feasible set `_bounds` by damped,
+    projected Newton steps on the observed information operator, which hold the active
+    components; every update ascends up to rounding."""
     cfg = config or FitConfig()
     bounds = _bounds(cfg)
     ws = _Workspace.of(dataset)
@@ -357,23 +315,27 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
     est = _estep(ws, alpha, beta, dL, cfg.Q)
     state = (alpha, beta, dL, est, _loglik(ws, alpha, beta, dL, est))
     trace = [state[4]]
-    # the start's certificate: the first Newton step reads its score and active components,
-    # and a fallback M-step the risk-set sums and transition statistics it keeps on the posterior
+    # the start's certificate: the first Newton step reads its score and active components
     score_norm, s, active = _certificate(ws, est, alpha, beta, dL, bounds)[1:]
-    converged = False
+    done = False
     iterations = newton_steps = 0
 
-    while not converged and iterations < cfg.max_iter:
+    while not done and iterations < cfg.max_iter:
+        step = _newton(ws, state, s, active, bounds, cfg)
+        if isinstance(step, str):
+            warn.append(f"stopped at update {iterations + 1}: no damped Newton step ascends ({step})")
+            break
+        new, mu = step
         iterations += 1
-        new = _newton(ws, state, s, active, bounds, cfg)
-        if new is None:
-            new = _em_map(ws, state, cfg, bounds, warn, iterations)
-        else:
-            newton_steps += 1
+        newton_steps += mu == 0
         change, state = _move(state, new), new
         trace.append(state[4])
         id_resid, score_norm, s, active = _certificate(ws, state[3], *state[:3], bounds)
-        converged = change < cfg.tol_param and score_norm <= cfg.tol_score and id_resid <= cfg.id_tol
+        done = change < cfg.tol_param and score_norm <= cfg.tol_score and id_resid <= cfg.id_tol
+        if mu and change < cfg.tol_param and not done:
+            warn.append(f"stopped at update {iterations}: a damped Newton step (mu = {mu:g}) moved "
+                        "the parameters less than tol_param")
+            break
 
     alpha, beta, dL, est = state[:4]
     quad = _quadrature_check(ws, state, cfg.Q)
@@ -382,7 +344,9 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
                     f"score moves by {quad.score_beta:.3g}, more than tol_score {cfg.tol_score:g}; "
                     "raise Q")
     _boundedness_check(ws, est, dL, cfg, warn)
-    if abs(beta) >= cfg.beta_box and cfg.beta_box > 0:
+    _bound_warnings(alpha.as_array(), active, bounds, warn)
+    at_box = abs(beta) >= cfg.beta_box > 0
+    if at_box:
         warn.append("beta at the box boundary")
     theta = Theta(alpha=alpha, beta=beta, hazard=SieveHazard(ws.xe, dL))
     return FitResult(
@@ -390,7 +354,7 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
         loglik_trace=trace,
         iterations=iterations,
         newton_steps=newton_steps,
-        converged=converged,
+        converged=done and not at_box,
         score_norm=float(score_norm),
         warnings=warn,
         n_subjects=ws.n,
@@ -415,7 +379,7 @@ def lambda_update(dataset: Dataset, atoms: Posterior, beta: float) -> SieveHazar
 def weighted_mle_alpha(dataset: Dataset, atoms: Posterior, box: AlphaBox | None = None,
                        var_floor: float = VAR_FLOOR) -> TransitionParams:
     """Expected complete-data Gaussian MLE of alpha over `box` floored at var_floor under `atoms`
-    (the M-step's alpha update); refuses what `FitConfig` refuses, and fewer than two subjects."""
+    (an EM M-step's alpha update); refuses what `FitConfig` refuses, and fewer than two subjects."""
     bounds = _bounds(FitConfig(alpha_box=box or AlphaBox(), var_floor=var_floor))
     ws = _workspace_of(dataset, atoms)
     if ws.n < 2:

@@ -149,13 +149,6 @@ class TransitionStats:
         r = self.nbar - a - b * self.pbar
         return self.Cnn - 2.0 * b * self.Cpn + b * b * self.Cpp + self.N * r * r
 
-    def rounding(self, alpha: TransitionParams) -> float:
-        """An allowance for the rounding of `objective(alpha)`: 1e-14 (about 45 ulps) times its
-        sums of squares' terms before they cancel (fully, for exact transitions), over 2 var."""
-        r = self.nbar - alpha.a - alpha.b * self.pbar
-        sse = self.Cnn + 2.0 * abs(alpha.b * self.Cpn) + alpha.b**2 * self.Cpp + self.N * r * r
-        return 1e-14 * (sse / (2 * alpha.ssq) + self._entry_ss(alpha.mu0) / (2 * alpha.s0sq))
-
     def objective(self, alpha: TransitionParams) -> float:
         """The (expected complete-data) log density of all entries and transitions."""
         return (-0.5 * self.n0 * (LOG_2PI + math.log(alpha.s0sq)) - self._entry_ss(alpha.mu0) / (2 * alpha.s0sq)

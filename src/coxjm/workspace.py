@@ -119,8 +119,8 @@ class _Workspace:
         return out
 
     def obs_mats(self, beta: float) -> np.ndarray:
-        """`interval_sums` of the observed values, kept for the last beta (an EM
-        iteration asks for one beta from the E-step, the M-step and the certificate)."""
+        """`interval_sums` of the observed values, kept for the last beta (an update
+        asks for one beta from the E-step, the certificate and the operator)."""
         kept = self._obs  # one read: another thread may replace the pair meanwhile
         if beta != kept[0]:
             kept = (beta, self.interval_sums(self.t_next, beta))
@@ -286,7 +286,7 @@ def _score(ws, est, alpha: TransitionParams, beta: float, dL: np.ndarray) -> np.
 
 def _risk_cols(ws, est, beta):
     """Per event time, the risk-set sums W, C, D of E[Z^m e^{beta Z}], m = 0, 1, 2 (K x 3),
-    kept on `est` for the last beta (the certificate's sums serve the next M-step)."""
+    kept on `est` for the last beta (the certificate's sums serve the next operator)."""
     kept = est._risk  # one read: another thread may replace the pair meanwhile
     if beta != kept[0]:
         kept = (beta, ws.cols(ws.obs_mats(beta), est.exp_moments(beta)))
@@ -297,7 +297,8 @@ def _risk_cols(ws, est, beta):
 
 def _hazard_jumps(times: np.ndarray, hazard: SieveHazard) -> np.ndarray:
     ht = np.asarray(hazard.times)
-    if ht.size != times.size or not np.all(np.abs(ht - times) <= 1e-12):
+    # agreement to 1e-12 of the latest event time, so that the unit of time does not matter
+    if ht.size != times.size or not np.all(np.abs(ht - times) <= 1e-12 * np.max(np.abs(times), initial=0.0)):
         raise ValidationError("hazard must jump exactly at the dataset event times")
     return np.asarray(hazard.jumps, dtype=float)
 

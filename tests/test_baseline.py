@@ -7,7 +7,6 @@ from oracles import Subject, dataset_of, lvcf_value, stack_atoms, subjects_of
 
 from coxjm import (
     DegenerateRiskSetError,
-    FitConfig,
     MeasurementGrid,
     TransitionParams,
     ValidationError,
@@ -15,7 +14,7 @@ from coxjm import (
     nelson_aalen,
     partial_lik_fit,
 )
-from coxjm.fit import _bounds, _mstep, lambda_update
+from coxjm.fit import lambda_update
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 
 GRID = MeasurementGrid((0.0, 1.0, 2.0))
@@ -127,25 +126,6 @@ def test_partial_lik_fit_hazard_is_breslow_at_its_beta(seed):
         fit = partial_lik_fit(data, imputation=imputation)
         assert fit.converged and fit.iterations > 1
         assert fit.breslow == breslow(data, fit.beta_pl, imputation=imputation)
-
-
-def test_mstep_at_point_atoms_is_the_partial_likelihood_fit():
-    # single-point grid, atoms pinned at the LVCF values: the EM objective profiled over the
-    # hazard is the log partial likelihood over n, so the M-step's Newton steps reach the
-    # partial-likelihood beta, and its hazard is Breslow's at the beta it returns (50 M-steps,
-    # each from the last one's beta and each one Newton step)
-    cfg = SimConfig(n=200, grid_step=3.0, tau=3.0, alpha0=ALPHA0, beta0=0.7,
-                    lambda0=0.4, censor_rate=0.2, seed=23)
-    ds, _ = gen_dataset(cfg)
-    atoms = stack_atoms(ds, np.array([[lvcf_value(s, s.x, ds.grid)] for s in subjects_of(ds)]),
-                        np.ones((ds.n, 1)))
-    beta = 0.0
-    for _ in range(50):
-        _, beta, dL = _mstep(atoms.ws, atoms, beta, _bounds(FitConfig()), [])
-    fit = partial_lik_fit(ds)
-    assert fit.converged and abs(fit.beta_pl - 0.7) < 0.5
-    assert abs(beta - fit.beta_pl) <= 1e-10
-    assert tuple(dL) == breslow(ds, beta).jumps
 
 
 def test_partial_lik_boundary_flag():

@@ -2,7 +2,6 @@ import math
 import re
 import sys
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from coxjm import (
     nelson_aalen,
     observed_loglik,
     score_full,
+    variance_report,
 )
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.transition import FLOOR_MESSAGE, VAR_FLOOR
@@ -277,6 +277,54 @@ def test_em_fit_initial_hazard_support_checked():
         em_fit(ds, init=bad)
 
 
+def _time_scaled(ds, c):
+    """`ds` with the grid, tau and the follow-up times multiplied by c."""
+    return replace(ds, grid=MeasurementGrid(tuple(c * t for t in ds.grid.times)), tau=c * ds.tau, x=c * ds.x)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-12, 1e6])
+def test_hazard_support_check_does_not_depend_on_the_unit_of_time(c):
+    # a hazard that jumps at 1.2 times the event times is refused in every unit of time,
+    # and one at the event times accepted; an absolute tolerance of 1e-12 on the times
+    # accepted the first with time in units of 1e-12
+    ds = _time_scaled(_sim(200, seed=0)[0], c)
+    times = np.asarray(ds.event_times())
+    with pytest.raises(ValidationError, match="exactly at the dataset event times"):
+        observed_loglik(ds, Theta(ALPHA0, 1.0, SieveHazard(tuple(1.2 * times), (0.01,) * times.size)))
+    assert math.isfinite(observed_loglik(ds, Theta(ALPHA0, 1.0, SieveHazard(tuple(times), (0.01,) * times.size))))
+
+
+@pytest.mark.parametrize("seed, alpha0", [(0, ALPHA0), (3, HIGH_MISSING)], ids=["0", "3-b0.3-ssq1"])
+def test_em_fit_equivariant_under_time_rescaling(seed, alpha0):
+    # the likelihood reads time only through the order of the event and grid times, so
+    # time x c leaves the updates, beta, the jumps, the log likelihood and var_beta_full
+    # bit-equal (measured for c = 3.7, 0.01, 100, 1e-9, 1e-12 and 1e6), and scales the
+    # hazard's times
+    ds, _ = _sim(200, seed=seed, alpha0=alpha0)
+
+    def summary(data):
+        fit = em_fit(data)
+        rep = variance_report(data, fit.theta_hat, fit.posterior, fit)
+        th = fit.theta_hat
+        return (fit.iterations, fit.converged, th.beta, th.hazard.jumps, fit.loglik, rep["var_beta_full"]), th
+
+    want, th = summary(ds)
+    for c in (3.7, 1e-9, 1e6):
+        got, th_c = summary(_time_scaled(ds, c))
+        assert got == want, c
+        assert np.array_equal(th_c.hazard.times, c * np.asarray(th.hazard.times))
+
+
+@pytest.mark.parametrize("c, d, held", [(1.0, 15.0, "mu0 = 10"),
+                                        (200.0, 500.0, "mu0 = 10, s0sq = 100, a = 10, ssq = 100")])
+def test_em_fit_names_the_components_held_at_a_bound(c, d, held):
+    # covariate units outside the default alpha box (Z + 15; 200 Z + 500, CD4-like): the fit
+    # ends with components held at their bounds, which its warning names with the bound
+    ds, _ = _sim(200, seed=0)
+    fit = em_fit(replace(ds, values=c * ds.values + d))
+    assert fit.warnings == [f"held at a bound of the feasible set: {held}"]
+
+
 def test_em_fit_identifiability_warning():
     subs = (Subject(id=1, x=0.5, delta=1, measurements=(0.1,)),
             Subject(id=2, x=0.9, delta=1, measurements=(0.4,)),
@@ -371,7 +419,7 @@ def _shifted(ds, c):
 @given(seed=st.integers(0, 2**31 - 1), c=st.floats(-2.0, 2.0))
 def test_em_fit_covariate_shift_invariance(seed, c):
     # z -> z + c is a reparametrization: beta, b and the variances stay, mu0 and a
-    # shift, and the hazard absorbs e^{beta c}.  The EM map follows it, but the stopping
+    # shift, and the hazard absorbs e^{beta c}.  The Newton steps follow it, but the stopping
     # rule does not (the jumps it compares scale by e^{-beta c}), so the two fits stop
     # at different points near the maximizer; both run to tight tolerances.
     ds, _ = _sim(100, seed=seed)
@@ -399,10 +447,14 @@ def test_em_fit_iterations_do_not_depend_on_covariate_centring(seed):
         assert em_fit(_shifted(ds, c)).iterations <= 1.5 * base + 2, c
 
 
-@pytest.mark.parametrize("failure", ["mode-search", "non-finite-loglik", "singular-operator"])
-def test_em_fit_survives_failed_newton_steps(monkeypatch, failure):
-    # every Newton step fails, in its trial E-step or in the factorisation: each gives way to
-    # an EM map, and the fit converges by EM alone
+@pytest.mark.parametrize("failure, reason", [
+    ("mode-search", "a trial E-step fails"), ("non-finite-loglik", "a trial E-step fails"),
+    ("singular-operator", "the operator is not positive definite")],
+    ids=["mode-search", "non-finite-loglik", "singular-operator"])
+def test_em_fit_survives_failed_newton_steps(monkeypatch, failure, reason):
+    # every Newton step fails, in its trial E-step or in the factorisation, at every damping:
+    # the fit tries each mu of the ladder once, then stops at its start, unconverged, with a
+    # warning that names the update and the last reason
     from coxjm import fit as fit_mod
     from coxjm.variance import DiscretizedOperator
 
@@ -415,7 +467,7 @@ def test_em_fit_survives_failed_newton_steps(monkeypatch, failure):
                  else ValidationError("non-finite log likelihood (subject 7)"))
 
         def marked(*args):
-            if sys._getframe(1).f_code.co_name == "_newton":
+            if sys._getframe(1).f_code.co_name == "_step":
                 failed.append(True)
                 raise error
             return estep(*args)
@@ -423,21 +475,17 @@ def test_em_fit_survives_failed_newton_steps(monkeypatch, failure):
         monkeypatch.setattr(fit_mod, "_estep", marked)
     ds, _ = _sim(100, seed=0)
     fit = em_fit(ds)
-    assert fit.converged and fit.score_norm <= 1e-6 and fit.newton_steps == 0
-    # one failed step for every update
-    assert len(failed) == fit.iterations > 0
-    assert np.all(np.diff(fit.loglik_trace) >= -1e-8)
-    th = fit.theta_hat
-    atoms = estep_atoms(ds, th)
-    for dl, wn in zip(th.hazard.jumps, _wn(ds, atoms, th.beta)):
-        assert dl * wn == pytest.approx(1.0 / ds.n, abs=1e-11)
+    assert len(failed) == len(fit_mod.DAMPING)
+    assert fit.converged is False and fit.iterations == fit.newton_steps == 0
+    assert len(fit.loglik_trace) == 1 and fit.theta_hat.beta == 0.0  # the start
+    assert fit.warnings == [f"stopped at update 1: no damped Newton step ascends ({reason})"]
 
 
 @pytest.mark.parametrize("seed, alpha0", [(seed, ALPHA0) for seed in range(8)] + [
     (seed, HIGH_MISSING) for seed in range(4)], ids=[*map(str, range(8)), *(f"{s}-b0.3-ssq1" for s in range(4))])
 def test_em_fit_newton_from_the_start(seed, alpha0):
     # the first update is a Newton step from the start, whose certificate the fit computes
-    # before the loop, and no step gives way to an EM map (5-6 updates with alpha0, 6-7
+    # before the loop, and no step needs damping (5-6 updates with alpha0, 6-7
     # with b = 0.3, ssq = 1), as simulated and in full-information form; there the fit stops
     # within 1e-14 in beta of a tight fit, where two EM maps stopped up to 2.1e-8 short
     ds, truths = _sim(200, seed=seed, alpha0=alpha0)
@@ -453,15 +501,15 @@ def test_em_fit_newton_from_the_start(seed, alpha0):
 def test_em_fit_stopped_by_max_iter_states_a_bool(monkeypatch):
     # `converged` is a Python bool, which json writes, when max_iter stops the fit after a
     # Newton step (whose beta was a NumPy scalar, so that `converged` could be numpy.bool_)
-    # and after an EM map
+    # and when no step is found
     from coxjm import fit as fit_mod
 
     ds, _ = _sim(200, seed=7)
     fit = em_fit(ds, config=FitConfig(max_iter=4))
     assert fit.converged is False and fit.newton_steps == 4
-    monkeypatch.setattr(fit_mod, "_newton", lambda *args: None)
+    monkeypatch.setattr(fit_mod, "_newton", lambda *args: "refused")
     fit = em_fit(ds, config=FitConfig(max_iter=4))
-    assert fit.converged is False and fit.newton_steps == 0
+    assert fit.converged is False and fit.iterations == 0
 
 
 def test_em_fit_reproducible_with_the_heap_shifted():
@@ -474,25 +522,6 @@ def test_em_fit_reproducible_with_the_heap_shifted():
         fit = em_fit(ds)
         outs.add(repr((fit.theta_hat, fit.loglik_trace, fit.iterations, fit.newton_steps)))
     assert len(outs) == 1 and fit.newton_steps > 0
-
-
-def test_em_fit_raises_on_loglik_drop(monkeypatch):
-    # an M-step whose point lowers the observed log likelihood is refused, with the drop and
-    # the map; the Newton steps fail, so the first update is an EM map
-    from coxjm import AscentError
-    from coxjm import fit as fit_mod
-
-    mstep = fit_mod._mstep
-
-    def descending(*args):
-        a, b, dL = mstep(*args)
-        return a, b - 3.0, dL
-
-    monkeypatch.setattr(fit_mod, "_mstep", descending)
-    monkeypatch.setattr(fit_mod, "_newton", lambda *args: None)
-    ds, _ = _sim(40, seed=8)
-    with pytest.raises(AscentError, match=r"dropped by \d.* at iteration 1$"):
-        em_fit(ds)
 
 
 @pytest.mark.parametrize("seed, alpha0, bound", [(seed, ALPHA0, 1e-12) for seed in range(5)] + [
@@ -518,60 +547,6 @@ def test_em_fit_tight_tolerances_converge_on_long_histories():
     assert fit.converged
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**31 - 1), n=st.integers(20, 40), beta=st.floats(-1.0, 1.5))
-def test_mstep_reaches_profiled_maximizer(seed, n, beta):
-    # at fixed atoms the M-step maximizes the EM objective jointly over (beta, hazard):
-    # the beta score vanishes at the returned beta with the hazard dL = 1/(n W_n) there;
-    # M-steps, one Newton step in beta each, are repeated from their own beta, 20 in all
-    from coxjm.fit import _bounds, _mstep
-    from coxjm.workspace import _estep, _score_beta, _Workspace
-
-    ds, _ = _sim(n, seed=seed)
-    ws = _Workspace(ds)
-    dL = np.asarray(nelson_aalen(ds).jumps)
-    est = _estep(ws, ALPHA0, beta, dL, 40)
-    beta_new = beta
-    for _ in range(20):
-        alpha_new, beta_new, dL_new = _mstep(ws, est, beta_new, _bounds(FitConfig()), [])
-
-    def objective(alpha, b, jumps):
-        cox = np.sum(np.log(jumps)) + b * np.sum(ws.delta * est.E1) - jumps @ _risk_cols(ws, est, b)[:, 0]
-        return ws.transition_stats(est).objective(alpha) + float(cox)
-
-    R = _risk_cols(ws, est, beta_new)
-    assert abs(_score_beta(ws, est, R, dL_new)) <= 1e-8
-    np.testing.assert_allclose(dL_new, 1.0 / R[:, 0], rtol=1e-12)
-    old, new = objective(ALPHA0, beta, dL), objective(alpha_new, beta_new, dL_new)
-    assert new >= old - 1e-10 * (1 + abs(old))
-
-
-def test_mstep_keeps_beta_when_no_halving_ascends(monkeypatch):
-    # with no halving allowed, a full Newton step that lowers the profiled objective is
-    # refused (at seed 0 the step from -3 goes to 3.04, where the objective is lower by 0.47)
-    # and the M-step keeps beta; halving the same step ascends, and the M-step returns the
-    # hazard that maximizes the objective at the beta it accepts
-    from coxjm import fit as fit_mod
-    from coxjm.fit import _bounds, _mstep, _newton_step, _profile
-    from coxjm.workspace import _estep, _Workspace
-
-    ds, _ = _sim(40, seed=0)
-    ws = _Workspace(ds)
-    est = _estep(ws, ALPHA0, -3.0, np.asarray(nelson_aalen(ds).jumps), 20)
-    dE = float(np.sum(ws.delta * est.E1))
-    prof = _profile(_risk_cols(ws, est, -3.0), dE, -3.0, ws.n)
-    step = partial(_newton_step, lambda b: _risk_cols(ws, est, b), dE, ws.n, -3.0, prof, FitConfig().beta_box)
-    assert step()[0] > -3.0
-    _, beta, dL = _mstep(ws, est, -3.0, _bounds(FitConfig()), [])
-    assert beta > -3.0
-    np.testing.assert_array_equal(dL, 1.0 / _risk_cols(ws, est, beta)[:, 0])
-    monkeypatch.setattr(fit_mod, "BETA_HALVINGS", 0)
-    assert step() is None
-    _, beta, dL = _mstep(ws, est, -3.0, _bounds(FitConfig()), [])
-    assert beta == -3.0
-    np.testing.assert_array_equal(dL, 1.0 / _risk_cols(ws, est, -3.0)[:, 0])
-
-
 @pytest.mark.parametrize("box", [AlphaBox(b=(0.7, 0.7)), AlphaBox(mu0=(0.5, 0.5))], ids=["b", "mu0"])
 def test_em_fit_converges_with_a_pinned_transition_parameter(box):
     # with one component pinned, the Newton steps hold it and move the others (6 steps on
@@ -587,7 +562,7 @@ def test_em_fit_converges_with_a_pinned_transition_parameter(box):
 
 
 def test_em_fit_clamps_a_warm_start_to_the_variance_floor():
-    # a given init enters the box with its variances floored, as every M-step's alpha does:
+    # a given init enters the box with its variances floored, as every update's alpha is:
     # from the default fit (ssq 0.245) a fit with var_floor 0.5 starts at ssq = 0.5 and
     # ascends from there, where an init below the floor would make the first update descend
     ds, _ = _sim(200, seed=0)
@@ -619,11 +594,13 @@ def test_em_fit_certifies_an_active_bound(config, warm, j, bound, ll_em):
 
 
 def test_em_fit_ending_at_the_beta_box_is_not_converged():
-    # the beta box is a safeguard, not an active bound: a fit that ends on it stays
+    # beta on its box with its score pointing out is held like an alpha bound, so the loop
+    # stops once the certificate holds (5 updates); a fit that ends on the box stays
     # unconverged, with its warning
     ds, _ = _sim(200, seed=0)
     fit = em_fit(ds, config=FitConfig(beta_box=0.5, max_iter=50))
-    assert not fit.converged and fit.theta_hat.beta == 0.5
+    assert not fit.converged and fit.theta_hat.beta == 0.5 and fit.iterations < 10
+    assert fit.score_norm <= FitConfig().tol_score
     assert "beta at the box boundary" in fit.warnings
 
 
@@ -638,8 +615,9 @@ def _exact_transitions():
 def test_em_fit_reports_a_floored_start_once(monkeypatch):
     # values 0.1 j + 0.01 (i mod 7) make every observed transition exact: the start's residual
     # variance is raised to its lower bound, which the fit's warnings state once, as the
-    # M-step's do, with no RuntimeWarning (an error under this suite's filterwarnings).  One
-    # update, a Newton step that holds ssq at its bound or, with the steps failing, an EM map
+    # end of the fit does for a variance held there, with no RuntimeWarning (an error under
+    # this suite's filterwarnings).  One update, a Newton step that holds ssq at its bound,
+    # or none when every step is refused
     from coxjm import fit as fit_mod
 
     flat = _exact_transitions()
@@ -647,39 +625,36 @@ def test_em_fit_reports_a_floored_start_once(monkeypatch):
         fit = em_fit(flat, config=FitConfig(max_iter=1))
         assert fit.newton_steps == newton_steps
         assert fit.warnings.count(FLOOR_MESSAGE) == 1 and fit.theta_hat.alpha.ssq == VAR_FLOOR
-        monkeypatch.setattr(fit_mod, "_newton", lambda *args: None)
+        monkeypatch.setattr(fit_mod, "_newton", lambda *args: "refused")
 
 
-def test_em_fit_converges_with_exact_transitions(monkeypatch):
-    # with ssq at its floor 1e-8 the transition objective divides sums of squares of size
-    # ~400 that cancel to rounding (2.8e-14) by 2e-8, so an EM map's log likelihood moves by
-    # 1.3e-6 with no change of substance; the ascent guard allows for that rounding, where
-    # the absolute ASCENT_TOL alone raised AscentError at the second update.  The fit takes
-    # Newton steps and a fallback map, and EM maps alone converge too
-    from coxjm import fit as fit_mod
-
-    flat = _exact_transitions()
-    fits = [em_fit(flat)]
-    monkeypatch.setattr(fit_mod, "_newton", lambda *args: None)
-    fits.append(em_fit(flat))
-    for fit in fits:
-        assert fit.converged and fit.theta_hat.alpha.ssq == VAR_FLOOR
-        assert fit.warnings == [FLOOR_MESSAGE]
-    assert 0 < fits[0].newton_steps < fits[0].iterations and fits[1].newton_steps == 0
+def test_em_fit_converges_with_exact_transitions():
+    # with ssq held at its floor 1e-8 the transition objective divides sums of squares of size
+    # ~400 that cancel to rounding (2.8e-14) by 2e-8, and two of the Newton steps need damping
+    # (mu = 1e-4).  The fit converges in 7 updates at log likelihood 9469.5202405236
+    fit = em_fit(_exact_transitions())
+    assert fit.converged and fit.theta_hat.alpha.ssq == VAR_FLOOR
+    assert fit.warnings == [FLOOR_MESSAGE]
+    assert 0 < fit.newton_steps < fit.iterations <= 10
+    assert abs(fit.loglik - 9469.5202405236) <= 1e-9
+    tr = np.asarray(fit.loglik_trace)
+    assert np.all(np.diff(tr) >= -1e-13 * (1 + np.abs(tr[1:])))
 
 
-def test_em_fit_runs_fallback_maps_on_a_monotone_likelihood():
+def test_em_fit_holds_beta_at_the_box_on_a_monotone_likelihood():
     # a monotone likelihood (Bryson & Johnson 1981): the profile likelihood in beta rises all
     # the way to the box, so the MLE does not exist.  Each full Newton step leaves the beta
-    # box, so nearly every update is a fallback EM map; the fit stops at max_iter with beta on
-    # the box, unconverged, and the maps do not lower the log likelihood beyond its rounding
+    # box; the projected step clips beta onto it, where its score points out and it is held,
+    # so the certificate holds in 13 updates (8 damped), and the fit ends unconverged with
+    # beta on the box
     cfg = SimConfig(n=60, grid_step=0.05, tau=3.0, alpha0=TransitionParams(1.0, 0.5, 0.5, 0.95, 0.05),
                     beta0=0.0, lambda0=0.3, censor_rate=0.0, seed=0, truncate_at=1.2)
     ds, _ = gen_dataset(cfg)
     fit = em_fit(ds)
-    assert (fit.iterations, fit.newton_steps, fit.converged) == (500, 2, False)
-    assert fit.theta_hat.beta == FitConfig().beta_box
+    assert fit.converged is False and fit.iterations < 50 and fit.newton_steps < fit.iterations
+    assert fit.theta_hat.beta == FitConfig().beta_box and fit.score_norm <= FitConfig().tol_score
     assert fit.warnings == ["beta at the box boundary"]
+    assert abs(fit.loglik - 1635.3635373013874) <= 1e-9
     trace = np.array(fit.loglik_trace)
     assert np.all(np.diff(trace) >= -1e-13 * (1 + np.abs(trace[1:])))
 
@@ -727,20 +702,19 @@ def test_quadrature_check_warns_on_a_coarse_rule():
     assert not any(w.startswith("quadrature error") for w in frozen.warnings)
 
 
-def test_ascent_error_quotes_the_quadrature_error():
-    # Q = 3 with b = 0.3, ssq = 1, n = 200, seed 3: at update 7 no halved Newton step ascends,
-    # and the EM map taken in its place lowers the log likelihood by far less than a 6-node
-    # rule moves it at the new point (at Q = 4 the fit converges)
-    from coxjm import AscentError
-
+def test_em_fit_stops_on_a_stall_with_a_coarse_rule():
+    # Q = 3 with b = 0.3, ssq = 1, n = 200, seed 3: quadrature noise keeps the score near
+    # 5.6e-6, so damped steps crawl (at mu = 100 for all 500 updates without the stall rule);
+    # a damped step that moves the parameters less than tol_param ends the fit, unconverged,
+    # with the "raise Q" warning (at Q = 4 the fit converges)
     ds, _ = _sim(200, seed=3, alpha0=HIGH_MISSING)
-    with pytest.raises(AscentError) as err:
-        em_fit(ds, config=FitConfig(Q=3))
-    m = re.fullmatch(r"observed log likelihood dropped by (\S+) \(.*; with 6 nodes in place of Q=3 "
-                     r"the new value moves by (\S+), an estimate of the quadrature error\) "
-                     r"at iteration \d+", str(err.value))
-    assert m, str(err.value)
-    assert abs(float(m[2])) > 100 * float(m[1])
+    fit = em_fit(ds, config=FitConfig(Q=3))
+    assert fit.converged is False and fit.iterations <= 30
+    assert re.fullmatch(r"stopped at update \d+: a damped Newton step \(mu = \S+\) moved the "
+                        r"parameters less than tol_param", fit.warnings[0]), fit.warnings
+    assert fit.warnings[1].startswith("quadrature error: with 6 nodes in place of Q=3") and len(fit.warnings) == 2
+    tr = np.asarray(fit.loglik_trace)
+    assert np.all(np.diff(tr) >= -1e-13 * (1 + np.abs(tr[1:])))
 
 
 FIXED_SEEDS = [(200, seed, 0.25, ALPHA0) for seed in range(8)] + [
@@ -756,8 +730,11 @@ FIXED_SEEDS = [(200, seed, 0.25, ALPHA0) for seed in range(8)] + [
 def test_default_rule_on_fixed_seed_set(n, seed, grid_step, alpha0):
     # the default rule against a Q = 80 fit run far past the tolerances: the fit converges,
     # its log likelihood does not drop (beyond the rounding of a sum over subjects, measured
-    # at 2 ulps at n = 200 seeds 2 and 7), beta is within 1e-6 and the check stays silent
-    ds, _ = _sim(n, seed=seed, grid_step=grid_step, alpha0=alpha0)
+    # at 2 ulps at n = 200 seeds 2 and 7), beta is within 1e-6 and the check stays silent;
+    # neither it nor the full-information fit warns (no bound is active, no step damped)
+    ds, truths = _sim(n, seed=seed, grid_step=grid_step, alpha0=alpha0)
+    full = em_fit(fullinfo_dataset(ds, truths))
+    assert full.converged and full.iterations == full.newton_steps and not full.warnings
     fit = em_fit(ds)
     ref = em_fit(ds, config=FitConfig(Q=80, tol_param=1e-11, tol_score=1e-11))
     assert fit.converged and ref.converged
@@ -765,3 +742,16 @@ def test_default_rule_on_fixed_seed_set(n, seed, grid_step, alpha0):
     assert np.all(np.diff(tr) >= -4 * np.spacing(np.abs(tr[1:])))
     assert abs(fit.theta_hat.beta - ref.theta_hat.beta) <= 1e-6
     assert abs(fit.quadrature.score_beta) <= FitConfig().tol_score and not fit.warnings
+    assert fit.iterations == fit.newton_steps
+
+
+@pytest.mark.slow
+def test_em_fit_converges_on_the_small_sample_sweep():
+    # 600 small fits (n = 20, 50, 100; seeds 0-99; alpha0 and b = 0.3, ssq = 1), about 4 s:
+    # every one converges within 10 updates (measured at most 9, with 31 damped steps over
+    # 24 fits)
+    for alpha0 in (ALPHA0, HIGH_MISSING):
+        for n in (20, 50, 100):
+            for seed in range(100):
+                fit = em_fit(_sim(n, seed=seed, alpha0=alpha0)[0])
+                assert fit.converged and fit.iterations <= 10, (n, seed, alpha0)
