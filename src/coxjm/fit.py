@@ -42,18 +42,8 @@ from .exceptions import (
 )
 from .posterior import EXP_CLIP
 from .transition import FLOOR_MESSAGE, PARAM_NAMES, VAR_FLOOR, AlphaBox, TransitionParams
-from .variance import _operator
-from .workspace import (
-    Posterior,
-    _estep,
-    _hazard_jumps,
-    _loglik,
-    _risk_cols,
-    _score,
-    _score_beta,
-    _Workspace,
-    _workspace_of,
-)
+from .variance import _operator, _restrict
+from .workspace import Posterior, _estep, _hazard_jumps, _loglik, _risk_cols, _score, _Workspace, _workspace_of
 
 NEWTON_HALVINGS = 3  # a Newton step halved more often than this is refused at its damping
 DAMPING = (0.0, *(10.0**k for k in range(-4, 9)))  # the Levenberg-Marquardt ladder of mu
@@ -116,10 +106,10 @@ class QuadratureCheck:
 
 @dataclass
 class FitResult:
-    """`iterations` counts the parameter updates and `newton_steps` the undamped Newton
-    steps among them, the rest being damped ones; `posterior` is the final E-step,
-    the posterior at theta_hat on the fit's workspace; `quadrature` compares it with a rule
-    of twice its nodes."""
+    """`iterations` counts the parameter updates and `newton_steps` the undamped ones among
+    them; `active` masks the components of (mu0, s0sq, a, b, ssq, beta) that the final
+    certificate holds at a bound, and `variance_report` holds fixed; `posterior` is the final
+    E-step, at theta_hat on the fit's workspace; `quadrature` compares it with 2Q nodes."""
 
     theta_hat: Theta
     loglik_trace: list[float]
@@ -128,6 +118,7 @@ class FitResult:
     converged: bool
     score_norm: float
     warnings: list[str]
+    active: np.ndarray = field(compare=False)
     n_subjects: int
     posterior: Posterior = field(repr=False, compare=False)
     quadrature: QuadratureCheck
@@ -152,8 +143,7 @@ def _quadrature_check(ws, state, Q: int) -> QuadratureCheck:
         order=2 * Q,
         log_norm=float(np.max(np.abs(fine.log_norm - est.log_norm))),
         loglik=_loglik(ws, alpha, beta, dL, fine) - ll,
-        score_beta=(_score_beta(ws, fine, _risk_cols(ws, fine, beta), dL)
-                    - _score_beta(ws, est, _risk_cols(ws, est, beta), dL)),
+        score_beta=float(_score(ws, fine, alpha, beta, dL)[5] - _score(ws, est, alpha, beta, dL)[5]),
     )
 
 
@@ -224,21 +214,15 @@ def _newton(ws, state, s, active, bounds, cfg: FitConfig):
     marks the components of (alpha, beta) held at their bounds (`_certificate`).
 
     The step h solves (M + mu D) h = g, with M the observed information operator there and g
-    the score representer, and h_j = 0 for each active j (unit rows and columns in the
-    border E, zero columns in G and a zero right-hand side).  D = diag(d, w): d the absolute
-    diagonal of E, floored at 1e-8 of its largest entry over the free components, and w the
-    diagonal part of the hazard block H, so P (M + mu D) stays symmetric.  mu runs through
-    DAMPING; returns (the new state, mu) for the first mu whose step `_step` accepts, or the
-    reason the last one was refused."""
-    alpha, beta, dL, est, ll = state
-    op = _operator(ws, est, alpha, beta, dL)[0]
-    g = np.concatenate([s[:6], s[6:] / dL])
+    the score representer, and h_j = 0 for each active j (`variance._restrict`).  D =
+    diag(d, w): d the absolute diagonal of the unrestricted E, floored at 1e-8 of its largest
+    entry over the free components, and w the diagonal part of the hazard block H, so
+    P (M + mu D) stays symmetric.  mu runs through DAMPING; returns (the new state, mu) for
+    the first mu whose step `_step` accepts, or the reason the last one was refused."""
+    op = _operator(ws, state[3], *state[:3])[0]
     d = np.abs(np.diag(op.E))
     d = np.maximum(d, 1e-8 * np.max(d, where=~active, initial=0.0))  # near 0 where alpha has no information
-    if np.any(active):
-        keep = ~active
-        op = replace(op, E=op.E * np.outer(keep, keep) + np.diag(1.0 * active), G=op.G * keep)
-        g[:6] *= keep
+    op, g = _restrict(op, active, score=s)
     for mu in DAMPING:
         new = _step(ws, state, s, g, replace(op, E=op.E + mu * np.diag(d), w=op.w * (1 + mu)) if mu else op,
                     bounds, cfg)
@@ -357,6 +341,7 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
         converged=done and not at_box,
         score_norm=float(score_norm),
         warnings=warn,
+        active=active,
         n_subjects=ws.n,
         posterior=est,
         quadrature=quad,

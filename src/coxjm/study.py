@@ -23,7 +23,7 @@ from .baseline import partial_lik_fit
 from .exceptions import CoxjmError, SingularOperatorError, ValidationError, check_fields, reading
 from .fit import FitConfig, em_fit
 from .simulate import SimConfig, gen_dataset
-from .variance import BETA_UNIDENTIFIED, _information, beta_probe, var_estimate, z_quantile
+from .variance import BETA_UNIDENTIFIED, _information, _restrict, beta_probe, var_estimate, z_quantile
 
 log = logging.getLogger(__name__)
 
@@ -119,12 +119,14 @@ def _run_one(config: StudyConfig, rep: int) -> list[dict]:
                 if vs is None:
                     raise ValidationError(BETA_UNIDENTIFIED)
                 row["beta_hat"], row["se_simple"] = th.beta, math.sqrt(vs / dataset.n)
+                op, probe = _restrict(op, fit.active, beta_probe(op.K))  # a held beta's probe is 0, so is vf
                 try:
-                    vf = var_estimate(op, th.hazard, beta_probe(op.K))
+                    vf = var_estimate(op, th.hazard, probe)
                     row["se_full"] = math.sqrt(vf / dataset.n) if vf > 0 else float("nan")
                 except SingularOperatorError:
                     row["se_full"] = float("nan")
                 row["converged"] = int(fit.converged)
+                row.update(iterations=fit.iterations, newton_steps=fit.newton_steps, warnings=fit.warnings)
                 hazard = th.hazard
             else:
                 bl = partial_lik_fit(dataset, beta_box=config.fit.beta_box)
@@ -132,6 +134,7 @@ def _run_one(config: StudyConfig, rep: int) -> list[dict]:
                 row["se_simple"] = math.sqrt(1.0 / bl.information) if bl.information > 0 else float("nan")
                 row["se_full"] = float("nan")
                 row["converged"] = int(bl.converged)
+                row.update(iterations=bl.iterations, newton_steps=None, warnings=list(bl.flags))
                 hazard = bl.breslow
             row["cover_simple"] = covers(row["beta_hat"], row["se_simple"])
             row["cover_full"] = covers(row["beta_hat"], row["se_full"])

@@ -43,7 +43,7 @@ alpha, so the two agree only asymptotically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from statistics import NormalDist
 from typing import TYPE_CHECKING
@@ -220,6 +220,21 @@ class DiscretizedOperator:
 def beta_probe(K: int) -> np.ndarray:
     """The probe of beta alone: the unit vector at index 5 of length 6 + K."""
     return np.eye(1, 6 + K, 5)[0]
+
+
+def _restrict(op: DiscretizedOperator, held: np.ndarray, *rhs: np.ndarray, score=None) -> tuple:
+    """The system with the held components of (alpha, beta) (`fit._certificate`'s mask) fixed
+    at h_j = 0: op with unit rows and columns at them in E and zero columns in G (op itself
+    where none is held), and each right-hand side with its held rows zeroed in place; a score
+    s along the canonical probes adds its representer g = (s[:6], s[6:] / dL) as the last."""
+    if score is not None:
+        rhs = (*rhs, np.concatenate([score[:6], score[6:] / op.dL]))
+    if np.any(held):
+        keep = ~held
+        op = replace(op, E=op.E * np.outer(keep, keep) + np.diag(1.0 * held), G=op.G * keep)
+        for r in rhs:
+            r[:6] *= keep if r.ndim == 1 else keep[:, None]
+    return (op, *rhs)
 
 
 def _latent_covariances(ws, est, alpha, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -434,11 +449,14 @@ def variance_report(dataset: Dataset, theta_hat: Theta, atoms: Posterior, fit: F
                     t_grid=None) -> dict:
     """Side-by-side variance summary used by the CLI and the study harness.
 
-    A variance that is undefined at this fit is reported as None:
-    `var_beta_simple` when beta is not identified, and `var_beta_full`, every
-    `var_alpha` entry and `lambda_band` when the operator is not positive
-    definite or a solve leaves a backward error above SOLVE_TOL.  A positive
-    definite but badly conditioned operator gives large finite variances.  An
+    The components in `fit.active` (none for a `fit` of None) are held fixed (`_restrict`):
+    each reports None, its `var_alpha` entry or `var_beta_full`, and the other values are
+    those of the restricted model, which at an active inequality bound miss the limit law,
+    a projection (Self & Liang 1987, JASA 82:605).  A variance that is undefined at this
+    fit is None as well: `var_beta_simple` (blind to the held set) when beta is not
+    identified, and `var_beta_full`, every `var_alpha` entry and `lambda_band` when the
+    operator is not positive definite or a solve leaves a backward error above SOLVE_TOL.
+    A positive definite but badly conditioned operator gives large finite variances.  An
     empty `t_grid` gives an empty `lambda_band`.
 
     The fit's optimisation error is stated as the Newton step h solving M h = g at the
@@ -447,20 +465,19 @@ def variance_report(dataset: Dataset, theta_hat: Theta, atoms: Posterior, fit: F
     gain in log likelihood per subject that a full step predicts.  Both are None where the
     operator is refused.
     """
-    ws = _workspace_of(dataset, atoms)
-    dL = _hazard_jumps(ws.xe, theta_hat.hazard)
-    op, simple = _operator(ws, atoms, theta_hat.alpha, theta_hat.beta, dL)
+    op, simple = _information(dataset, theta_hat, atoms)
+    held = np.zeros(6, bool) if fit is None else fit.active
+    s = _score(atoms.ws, atoms, theta_hat.alpha, theta_hat.beta, op.dL)
+    op, probe, units, g = _restrict(op, held, beta_probe(op.K), np.eye(6 + op.K, 5), score=s)
     report: dict = {"var_beta_simple": simple}
     try:
-        report["var_beta_full"] = var_estimate(op, theta_hat.hazard, beta_probe(op.K))
-        sol = _solve(op, np.eye(6 + op.K, 5))
-        report["var_alpha"] = [float(v) for v in np.diag(sol[:5])]
+        report["var_beta_full"] = None if held[5] else var_estimate(op, theta_hat.hazard, probe)
+        sol = _solve(op, units)
+        report["var_alpha"] = [None if j else float(v) for j, v in zip(held, np.diag(sol[:5]))]
     except SingularOperatorError:
-        report["var_beta_full"] = None
-        report["var_alpha"] = [None] * 5
+        report["var_beta_full"], report["var_alpha"] = None, [None] * 5
     try:
-        s = _score(ws, atoms, theta_hat.alpha, theta_hat.beta, dL)
-        h = _solve(op, np.concatenate([s[:6], s[6:] / dL]))
+        h = _solve(op, g)
         report["newton_beta_step"], report["newton_decrement"] = float(h[5]), float(s @ h)
     except SingularOperatorError:
         report["newton_beta_step"] = report["newton_decrement"] = None

@@ -264,25 +264,20 @@ def _loglik(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray
     return out
 
 
-def _score_beta(ws, est, R, dL) -> float:
-    """(1/n) sum_i E_i[delta_i Z - int Z e^{beta Z} dL], the beta score at a fixed hazard,
-    from the risk-set sums R at beta (`_risk_cols`)."""
-    return (float(np.sum(ws.delta * est.E1)) - float(dL @ R[:, 1])) / ws.n
-
-
-
 def _score(ws, est, alpha: TransitionParams, beta: float, dL: np.ndarray) -> np.ndarray:
     """The score of the observed log likelihood / n at (alpha, beta, dL), `est` being the
-    E-step there, along the canonical probes (6 + K): the five alpha directions, beta, and
-    each jump dL_k scaled by 1 + t, along which it is the fixed-point residual
+    E-step there, along the canonical probes (6 + K): the five alpha directions, beta, along
+    which it is (1/n) sum_i E_i[delta_i Z - int Z e^{beta Z} dL] from the risk-set sums R,
+    and each jump dL_k scaled by 1 + t, along which it is the fixed-point residual
     1/n - dL_k W_n(x_k).  Divided by dL in its hazard part it is the score representer g of
-    the variance operator's inner product."""
+    the variance operator's inner product (`variance._restrict`)."""
     R = _risk_cols(ws, est, beta)
     out = np.empty(6 + ws.K)
     out[:5] = ws.transition_stats(est).score(alpha) / ws.n
-    out[5] = _score_beta(ws, est, R, dL)
+    out[5] = (float(np.sum(ws.delta * est.E1)) - float(dL @ R[:, 1])) / ws.n
     out[6:] = 1.0 / ws.n - dL * (R[:, 0] / ws.n)
     return out
+
 
 def _risk_cols(ws, est, beta):
     """Per event time, the risk-set sums W, C, D of E[Z^m e^{beta Z}], m = 0, 1, 2 (K x 3),

@@ -43,7 +43,7 @@ from coxjm.posterior import EXP_CLIP, _gh
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.transition import TransitionStats
 from coxjm.variance import BLOCK, _information, _latent_covariances, _operator
-from coxjm.workspace import _estep, _risk_cols, _score_beta, _Workspace
+from coxjm.workspace import _estep, _risk_cols, _score, _Workspace
 
 TAU = 3.0
 ALPHA0 = TransitionParams(0.0, 1.0, 0.0, 0.7, 0.25)
@@ -106,7 +106,7 @@ def check_against_oracle(ds, beta, rng):
     tot, tmag = D.totals(beta, m, dL), D.totals(beta, m, dL, absolute=True)
     E1 = np.sum(est.weights * est.nodes, axis=1)
     dE, dmag = float(D.delta @ E1), float(D.delta @ np.abs(E1))
-    _close(_score_beta(ws, est, R, dL), (dE - tot[1]) / n, (dmag + tmag[1]) / n)
+    _close(_score(ws, est, ALPHA0, beta, dL)[5], (dE - tot[1]) / n, (dmag + tmag[1]) / n)
 
     # the operator's columns, and its sums over the latent windows holding x_k
     theta = Theta(alpha=ALPHA0, beta=beta, hazard=SieveHazard(tuple(D.xe), tuple(dL)))

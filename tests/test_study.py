@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coxjm import (
+    AlphaBox,
     FitConfig,
     TransitionParams,
     ValidationError,
@@ -25,6 +26,7 @@ from coxjm import variance as variance_mod
 from coxjm.cli import main
 from coxjm.simulate import SimConfig, gen_dataset
 from coxjm.study import (
+    REPORT_COLUMNS,
     StudyConfig,
     _run_one,
     config_hash,
@@ -194,3 +196,37 @@ def test_posterior_of_another_dataset_refused(tmp_path):
         call(same)
     with pytest.raises(ValidationError, match="Posterior"):
         lambda_update(ds, [post], th.beta)
+
+
+def test_study_rows_hold_the_active_components(tmp_path):
+    # with a's lower bound active, se_full is the restricted report's; every row states its
+    # updates, its undamped Newton steps (none for LVCF) and its warnings (LVCF: its flags),
+    # in the JSON only
+    cfg = replace(_study(n=200, reps=2), fit=FitConfig(alpha_box=AlphaBox(a=(0.05, 1.0))))
+    report = run_study(cfg)
+    for row in report.replication_rows:
+        assert row["error"] is None and row["iterations"] >= 1
+        if row["estimator"] == "lvcf":
+            assert (row["newton_steps"], row["warnings"]) == (None, [])
+            continue
+        assert "held at a bound of the feasible set: a = 0.05" in row["warnings"]
+        assert 1 <= row["newton_steps"] <= row["iterations"]
+        ds, _ = gen_dataset(replace(cfg.sim, seed=row["seed"]))
+        fit = em_fit(ds, config=cfg.fit)
+        rep = variance_report(ds, fit.theta_hat, fit.posterior, fit)
+        assert row["se_full"] == math.sqrt(rep["var_beta_full"] / ds.n)
+    write_report_json(report, tmp_path / "r.json")
+    write_report_csv(report, tmp_path / "r.csv")
+    rows = json.loads((tmp_path / "r.json").read_text())["replications"]
+    assert all({"iterations", "newton_steps", "warnings"} <= set(r) for r in rows)
+    assert (tmp_path / "r.csv").read_text().splitlines()[0].split(",") == REPORT_COLUMNS
+    assert all(r["warnings"] == [] for r in run_study(_study(n=200, reps=2)).replication_rows)
+
+
+def test_study_se_full_is_nan_when_beta_is_held():
+    # beta_box = 0 holds beta at 0: no full standard error, the closed form is kept
+    cfg = replace(_study(n=200, reps=1, estimators=("npml",)), fit=FitConfig(beta_box=0.0))
+    row = run_study(cfg).replication_rows[0]
+    assert row["error"] is None and row["beta_hat"] == 0.0
+    assert math.isnan(row["se_full"]) and row["cover_full"] is None
+    assert math.isfinite(row["se_simple"])

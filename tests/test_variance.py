@@ -427,14 +427,17 @@ def test_var_estimate_refuses_foreign_hazard(fitted):
             lambda_band(op, other, [1.0])
 
 
-def _dense_report(op, hazard, t_grid):
-    """variance_report's operator values from dense LAPACK on the oracle matrix."""
-    M = dense_operator(op)
-    dL = np.asarray(hazard.jumps)
+def _dense_report(op, hazard, t_grid, held=()):
+    """variance_report's operator values from dense LAPACK on the oracle matrix, with the
+    rows and columns of the held components of (alpha, beta) deleted (their values 0)."""
     K = op.K
+    keep = np.setdiff1d(np.arange(6 + K), held)
+    M = dense_operator(op)[np.ix_(keep, keep)]
+    dL = np.asarray(hazard.jumps)
     g3 = (op.times[:, None] <= np.asarray(t_grid)[None, :]).astype(float)
     rhs = np.concatenate([np.eye(6 + K, 6), np.concatenate([np.zeros((6, g3.shape[1])), g3])], axis=1)
-    sol = np.linalg.solve(M, rhs)
+    sol = np.zeros(rhs.shape)
+    sol[keep] = np.linalg.solve(M, rhs[keep])
     return {"var_beta_full": sol[5, 5],
             "var_alpha": list(np.diag(sol[:5, :5])),
             "lambda_band": [float(np.dot(g3[:, j] * sol[6:, 6 + j], dL)) for j in range(g3.shape[1])]}
@@ -618,3 +621,84 @@ def test_solve_gate_refuses_perturbed_solution(monkeypatch):
                         lambda self, rhs: solve(self, rhs) * (1 + 1e-8 * rng.standard_normal(rhs.shape)))
     with pytest.raises(SingularOperatorError, match="backward error too large"):
         _solve(op, g)
+
+
+# the fits of a feasible set with held components (`FitResult.active`), at n = 200, seed 0
+# (ALPHA0) unless named: the config, a map of the covariate, the components the fit holds
+# over (mu0, s0sq, a, b, ssq, beta) and the report's var_beta_full.  An unrestricted
+# report gave 10.4436 (b-pinned), 11.1328 (a-active), 9.8046 (beta-box-0) and null for the
+# last three
+HELD_FITS = {
+    "default": (FitConfig(), None, (), 10.51937591298455),
+    "b-pinned": (FitConfig(alpha_box=AlphaBox(b=(0.7, 0.7))), None, (3,), 10.31464659264696),
+    "a-active": (FitConfig(alpha_box=AlphaBox(a=(0.05, 1.0))), None, (2,), 9.77063068969507),
+    "beta-box-0": (FitConfig(beta_box=0.0), None, (5,), None),
+    "var-floor-0.5": (FitConfig(var_floor=0.5), None, (4,), 13.768109180768732),
+    "z-plus-15": (FitConfig(), lambda z: z + 15, (0,), 10.519375912984563),
+    "monotone-n60": (FitConfig(), None, (5,), None),
+}
+
+
+@pytest.fixture(scope="module")
+def held_fit():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cfg, zmap, _, _ = HELD_FITS[name]
+            if name.startswith("monotone"):
+                # the MLE of beta does not exist: the fit ends on the beta box (ROADMAP item 10)
+                sim = SimConfig(n=60, grid_step=0.05, tau=3.0, alpha0=TransitionParams(1.0, 0.5, 0.5, 0.95, 0.05),
+                                beta0=0.0, lambda0=0.3, censor_rate=0.0, seed=0, truncate_at=1.2)
+            else:
+                sim = SimConfig(n=200, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
+                                lambda0=0.3, censor_rate=0.2, seed=0)
+            ds, _ = gen_dataset(sim)
+            if zmap is not None:
+                ds = replace(ds, values=zmap(ds.values))
+            fit = em_fit(ds, config=cfg)
+            cache[name] = ds, fit, variance_report(ds, fit.theta_hat, fit.posterior, fit)
+        return cache[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", HELD_FITS)
+def test_variance_report_holds_the_active_components(held_fit, name):
+    # each held component reports null, the other variances and the Newton step are the
+    # restricted model's: its step vanishes at the fit, where the unrestricted one read
+    # -0.0633 (b pinned), -0.440 (a active) and 0.847 (beta_box = 0)
+    want_held, want_var = HELD_FITS[name][2:]
+    ds, fit, rep = held_fit(name)
+    assert fit.converged == (not name.startswith("monotone"))
+    assert list(np.flatnonzero(fit.active)) == list(want_held)
+    if want_var is None:
+        assert rep["var_beta_full"] is None
+        assert rep["newton_beta_step"] == 0.0
+    else:
+        assert rep["var_beta_full"] == pytest.approx(want_var, rel=1e-9)
+        assert abs(rep["newton_beta_step"]) <= 1e-12
+    for j, v in enumerate(rep["var_alpha"]):
+        assert (v is None) if j in want_held else (math.isfinite(v) and v > 0), (j, v)
+    assert rep["newton_decrement"] >= 0 and rep["lambda_band"] is not None
+
+
+def test_variance_report_of_a_shifted_covariate_holds_mu0(held_fit):
+    # Z + 15 puts mu0 on its default bound of 10; beta's variance does not depend on mu0's
+    # value, so the restricted report gives the unshifted fit's to rounding
+    assert held_fit("z-plus-15")[2]["var_beta_full"] == pytest.approx(
+        held_fit("default")[2]["var_beta_full"], rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["b-pinned", "a-active"])
+def test_restricted_report_matches_dense_oracle(held_fit, name):
+    # the held rows and columns deleted from the dense unrestricted operator
+    ds, fit, rep = held_fit(name)
+    th = fit.theta_hat
+    held = list(np.flatnonzero(fit.active))
+    t_grid = np.linspace(0.0, ds.tau, 11)[1:]
+    want = _dense_report(build_sigma_hat(ds, th, fit.posterior), th.hazard, t_grid, held)
+    assert rep["var_beta_full"] == pytest.approx(want["var_beta_full"], rel=1e-10)
+    free = [j for j in range(5) if j not in held]
+    assert [rep["var_alpha"][j] for j in free] == pytest.approx([want["var_alpha"][j] for j in free], rel=1e-10)
+    assert [v for _, v in rep["lambda_band"]] == pytest.approx(want["lambda_band"], rel=1e-10)
