@@ -3,7 +3,8 @@
 Replication r derives its simulation seed from the master seed through a
 counter-based stream, so reports are reproducible byte for byte regardless of
 worker count.  Wall time is recorded in the JSON report only, keeping the CSV
-deterministic.
+deterministic.  An NPML row's `se_simple` and `se_full` are sqrt(var / n) of the fit's
+`variance_report`, so they agree bit for bit with `coxjm fit` on the same dataset.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baseline import partial_lik_fit
-from .exceptions import CoxjmError, SingularOperatorError, ValidationError, check_fields, reading
+from .exceptions import CoxjmError, ValidationError, check_fields, reading
 from .fit import FitConfig, em_fit
+from .io import save_json
 from .simulate import SimConfig, gen_dataset
-from .variance import BETA_UNIDENTIFIED, _information, _restrict, beta_probe, var_estimate, z_quantile
+from .variance import BETA_UNIDENTIFIED, variance_report, z_quantile
 
 log = logging.getLogger(__name__)
 
@@ -114,17 +116,13 @@ def _run_one(config: StudyConfig, rep: int) -> list[dict]:
             if estimator == "npml":
                 fit = em_fit(dataset, config=config.fit)
                 th = fit.theta_hat
-                # one operator build, at the fit's own posterior, gives both variances
-                op, vs = _information(dataset, th, fit.posterior)
+                # the fit's report, on its own posterior; no band is read, so none is solved for
+                report = variance_report(dataset, th, fit.posterior, fit, t_grid=())
+                vs, vf = report["var_beta_simple"], report["var_beta_full"]
                 if vs is None:
                     raise ValidationError(BETA_UNIDENTIFIED)
                 row["beta_hat"], row["se_simple"] = th.beta, math.sqrt(vs / dataset.n)
-                op, probe = _restrict(op, fit.active, beta_probe(op.K))  # a held beta's probe is 0, so is vf
-                try:
-                    vf = var_estimate(op, th.hazard, probe)
-                    row["se_full"] = math.sqrt(vf / dataset.n) if vf > 0 else float("nan")
-                except SingularOperatorError:
-                    row["se_full"] = float("nan")
+                row["se_full"] = float("nan") if vf is None else math.sqrt(vf / dataset.n)
                 row["converged"] = int(fit.converged)
                 row.update(iterations=fit.iterations, newton_steps=fit.newton_steps, warnings=fit.warnings)
                 hazard = th.hazard
@@ -234,9 +232,7 @@ def write_report_json(report: StudyReport, path) -> None:
         "rows": report.rows,
         "replications": report.replication_rows,
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    save_json(doc, path)
 
 
 def load_report_csv(path) -> list[dict]:

@@ -447,40 +447,40 @@ def lambda_band(op: DiscretizedOperator, hazard: SieveHazard, t_grid) -> list[tu
 
 def variance_report(dataset: Dataset, theta_hat: Theta, atoms: Posterior, fit: FitResult,
                     t_grid=None) -> dict:
-    """Side-by-side variance summary used by the CLI and the study harness.
+    """The variances of a fit, used by the CLI and the study harness.
 
-    The components in `fit.active` (none for a `fit` of None) are held fixed (`_restrict`):
-    each reports None, its `var_alpha` entry or `var_beta_full`, and the other values are
-    those of the restricted model, which at an active inequality bound miss the limit law,
-    a projection (Self & Liang 1987, JASA 82:605).  A variance that is undefined at this
-    fit is None as well: `var_beta_simple` (blind to the held set) when beta is not
-    identified, and `var_beta_full`, every `var_alpha` entry and `lambda_band` when the
-    operator is not positive definite or a solve leaves a backward error above SOLVE_TOL.
-    A positive definite but badly conditioned operator gives large finite variances.  An
-    empty `t_grid` gives an empty `lambda_band`.
-
-    The fit's optimisation error is stated as the Newton step h solving M h = g at the
-    fit, g being the score representer: `newton_beta_step` is h_beta, an estimate of the
-    distance of beta-hat from the maximizer, and `newton_decrement` is <g, h>, twice the
-    gain in log likelihood per subject that a full step predicts.  Both are None where the
-    operator is refused.
+    `fit` is the fit at `theta_hat` (another is refused) or None.  The components in
+    `fit.active` (none for None) are held fixed (`_restrict`): each reports None, its
+    `var_alpha` entry or `var_beta_full`, and the other values are the restricted model's,
+    which at an active inequality bound miss the limit law, a projection (Self & Liang 1987,
+    JASA 82:605).  One solve, with the six unit probes of (alpha, beta) and the score
+    representer g as its columns, gives `var_alpha`, `var_beta_full` and the Newton step h
+    solving M h = g at the fit, which states the optimisation error: `newton_beta_step` is
+    h_beta, an estimate of the distance of beta-hat from the maximizer, and
+    `newton_decrement` <g, h> is twice the gain in log likelihood per subject that a full
+    step predicts.  These are None together where the operator is not positive definite or
+    the solve leaves a backward error above SOLVE_TOL.  `lambda_band`, at `t_grid`, takes a
+    solve of its own (none for an empty grid) and is None where that is refused.
+    `var_beta_simple`, the closed form, ignores the held set and is None where beta is not
+    identified.  A badly conditioned operator gives large finite variances.
     """
+    if fit is not None and fit.theta_hat != theta_hat:
+        raise ValidationError("fit is not the fit at theta_hat")
     op, simple = _information(dataset, theta_hat, atoms)
     held = np.zeros(6, bool) if fit is None else fit.active
     s = _score(atoms.ws, atoms, theta_hat.alpha, theta_hat.beta, op.dL)
-    op, probe, units, g = _restrict(op, held, beta_probe(op.K), np.eye(6 + op.K, 5), score=s)
-    report: dict = {"var_beta_simple": simple}
+    op, units, g = _restrict(op, held, np.eye(6 + op.K, 6), score=s)
+    report = {"var_beta_simple": simple, "var_beta_full": None, "var_alpha": [None] * 5,
+              "newton_beta_step": None, "newton_decrement": None}
     try:
-        report["var_beta_full"] = None if held[5] else var_estimate(op, theta_hat.hazard, probe)
-        sol = _solve(op, units)
-        report["var_alpha"] = [None if j else float(v) for j, v in zip(held, np.diag(sol[:5]))]
+        sol = _solve(op, np.column_stack([units, g]))
     except SingularOperatorError:
-        report["var_beta_full"], report["var_alpha"] = None, [None] * 5
-    try:
-        h = _solve(op, g)
-        report["newton_beta_step"], report["newton_decrement"] = float(h[5]), float(s @ h)
-    except SingularOperatorError:
-        report["newton_beta_step"] = report["newton_decrement"] = None
+        pass
+    else:
+        var = [None if j else float(v) for j, v in zip(held, np.diag(sol[:6]))]
+        h = sol[:, 6]
+        report.update(var_beta_full=var[5], var_alpha=var[:5], newton_beta_step=float(h[5]),
+                      newton_decrement=float(s @ h))
     if t_grid is None:
         t_grid = np.linspace(0.0, dataset.tau, 11)[1:]
     try:

@@ -690,6 +690,18 @@ def test_variance_report_of_a_shifted_covariate_holds_mu0(held_fit):
         held_fit("default")[2]["var_beta_full"], rel=1e-12)
 
 
+def test_variance_report_refuses_a_fit_at_another_theta(held_fit):
+    # the default fit's theta-hat and posterior with the b-pinned fit would report a model
+    # that neither fit is (var_beta_full 10.4216, b held); the fit at theta_hat with a fresh
+    # posterior, and no fit, are accepted
+    ds, fit, rep = held_fit("default")
+    with pytest.raises(ValidationError, match="not the fit at theta_hat"):
+        variance_report(ds, fit.theta_hat, fit.posterior, held_fit("b-pinned")[1])
+    fresh = variance_report(ds, fit.theta_hat, estep_atoms(ds, fit.theta_hat), fit)
+    assert (fresh["var_beta_full"], fresh["var_alpha"]) == (rep["var_beta_full"], rep["var_alpha"])
+    assert variance_report(ds, fit.theta_hat, fit.posterior, None)["var_beta_full"] == rep["var_beta_full"]
+
+
 @pytest.mark.parametrize("name", ["b-pinned", "a-active"])
 def test_restricted_report_matches_dense_oracle(held_fit, name):
     # the held rows and columns deleted from the dense unrestricted operator
