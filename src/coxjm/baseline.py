@@ -8,21 +8,21 @@ Cox's partial likelihood is the likelihood profiled over the baseline hazard
 (Johansen 1983, Int. Stat. Rev. 51:165): `_profile` gives it over n, with its
 score and its risk-set-centred curvature, and `partial_lik_fit` maximizes it by
 step-halved Newton steps (`_newton_step`).  Breslow's jumps are that profile's
-hazard.
+hazard.  `em_fit` starts from the first of those steps (`fit._init_theta`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from .data import Dataset, SieveHazard
-from .exceptions import ValidationError
-from .fit import FitConfig, _check_wn
+from .exceptions import ValidationError, check_fields
 from .posterior import exp_clipped
-from .workspace import _Workspace
+from .workspace import _check_wn, _Workspace
 
 BETA_HALVINGS = 30  # a Newton step in beta halved more often than this is refused
 
@@ -108,7 +108,7 @@ def partial_lik_fit(dataset: Dataset, imputation: str = "lvcf", beta_box: float 
     rounding floor grows like sqrt(K), the score's (a sum) like K.  `loglik`, `score` and
     `information` are sums over the events.  `beta_box` must be finite and >= 0.
     """
-    FitConfig(beta_box=beta_box)  # refuses a box FitConfig refuses
+    check_fields(SimpleNamespace(beta_box=beta_box), (), ("beta_box",), {"beta_box": 0})  # as FitConfig does
     ws, v, z = _imputed(dataset, imputation)
     sums = partial(_risk_sums, ws, v, z)
     n, dE = ws.n, float(np.sum(ws.delta * z))

@@ -14,9 +14,17 @@ active components and clip a component that would leave it onto its bound (proje
 Newton, Bertsekas 1982, SIAM J. Control Optim. 20:221).  Where no mu ascends, or a damped
 step no longer moves the parameters, the fit stops unconverged, with a warning.
 
+The default start is the first iterate of the LVCF partial likelihood (`_init_theta`).
+
 Convergence requires one update to move the parameters less than `tol_param`, a
 small score over the canonical probe directions that are not active (KKT), and the
 hazard fixed-point identity dL_k * W_n(x_k) = 1/n holding at freshly computed atoms.
+The first time these hold, with the last update's active set and before max_iter, the
+fit solves the last update's operator (its factors are cached) for the Newton step at the
+end, and takes one more update if that step moves the parameters by more than
+tol_param^2: a tail that converges only linearly (a variance held at its floor) can pass
+on one update's move while the maximizer is farther off.  Only once, since at a tol_param
+near rounding (1e-11) no computed step is that small.
 
 The fit then states its quadrature error: one E-step at the final parameter with
 twice the nodes (Gauss-Hermite rules are not nested), compared with the fit's own.
@@ -27,9 +35,11 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from .baseline import _hazard, _imputed, _newton_step, _profile, _risk_sums
 from .data import Dataset, SieveHazard, Theta
 from .exceptions import (
     DegenerateRiskSetError,
@@ -43,7 +53,8 @@ from .exceptions import (
 from .posterior import EXP_CLIP
 from .transition import FLOOR_MESSAGE, PARAM_NAMES, VAR_FLOOR, AlphaBox, TransitionParams
 from .variance import _operator, _restrict
-from .workspace import Posterior, _estep, _hazard_jumps, _loglik, _risk_cols, _score, _Workspace, _workspace_of
+from .workspace import (Posterior, _check_wn, _estep, _hazard_jumps, _loglik, _risk_cols, _score, _Workspace,
+                        _workspace_of)
 
 NEWTON_HALVINGS = 3  # a Newton step halved more often than this is refused at its damping
 DAMPING = (0.0, *(10.0**k for k in range(-4, 9)))  # the Levenberg-Marquardt ladder of mu
@@ -128,12 +139,6 @@ class FitResult:
         return self.loglik_trace[-1]
 
 
-def _check_wn(ws: _Workspace, wn: np.ndarray) -> None:
-    bad = ~(wn > 0) | ~np.isfinite(wn)
-    if np.any(bad):
-        raise DegenerateRiskSetError(float(ws.xe[int(np.argmax(bad))]))
-
-
 def _quadrature_check(ws, state, Q: int) -> QuadratureCheck:
     """The E-step of state = (alpha, beta, dL, E-step, loglik), taken with Q nodes, against
     one with 2Q nodes at the same parameter and the same modes and curvature sds."""
@@ -170,22 +175,37 @@ def _certificate(ws, est, alpha, beta, dL, bounds):
 
 
 def _init_theta(ws: _Workspace, init: Theta | None, bounds, warn: list):
+    """The fit's start (alpha, beta, dL): `init` clipped into the bounds, or else alpha the
+    Gaussian MLE from the observed transitions (`FLOOR_MESSAGE` in `warn` where a variance
+    is raised to its floor) and (beta, dL) the first iterate of `partial_lik_fit`, whose
+    LVCF log partial likelihood is the profiled EM objective / n at point-mass atoms
+    (Johansen 1983): one step-halved Newton step from beta = 0, clipped into the beta
+    bounds, with Breslow's jumps there.  Where that likelihood is flat, the step is refused
+    (beta_box = 0 among them) or a risk set degenerates, beta = 0 with Nelson-Aalen jumps."""
     lo, hi = bounds.T
-    if init is None:
-        # Gaussian MLE from the observed transitions only
-        if ws.n < 2:
-            raise InsufficientDataError("need at least 2 subjects")
-        if ws.obs.N < 1:
-            # no observed transitions at all: fall back to the entry distribution
-            mu0, s0sq = ws.obs.z0bar, ws.obs.M2_0 / ws.obs.n0
-            alpha = TransitionParams.from_array(np.clip([mu0, s0sq, mu0, 0.0, s0sq], lo[:5], hi[:5]))
-        else:
-            alpha, floored = ws.obs.mle(bounds)
-            if floored:
-                warn.append(FLOOR_MESSAGE)
-        return alpha, 0.0, 1.0 / ws.cols(ws.t_count, np.ones(ws.n))  # Nelson-Aalen jumps
-    x = np.clip(np.append(init.alpha.as_array(), init.beta), lo, hi)
-    return TransitionParams.from_array(x[:5]), float(x[5]), np.maximum(_hazard_jumps(ws.xe, init.hazard), 1e-300)
+    if init is not None:
+        x = np.clip(np.append(init.alpha.as_array(), init.beta), lo, hi)
+        return TransitionParams.from_array(x[:5]), float(x[5]), np.maximum(_hazard_jumps(ws.xe, init.hazard), 1e-300)
+    if ws.n < 2:
+        raise InsufficientDataError("need at least 2 subjects")
+    if ws.obs.N < 1:
+        # no observed transitions at all: fall back to the entry distribution
+        mu0, s0sq = ws.obs.z0bar, ws.obs.M2_0 / ws.obs.n0
+        alpha = TransitionParams.from_array(np.clip([mu0, s0sq, mu0, 0.0, s0sq], lo[:5], hi[:5]))
+    else:
+        alpha, floored = ws.obs.mle(bounds)
+        if floored:
+            warn.append(FLOOR_MESSAGE)
+    _, v, z = _imputed(ws.dataset, "lvcf")
+    sums = partial(_risk_sums, ws, v, z)
+    beta, dE, R = 0.0, float(np.sum(ws.delta * z)), sums(0.0)
+    prof = _profile(R, dE, beta, ws.n)
+    if ws.n * prof[2] > 1e-300:  # `partial_lik_fit`'s flat-likelihood threshold
+        try:
+            beta, R = (_newton_step(sums, dE, ws.n, beta, prof, hi[5]) or (beta, R))[:2]
+        except DegenerateRiskSetError:
+            pass
+    return alpha, beta, np.asarray(_hazard(ws, R).jumps)
 
 
 def _boundedness_check(ws, est, dL, cfg, warn: list):
@@ -217,8 +237,9 @@ def _newton(ws, state, s, active, bounds, cfg: FitConfig):
     the score representer, and h_j = 0 for each active j (`variance._restrict`).  D =
     diag(d, w): d the absolute diagonal of the unrestricted E, floored at 1e-8 of its largest
     entry over the free components, and w the diagonal part of the hazard block H, so
-    P (M + mu D) stays symmetric.  mu runs through DAMPING; returns (the new state, mu) for
-    the first mu whose step `_step` accepts, or the reason the last one was refused."""
+    P (M + mu D) stays symmetric.  mu runs through DAMPING; returns (the new state, mu, the
+    undamped restricted operator) for the first mu whose step `_step` accepts, or the reason
+    the last one was refused."""
     op = _operator(ws, state[3], *state[:3])[0]
     d = np.abs(np.diag(op.E))
     d = np.maximum(d, 1e-8 * np.max(d, where=~active, initial=0.0))  # near 0 where alpha has no information
@@ -227,7 +248,7 @@ def _newton(ws, state, s, active, bounds, cfg: FitConfig):
         new = _step(ws, state, s, g, replace(op, E=op.E + mu * np.diag(d), w=op.w * (1 + mu)) if mu else op,
                     bounds, cfg)
         if not isinstance(new, str):
-            return new, mu
+            return new, mu, op
     return new
 
 
@@ -271,6 +292,19 @@ def _step(ws, state, s, g, op, bounds, cfg: FitConfig):
     return f"{NEWTON_HALVINGS} halvings do not ascend"
 
 
+def _settled(state, s, active, op, tol: float) -> bool:
+    """Whether the Newton step at state (score s, held set `active`), solved with op, the
+    last update's undamped restricted operator, moves the parameters by at most tol in
+    `_move`'s units; True where op is refused."""
+    try:
+        h = op.solve(_restrict(op, active, score=s)[-1])
+    except SingularOperatorError:
+        return True
+    with np.errstate(over="ignore"):  # an overflowing hazard move is inf, and not settled
+        move = max(float(np.max(np.abs(h[:6]))), float(np.max(np.abs(state[2] * np.expm1(h[6:])))))
+    return move <= tol
+
+
 def _bound_warnings(x, active, bounds, warn: list):
     """Name each alpha component that the bounds do not pin but that is active at the end,
     and its bound; a variance on its lower bound gives FLOOR_MESSAGE instead."""
@@ -301,7 +335,7 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
     trace = [state[4]]
     # the start's certificate: the first Newton step reads its score and active components
     score_norm, s, active = _certificate(ws, est, alpha, beta, dL, bounds)[1:]
-    done = False
+    done = extended = False
     iterations = newton_steps = 0
 
     while not done and iterations < cfg.max_iter:
@@ -309,10 +343,10 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
         if isinstance(step, str):
             warn.append(f"stopped at update {iterations + 1}: no damped Newton step ascends ({step})")
             break
-        new, mu = step
+        new, mu, op = step
         iterations += 1
         newton_steps += mu == 0
-        change, state = _move(state, new), new
+        change, state, held = _move(state, new), new, active
         trace.append(state[4])
         id_resid, score_norm, s, active = _certificate(ws, state[3], *state[:3], bounds)
         done = change < cfg.tol_param and score_norm <= cfg.tol_score and id_resid <= cfg.id_tol
@@ -320,6 +354,9 @@ def em_fit(dataset: Dataset, init: Theta | None = None, config: FitConfig | None
             warn.append(f"stopped at update {iterations}: a damped Newton step (mu = {mu:g}) moved "
                         "the parameters less than tol_param")
             break
+        if done and not extended and iterations < cfg.max_iter and np.array_equal(active, held):
+            done = _settled(state, s, active, op, cfg.tol_param**2)
+            extended = not done
 
     alpha, beta, dL, est = state[:4]
     quad = _quadrature_check(ws, state, cfg.Q)

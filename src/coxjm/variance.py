@@ -348,13 +348,20 @@ def _operator(ws, est, alpha, beta: float, dL: np.ndarray) -> tuple[DiscretizedO
 
 def _information(dataset: Dataset, theta_hat: Theta, atoms: Posterior
                  ) -> tuple[DiscretizedOperator, float | None]:
-    """`_operator` at a fit with its atoms."""
+    """`_operator` at a fit with its atoms, refused where the atoms record (`Posterior.param`)
+    an E-step at another parameter; atoms that record none are not checked."""
     ws = _workspace_of(dataset, atoms)
-    return _operator(ws, atoms, theta_hat.alpha, theta_hat.beta, _hazard_jumps(ws.xe, theta_hat.hazard))
+    dL = _hazard_jumps(ws.xe, theta_hat.hazard)
+    if atoms.param is not None:
+        alpha, beta, at = atoms.param
+        if not (alpha == theta_hat.alpha and beta == theta_hat.beta and np.array_equal(at, dL)):
+            raise ValidationError("the posterior was computed at another parameter than theta_hat")
+    return _operator(ws, atoms, theta_hat.alpha, theta_hat.beta, dL)
 
 
 def build_sigma_hat(dataset: Dataset, theta_hat: Theta, atoms: Posterior) -> DiscretizedOperator:
-    """Assemble the observed information operator at a converged fit with its atoms."""
+    """Assemble the observed information operator at a converged fit with its atoms, the
+    E-step at theta_hat (`_information`)."""
     return _information(dataset, theta_hat, atoms)[0]
 
 
@@ -449,7 +456,8 @@ def variance_report(dataset: Dataset, theta_hat: Theta, atoms: Posterior, fit: F
                     t_grid=None) -> dict:
     """The variances of a fit, used by the CLI and the study harness.
 
-    `fit` is the fit at `theta_hat` (another is refused) or None.  The components in
+    `fit` is the fit at `theta_hat` (another is refused) or None, and `atoms` the E-step
+    at theta_hat (one at another parameter is refused, `_information`).  The components in
     `fit.active` (none for None) are held fixed (`_restrict`): each reports None, its
     `var_alpha` entry or `var_beta_full`, and the other values are the restricted model's,
     which at an active inequality bound miss the limit law, a projection (Self & Liang 1987,

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset, SieveHazard, validate_dataset
-from .exceptions import InsufficientDataError, ValidationError
+from .exceptions import DegenerateRiskSetError, InsufficientDataError, ValidationError
 from .posterior import batch_posterior, exp_clipped, gauss_logpdf
 from .transition import TransitionParams, TransitionStats
 
@@ -191,13 +191,16 @@ class Posterior:
     over subjects of hazard mass times e^{beta z} on observed values, `E1` and `V` the posterior
     mean and variance.  Sums over nodes run along the subjects of the transposes.  The
     risk-set sums are kept read-only for the last beta asked, one (beta, sums) pair (`_risk_cols`).
+    `param` is the (alpha, beta, dL) an E-step (`_estep`) was taken at, which the variance
+    checks against the parameter it is asked about; a posterior built otherwise records None.
     """
 
     __slots__ = ("ws", "nodes", "weights", "log_norm", "a_obs", "a_lat", "E1", "V", "mode", "sd",
-                 "_risk", "_stats")
+                 "param", "_risk", "_stats")
 
-    def __init__(self, ws, nodes, weights, log_norm, a_obs, a_lat, mode=None, sd=None):
+    def __init__(self, ws, nodes, weights, log_norm, a_obs, a_lat, mode=None, sd=None, param=None):
         self.ws = ws
+        self.param = param
         self.nodes = nodes
         self.weights = weights
         self.log_norm = log_norm
@@ -238,7 +241,7 @@ def _estep(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray,
         zf = ws.z_extra[full]
         nodes[full], weights[full], weights[full, 0], mode[full], sd[full] = zf[:, None], 0.0, 1.0, zf, 0.0
         log_norm[full] = ws.delta[full] * beta * zf + gauss_logpdf(zf, mean[full], alpha.ssq)
-    return Posterior(ws, nodes, weights, log_norm, a_obs, a_lat, mode, sd)
+    return Posterior(ws, nodes, weights, log_norm, a_obs, a_lat, mode, sd, (alpha, beta, dL))
 
 
 def _loglik(ws: _Workspace, alpha: TransitionParams, beta: float, dL: np.ndarray, est: Posterior) -> float:
@@ -288,6 +291,13 @@ def _risk_cols(ws, est, beta):
         kept[1].flags.writeable = False
         est._risk = kept
     return kept[1]
+
+
+def _check_wn(ws: _Workspace, wn: np.ndarray) -> None:
+    """Refuse risk-set sums wn (K) that are not finite and positive, naming the first such event time."""
+    bad = ~(wn > 0) | ~np.isfinite(wn)
+    if np.any(bad):
+        raise DegenerateRiskSetError(float(ws.xe[int(np.argmax(bad))]))
 
 
 def _hazard_jumps(times: np.ndarray, hazard: SieveHazard) -> np.ndarray:

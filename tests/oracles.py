@@ -21,7 +21,8 @@ at many (beta, hazard) points at once, from the dense risk matrices.
 atoms and `oracle_moments` by the trapezoid rule.  `stack_atoms` builds a
 `Posterior` from hand-made atoms.  `latent_covariances` is each subject's 5 x 5
 posterior covariance of the complete-score terms, from the n x 5 x Q array of
-the terms at every node.
+the terms at every node.  `nelson_aalen_start` is the fit's start without its LVCF
+Newton step, for an explicit `init`.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from coxjm.baseline import nelson_aalen
 from coxjm.data import Dataset, MeasurementGrid, SieveHazard, Theta, validate_dataset
 from coxjm.exceptions import ValidationError
+from coxjm.fit import FitConfig, _bounds
 from coxjm.io import dataset_from_dict
 from coxjm.posterior import EXP_CLIP, _batch_modes, batch_posterior
 from coxjm.simulate import SimTruth, make_grid
@@ -485,3 +488,10 @@ def dense_operator(op) -> np.ndarray:
         later = np.maximum.outer(np.arange(lo, hi), np.arange(lo, hi))
         m[6 + lo:6 + hi, 6 + lo:6 + hi] -= op.v[later] * op.dL[lo:hi]
     return m
+
+
+def nelson_aalen_start(dataset, config: FitConfig | None = None) -> Theta:
+    """The observed-transition MLE of alpha in the config's feasible set, beta = 0 and the
+    Nelson-Aalen jumps: the default start of `em_fit` less its LVCF Newton step."""
+    alpha = _Workspace(dataset).obs.mle(_bounds(config or FitConfig()))[0]
+    return Theta(alpha=alpha, beta=0.0, hazard=nelson_aalen(dataset))

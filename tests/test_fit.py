@@ -14,6 +14,7 @@ from oracles import (
     dataset_of,
     exponent_split,
     log_joint_density,
+    nelson_aalen_start,
     stack_atoms,
     subjects_of,
 )
@@ -36,9 +37,10 @@ from coxjm import (
     score_full,
     variance_report,
 )
+from coxjm.fit import _bounds, _init_theta
 from coxjm.simulate import SimConfig, fullinfo_dataset, gen_dataset
 from coxjm.transition import FLOOR_MESSAGE, VAR_FLOOR
-from coxjm.workspace import _risk_cols, _workspace_of
+from coxjm.workspace import _risk_cols, _workspace_of, _Workspace
 
 GRID0 = MeasurementGrid((0.0,))
 STD = TransitionParams(0.0, 1.0, 0.0, 0.0, 1.0)
@@ -489,14 +491,41 @@ def test_em_fit_iterations_do_not_depend_on_covariate_centring(seed):
         assert em_fit(_shifted(ds, c)).iterations <= 1.5 * base + 2, c
 
 
+@pytest.mark.parametrize("case", ["beta-box-0", "flat"])
+def test_em_fit_starts_at_nelson_aalen_without_an_lvcf_step(case):
+    # beta_box = 0 clips the LVCF Newton step to 0, and with every value 0.5 the LVCF
+    # partial likelihood is flat (partial_lik_fit flags it): the start is beta = 0 with the
+    # Nelson-Aalen jumps
+    from coxjm.baseline import partial_lik_fit
+
+    ds, _ = _sim(200, seed=0)
+    cfg = FitConfig(beta_box=0.0) if case == "beta-box-0" else FitConfig()
+    if case == "flat":
+        ds = replace(ds, values=np.full_like(ds.values, 0.5))
+        assert partial_lik_fit(ds).flags == ("flat-likelihood",)
+    _, beta, dL = _init_theta(_Workspace.of(ds), None, _bounds(cfg), [])
+    assert beta == 0.0 and np.array_equal(dL, nelson_aalen(ds).jumps)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_em_fit_default_start_matches_the_nelson_aalen_start(seed):
+    # the LVCF Newton step starts the fit closer to the maximizer: the same beta-hat within
+    # 1e-10 (measured 1e-14), in no more updates (measured one fewer, two at seed 5)
+    ds, _ = _sim(200, seed=seed)
+    fit, old = em_fit(ds), em_fit(ds, init=nelson_aalen_start(ds))
+    assert fit.converged and old.converged
+    assert abs(fit.theta_hat.beta - old.theta_hat.beta) <= 1e-10
+    assert fit.iterations <= old.iterations
+
+
 @pytest.mark.parametrize("failure, reason", [
     ("mode-search", "a trial E-step fails"), ("non-finite-loglik", "a trial E-step fails"),
     ("singular-operator", "the operator is not positive definite")],
     ids=["mode-search", "non-finite-loglik", "singular-operator"])
 def test_em_fit_survives_failed_newton_steps(monkeypatch, failure, reason):
     # every Newton step fails, in its trial E-step or in the factorisation, at every damping:
-    # the fit tries each mu of the ladder once, then stops at its start, unconverged, with a
-    # warning that names the update and the last reason
+    # the fit tries each mu of the ladder once, then stops at its start (whatever that is),
+    # unconverged, with a warning that names the update and the last reason
     from coxjm import fit as fit_mod
     from coxjm.variance import DiscretizedOperator
 
@@ -519,7 +548,9 @@ def test_em_fit_survives_failed_newton_steps(monkeypatch, failure, reason):
     fit = em_fit(ds)
     assert len(failed) == len(fit_mod.DAMPING)
     assert fit.converged is False and fit.iterations == fit.newton_steps == 0
-    assert len(fit.loglik_trace) == 1 and fit.theta_hat.beta == 0.0  # the start
+    alpha, beta, dL = _init_theta(_Workspace.of(ds), None, _bounds(FitConfig()), [])
+    start = Theta(alpha, beta, SieveHazard(fit.theta_hat.hazard.times, dL))
+    assert len(fit.loglik_trace) == 1 and fit.theta_hat == start
     assert fit.warnings == [f"stopped at update 1: no damped Newton step ascends ({reason})"]
 
 
@@ -527,7 +558,7 @@ def test_em_fit_survives_failed_newton_steps(monkeypatch, failure, reason):
     (seed, HIGH_MISSING) for seed in range(4)], ids=[*map(str, range(8)), *(f"{s}-b0.3-ssq1" for s in range(4))])
 def test_em_fit_newton_from_the_start(seed, alpha0):
     # the first update is a Newton step from the start, whose certificate the fit computes
-    # before the loop, and no step needs damping (5-6 updates with alpha0, 6-7
+    # before the loop, and no step needs damping (4-5 updates with alpha0, 5-7
     # with b = 0.3, ssq = 1), as simulated and in full-information form; there the fit stops
     # within 1e-14 in beta of a tight fit, where two EM maps stopped up to 2.1e-8 short
     ds, truths = _sim(200, seed=seed, alpha0=alpha0)
@@ -591,7 +622,7 @@ def test_em_fit_tight_tolerances_converge_on_long_histories():
 
 @pytest.mark.parametrize("box", [AlphaBox(b=(0.7, 0.7)), AlphaBox(mu0=(0.5, 0.5))], ids=["b", "mu0"])
 def test_em_fit_converges_with_a_pinned_transition_parameter(box):
-    # with one component pinned, the Newton steps hold it and move the others (6 steps on
+    # with one component pinned, the Newton steps hold it and move the others (5 steps on
     # this dataset, where EM maps alone took 30 and 31), so the other scores vanish and the
     # certificate holds
     ds, _ = _sim(200, seed=0)
@@ -623,7 +654,7 @@ def test_em_fit_clamps_a_warm_start_to_the_variance_floor():
 def test_em_fit_certifies_an_active_bound(config, warm, j, bound, ll_em):
     # an alpha component at a bound whose score points out of the box is active (the KKT
     # condition): the certificate drops its score and the Newton steps hold it, so the fit
-    # converges (6 and 7 updates).  A certificate asking that score to vanish ran 500 maps
+    # converges (5 and 8 updates).  A certificate asking that score to vanish ran 500 maps
     # unconverged, ending at log likelihood ll_em
     ds, _ = _sim(200, seed=0)
     fit = em_fit(ds, init=em_fit(ds).theta_hat if warm else None, config=config)
@@ -637,7 +668,7 @@ def test_em_fit_certifies_an_active_bound(config, warm, j, bound, ll_em):
 
 def test_em_fit_ending_at_the_beta_box_is_not_converged():
     # beta on its box with its score pointing out is held like an alpha bound, so the loop
-    # stops once the certificate holds (5 updates); a fit that ends on the box stays
+    # stops once the certificate holds (4 updates); a fit that ends on the box stays
     # unconverged, with its warning
     ds, _ = _sim(200, seed=0)
     fit = em_fit(ds, config=FitConfig(beta_box=0.5, max_iter=50))
@@ -672,22 +703,30 @@ def test_em_fit_reports_a_floored_start_once(monkeypatch):
 
 def test_em_fit_converges_with_exact_transitions():
     # with ssq held at its floor 1e-8 the transition objective divides sums of squares of size
-    # ~400 that cancel to rounding (2.8e-14) by 2e-8, and two of the Newton steps need damping
-    # (mu = 1e-4).  The fit converges in 7 updates at log likelihood 9469.5202405236
-    fit = em_fit(_exact_transitions())
-    assert fit.converged and fit.theta_hat.alpha.ssq == VAR_FLOOR
-    assert fit.warnings == [FLOOR_MESSAGE]
+    # ~400 that cancel to rounding (2.8e-14) by 2e-8.  From the Nelson-Aalen start two of the
+    # Newton steps need damping (mu = 1e-4), and the fit converges in 8 updates at log
+    # likelihood 9469.5202405236.  The default start takes 4 undamped ones to the same
+    # maximizer (beta within 3.3e-14), whose log likelihood there differs only by that
+    # rounding over 2e-8 (measured 7.1e-7)
+    flat = _exact_transitions()
+    fit, default = em_fit(flat, init=nelson_aalen_start(flat)), em_fit(flat)
+    for f in (fit, default):
+        assert f.converged and f.theta_hat.alpha.ssq == VAR_FLOOR
+        assert f.warnings == [FLOOR_MESSAGE]
+        tr = np.asarray(f.loglik_trace)
+        assert np.all(np.diff(tr) >= -1e-13 * (1 + np.abs(tr[1:])))
     assert 0 < fit.newton_steps < fit.iterations <= 10
     assert abs(fit.loglik - 9469.5202405236) <= 1e-9
-    tr = np.asarray(fit.loglik_trace)
-    assert np.all(np.diff(tr) >= -1e-13 * (1 + np.abs(tr[1:])))
+    assert default.newton_steps == default.iterations <= 5
+    assert abs(default.theta_hat.beta - fit.theta_hat.beta) <= 1e-12
+    assert abs(default.loglik - 9469.5202405236) <= 2.8e-14 / 2e-8
 
 
 def test_em_fit_holds_beta_at_the_box_on_a_monotone_likelihood():
     # a monotone likelihood (Bryson & Johnson 1981): the profile likelihood in beta rises all
     # the way to the box, so the MLE does not exist.  Each full Newton step leaves the beta
     # box; the projected step clips beta onto it, where its score points out and it is held,
-    # so the certificate holds in 13 updates (8 damped), and the fit ends unconverged with
+    # so the certificate holds in 7 updates (2 damped), and the fit ends unconverged with
     # beta on the box
     cfg = SimConfig(n=60, grid_step=0.05, tau=3.0, alpha0=TransitionParams(1.0, 0.5, 0.5, 0.95, 0.05),
                     beta0=0.0, lambda0=0.3, censor_rate=0.0, seed=0, truncate_at=1.2)
@@ -790,8 +829,8 @@ def test_default_rule_on_fixed_seed_set(n, seed, grid_step, alpha0):
 @pytest.mark.slow
 def test_em_fit_converges_on_the_small_sample_sweep():
     # 600 small fits (n = 20, 50, 100; seeds 0-99; alpha0 and b = 0.3, ssq = 1), about 4 s:
-    # every one converges within 10 updates (measured at most 9, with 31 damped steps over
-    # 24 fits)
+    # every one converges within 10 updates (measured at most 9, with 21 damped steps over
+    # 15 fits)
     for alpha0 in (ALPHA0, HIGH_MISSING):
         for n in (20, 50, 100):
             for seed in range(100):

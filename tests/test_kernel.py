@@ -85,6 +85,29 @@ def _atoms(rng, ds, beta, dL, Q=3):
     return stack_atoms(ds, nodes, weights, beta, dL)
 
 
+def lvcf_newton_step(ds, box):
+    """The step-halved Newton step from 0 on the LVCF log partial likelihood, from the dense
+    oracle's risk sums, and the magnitudes of its terms; None where the likelihood is flat."""
+    S, A = lvcf_risk_sums(ds, lvcf_value, 0.0), lvcf_risk_sums(ds, lvcf_value, 0.0, absolute=True)
+    z = [lvcf_value(s, s.x, ds.grid) for s in subjects_of(ds) if s.delta]
+    m1 = S[1] / S[0]
+    score, info = sum(z) - np.sum(m1), np.sum(S[2] / S[0] - m1 * m1)
+    if info <= 1e-300:
+        return None, None
+    full = score / info
+    scale = (np.sum(np.abs(z)) + np.sum(A[1] / S[0]) + abs(full) * np.sum(S[2] / S[0] + m1 * m1)) / info
+
+    def lp(b):
+        return b * sum(z) - np.sum(np.log(lvcf_risk_sums(ds, lvcf_value, b)[0]))
+
+    lp0 = lp(0.0)
+    for j in range(31):
+        cand = float(np.clip(full * 0.5**j, -box, box))
+        if lp(cand) >= lp0 - 1e-13 * (1 + abs(lp0)):
+            return cand, scale * 0.5**j
+    return None, None
+
+
 def check_against_oracle(ds, beta, rng):
     """Every kernel sum on `ds` equals the dense oracle's, within RTOL of its magnitude."""
     D, n = DenseRisk(ds), ds.n
@@ -119,8 +142,16 @@ def check_against_oracle(ds, beta, rng):
     _close(op.G[:, 5], cols[:, 1] / n + lat[:, 3], mag[:, 1] / n + lat_mag[:, 3])
     _close(op.v, lat[:, 4], lat_mag[:, 4])
 
-    # the fit's Nelson-Aalen start: exact risk-set counts
-    assert np.array_equal(_init_theta(ws, None, _bounds(FitConfig()), [])[2], 1.0 / D.risk.sum(axis=0))
+    # the fit's default start: the LVCF partial likelihood's Newton step from 0 and Breslow's
+    # jumps there; where the likelihood is flat, beta = 0 and exact risk-set counts
+    beta1, dL1 = _init_theta(ws, None, _bounds(FitConfig()), [])[1:]
+    want, scale = lvcf_newton_step(ds, FitConfig().beta_box)
+    if want is None:
+        assert beta1 == 0.0 and np.array_equal(dL1, 1.0 / D.risk.sum(axis=0))
+    else:
+        _close(beta1, want, scale)
+        S0 = lvcf_risk_sums(ds, lvcf_value, beta1)[0]
+        _close(dL1, 1.0 / S0, 1.0 / S0)
 
     # boundedness warning: its bound uses the largest observed value at risk
     at_tau = int(np.sum(D.x >= TAU))

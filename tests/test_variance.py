@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.special
-from oracles import Subject, dataset_of, dense_operator, last_index, stack_atoms
+from oracles import Subject, dataset_of, dense_operator, last_index, nelson_aalen_start, stack_atoms
 
 from coxjm import (
     AlphaBox,
@@ -372,13 +372,14 @@ def test_variance_report_degenerate_data(tmp_path):
 
 def test_variance_report_states_the_optimisation_error():
     # h_beta of the Newton step at the fit is the distance of beta-hat from the maximizer:
-    # after 3 Newton steps it is 3.05e-4, estimated to 4e-4 relative; at the converged fit
-    # both it and the decrement <g, h> fall to rounding (4e-16 and 2e-31)
+    # after 3 Newton steps from the Nelson-Aalen start it is 3.05e-4, estimated to 4e-4
+    # relative (from the default start it is 7.1e-7 by then); at the converged fit both it
+    # and the decrement <g, h> fall to rounding (4e-16 and 2e-31)
     cfg = SimConfig(n=200, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
                     lambda0=0.3, censor_rate=0.2, seed=0)
     ds, _ = gen_dataset(cfg)
     tight = em_fit(ds, config=FitConfig(tol_param=1e-11, tol_score=1e-11))
-    early, fit = em_fit(ds, config=FitConfig(max_iter=3)), em_fit(ds)
+    early, fit = em_fit(ds, init=nelson_aalen_start(ds), config=FitConfig(max_iter=3)), em_fit(ds)
     assert (early.newton_steps, early.converged, fit.converged) == (3, False, True)
     rep = variance_report(ds, early.theta_hat, early.posterior, early)
     err = tight.theta_hat.beta - early.theta_hat.beta
@@ -386,6 +387,28 @@ def test_variance_report_states_the_optimisation_error():
     assert rep["newton_decrement"] > 0
     rep = variance_report(ds, fit.theta_hat, fit.posterior, fit)
     assert abs(rep["newton_beta_step"]) <= 1e-12 and abs(rep["newton_decrement"]) <= 1e-20
+
+
+def test_variance_refuses_a_posterior_at_another_parameter():
+    # the converged theta-hat with the posterior of a fit stopped early (3 updates from the
+    # Nelson-Aalen start) read var_beta_full 10.5190 and newton_beta_step -4.4e-4, where its
+    # own posterior gives 10.5194 and 3.5e-16.  A stale posterior, here one update's, is
+    # refused; a fresh E-step at theta-hat is accepted, as are atoms built by hand, which
+    # record no parameter
+    cfg = SimConfig(n=200, grid_step=0.25, tau=3.0, alpha0=ALPHA0, beta0=1.0,
+                    lambda0=0.3, censor_rate=0.2, seed=0)
+    ds, _ = gen_dataset(cfg)
+    early, fit = em_fit(ds, config=FitConfig(max_iter=1)), em_fit(ds)
+    th, stale = fit.theta_hat, early.posterior
+    for call in (lambda: variance_report(ds, th, stale, fit), lambda: variance_report(ds, th, stale, None),
+                 lambda: build_sigma_hat(ds, th, stale), lambda: var_beta_simple(ds, th, stale)):
+        with pytest.raises(ValidationError, match="posterior was computed at another parameter"):
+            call()
+    rep = variance_report(ds, th, estep_atoms(ds, th), fit)
+    assert rep["var_beta_full"] == pytest.approx(10.51937591298455, rel=1e-9)
+    assert abs(rep["newton_beta_step"]) <= 1e-12
+    by_hand = stack_atoms(ds, stale.nodes, stale.weights, th.beta, np.asarray(th.hazard.jumps))
+    assert by_hand.param is None and build_sigma_hat(ds, th, by_hand).K == len(th.hazard.jumps)
 
 
 def test_probe_length_validated(fitted):
