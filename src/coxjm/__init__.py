@@ -10,7 +10,7 @@ consistency, normality and confidence-interval coverage empirically.
 """
 
 from .baseline import BaselineFit, breslow, nelson_aalen, partial_lik_fit
-from .data import Dataset, MeasurementGrid, SieveHazard, Theta, validate_dataset
+from .data import Dataset, MeasurementGrid, SieveHazard, Theta
 from .exceptions import (
     CoxjmError,
     DegenerateRiskSetError,

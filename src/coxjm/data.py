@@ -15,15 +15,17 @@ value as one extra trailing measurement (count a_x + 2 instead of a_x + 1),
 so such a subject has no latent value.
 
 `Dataset` holds its subjects as columns, validated once as arrays; the fit
-workspace, the tie check, the full-information reduction and the file formats
-read them.
+workspace, the full-information reduction and the file formats read them.
+
+Tied event times need no policy.  The step hazard carries one jump per event, so
+d events at one time get d jumps, each fitted at their one shared risk set:
+Breslow's convention (Breslow 1974, Biometrics 30:89).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,8 +34,6 @@ from .exceptions import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .transition import TransitionParams
-
-TIE_JITTER = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,8 @@ class MeasurementGrid:
 
 @dataclass(frozen=True)
 class SieveHazard:
-    """Step cumulative hazard with jumps at the ordered uncensored times."""
+    """Step cumulative hazard with one jump per uncensored time, at nondecreasing times
+    (a time with d tied events carries d jumps)."""
 
     times: tuple[float, ...]
     jumps: tuple[float, ...]
@@ -79,15 +80,16 @@ class SieveHazard:
         object.__setattr__(self, "jumps", tuple(jumps.tolist()))
         if times.size != jumps.size:
             raise ValidationError("hazard times and jumps must have equal length")
-        if np.any(times[1:] <= times[:-1]):
-            raise ValidationError("hazard jump times must be strictly increasing")
+        if np.any(times[1:] < times[:-1]):
+            raise ValidationError("hazard jump times must be nondecreasing")
         if np.any((times <= 0) | ~np.isfinite(times)):
             raise ValidationError("hazard jump times must be finite and > 0")
         if np.any((jumps < 0) | ~np.isfinite(jumps)):
             raise ValidationError("hazard jumps must be finite and >= 0")
 
     def evaluate(self, t):
-        """Cumulative hazard Lambda(t) = sum of jumps at times <= t (vectorized)."""
+        """Cumulative hazard Lambda(t) = sum of jumps at times <= t, every jump of a tied
+        time among them (vectorized)."""
         times = np.asarray(self.times)
         cum = np.concatenate([[0.0], np.cumsum(self.jumps)])
         idx = np.searchsorted(times, np.asarray(t, dtype=float), side="right")
@@ -200,30 +202,10 @@ class Dataset:
         return len(self.ids)
 
     def event_times(self) -> tuple[float, ...]:
-        """Increasingly ordered uncensored times (ties not resolved here)."""
+        """The uncensored times in nondecreasing order, a tied time once per event."""
         return tuple(np.sort(self.x[self.delta == 1]).tolist())
 
     @property
     def n_events(self) -> int:
         return int(np.sum(self.delta))
 
-
-def validate_dataset(dataset: Dataset, jitter_ties: bool = False) -> Dataset:
-    """Check the no-tied-events assumption; optionally break ties deterministically.
-
-    With `jitter_ties`, tied uncensored times within a tie group get x shifted
-    by TIE_JITTER * rank in subject-id order (ranks 1, 2, ... within the group),
-    which preserves the risk-set order.
-    """
-    times, counts = np.unique(dataset.event_times(), return_counts=True)
-    tied = times[counts > 1]
-    if not tied.size:
-        return dataset
-    if not jitter_ties:
-        raise ValidationError(f"tied uncensored event times at {tied.tolist()}; enable jitter to break ties")
-    x = dataset.x.copy()
-    rows = sorted(np.flatnonzero((dataset.delta == 1) & np.isin(x, tied)), key=lambda i: (x[i], str(dataset.ids[i])))
-    for _, same_x in itertools.groupby(rows, key=dataset.x.__getitem__):
-        for rank, i in enumerate(same_x, start=1):
-            x[i] += TIE_JITTER * rank
-    return validate_dataset(replace(dataset, x=x), jitter_ties=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, MeasurementGrid, validate_dataset
+from .data import Dataset, MeasurementGrid
 from .exceptions import ValidationError, check_fields, reading
 from .transition import TransitionParams
 
@@ -211,7 +211,7 @@ def _event_times(z: np.ndarray, e: np.ndarray, config: SimConfig) -> np.ndarray:
 
 
 def gen_dataset(config: SimConfig) -> tuple[Dataset, SimTruth]:
-    """n independent subjects on derived streams; ties (probability zero) jittered.
+    """n independent subjects on derived streams.
 
     Subject i draws from its stream (state words `stream_words(seed, n)[i]`): its chain
     (m+1 standard normals, or the truncated rejection draws), a standard exponential for
@@ -241,9 +241,8 @@ def gen_dataset(config: SimConfig) -> tuple[Dataset, SimTruth]:
     x = np.minimum(t, c)
     grid = make_grid(config)
     a_x = grid.last_index(x)
-    dataset = validate_dataset(Dataset(grid=grid, tau=config.tau, ids=range(n), x=x, delta=t <= c,
-                                       offsets=np.concatenate([[0], np.cumsum(a_x + 1)]),
-                                       values=z[np.arange(m + 1) <= a_x[:, None]]), jitter_ties=True)
+    dataset = Dataset(grid=grid, tau=config.tau, ids=range(n), x=x, delta=t <= c,
+                      offsets=np.concatenate([[0], np.cumsum(a_x + 1)]), values=z[np.arange(m + 1) <= a_x[:, None]])
     return dataset, SimTruth(ids=dataset.ids, latent_z=z[np.arange(n), a_x + 1], event_time=t, censor_time=c)
 
 

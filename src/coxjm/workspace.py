@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, SieveHazard, validate_dataset
+from .data import Dataset, SieveHazard
 from .exceptions import DegenerateRiskSetError, InsufficientDataError, ValidationError
 from .posterior import batch_posterior, exp_clipped, gauss_logpdf
 from .transition import TransitionParams, TransitionStats
@@ -54,7 +54,7 @@ class _Workspace:
         return ws
 
     def __init__(self, dataset: Dataset):
-        self.dataset = validate_dataset(dataset)
+        self.dataset = dataset
         n = self.n = dataset.n
         self.ids = dataset.ids
         self.x, self.delta, self.a_x, self.has_extra = dataset.x, dataset.delta, dataset.a_x, dataset.has_extra

@@ -8,7 +8,9 @@ collapsed onto grid intervals: one [subject i, event time k] matrix each for
 the risk indicator, its observed and latent parts, and the observed covariate
 value.  It takes O(n K) memory, so it serves small test datasets only.
 `lvcf_risk_sums` evaluates the comparator's imputation one (subject, event
-time) pair at a time through the scalar value functions.  `scalar_gen_dataset`
+time) pair at a time through the scalar value functions, and
+`breslow_partial_lik_beta` maximizes Breslow's partial likelihood for tied event
+times over the dense matrix of the fully observed covariate.  `scalar_gen_dataset`
 is the simulator drawn one `rng.normal` call per chain value, each subject from
 its own `SeedSequence` (`subject_stream`), with each event time inverted interval
 by interval (`piecewise_exp_time`).
@@ -34,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from coxjm.baseline import nelson_aalen
-from coxjm.data import Dataset, MeasurementGrid, SieveHazard, Theta, validate_dataset
+from coxjm.data import Dataset, MeasurementGrid, SieveHazard, Theta
 from coxjm.exceptions import ValidationError
 from coxjm.fit import FitConfig, _bounds
 from coxjm.io import dataset_from_dict
@@ -207,6 +209,29 @@ def lvcf_risk_sums(dataset, value_fn, beta, absolute=False):
     return S
 
 
+def breslow_partial_lik_beta(dataset) -> float:
+    """The maximizer of Breslow's log partial likelihood for a fully observed dataset,
+    sum over the events i of beta z_i(x_i) - log sum_{x_j >= x_i} e^{beta z_j(x_i)}, where
+    events tied at one time share its risk set (Breslow 1974).  z_j(t) is
+    `covariate_at`, taken per (subject, event time) into a dense n x K matrix.  Newton's method
+    runs from beta = 0 and stops after a step below 1e-12, which leaves an error at rounding,
+    as it converges quadratically."""
+    grid, subjects, xe = dataset.grid, subjects_of(dataset), dataset.event_times()
+    if not all(is_fully_observed(s, grid) for s in subjects):
+        raise ValidationError("Breslow's partial likelihood needs fully observed data")
+    risk = np.array([[s.x >= t for t in xe] for s in subjects])
+    z = np.array([[covariate_at(s, t, grid) if s.x >= t else 0.0 for t in xe] for s in subjects])
+    z_event = sum(covariate_at(s, s.x, grid) for s in subjects if s.delta)
+    beta = 0.0
+    for _ in range(100):
+        s0, s1, s2 = _powers(z, beta, risk).sum(axis=1)
+        step = (z_event - np.sum(s1 / s0)) / np.sum(s2 / s0 - (s1 / s0) ** 2)
+        beta += step
+        if abs(step) < 1e-12:
+            return beta
+    raise ValidationError("Newton's method did not converge")
+
+
 def _normal(rng, mean, sd, bound):
     """One rng.normal(mean, sd) draw, redrawn until |value| <= bound when bound is set."""
     while True:
@@ -255,7 +280,7 @@ def scalar_gen_dataset(config):
         subjects.append(Subject(id=i, x=x, delta=int(t <= c), measurements=tuple(z[: a_x + 1])))
         truths.append((float(z[a_x + 1]), t, c))
     latent_z, event_time, censor_time = zip(*truths)
-    return (validate_dataset(dataset_of(make_grid(config), subjects, config.tau), jitter_ties=True),
+    return (dataset_of(make_grid(config), subjects, config.tau),
             SimTruth(ids=range(config.n), latent_z=latent_z, event_time=event_time, censor_time=censor_time))
 
 

@@ -12,14 +12,12 @@ from coxjm import (
     Dataset,
     MeasurementGrid,
     SieveHazard,
-    Theta,
-    TransitionParams,
     ValidationError,
     breslow,
     em_fit,
     estep_atoms,
+    nelson_aalen,
     partial_lik_fit,
-    validate_dataset,
 )
 
 GRID = MeasurementGrid((0.0, 1.0, 2.0))
@@ -115,7 +113,7 @@ def test_hazard_eval_properties():
 
 def test_hazard_validation():
     with pytest.raises(ValidationError):
-        SieveHazard((1.0, 1.0), (0.1, 0.1))
+        SieveHazard((2.0, 1.0), (0.1, 0.1))
     with pytest.raises(ValidationError):
         SieveHazard((1.0,), (-0.1,))
     with pytest.raises(ValidationError):
@@ -124,8 +122,8 @@ def test_hazard_validation():
 
 @pytest.mark.parametrize("times, jumps, message", [
     ((1.0, 2.0), (0.1,), "hazard times and jumps must have equal length"),
-    ((1.0, 1.0), (0.1, 0.1), "hazard jump times must be strictly increasing"),
-    ((2.0, 1.0), (0.1, 0.1), "hazard jump times must be strictly increasing"),
+    ((2.0, 1.0), (0.1, 0.1), "hazard jump times must be nondecreasing"),
+    ((1.0, 1.0, 0.5), (0.1, 0.1, 0.1), "hazard jump times must be nondecreasing"),
     ((0.0, 1.0), (0.1, 0.1), "hazard jump times must be finite and > 0"),
     ((-1.0,), (0.1,), "hazard jump times must be finite and > 0"),
     ((1.0, math.nan), (0.1, 0.1), "hazard jump times must be finite and > 0"),
@@ -178,29 +176,32 @@ def test_dataset_unique_ids():
         _dataset([s, s])
 
 
-def test_tied_events_rejected_then_jittered():
-    a = Subject(id="a", x=1.5, delta=1, measurements=(0.0, 1.0))
-    b = Subject(id="b", x=1.5, delta=1, measurements=(0.2, 0.4))
-    ds = _dataset([a, b, Subject(id="c", x=2.5, delta=0, measurements=(0.0, 1.0, 2.0))])
-    theta = Theta(alpha=TransitionParams(0.0, 1.0, 0.0, 0.5, 1.0), beta=0.0, hazard=SieveHazard((1.5,), (0.5,)))
-    # every consumer refuses ties with the one message that names the tied times
-    for call in (validate_dataset, em_fit, partial_lik_fit, lambda d: breslow(d, 0.0),
-                 lambda d: estep_atoms(d, theta)):
-        with pytest.raises(ValidationError, match=r"^tied uncensored event times at \[1\.5\]"):
-            call(ds)
-    fixed = validate_dataset(ds, jitter_ties=True)
-    xs = sorted(fixed.x.tolist())
-    assert xs[0] != xs[1]
-    assert xs[0] == pytest.approx(1.5, abs=1e-8)
-    # deterministic: same input gives the same jitter
-    again = validate_dataset(ds, jitter_ties=True)
-    assert again.x.tolist() == fixed.x.tolist()
+def test_tied_events_share_one_risk_set():
+    # Breslow's convention: one jump per event, and the events tied at 1.5 share one risk
+    # set, which holds every subject leaving at 1.5, censored ones too
+    subjects = [Subject(id="a", x=1.5, delta=1, measurements=(0.0, 1.0)),
+                Subject(id="b", x=1.5, delta=1, measurements=(0.2, 0.4)),
+                Subject(id="c", x=1.5, delta=0, measurements=(0.1, 0.3)),
+                Subject(id="d", x=2.5, delta=1, measurements=(0.0, 1.0, 2.0)),
+                Subject(id="e", x=2.5, delta=0, measurements=(0.3, 0.6, 0.9))]
+    ds = _dataset(subjects)
+    assert ds.event_times() == (1.5, 1.5, 2.5)
+    na = nelson_aalen(ds)
+    assert na.times == (1.5, 1.5, 2.5) and na.jumps == (0.2, 0.2, 0.5)
+    assert na.evaluate(1.5) == 0.4 and na.evaluate(2.4) == 0.4 and na.evaluate(2.5) == 0.9
+    # the tied events share a risk set, so their jumps agree at any beta; every consumer takes them
+    assert len(set(breslow(ds, 0.7).jumps[:2])) == 1
+    fit = em_fit(ds)
+    assert fit.theta_hat.hazard.times == (1.5, 1.5, 2.5)
+    assert math.isfinite(partial_lik_fit(ds).beta_pl)
+    assert estep_atoms(ds, fit.theta_hat).ws is fit.posterior.ws
 
 
 def test_tied_censoring_is_fine():
     a = Subject(id="a", x=1.5, delta=0, measurements=(0.0, 1.0))
     b = Subject(id="b", x=1.5, delta=0, measurements=(0.2, 0.4))
-    validate_dataset(_dataset([a, b]))
+    c = Subject(id="c", x=2.5, delta=1, measurements=(0.0, 1.0, 2.0))
+    assert nelson_aalen(_dataset([a, b, c])).jumps == (1.0,)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

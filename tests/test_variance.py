@@ -580,6 +580,8 @@ def test_variance_report_equivariant_under_covariate_units(report_of_seed, c, d)
     # At the default tolerances they move by at most 4.5e-15 relative for |d| <= 1.  The
     # operator's beta border holds moments of Z about 0, so a shift costs digits: with
     # d = 20 the variances move by up to 2.0e-12 (var_beta_full) and 1.5e-13 (var_alpha).
+    # Without a shift (d = 0) the hazard and its band do not change: measured within 8.1e-15
+    # relative, c in {0.5, 2, -1.5, -3}.
     # var_beta_simple is not equivariant
     rtol = 1e-12 if abs(d) <= 1 else 1e-11
     ds, rep, cov = report_of_seed
@@ -592,6 +594,8 @@ def test_variance_report_equivariant_under_covariate_units(report_of_seed, c, d)
     want = [rep["var_alpha"][0] * c**2, rep["var_alpha"][1] * c**4, var_a, rep["var_alpha"][3],
             rep["var_alpha"][4] * c**4]
     np.testing.assert_allclose(got["var_alpha"], want, rtol=rtol, atol=0)
+    if d == 0:
+        np.testing.assert_allclose(got["lambda_band"], rep["lambda_band"], rtol=rtol, atol=0)
 
 
 @pytest.mark.slow

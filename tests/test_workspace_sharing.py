@@ -16,7 +16,6 @@ from coxjm import (
     FitConfig,
     Theta,
     TransitionParams,
-    ValidationError,
     breslow,
     em_fit,
     estep_atoms,
@@ -24,7 +23,6 @@ from coxjm import (
     observed_loglik,
     partial_lik_fit,
     score_full,
-    validate_dataset,
     variance_report,
 )
 from coxjm import io as cio
@@ -124,18 +122,15 @@ def test_copies_get_their_own_workspace(builds):
         assert twin == ds and not hasattr(twin, "_workspace")
         assert _Workspace.of(twin).dataset is twin
     assert len(builds) == 5 and _Workspace.of(ds) is held
-    # ties: the dataset has no workspace, its jittered copy one of its own
-    # (two events in one grid interval, so both keep their measurement counts)
+    # a copy with tied events (two in one grid interval, so both keep their measurement
+    # counts) gets a workspace of its own, with one event time per event
     ev = np.flatnonzero(ds.delta)
     i, j = next((i, j) for i in ev for j in ev if i < j and ds.a_x[i] == ds.a_x[j])
     x = ds.x.copy()
     x[j] = x[i]
     tied = replace(ds, x=x)
-    with pytest.raises(ValidationError, match="tied uncensored event times"):
-        _Workspace.of(tied)
-    jittered = validate_dataset(tied, jitter_ties=True)
-    assert jittered is not tied and _Workspace.of(jittered).dataset is jittered
-    assert getattr(tied, "_workspace", None) is None
+    ws = _Workspace.of(tied)
+    assert ws.dataset is tied and ws.K == held.K and len(builds) == 6 and _Workspace.of(ds) is held
 
 
 def test_threads_fitting_one_dataset_reproduce_sequential_fits():
